@@ -2,6 +2,9 @@
 multiplexed click detection, EM inversion, post-selection statistics and
 nonclassicality quantification.
 """
+# the one version string: pyproject.toml reads it from here
+__version__ = "0.1.0"
+
 from ._backend import HAVE_NUMBA, backend_name
 from .detector import (DetectionMatrix, DetectorConfig, PAPER_TABLE_1, PRESETS,
                        detection_matrix, forward_counts, sample_counts)
@@ -28,4 +31,3 @@ from .postselect import (PostselectSweep, SweepRow, conditioned_field,
                          sweep_distribution, sweep_histogram)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"

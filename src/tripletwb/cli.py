@@ -12,10 +12,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import emrec, fit as fitmod, io, nonclassical, postselect
+from . import emrec, io, nonclassical, postselect
 from .detector import (DetectorConfig, PRESETS, default_c_max,
                        detection_matrix, forward_counts, sample_counts)
 from .errors import CutoffError, DataError, NumericalError, ParameterError
+from .fit import fit
 from .fock import (AXIS_ORDER, Histogram, JointDistribution, check_tail,
                    condition, normalize)
 from .gaussian import (GaussianFieldModel, PAPER_TABLE_2, TripleTwbParams,
@@ -47,8 +48,7 @@ def _load_params(params_file: str | None) -> TripleTwbParams:
 
 def _detectors(preset: str, config_file: str | None) -> dict[str, DetectorConfig]:
     if config_file is not None:
-        data = json.loads(Path(config_file).read_text())
-        return {l: DetectorConfig(**data[l]) for l in AXIS_ORDER}
+        return io.load_detectors(config_file)
     if preset not in PRESETS:
         raise DataError(f"unknown detector preset {preset!r}")
     return dict(PRESETS[preset])
@@ -63,6 +63,17 @@ def _matrices(cfgs: dict[str, DetectorConfig], photon_cutoffs,
                  else default_c_max(cfgs[l], n_max))
         mats[l] = detection_matrix(cfgs[l], n_max, c_max)
     return mats
+
+
+def _selector_range(sel_range: str | None, top: int) -> range:
+    """Inclusive ``lo:hi`` selector range; without one, the full axis 0..top."""
+    if sel_range is None:
+        return range(top + 1)
+    try:
+        lo, hi = (int(x) for x in sel_range.split(":"))
+    except ValueError:
+        raise DataError(f"--range needs lo:hi, got {sel_range!r}") from None
+    return range(lo, hi + 1)
 
 
 def _parse_modes(modes: str) -> tuple[float, float, float]:
@@ -145,8 +156,8 @@ def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals)
     """Fit the 14 field parameters to a photocount histogram."""
     h = io.load_histogram(hist_file)
     cfgs = _detectors(preset, detector_file)
-    report = fitmod.fit(h, cfgs, fix_efficiencies=not free_efficiencies,
-                        max_evals=max_evals)
+    report = fit(h, cfgs, fix_efficiencies=not free_efficiencies,
+                 max_evals=max_evals)
     Path(out).write_text(report.to_json() + "\n")
     io.write_manifest(Path(out), "fit", {
         "histogram": str(hist_file), "free_efficiencies": free_efficiencies})
@@ -229,18 +240,16 @@ def postselect_cmd(dist_file, selector, value, preset, out):
 @handle_errors
 def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
     """Post-selection sweep: means, Fano factors, correlations per selector."""
-    rng = None
-    if sel_range:
-        lo, hi = (int(x) for x in sel_range.split(":"))
-        rng = range(lo, hi + 1)
     cfgs = _detectors(preset, None)
     if source == "dist":
         d = io.load_distribution(input_file)
-        t_s = None
+        n_max = d.values.shape[0] - 1
+        top, t_s = n_max, None
         if selector == "c_s":
-            t_s = detection_matrix(cfgs["s"], d.values.shape[0] - 1,
-                                   default_c_max(cfgs["s"], d.values.shape[0] - 1))
-        result = postselect.sweep_distribution(d, selector, rng, t_s)
+            top = default_c_max(cfgs["s"], n_max)
+            t_s = detection_matrix(cfgs["s"], n_max, top)
+        result = postselect.sweep_distribution(
+            d, selector, _selector_range(sel_range, top), t_s)
     else:
         h = io.load_histogram(input_file)
         if selector == "n_s":
@@ -248,7 +257,8 @@ def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
         mats = {l: detection_matrix(cfgs[l], idler_cutoff,
                                     h.counts.shape[i + 1] - 1)
                 for i, l in enumerate(("i1", "i2", "i3"))}
-        result = postselect.sweep_histogram(h, mats, rng)
+        result = postselect.sweep_histogram(
+            h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
     Path(out).write_text(result.to_csv())
     io.write_manifest(Path(out), "sweep", {
         "source": source, "selector": selector, "range": sel_range})
@@ -366,7 +376,7 @@ def cut(input_file, kind, level, out):
     if path.with_suffix(path.suffix + ".meta.json").exists():
         try:
             field = io.load_distribution(path).values
-        except (DataError, KeyError):
+        except DataError:
             # a sidecar without table metadata (e.g. an ncd-field export)
             field = _load_lattice_csv(path)
     else:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: DataError -> 2, CutoffError and
-NumericalError -> 3.
+Exit-code mapping used by the CLI: DataError, ParameterError and
+CutoffError -> 2, NumericalError -> 3.
 """
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .detector import DetectorConfig
 from .errors import DataError
 from .fock import AXIS_ORDER, Histogram, JointDistribution
@@ -20,6 +21,33 @@ HIST_HEADER = ["c_s", "c_i1", "c_i2", "c_i3", "count"]
 
 def _sidecar(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".meta.json")
+
+
+def _read_json(path: Path, keys: tuple[str, ...]) -> dict:
+    """A JSON object holding ``keys``; anything else is a DataError naming the file."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise DataError(f"{path}: missing keys {missing}")
+    return data
+
+
+def load_detectors(path: str | Path) -> dict[str, DetectorConfig]:
+    """Detector configs from a JSON object keyed by axis label.
+
+    Each entry holds ``pixels``, ``efficiency`` and ``dark_rate``.
+    """
+    path = Path(path)
+    data = _read_json(path, AXIS_ORDER)
+    try:
+        return {l: DetectorConfig(**data[l]) for l in AXIS_ORDER}
+    except TypeError as exc:
+        raise DataError(f"{path}: malformed detector entry ({exc})") from exc
 
 
 def ingest_frames(path: str | Path,
@@ -91,7 +119,7 @@ def save_histogram(h: Histogram, path: str | Path,
 
 def load_histogram(path: str | Path) -> Histogram:
     path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
+    meta = _read_json(_sidecar(path), ("cutoffs", "trials", "axis_labels"))
     shape = tuple(c + 1 for c in meta["cutoffs"])
     counts = np.zeros(shape, dtype=np.int64)
     with path.open(newline="") as fh:
@@ -134,7 +162,7 @@ def save_distribution(d: JointDistribution, path: str | Path,
 
 def load_distribution(path: str | Path) -> JointDistribution:
     path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
+    meta = _read_json(_sidecar(path), ("cutoffs", "axis_labels", "normalized"))
     shape = tuple(c + 1 for c in meta["cutoffs"])
     values = np.zeros(shape)
     with path.open(newline="") as fh:
@@ -162,13 +190,7 @@ def save_frames(samples: np.ndarray, path: str | Path) -> None:
 
 
 def write_manifest(out_path: str | Path, command: str, settings: dict) -> None:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        ver = version("tripletwb")
-    except PackageNotFoundError:
-        ver = "unknown"
     out_path = Path(out_path)
-    manifest = {"command": command, "version": ver, "settings": settings}
+    manifest = {"command": command, "version": __version__, "settings": settings}
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

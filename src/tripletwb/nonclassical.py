@@ -302,20 +302,16 @@ def _resummed_smoothing_matrix(n_max: int, m_max: int, s: float, M: float) -> np
         return np.eye(n_max + 1, m_max + 1)
     log_a = math.log(th) - math.log1p(th)
     log_c2 = -math.log(th) - math.log1p(th)
-    A = np.zeros((n_max + 1, m_max + 1))
-    js = np.arange(min(n_max, m_max) + 1, dtype=np.float64)
-    for n in range(n_max + 1):
-        pref = (n * math.log(th) - (n + M) * math.log1p(th)
-                + gammaln(n + M))
-        j = js[: min(n, m_max) + 1]
-        for m in range(m_max + 1):
-            jj = j[: min(n, m) + 1]
-            logs = (pref + gammaln(m + 1.0)
-                    + jj * log_c2 + (m - jj) * log_a
-                    - gammaln(M + jj) - gammaln(n - jj + 1.0)
-                    - gammaln(jj + 1.0) - gammaln(m - jj + 1.0))
-            A[n, m] = np.exp(logsumexp(logs))
-    return A
+    n = np.arange(n_max + 1, dtype=np.float64)[:, None, None]
+    m = np.arange(m_max + 1, dtype=np.float64)[None, :, None]
+    j = np.arange(min(n_max, m_max) + 1, dtype=np.float64)[None, None, :]
+    # log-terms over (n, m, j); the sum runs over j <= min(n, m) only
+    logs = (n * math.log(th) - (n + M) * math.log1p(th) + gammaln(n + M)
+            + gammaln(m + 1.0) + j * log_c2 + (m - j) * log_a
+            - gammaln(M + j) - gammaln(np.maximum(n - j, 0.0) + 1.0)
+            - gammaln(j + 1.0) - gammaln(np.maximum(m - j, 0.0) + 1.0))
+    logs = np.where((j <= n) & (j <= m), logs, -np.inf)
+    return np.exp(logsumexp(logs, axis=-1))
 
 
 def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
@@ -570,47 +566,24 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
 def _validate_quasi(q: QuasiDistribution, d: JointDistribution,
                     k_check: int = 3, rel_tol: float = 1e-4,
                     norm_tol: float = 1e-3) -> None:
-    cell = math.prod(q.steps)
-    total = q.values.sum() * cell
+    # contract the grid axes outermost in memory first: the first contraction
+    # then reads the grid in place and every later one works on a small table
+    order = sorted(range(q.values.ndim), key=lambda a: -q.values.strides[a])
+    grid_mom = q.values.transpose(order)
+    for i, axis in enumerate(order):
+        powers = np.stack([q.grid(axis) ** k for k in range(k_check + 1)])
+        grid_mom = fock.apply_matrix(grid_mom, powers, i)
+    grid_mom = grid_mom.transpose(np.argsort(order)) * math.prod(q.steps)
+    total = float(grid_mom[(0,) * grid_mom.ndim])
     if abs(total - 1.0) > norm_tol:
         raise NumericalError(
             f"quasi-distribution integrates to {total:.6f} on the grid")
     exact = s_transform_moments(intensity_moments(d, k_check, tail_tol=1.0),
                                 q.s, q.modes).tensor
-    grid_mom = q.values * cell
-    for axis in range(q.values.ndim):
-        powers = np.stack([q.grid(axis) ** k for k in range(k_check + 1)])
-        grid_mom = fock.apply_matrix(grid_mom, powers, axis)
     err = np.abs(grid_mom - exact) / np.maximum(np.abs(exact), 1e-9)
     if float(err.max()) > rel_tol:
         raise NumericalError(
             f"Laguerre kernel failed the moment check (max rel err {err.max():.2e})")
-
-
-def kernel_route_probabilities(d: JointDistribution, s: float,
-                               modes: Sequence[float], n_box: int,
-                               points: int = 20000) -> np.ndarray:
-    """p_s(n) via fine 1D quadratures of the Laguerre kernel per beam.
-
-    Integrates K_{s,M}(W, m) against the Poisson kernels W^n e^-W / n!,
-    then contracts with the photon table. Cross-validates the series /
-    resummed routes of :func:`quasi_probabilities`.
-    """
-    modes = tuple(float(x) for x in modes)
-    ndim = d.values.ndim
-    th = _theta(s)
-    vals = d.values
-    for axis, M in enumerate(modes):
-        m_max = vals.shape[axis] - 1
-        wmax = 3.0 * (m_max + M * th + 25.0)
-        step = wmax / points
-        w = (np.arange(points) + 0.5) * step
-        k = laguerre_kernel(w, m_max, s, M)  # (points, m_max+1)
-        ns = np.arange(n_box + 1, dtype=np.float64)
-        logpois = ns[:, None] * np.log(w)[None, :] - w[None, :] - gammaln(ns + 1.0)[:, None]
-        Q = (np.exp(logpois) @ k) * step  # (n_box+1, m_max+1)
-        vals = fock.apply_matrix(vals, Q, axis)
-    return vals
 
 
 # ---------------------------------------------------------------------------

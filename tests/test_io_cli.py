@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tripletwb
 from tripletwb import io
 from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1
@@ -106,7 +107,7 @@ def test_write_manifest(tmp_path):
     manifest = json.loads((tmp_path / "artifact.csv.manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["settings"] == {"frames": 10, "seed": 1}
-    assert "version" in manifest
+    assert manifest["version"] == tripletwb.__version__
 
 
 # ----------------------------------------------------------------- cli
@@ -271,3 +272,107 @@ def test_cli_quasi_numerical_error_exits_3(runner, workdir, dist3_poisson):
         "quasi", "--dist", str(dist3_poisson), "--s", "0.5", "--points", "3",
         "--out", str(workdir / "nope2.csv")])
     assert res.exit_code == 3
+
+
+def test_cli_sweep_default_range_is_full_axis(runner, workdir, dist4):
+    from tripletwb.detector import default_c_max
+    n_max = 8
+    tops = {"n_s": n_max, "c_s": default_c_max(PAPER_TABLE_1["s"], n_max)}
+    for selector, top in tops.items():
+        outs = {}
+        for name, extra in (("default", []), ("explicit", ["--range", f"0:{top}"])):
+            out = workdir / f"sweep_{selector}_{name}.csv"
+            res = runner.invoke(main, [
+                "sweep", "--source", "dist", "--input", str(dist4),
+                "--selector", selector, *extra, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            outs[name] = out.read_text()
+        assert outs["default"] == outs["explicit"]
+
+
+def test_cli_sweep_histogram_default_range_is_full_axis(runner, workdir):
+    counts = np.random.default_rng(5).integers(0, 40, size=(4, 9, 9, 9))
+    hist = workdir / "small_hist.csv"
+    io.save_histogram(Histogram(counts, int(counts.sum())), hist)
+    outs = {}
+    for name, extra in (("default", []), ("explicit", ["--range", "0:3"])):
+        out = workdir / f"sweep_hist_{name}.csv"
+        res = runner.invoke(main, [
+            "sweep", "--source", "histogram", "--input", str(hist),
+            "--selector", "c_s", "--idler-cutoff", "3", *extra,
+            "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outs[name] = out.read_text()
+    assert outs["default"] == outs["explicit"]
+    assert len(outs["default"].splitlines()) == 5
+
+
+def test_cli_sweep_malformed_range_exits_2(runner, workdir, dist4):
+    res = runner.invoke(main, [
+        "sweep", "--source", "dist", "--input", str(dist4), "--selector", "n_s",
+        "--range", "3", "--out", str(workdir / "nope3.csv")])
+    assert res.exit_code == 2
+    assert "--range" in res.output
+
+
+def test_cli_fit_runs(runner, workdir):
+    # a tiny budget may end before the fit converges: that is a numerical
+    # error (exit 3), never an uncaught exception (exit 1)
+    hist = workdir / "fit_hist.csv"
+    res = runner.invoke(main, [
+        "simulate", "--frames", "200000", "--seed", "11", "--out", str(hist)])
+    assert res.exit_code == 0, res.output
+    out = workdir / "fit.json"
+    res = runner.invoke(main, [
+        "fit", "--histogram", str(hist), "--max-evals", "3", "--out", str(out)])
+    assert res.exit_code in (0, 3), res.output
+    if res.exit_code == 0:
+        assert "declination" in json.loads(out.read_text())
+    else:
+        assert res.output.startswith("numerical error: ")
+
+
+def test_cli_missing_sidecar_exits_2(runner, workdir, sim_hist):
+    bare = workdir / "bare_hist.csv"
+    bare.write_text(sim_hist.read_text())
+    res = runner.invoke(main, [
+        "reconstruct", "--histogram", str(bare), "--out", str(workdir / "nope4.csv")])
+    assert res.exit_code == 2, res.output
+    assert str(bare) in res.output
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    json.dumps({"s": {"pixels": 10, "efficiency": 0.2, "dark_rate": 0.1}}),
+    json.dumps({l: {"pixels": 10, "efficiency": 0.2} for l in ("s", "i1", "i2", "i3")}),
+])
+def test_cli_malformed_detector_file_exits_2(runner, workdir, text):
+    path = workdir / "detectors.json"
+    path.write_text(text)
+    res = runner.invoke(main, [
+        "simulate", "--frames", "10", "--seed", "1", "--detector-file", str(path),
+        "--out", str(workdir / "nope5.csv")])
+    assert res.exit_code == 2, res.output
+    assert str(path) in res.output
+
+
+def test_load_detectors_round_trip(tmp_path):
+    path = tmp_path / "detectors.json"
+    path.write_text(json.dumps({l: {"pixels": c.pixels, "efficiency": c.efficiency,
+                                    "dark_rate": c.dark_rate}
+                                for l, c in PAPER_TABLE_1.items()}))
+    assert io.load_detectors(path) == PAPER_TABLE_1
+
+
+def test_one_version_string():
+    import warnings
+    from pathlib import Path
+
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is flagged beta
+        project = read_configuration(pyproject)["project"]
+    assert project["version"] == tripletwb.__version__

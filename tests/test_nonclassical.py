@@ -6,17 +6,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import poisson
 
+from tripletwb import nonclassical
 from tripletwb.errors import CutoffError, DataError, NumericalError, ParameterError
 from tripletwb.fock import JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, MandelRiceComponent,
                                 mandel_rice_vector)
 from tripletwb.nonclassical import (NcdSettings, default_mode_numbers,
                                     intensity_moments, intensity_ncd,
-                                    kernel_route_probabilities, ncc_cs_intensity,
-                                    ncc_matrix_intensity, ncc_probability, ncd,
-                                    ncd_field, plane_cut, probability_ncd,
-                                    quasi_distribution_W, quasi_probabilities,
-                                    s_transform_moments)
+                                    ncc_cs_intensity, ncc_matrix_intensity,
+                                    ncc_probability, ncd, ncd_field, plane_cut,
+                                    probability_ncd, quasi_distribution_W,
+                                    quasi_probabilities, s_transform_moments)
+from tests.oracles import (kernel_route_probabilities,
+                           resummed_smoothing_matrix_loop)
 
 
 def poisson_product(lams, n_max=30):
@@ -198,6 +200,18 @@ def test_smoothing_maps_thermal_to_thermal():
     np.testing.assert_allclose(t.values, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("n_max, m_max", [(5, 20), (20, 5), (7, 0), (0, 0)])
+def test_resummed_matrix_matches_loop_oracle(n_max, m_max):
+    # s = 1 is the theta = 0 identity branch; s = -0.999 and M = 1e-4 are
+    # the extremes of ordering and mode number
+    for s in (1.0, 0.999, 0.5, 0.0, -0.5, -0.999):
+        for M in (1e-4, 0.3, 1.0, 5.7):
+            got = nonclassical._resummed_smoothing_matrix(n_max, m_max, s, M)
+            want = resummed_smoothing_matrix_loop(n_max, m_max, s, M)
+            assert got.shape == want.shape == (n_max + 1, m_max + 1)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # probability criteria
 # ---------------------------------------------------------------------------
@@ -270,6 +284,23 @@ def test_ncd_field_symmetric_under_beam_permutation():
                                atol=2e-3)
 
 
+def test_ncd_field_matches_loop_oracle(monkeypatch):
+    # a model field post-selected at n_s = 6: offsets classical, saturated
+    # and in between, for both criteria
+    from tripletwb.fock import condition
+    from tripletwb.gaussian import GaussianFieldModel
+    model = GaussianFieldModel(PAPER_TABLE_2, 16, (8, 8, 8), tail_tol=5e-2)
+    d = condition(model.distribution(), "s", 6)
+    for criterion in ("cs", "matrix"):
+        got = ncd_field(d, criterion, (1.0, 1.0, 1.0), (2, 2, 2)).values
+        with monkeypatch.context() as m:
+            m.setattr(nonclassical, "_resummed_smoothing_matrix",
+                      resummed_smoothing_matrix_loop)
+            want = ncd_field(d, criterion, (1.0, 1.0, 1.0), (2, 2, 2)).values
+        assert np.count_nonzero((got > 0.0) & (got < 1.0)) >= 10
+        np.testing.assert_array_equal(got, want)
+
+
 def test_ncd_field_box_guard():
     d = poisson_product((0.5, 0.5, 0.5), n_max=6)
     with pytest.raises(DataError):
@@ -295,6 +326,55 @@ def test_quasi_distribution_validates_grid_moments():
     d = JointDistribution(pmf / pmf.sum(), ("i1",), normalized=True)
     with pytest.raises(NumericalError):
         quasi_distribution_W(d, 0.0, (1.0,), points=4)
+
+
+MODES_8 = (8.0, 8.0, 8.0)
+
+
+def quasi_3d():
+    """An 8-mode thermal product and its s = 0 grid, built unvalidated.
+
+    Eight modes make the density vanish smoothly at W = 0, so 100 points
+    per axis pass the grid-moment check (one mode needs about 400).
+    """
+    vecs = [mandel_rice_vector(30, MandelRiceComponent(8.0, B))
+            for B in (0.2, 0.3, 0.25)]
+    vals = np.einsum("i,j,k->ijk", *vecs)
+    d = JointDistribution(vals / vals.sum(), ("i1", "i2", "i3"), normalized=True)
+    return d, quasi_distribution_W(d, 0.0, MODES_8, points=100, validate=False)
+
+
+def test_validate_quasi_rejects_one_wrong_third_moment():
+    d, q = quasi_3d()
+    nonclassical._validate_quasi(q, d)
+    # least-norm grid vectors with one prescribed moment each: u carries
+    # only <W^3>, v only the zeroth moment, so u x v x v moves only the
+    # (3, 0, 0) grid moment
+    powers = [np.stack([q.grid(a) ** k for k in range(4)]) for a in range(3)]
+    u = np.linalg.pinv(powers[0]) @ np.array([0.0, 0.0, 0.0, 1.0])
+    v1, v2 = (np.linalg.pinv(p) @ np.array([1.0, 0.0, 0.0, 0.0])
+              for p in powers[1:])
+    exact = s_transform_moments(intensity_moments(d, 3, tail_tol=1.0), 0.0,
+                                MODES_8).tensor
+    cell = math.prod(q.steps)
+    before = q.integral()
+    q.values[...] += (1e-3 * exact[3, 0, 0] / cell) * np.einsum(
+        "i,j,k->ijk", u, v1, v2)
+    assert q.integral() == pytest.approx(before, abs=1e-12)
+    with pytest.raises(NumericalError, match="moment check"):
+        nonclassical._validate_quasi(q, d)
+
+
+def test_validate_quasi_allocates_no_grid_copy():
+    import tracemalloc
+    d, q = quasi_3d()
+    tracemalloc.start()
+    try:
+        nonclassical._validate_quasi(q, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q.values.nbytes / 10
 
 
 def test_quasi_distribution_requires_open_interval():
