@@ -107,8 +107,7 @@ def simulate(params_file, preset, detector_file, frames, seed, out, frames_out,
     """Sample synthetic photocount frames from the field + detector model."""
     params = _load_params(params_file)
     cfgs = _detectors(preset, detector_file)
-    photons = sample_photon_numbers(params, frames, seed)
-    counts = sample_counts(photons, cfgs, seed + 1)
+    counts = sample_counts(sample_photon_numbers(params, frames, seed), cfgs, seed + 1)
     c_cut = [default_c_max(cfgs[l],
                            signal_cutoff if l == "s" else idler_cutoff)
              for l in AXIS_ORDER]
@@ -261,7 +260,8 @@ def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
             h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
     Path(out).write_text(result.to_csv())
     io.write_manifest(Path(out), "sweep", {
-        "source": source, "selector": selector, "range": sel_range})
+        "source": source, "selector": selector, "range": sel_range,
+        "em": list(result.em)})
     click.echo(f"wrote {out} ({len(result.rows)} rows, {len(result.gaps)} gaps)")
 
 
@@ -372,39 +372,11 @@ def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
 @handle_errors
 def cut(input_file, kind, level, out):
     """Plane cut of a 3D lattice field."""
-    path = Path(input_file)
-    if path.with_suffix(path.suffix + ".meta.json").exists():
-        try:
-            field = io.load_distribution(path).values
-        except DataError:
-            # a sidecar without table metadata (e.g. an ncd-field export)
-            field = _load_lattice_csv(path)
-    else:
-        field = _load_lattice_csv(path)
+    field = io.load_lattice(input_file)
     pc = nonclassical.plane_cut(field, kind, level)
     Path(out).write_text(pc.to_csv())
     io.write_manifest(Path(out), "cut", {"kind": kind, "level": level})
     click.echo(f"wrote {out}")
-
-
-def _load_lattice_csv(path: Path) -> np.ndarray:
-    import csv as _csv
-
-    with path.open(newline="") as fh:
-        reader = _csv.reader(fh)
-        next(reader, None)
-        cells = []
-        for row in reader:
-            if not row:
-                continue
-            cells.append(([int(x) for x in row[:-1]], float(row[-1])))
-    if not cells:
-        raise DataError(f"{path}: empty lattice file")
-    shape = tuple(max(c[0][i] for c in cells) + 1 for i in range(len(cells[0][0])))
-    arr = np.zeros(shape)
-    for idx, val in cells:
-        arr[tuple(idx)] = val
-    return arr
 
 
 if __name__ == "__main__":

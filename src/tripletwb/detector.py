@@ -26,7 +26,9 @@ from scipy.special import gammaln
 from . import fock
 from ._kernels import pixel_mc_clicks
 from .errors import DataError, NumericalError, ParameterError
-from .fock import JointDistribution, apply_matrix
+# apply_matrix stays importable here: the benchmark's tracer (perfbench/workload.py)
+# wraps it under this module's name
+from .fock import JointDistribution, apply_matrix, contract  # noqa: F401
 
 COLUMN_TOL = 1e-9
 
@@ -211,13 +213,12 @@ def forward_counts(p: JointDistribution,
                    matrices: dict[str, DetectionMatrix] | list[DetectionMatrix]) -> JointDistribution:
     """Photocount distribution f(c) = sum_n prod_axes T(c|n) p(n)."""
     mats = _matrices_for(p.axis_labels, matrices)
-    vals = p.values
-    for axis, mat in enumerate(mats):
-        if mat.n_max + 1 < vals.shape[axis]:
+    for label, mat, size in zip(p.axis_labels, mats, p.values.shape):
+        if mat.n_max + 1 < size:
             raise DataError(
                 f"detection matrix covers n <= {mat.n_max}, table needs "
-                f"{vals.shape[axis] - 1} on axis {p.axis_labels[axis]}")
-        vals = apply_matrix(vals, mat.entries[:, : vals.shape[axis]], axis)
+                f"{size - 1} on axis {label}")
+    vals = contract(p.values, [m.entries[:, :size] for m, size in zip(mats, p.values.shape)])
     total = vals.sum()
     return JointDistribution(vals / total if p.normalized else vals,
                              p.axis_labels, normalized=p.normalized)
@@ -280,17 +281,25 @@ def _sample_clicks_pixelwise(n: np.ndarray, cfg: DetectorConfig,
     """
     frames = n.shape[0]
     N = cfg.pixels
-    detected = rng.binomial(n.astype(np.int64), cfg.efficiency)
-    # distinct pixels hit per frame: sort (frame, pixel) pairs and count
-    offsets = np.repeat(np.arange(frames, dtype=np.int64), detected)
-    pix = rng.integers(0, N, size=offsets.size)
-    keys = np.sort(offsets * N + pix)
+    # one (frame, pixel) key per registered photon, sorted and counted once
+    # per distinct pixel; in place and freed early, so that the peak holds
+    # one key array and not a chain of photon-sized temporaries
+    keys = np.repeat(np.arange(frames, dtype=np.int64),
+                     rng.binomial(n.astype(np.int64), cfg.efficiency))
+    keys *= N
+    keys += rng.integers(0, N, size=keys.size)
+    keys.sort()
     fresh = np.ones(keys.size, dtype=bool)
-    fresh[1:] = np.diff(keys) != 0
-    occupied = np.bincount((keys // N)[fresh], minlength=frames)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    keys //= N
+    occupied = np.bincount(keys, minlength=frames)
+    del keys, fresh
     dark = rng.binomial(N, cfg.dark_prob, size=frames)
     overlap = rng.hypergeometric(dark, N - dark, occupied)
-    return occupied + dark - overlap
+    occupied += dark
+    occupied -= overlap
+    return occupied
 
 
 def simulate_pixel_clicks(cfg: DetectorConfig, n: int, frames: int, seed: int) -> np.ndarray:

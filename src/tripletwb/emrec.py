@@ -6,8 +6,18 @@ The update is the multidimensional Richardson-Lucy / Vardi iteration
 
 with the separable kernel K(c|n) = prod_axes T(c_axis|n_axis). Because the
 kernel factorizes, both the forward projection and the back projection are
-sequences of per-axis matrix contractions; no dense 8-dimensional kernel is
-ever formed. Starting point is the uniform distribution.
+one :func:`tripletwb.fock.contract` each, a per-axis matrix contraction; no
+dense 8-dimensional kernel is ever formed. Starting point is the uniform
+distribution unless a start table is given.
+
+Every map works on the observed click box: on each axis only the click
+values that occur in f are kept, along with the matching rows of T. This
+is exact. The forward projection is read only on observed cells, and the
+ratio f/den is zero on every other cell, so the dropped rows add nothing
+to the back projection. A sampled 10^6-frame histogram fills 1 888 of
+the 43 x 31^3 click cells, inside a 20 x 13 x 31 x 17 observed box. The
+log-likelihood sum f log(den) and the residual max |p_{k+1} - p_k| are
+recorded for every map.
 """
 from __future__ import annotations
 
@@ -17,7 +27,7 @@ import numpy as np
 
 from .detector import DetectionMatrix, _matrices_for
 from .errors import DataError
-from .fock import JointDistribution, apply_matrix
+from .fock import JointDistribution, apply_matrix, contract
 
 
 @dataclass(frozen=True)
@@ -49,18 +59,6 @@ class EmResult:
     _residuals: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
 
-def _forward(values: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    for axis, mat in enumerate(mats):
-        values = apply_matrix(values, mat, axis)
-    return values
-
-
-def _backward(values: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    for axis, mat in enumerate(mats):
-        values = apply_matrix(values, mat.T, axis)
-    return values
-
-
 def em_reconstruct(f: JointDistribution,
                    matrices: dict[str, DetectionMatrix] | list[DetectionMatrix],
                    settings: EmSettings = EmSettings(),
@@ -75,37 +73,45 @@ def em_reconstruct(f: JointDistribution,
     mat_objs = _matrices_for(f.axis_labels, matrices)
     if photon_cutoffs is None:
         photon_cutoffs = tuple(m.n_max for m in mat_objs)
-    mats = []
     for mat, cut, cdim in zip(mat_objs, photon_cutoffs, f.values.shape):
         if cut > mat.n_max:
             raise DataError(f"photon cutoff {cut} exceeds matrix n_max {mat.n_max}")
         if cdim > mat.entries.shape[0]:
             raise DataError("photocount table exceeds matrix click range")
-        mats.append(np.ascontiguousarray(mat.entries[: cdim, : cut + 1]))
 
-    fv = f.values
+    # the observed click box: click values that occur on each axis
+    used = [np.unique(idx) for idx in np.nonzero(f.values)]
+    fbox = f.values[np.ix_(*used)]
+    mats = [np.ascontiguousarray(mat.entries[rows][:, : cut + 1])
+            for mat, rows, cut in zip(mat_objs, used, photon_cutoffs)]
+    mats_T = [m.T for m in mats]
+    support = np.flatnonzero(fbox)
+    fs = fbox.ravel()[support]
+    ratio = np.zeros(fbox.shape)
+
     if start is not None:
         p = start.values.astype(np.float64).copy()
         p /= p.sum()
     else:
         p = np.full([c + 1 for c in photon_cutoffs], 1.0)
         p /= p.size
-    support = fv > 0
     logliks = []
     residuals = []
     converged = False
     it = 0
     for it in range(1, settings.max_iterations + 1):
-        den = _forward(p, mats)
-        if np.any(den[support] <= 0.0):
+        den = contract(p, mats).ravel()[support]
+        if np.any(den <= 0.0):
             raise DataError(
                 "unsupported outcome: observed cell with zero model probability "
                 "(photon cutoffs too small)")
-        ratio = np.where(support, fv / np.where(den > 0, den, 1.0), 0.0)
-        logliks.append(float(np.sum(fv[support] * np.log(den[support]))))
-        p_new = p * _backward(ratio, mats)
+        ratio.ravel()[support] = fs / den
+        logliks.append(float(fs @ np.log(den)))
+        p_new = contract(ratio, mats_T)
+        p_new *= p
         p_new /= p_new.sum()
-        residual = float(np.max(np.abs(p_new - p)))
+        diff = np.subtract(p_new, p, out=p)  # the old iterate is not read again
+        residual = float(np.abs(diff, out=diff).max())
         residuals.append(residual)
         p = p_new
         if residual < settings.stop_tolerance:
@@ -138,7 +144,7 @@ def derive_photocount_conditional(p4: JointDistribution, t_s: DetectionMatrix,
         raise DataError("expected a normalized 4-axis table with leading signal axis")
     if t_s.n_max + 1 < p4.values.shape[0]:
         raise DataError("signal detection matrix does not cover the signal cutoff")
-    mixed = np.tensordot(t_s.entries[:, : p4.values.shape[0]], p4.values, axes=(1, 0))
+    mixed = apply_matrix(p4.values, t_s.entries[:, : p4.values.shape[0]], 0)
     out = {}
     for c_s in range(mixed.shape[0]):
         mass = float(mixed[c_s].sum())

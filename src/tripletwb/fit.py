@@ -243,7 +243,7 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
             raise DataError(f"histogram has zero variance on axis {l}")
     cache = _ForwardCache(h.counts.shape, dict(cfgs), photon_cutoffs, tail_tol)
     start_mom = _initial_photon_moments(exp_mom, cfgs)
-    state = {"best": None, "evals": 0}
+    state = {"best": None, "evals": 0, "infeasible": None}
 
     def logit(x):
         return math.log(x / (1.0 - x))
@@ -265,10 +265,11 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
         try:
             mom, params = _unfold_photon_moments(exp_mom, splits, cache, start_mom)
             f_model = cache.click_table(params)
-        except (CutoffError, ParameterError, DataError):
+        except (CutoffError, ParameterError, DataError) as exc:
             # infeasible vertex (e.g. moment split implies a tail heavier
             # than the truncation box admits): steer the simplex away
             state["evals"] += 1
+            state["infeasible"] = exc
             return 1e12
         d = declination(h, f_model)
         state["evals"] += 1
@@ -279,7 +280,9 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxfev": max_evals, "xatol": 1e-3, "fatol": 1e-10})
     if state["best"] is None:
-        raise NumericalError("fit objective was never evaluated")
+        raise CutoffError(
+            f"all {state['evals']} fit evaluations were infeasible; "
+            f"the last: {state['infeasible']}")
     d_best, params, eff, _ = state["best"]
     model_mom = cache.click_moments(params)
     residuals = [

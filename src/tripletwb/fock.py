@@ -191,6 +191,24 @@ def apply_matrix(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract ``mats[a][c, n]`` against axis ``a`` of ``values``, for every axis.
+
+    Each step is one GEMM on the leading axis, ``rest.T @ mat.T`` with
+    ``rest`` the table viewed as (n, everything else); the new axis lands
+    last. After one step per axis the axes are back in their original
+    order and the result is C-contiguous, with no ``moveaxis`` copies.
+    A C-contiguous input is read in place.
+    """
+    out = np.asarray(values)
+    if len(mats) != out.ndim:
+        raise DataError(f"{len(mats)} matrices for a {out.ndim}-d table")
+    for mat in mats:
+        rest = out.reshape(out.shape[0], -1)
+        out = (rest.T @ mat.T).reshape(out.shape[1:] + (mat.shape[0],))
+    return out
+
+
 def pad_to(d: JointDistribution, cutoffs: Sequence[int]) -> JointDistribution:
     """Zero-pad the table so each axis reaches at least the given cutoff."""
     shape = d.values.shape

@@ -169,17 +169,14 @@ def paired_part(params: TripleTwbParams,
 def compose_with_noise(paired: JointDistribution, params: TripleTwbParams,
                        tail_tol: float = fock.TAIL_TOL) -> JointDistribution:
     """Convolve independent Mandel-Rice noise onto each axis of the paired part."""
-    vals = paired.values
-    for axis, comp in enumerate(params.noises):
-        if comp.B == 0.0:
-            continue
-        size = vals.shape[axis]
+    convs = []
+    for size, comp in zip(paired.values.shape, params.noises):
         pmf = mandel_rice_vector(size - 1, comp)
-        # lower-triangular Toeplitz: conv[n, l] = pmf[n - l]
+        # lower-triangular Toeplitz: conv[n, l] = pmf[n - l]; B = 0 gives the identity
         idx = np.arange(size)
         diff = idx[:, None] - idx[None, :]
-        conv = np.where(diff >= 0, pmf[np.clip(diff, 0, size - 1)], 0.0)
-        vals = fock.apply_matrix(vals, conv, axis)
+        convs.append(np.where(diff >= 0, pmf[np.clip(diff, 0, size - 1)], 0.0))
+    vals = fock.contract(paired.values, convs)
     mass = vals.sum()
     check_tail(1.0 - mass, tail_tol, "composed model")
     return JointDistribution(vals / mass, paired.axis_labels, normalized=True)

@@ -140,9 +140,7 @@ def intensity_moments(d: JointDistribution, k_max: int,
     for axis in range(ndim):
         n = np.arange(vals.shape[axis], dtype=np.float64)
         mats.append(np.stack([falling_factorial(n, k) for k in range(k_max + 1)]))
-    tensor = vals
-    for axis in range(ndim):
-        tensor = fock.apply_matrix(tensor, mats[axis], axis)
+    tensor = fock.contract(vals, mats)
     # outer-shell contribution to the all-k_max moment
     top = tensor[(k_max,) * ndim]
     if top > 0:
@@ -152,9 +150,7 @@ def intensity_moments(d: JointDistribution, k_max: int,
             sl_ax = sl.copy()
             sl_ax[axis] = -1
             inner[tuple(sl_ax)] = 0.0
-        t_in = inner
-        for axis in range(ndim):
-            t_in = fock.apply_matrix(t_in, mats[axis][k_max: k_max + 1], axis)
+        t_in = fock.contract(inner, [m[k_max: k_max + 1] for m in mats])
         shell_share = 1.0 - float(t_in.squeeze()) / top
         if shell_share > tail_tol:
             raise CutoffError(
@@ -191,9 +187,7 @@ def s_transform_moments(m: IntensityMoments, s_target: float,
         raise DataError("need one mode number per beam")
     if any(M <= 0 for M in modes):
         raise ParameterError("mode numbers must be > 0")
-    tensor = m.tensor
-    for axis, M in enumerate(modes):
-        tensor = fock.apply_matrix(tensor, _ordering_matrix(m.k_max, s_target, M), axis)
+    tensor = fock.contract(m.tensor, [_ordering_matrix(m.k_max, s_target, M) for M in modes])
     return IntensityMoments(tensor, s_target, modes)
 
 
@@ -332,20 +326,20 @@ def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
         raise DataError("need one mode number per beam")
     boxes = [int(n_box)] * ndim if np.isscalar(n_box) else [int(b) for b in n_box]
     vals = d.values
+    if method == "resummed":
+        mats = [_resummed_smoothing_matrix(nb, size - 1, s, M)
+                for size, M, nb in zip(vals.shape, modes, boxes)]
+        return QuasiProbabilityTable(fock.contract(vals, mats), s, modes)
+    if method != "series":
+        raise DataError(f"unknown method {method!r}")
     err_tab = np.zeros_like(vals)
     for axis, (M, nb) in enumerate(zip(modes, boxes)):
-        m_max = vals.shape[axis] - 1
-        if method == "series":
-            A, E = _series_smoothing_matrix(nb, m_max, s, M, tol=tol)
-            # propagate the round-off estimate through the same contraction
-            err_tab = (fock.apply_matrix(err_tab, np.abs(A), axis)
-                       + fock.apply_matrix(np.abs(vals), E, axis))
-        elif method == "resummed":
-            A = _resummed_smoothing_matrix(nb, m_max, s, M)
-        else:
-            raise DataError(f"unknown method {method!r}")
+        A, E = _series_smoothing_matrix(nb, vals.shape[axis] - 1, s, M, tol=tol)
+        # propagate the round-off estimate axis by axis through the same contraction
+        err_tab = (fock.apply_matrix(err_tab, np.abs(A), axis)
+                   + fock.apply_matrix(np.abs(vals), E, axis))
         vals = fock.apply_matrix(vals, A, axis)
-    if method == "series" and float(np.max(err_tab)) > 1e-6:
+    if float(np.max(err_tab)) > 1e-6:
         raise NumericalError(
             "alternating quasi-probability series loses all significant "
             "digits at this ordering; use the resummed route")
@@ -555,9 +549,7 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
             raise NumericalError(str(exc)) from exc
         steps.append(step)
         kernels.append(k)
-    for axis in range(ndim):
-        vals = fock.apply_matrix(vals, kernels[axis], axis)
-    out = QuasiDistribution(vals, s, modes, tuple(steps))
+    out = QuasiDistribution(fock.contract(vals, kernels), s, modes, tuple(steps))
     if validate:
         _validate_quasi(out, d)
     return out
@@ -566,13 +558,12 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
 def _validate_quasi(q: QuasiDistribution, d: JointDistribution,
                     k_check: int = 3, rel_tol: float = 1e-4,
                     norm_tol: float = 1e-3) -> None:
-    # contract the grid axes outermost in memory first: the first contraction
-    # then reads the grid in place and every later one works on a small table
+    # contract the grid axes in memory order, outermost first: the first
+    # contraction then reads the grid in place and every later one works on
+    # a small table
     order = sorted(range(q.values.ndim), key=lambda a: -q.values.strides[a])
-    grid_mom = q.values.transpose(order)
-    for i, axis in enumerate(order):
-        powers = np.stack([q.grid(axis) ** k for k in range(k_check + 1)])
-        grid_mom = fock.apply_matrix(grid_mom, powers, i)
+    powers = [np.stack([q.grid(axis) ** k for k in range(k_check + 1)]) for axis in order]
+    grid_mom = fock.contract(q.values.transpose(order), powers)
     grid_mom = grid_mom.transpose(np.argsort(order)) * math.prod(q.steps)
     total = float(grid_mom[(0,) * grid_mom.ndim])
     if abs(total - 1.0) > norm_tol:

@@ -65,6 +65,8 @@ class PostselectSweep:
     selector_kind: str  # "n_s" or "c_s"
     rows: tuple[SweepRow, ...]
     gaps: tuple[int, ...] = ()
+    #: per reconstructed slice: selector, EM iterations, final residual, converged
+    em: tuple[dict, ...] = ()
 
     def column(self, name: str) -> np.ndarray:
         idx = {"mean_i1": ("mean", 0), "mean_i2": ("mean", 1), "mean_i3": ("mean", 2),
@@ -160,7 +162,7 @@ def sweep_histogram(h: Histogram, idler_matrices: list[DetectionMatrix],
     are evaluated.
     """
     f = normalize(h)
-    rows, gaps = [], []
+    rows, gaps, em = [], [], []
     for c_s in values:
         mass = slice_mass(f, "s", c_s)
         if mass < mass_floor:
@@ -169,7 +171,9 @@ def sweep_histogram(h: Histogram, idler_matrices: list[DetectionMatrix],
         f_cs = condition(f, "s", c_s)
         rec = em_reconstruct_conditional(f_cs, idler_matrices, settings, photon_cutoffs)
         rows.append(_stats_row(c_s, mass, rec.distribution))
-    return PostselectSweep("c_s", tuple(rows), tuple(gaps))
+        em.append({"selector": c_s, "iterations": rec.iterations,
+                   "residual": rec.residual, "converged": rec.converged})
+    return PostselectSweep("c_s", tuple(rows), tuple(gaps), tuple(em))
 
 
 def photocount_sweep(h: Histogram, values: range | list[int],

@@ -13,6 +13,8 @@ from scipy.special import gammaln, logsumexp
 
 from tripletwb import fock
 from tripletwb._kernels import laguerre_kernel
+from tripletwb.detector import _matrices_for
+from tripletwb.errors import DataError
 from tripletwb.fock import JointDistribution
 from tripletwb.nonclassical import _theta
 
@@ -67,3 +69,75 @@ def kernel_route_probabilities(d: JointDistribution, s: float,
         Q = (np.exp(logpois) @ k) * step  # (n_box+1, m_max+1)
         vals = fock.apply_matrix(vals, Q, axis)
     return vals
+
+
+def em_reconstruct_full_box(f: JointDistribution, matrices, settings,
+                            photon_cutoffs=None, start=None):
+    """EM on the whole click box, one ``apply_matrix`` per axis and direction.
+
+    The map ``emrec.em_reconstruct`` ran before it moved to the observed
+    click box and ``fock.contract``. Returns (p, iterations, loglik trace,
+    residual trace, converged).
+    """
+    mat_objs = _matrices_for(f.axis_labels, matrices)
+    if photon_cutoffs is None:
+        photon_cutoffs = tuple(m.n_max for m in mat_objs)
+    mats = [np.ascontiguousarray(mat.entries[: cdim, : cut + 1])
+            for mat, cut, cdim in zip(mat_objs, photon_cutoffs, f.values.shape)]
+
+    def forward(values):
+        for axis, mat in enumerate(mats):
+            values = fock.apply_matrix(values, mat, axis)
+        return values
+
+    def backward(values):
+        for axis, mat in enumerate(mats):
+            values = fock.apply_matrix(values, mat.T, axis)
+        return values
+
+    fv = f.values
+    if start is not None:
+        p = start.values.astype(np.float64).copy()
+        p /= p.sum()
+    else:
+        p = np.full([c + 1 for c in photon_cutoffs], 1.0)
+        p /= p.size
+    support = fv > 0
+    logliks, residuals = [], []
+    converged = False
+    it = 0
+    for it in range(1, settings.max_iterations + 1):
+        den = forward(p)
+        if np.any(den[support] <= 0.0):
+            raise DataError("unsupported outcome")
+        ratio = np.where(support, fv / np.where(den > 0, den, 1.0), 0.0)
+        logliks.append(float(np.sum(fv[support] * np.log(den[support]))))
+        p_new = p * backward(ratio)
+        p_new /= p_new.sum()
+        residual = float(np.max(np.abs(p_new - p)))
+        residuals.append(residual)
+        p = p_new
+        if residual < settings.stop_tolerance:
+            converged = True
+            break
+    return p, it, np.asarray(logliks), np.asarray(residuals), converged
+
+
+def sample_clicks_pixelwise_copying(n: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
+    """``detector._sample_clicks_pixelwise`` with a fresh array per step.
+
+    The same draws in the same order; the production sampler works on one
+    key array in place to bound its peak memory.
+    """
+    frames = n.shape[0]
+    N = cfg.pixels
+    detected = rng.binomial(n.astype(np.int64), cfg.efficiency)
+    offsets = np.repeat(np.arange(frames, dtype=np.int64), detected)
+    pix = rng.integers(0, N, size=offsets.size)
+    keys = np.sort(offsets * N + pix)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = np.diff(keys) != 0
+    occupied = np.bincount((keys // N)[fresh], minlength=frames)
+    dark = rng.binomial(N, cfg.dark_prob, size=frames)
+    overlap = rng.hypergeometric(dark, N - dark, occupied)
+    return occupied + dark - overlap

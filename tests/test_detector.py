@@ -6,11 +6,13 @@ import pytest
 from scipy.stats import binom, chi2
 
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
-                                default_c_max, detection_matrix,
+                                _sample_clicks_pixelwise, default_c_max, detection_matrix,
                                 detection_matrix_alternating, forward_counts,
                                 sample_counts, simulate_pixel_clicks)
 from tripletwb.errors import DataError, ParameterError
 from tripletwb.fock import JointDistribution
+
+from tests.oracles import sample_clicks_pixelwise_copying
 
 
 IDEAL = DetectorConfig(pixels=10**6, efficiency=1.0, dark_rate=0.0)
@@ -215,3 +217,12 @@ def test_sample_counts_column_chi_square():
     keep = exp >= 5.0
     stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
     assert stat < chi2.ppf(0.99, keep.sum() - 1)
+
+
+@pytest.mark.parametrize("label", ["s", "i1"])
+def test_pixelwise_sampler_matches_copying_reference(label):
+    cfg = PAPER_TABLE_1[label]
+    n = np.random.default_rng(4).poisson(6.0, size=20_000)
+    got = _sample_clicks_pixelwise(n, cfg, np.random.default_rng(5))
+    want = sample_clicks_pixelwise_copying(n, cfg, np.random.default_rng(5))
+    np.testing.assert_array_equal(got, want)

@@ -2,12 +2,15 @@
 import numpy as np
 import pytest
 
-from tripletwb.detector import (DetectionMatrix, DetectorConfig,
-                                detection_matrix, forward_counts)
+from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
+                                detection_matrix, forward_counts, sample_counts)
 from tripletwb.emrec import (EmSettings, derive_photocount_conditional,
                              em_reconstruct, em_reconstruct_conditional)
 from tripletwb.errors import DataError
-from tripletwb.fock import JointDistribution, condition, marginalize
+from tripletwb.fock import Histogram, JointDistribution, condition, marginalize, normalize
+from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
+
+from tests.oracles import em_reconstruct_full_box
 
 IDEAL = DetectorConfig(pixels=10**6, efficiency=1.0, dark_rate=0.0)
 
@@ -168,3 +171,82 @@ def test_derive_conditional_matches_direct_summation(model4, matrices):
                 for n in range(model4.values.shape[0]))
     np.testing.assert_allclose(d3.values, brute / brute.sum(), rtol=1e-12)
     assert abs(mass - brute.sum()) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the observed click box against the full-box map
+# ---------------------------------------------------------------------------
+
+def assert_matches_full_box(f, mats, settings, **kwargs):
+    res = em_reconstruct(f, mats, settings, **kwargs)
+    p, iterations, logliks, residuals, converged = em_reconstruct_full_box(
+        f, mats, settings, **kwargs)
+    assert res.iterations == iterations
+    assert res.converged == converged
+    np.testing.assert_allclose(res.loglik_trace, logliks, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(res._residuals, residuals, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(res.distribution.values, p, rtol=0.0, atol=1e-14)
+    return res
+
+
+def test_observed_box_matches_full_box_on_sampled_histogram(matrices):
+    frames = 100_000
+    photons = sample_photon_numbers(PAPER_TABLE_2, frames, 41)
+    clicks = sample_counts(photons, PAPER_TABLE_1, 42)
+    box = [m.c_max for m in matrices.values()]
+    keep = np.all(clicks <= np.asarray(box), axis=1)
+    counts = np.zeros([c + 1 for c in box], dtype=np.int64)
+    np.add.at(counts, tuple(clicks[keep].T), 1)
+    f = normalize(Histogram(counts, int(keep.sum())))
+    # the sample fills a small corner of the click box
+    assert np.count_nonzero(f.values) < 0.01 * f.values.size
+    assert_matches_full_box(f, matrices, EmSettings(max_iterations=15,
+                                                    stop_tolerance=1e-9))
+
+
+def test_observed_box_matches_full_box_with_unobserved_middle_row():
+    p = small_model(seed=21, shape=(5, 4, 4))
+    mats = small_matrices(p.values.shape)
+    counts = np.random.default_rng(22).multinomial(
+        4000, forward_counts(p, mats).values.ravel()).reshape(
+            tuple(m.c_max + 1 for m in mats))
+    counts[:, 3, :] = 0  # click 3 unobserved on i1, clicks 2 and 4 observed
+    assert counts[:, 2, :].sum() > 0 and counts[:, 4, :].sum() > 0
+    f = normalize(Histogram(counts, int(counts.sum()), ("s", "i1", "i2")))
+    res = assert_matches_full_box(f, mats, EmSettings(max_iterations=3000,
+                                                      stop_tolerance=5e-5))
+    assert res.converged
+
+
+def test_observed_box_matches_full_box_on_exact_full_support_data():
+    p = small_model(seed=23, shape=(4, 5, 3))
+    mats = small_matrices(p.values.shape)
+    f = forward_counts(p, mats)
+    assert np.all(f.values > 0)
+    res = assert_matches_full_box(f, mats, EmSettings(max_iterations=3000,
+                                                      stop_tolerance=1e-5))
+    assert res.converged
+
+
+def test_observed_box_matches_full_box_with_start_and_reduced_cutoffs():
+    p = small_model(seed=25, shape=(6, 5, 5))
+    mats = small_matrices(p.values.shape)
+    f = forward_counts(p, mats)
+    cutoffs = (4, 3, 4)
+    start = small_model(seed=26, shape=tuple(c + 1 for c in cutoffs))
+    assert_matches_full_box(f, mats, EmSettings(max_iterations=200,
+                                                stop_tolerance=1e-12),
+                            photon_cutoffs=cutoffs, start=start)
+
+
+def test_zero_probability_observed_cell_raises_in_observed_box():
+    # i1 observes clicks 0 and 6; with photons <= 1 and no dark counts
+    # click 6 has zero model probability
+    cfg = DetectorConfig(pixels=20, efficiency=0.5, dark_rate=0.0)
+    mats = [detection_matrix(cfg, 3, c_max=7)] * 2
+    counts = np.zeros((8, 8), dtype=np.int64)
+    counts[0, 0] = 5
+    counts[1, 6] = 1
+    f = normalize(Histogram(counts, 6, ("s", "i1")))
+    with pytest.raises(DataError, match="unsupported outcome"):
+        em_reconstruct(f, mats, EmSettings(max_iterations=5), photon_cutoffs=(3, 1))

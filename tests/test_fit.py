@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tripletwb.detector import PAPER_TABLE_1, sample_counts
-from tripletwb.errors import DataError, NumericalError
+from tripletwb.errors import CutoffError, DataError, NumericalError
 from tripletwb.fit import (declination, fit, params_from_photon_moments,
                            photocount_moments, table_moments)
 from tripletwb.fock import Histogram, JointDistribution
@@ -113,6 +113,17 @@ def test_fit_rejects_degenerate_histograms():
     flat[1, 1, 1, 1] = 100  # one occupied cell: zero variance everywhere
     with pytest.raises(DataError):
         fit(Histogram(flat, 100), PAPER_TABLE_1)
+
+
+def test_fit_all_infeasible_raises_cutoff_error_with_reason():
+    # photon cutoffs of 4 per idler cut off a pair component of mean ~2.7
+    # far above tail_tol at every vertex, so no evaluation is feasible
+    photons = sample_photon_numbers(PAPER_TABLE_2, 20_000, PHOTON_SEED)
+    clicks = sample_counts(photons, PAPER_TABLE_1, CLICK_SEED)
+    h = clicks_to_histogram(clicks, (12, 8, 8, 8))
+    with pytest.raises(CutoffError, match=r"all \d+ fit evaluations were infeasible.*"
+                       "discarded tail mass .* exceeds 1.0e-03"):
+        fit(h, PAPER_TABLE_1, photon_cutoffs=(8, 4, 4, 4), max_evals=6)
 
 
 def test_fit_round_trip_on_sampled_histogram(f_model):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from tripletwb.errors import DataError
 from tripletwb.fock import (AXIS_ORDER, Histogram, JointDistribution,
-                            condition, factorial_moment, falling_factorial,
-                            marginalize, normalize)
+                            apply_matrix, condition, contract, factorial_moment,
+                            falling_factorial, marginalize, normalize)
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
 
 
@@ -228,3 +228,38 @@ def test_condition_then_marginalize_commutes(v):
     sl = vals[v].sum(axis=1)
     rhs = sl / sl.sum()
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 3), (6, 2, 5, 3)])
+@pytest.mark.parametrize("rows", ["mixed", "collapse"])
+def test_contract_matches_apply_matrix_loop(shape, rows):
+    rng = np.random.default_rng(len(shape))
+    values = rng.random(shape)
+    # rectangular on every axis: "mixed" widens some axes and narrows others,
+    # "collapse" maps each axis to one row
+    width = {"mixed": lambda a, n: n + (2 if a % 2 else -1),
+             "collapse": lambda a, n: 1}[rows]
+    mats = [rng.random((width(a, n), n)) for a, n in enumerate(shape)]
+    loop = values
+    for axis, mat in enumerate(mats):
+        loop = apply_matrix(loop, mat, axis)
+    got = contract(values, mats)
+    assert got.shape == loop.shape
+    assert got.flags.c_contiguous
+    np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
+
+
+def test_contract_reads_strided_input_and_checks_rank():
+    rng = np.random.default_rng(9)
+    values = rng.random((4, 5, 6)).transpose(2, 0, 1)
+    mats = [rng.random((3, n)) for n in values.shape]
+    loop = values
+    for axis, mat in enumerate(mats):
+        loop = apply_matrix(loop, mat, axis)
+    np.testing.assert_allclose(contract(values, mats), loop, rtol=1e-14, atol=0.0)
+    with pytest.raises(DataError):
+        contract(values, mats[:2])

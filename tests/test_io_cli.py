@@ -10,7 +10,7 @@ from tripletwb import io
 from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1
 from tripletwb.errors import DataError
-from tripletwb.fock import Histogram, JointDistribution
+from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution
 
 FRAME_TEXT = """frame_id,c_s,c_i1,c_i2,c_i3
 0,2,1,0,1
@@ -98,6 +98,54 @@ def test_distribution_round_trip(tmp_path):
     assert back.normalized
     assert back.axis_labels == d.axis_labels
     np.testing.assert_allclose(back.values, d.values, atol=1e-16)
+
+
+TABLE_FORMATS = {
+    "distribution": (io.load_distribution, "n_s,n_i1,n_i2,n_i3,value",
+                     {"cutoffs": [2, 2, 2, 2], "axis_labels": list(AXIS_ORDER),
+                      "normalized": False}),
+    "histogram": (io.load_histogram, "c_s,c_i1,c_i2,c_i3,count",
+                  {"cutoffs": [2, 2, 2, 2], "axis_labels": list(AXIS_ORDER),
+                   "trials": 2}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_FORMATS))
+@pytest.mark.parametrize("header, rows, match", [
+    (None, ["-1,0,0,0,1"], r":3: negative cell index \(-1,0,0,0,1\)"),
+    (None, ["0,3,0,0,1"], r":3: cell outside cutoffs \[2, 2, 2, 2\]"),
+    (None, ["0,0,0,1"], r":3: expected 5 fields, got 4"),
+    (None, ["0,0,x,0,1"], r":3: could not convert string to float: 'x'"),
+    (None, ["0,0.5,0,0,1"], r":3: cell index is not an integer"),
+    ("a,b,c,d,e", ["1,1,1,1,1"], r":1: expected header"),
+])
+def test_table_loaders_reject_malformed_rows(tmp_path, kind, header, rows, match):
+    loader, good_header, meta = TABLE_FORMATS[kind]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header or good_header, "0,0,0,0,1", *rows]) + "\n")
+    (tmp_path / "table.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=match) as exc:
+        loader(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_FORMATS))
+def test_table_loaders_reject_wrong_rank(tmp_path, kind):
+    loader, header, meta = TABLE_FORMATS[kind]
+    path = tmp_path / "table.csv"
+    path.write_text(header + "\n\n0,0,0,1\n1,1,1,1\n")  # 3 indices, 4 axes
+    (tmp_path / "table.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=r":3: wrong cell rank"):
+        loader(path)
+
+
+def test_histogram_loader_rejects_fractional_count(tmp_path):
+    loader, header, meta = TABLE_FORMATS["histogram"]
+    path = tmp_path / "table.csv"
+    path.write_text(header + "\n0,0,0,0,1\n1,1,1,1,0.5\n")
+    (tmp_path / "table.csv.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(DataError, match=r":3: count is not a nonnegative integer \(1,1,1,1,0.5\)"):
+        loader(path)
 
 
 def test_write_manifest(tmp_path):
@@ -305,6 +353,34 @@ def test_cli_sweep_histogram_default_range_is_full_axis(runner, workdir):
         outs[name] = out.read_text()
     assert outs["default"] == outs["explicit"]
     assert len(outs["default"].splitlines()) == 5
+
+
+def test_cli_sweep_histogram_manifest_records_em(runner, workdir):
+    counts = np.random.default_rng(6).integers(0, 40, size=(3, 9, 9, 9))
+    hist = workdir / "em_hist.csv"
+    io.save_histogram(Histogram(counts, int(counts.sum())), hist)
+    out = workdir / "sweep_em.csv"
+    res = runner.invoke(main, [
+        "sweep", "--source", "histogram", "--input", str(hist),
+        "--selector", "c_s", "--idler-cutoff", "3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    em = json.loads((workdir / "sweep_em.csv.manifest.json").read_text())["settings"]["em"]
+    assert [e["selector"] for e in em] == [0, 1, 2]
+    for e in em:
+        # the sweep's default budget is 2000 maps at a 1e-9 stop tolerance
+        assert 1 <= e["iterations"] <= 2000
+        assert e["converged"] == (e["residual"] < 1e-9)
+        assert e["converged"] or e["iterations"] == 2000
+
+
+def test_cli_cut_malformed_lattice_exits_2(runner, workdir):
+    lattice = workdir / "bad_field.csv"
+    lattice.write_text("n_i1,n_i2,n_i3,tau\n0,0,0,0.5\n0,-1,0,0.2\n")
+    res = runner.invoke(main, [
+        "cut", "--input", str(lattice), "--kind", "diagonal",
+        "--out", str(workdir / "nope6.csv")])
+    assert res.exit_code == 2, res.output
+    assert f"{lattice}:3: negative cell index" in res.output
 
 
 def test_cli_sweep_malformed_range_exits_2(runner, workdir, dist4):
