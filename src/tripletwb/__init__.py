@@ -5,7 +5,6 @@ nonclassicality quantification.
 # the one version string: pyproject.toml reads it from here
 __version__ = "0.1.0"
 
-from ._backend import HAVE_NUMBA, backend_name
 from .detector import (DetectionMatrix, DetectorConfig, PAPER_TABLE_1, PRESETS,
                        detection_matrix, forward_counts, sample_counts)
 from .emrec import (EmResult, EmSettings, derive_photocount_conditional,

@@ -76,11 +76,16 @@ def _selector_range(sel_range: str | None, top: int) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_modes(modes: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in modes.split(",")]
+def _parse_triple(text: str, option: str, kind=float) -> tuple:
+    """Three comma-separated values of ``kind``; anything else is a DataError."""
+    try:
+        parts = tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
-        raise DataError("--modes needs three comma-separated values")
-    return tuple(parts)
+        raise DataError(f"{option} needs three comma-separated "
+                        f"{kind.__name__} values, got {text!r}")
+    return parts
 
 
 @click.group()
@@ -279,7 +284,7 @@ def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
 def ncc(dist_file, criterion, kind, modes, with_ncd, out):
     """Evaluate a nonclassicality criterion (and its depth) on a 3D field."""
     d = io.load_distribution(dist_file)
-    m = _parse_modes(modes)
+    m = _parse_triple(modes, "--modes")
     if kind == "intensity":
         if with_ncd:
             res = nonclassical.intensity_ncd(d, criterion, m)
@@ -321,8 +326,8 @@ def ncc(dist_file, criterion, kind, modes, with_ncd, out):
 def ncd_field_cmd(dist_file, criterion, modes, box, out):
     """Lattice field of Lee depths of the offset probability criteria."""
     d = io.load_distribution(dist_file)
-    m = _parse_modes(modes)
-    b = tuple(int(x) for x in box.split(","))
+    m = _parse_triple(modes, "--modes")
+    b = _parse_triple(box, "--box", int)
     field = nonclassical.ncd_field(d, criterion, m, b)
     lines = ["n_i1,n_i2,n_i3,tau"]
     for idx in np.ndindex(field.values.shape):
@@ -349,7 +354,7 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
 def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
     """Quasi-distribution of integrated intensities; exports one plane cut."""
     d = io.load_distribution(dist_file)
-    m = _parse_modes(modes)
+    m = _parse_triple(modes, "--modes")
     q = nonclassical.quasi_distribution_W(d, s_value, m, points=points)
     cut = nonclassical.plane_cut(q, cut_kind, level)
     Path(out).write_text(cut.to_csv())

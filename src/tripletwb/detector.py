@@ -13,7 +13,8 @@ matrix
 The alternating sum loses precision for large c, so the matrix is built
 from the equivalent positive-term occupancy decomposition (Binomial
 thinning -> occupancy of distinct pixels -> Binomial dark counts), which is
-stable to machine precision; the alternating form is kept as a cross-check.
+stable to machine precision. The tests evaluate the alternating form
+directly as a cross-check (``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import fock
-from ._kernels import pixel_mc_clicks
 from .errors import DataError, NumericalError, ParameterError
 # apply_matrix stays importable here: the benchmark's tracer (perfbench/workload.py)
 # wraps it under this module's name
@@ -165,50 +165,6 @@ def detection_matrix(cfg: DetectorConfig, n_max: int,
     return DetectionMatrix(T, cfg)
 
 
-def detection_matrix_alternating(cfg: DetectorConfig, n_max: int,
-                                 c_max: int | None = None,
-                                 clamp: float = 1e-12,
-                                 deficit_tol: float = 1e-9) -> DetectionMatrix:
-    """Direct evaluation of the alternating closed form (cross-check route).
-
-    Negative round-off entries below ``clamp`` in magnitude are zeroed and
-    the columns renormalized; a larger deficit raises NumericalError.
-    """
-    if c_max is None:
-        c_max = default_c_max(cfg, n_max)
-    if c_max > cfg.pixels:
-        raise ParameterError(f"c_max {c_max} exceeds pixel count {cfg.pixels}")
-    N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
-    n = np.arange(n_max + 1, dtype=np.longdouble)
-    T = np.zeros((c_max + 1, n_max + 1), dtype=np.longdouble)
-    log1md = np.log1p(np.longdouble(-d)) if d > 0 else np.longdouble(0.0)
-    for c in range(c_max + 1):
-        logbinNc = gammaln(N + 1) - gammaln(c + 1) - gammaln(N - c + 1)
-        acc = np.zeros(n_max + 1, dtype=np.longdouble)
-        for l in range(c + 1):
-            base = np.longdouble(1.0 - eta + l * eta / N)
-            if base == 0.0:
-                powv = np.where(n == 0, np.longdouble(1.0), np.longdouble(0.0))
-            else:
-                powv = np.exp(n * np.log(base))
-            logc = gammaln(c + 1) - gammaln(l + 1) - gammaln(c - l + 1)
-            term = np.exp(np.longdouble(logc) - l * log1md) * powv
-            acc += term if (c - l) % 2 == 0 else -term
-        T[c, :] = np.exp(np.longdouble(logbinNc) + N * log1md) * acc
-    T = T.astype(np.float64)
-    bad = T < 0
-    if np.any(T[bad] < -clamp):
-        raise NumericalError(
-            f"alternating-sum entries as negative as {T.min():.2e}; "
-            "use the occupancy route")
-    T[bad] = 0.0
-    deficit = np.abs(T.sum(axis=0) - 1.0).max()
-    if deficit > deficit_tol:
-        raise NumericalError(f"column deficit {deficit:.2e} after clamping")
-    T /= T.sum(axis=0, keepdims=True)
-    return DetectionMatrix(T, cfg)
-
-
 def forward_counts(p: JointDistribution,
                    matrices: dict[str, DetectionMatrix] | list[DetectionMatrix]) -> JointDistribution:
     """Photocount distribution f(c) = sum_n prod_axes T(c|n) p(n)."""
@@ -304,5 +260,5 @@ def _sample_clicks_pixelwise(n: np.ndarray, cfg: DetectorConfig,
 
 def simulate_pixel_clicks(cfg: DetectorConfig, n: int, frames: int, seed: int) -> np.ndarray:
     """Pixel-level Monte Carlo of the click count for fixed photon number n."""
-    return pixel_mc_clicks(int(n), cfg.pixels, cfg.efficiency, cfg.dark_prob,
-                           int(frames), int(seed))
+    return _sample_clicks_pixelwise(np.full(int(frames), int(n)), cfg,
+                                    np.random.default_rng(seed))

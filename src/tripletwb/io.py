@@ -185,6 +185,27 @@ def _read_cells(path: Path, header: list[str] | None = None,
     return cells.astype(np.int64), values
 
 
+#: rows formatted per write: bounds the strings held at once
+_WRITE_ROWS = 1 << 12
+
+
+def _write_cells(path: Path, header: list[str], table: np.ndarray,
+                 keep: np.ndarray, value_format: str) -> None:
+    """A ``cell..., value`` CSV with one row per kept cell, in C order.
+
+    Rows are formatted in blocks, indices with ``%d`` and values with
+    ``value_format``; lines end in ``\\r\\n`` as the ``csv`` module writes them.
+    """
+    cells = np.nonzero(keep)
+    line = ",".join(["%d"] * len(cells) + [value_format]) + "\r\n"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, cells[0].size, _WRITE_ROWS):
+            block = tuple(c[start: start + _WRITE_ROWS] for c in cells)
+            columns = [c.tolist() for c in block] + [table[block].tolist()]
+            fh.write("".join(map(line.__mod__, zip(*columns))))
+
+
 def _histogram_header(labels) -> list[str]:
     return [*(f"c_{l}" for l in labels), "count"]
 
@@ -192,11 +213,7 @@ def _histogram_header(labels) -> list[str]:
 def save_histogram(h: Histogram, path: str | Path,
                    detector_presets: dict | None = None) -> None:
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_histogram_header(h.axis_labels))
-        for idx in np.argwhere(h.counts > 0):
-            writer.writerow([*idx.tolist(), int(h.counts[tuple(idx)])])
+    _write_cells(path, _histogram_header(h.axis_labels), h.counts, h.counts > 0, "%d")
     meta = {
         "trials": h.trials,
         "cutoffs": list(h.cutoffs),
@@ -224,11 +241,8 @@ def _distribution_header(labels) -> list[str]:
 def save_distribution(d: JointDistribution, path: str | Path,
                       value_floor: float = 0.0) -> None:
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_distribution_header(d.axis_labels))
-        for idx in np.argwhere(np.abs(d.values) > value_floor):
-            writer.writerow([*idx.tolist(), f"{d.values[tuple(idx)]:.17g}"])
+    _write_cells(path, _distribution_header(d.axis_labels), d.values,
+                 np.abs(d.values) > value_floor, "%.17g")
     meta = {
         "cutoffs": list(d.cutoffs),
         "axis_labels": list(d.axis_labels),

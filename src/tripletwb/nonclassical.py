@@ -33,7 +33,6 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import fock
-from ._kernels import laguerre_kernel
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fock import JointDistribution, falling_factorial
 
@@ -466,8 +465,10 @@ def ncd_field(d: JointDistribution, criterion: str, modes: Sequence[float],
 
     At lattice point n the criterion instance uses probabilities from the
     cube [n, n+2]^3; points where the criterion is classical at s = 1 get
-    tau = 0. The box must stay 2 below the table cutoffs.
+    tau = 0. The box must be nonnegative and stay 2 below the table cutoffs.
     """
+    if min(box) < 0:
+        raise DataError(f"lattice box must be nonnegative, got {tuple(box)}")
     for j in range(3):
         if box[j] + 2 > d.values.shape[j] - 1:
             raise DataError("box plus criterion span exceeds table cutoffs")
@@ -510,6 +511,39 @@ def _axis_scale(d: JointDistribution, axis: int, s: float, M: float) -> tuple[fl
     return mean, math.sqrt(max(var, 1e-12))
 
 
+#: largest Laguerre recurrence value kept: the kernel's products must not overflow
+_LAGUERRE_GUARD = 1e250
+
+
+def _laguerre_kernel(w: np.ndarray, n_max: int, s: float, M: float) -> np.ndarray:
+    """Kernel table K_{s,M}(W, n), shape (w.size, n_max + 1).
+
+    K_{s,M}(W, n) = 2/(1-s) (2W/(1-s))^(M-1) exp(-2W/(1-s))
+                    n! Gamma(M) / Gamma(n+M) ((s+1)/(s-1))^n L_n^(M-1)(4W/(1-s^2)),
+
+    evaluated by the upward three-term recurrence in n,
+    (n+1) L_{n+1}^a(x) = (2n+1+a-x) L_n^a(x) - (n+a) L_{n-1}^a(x).
+    A recurrence value beyond the guard raises NumericalError.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    y = 2.0 * w / (1.0 - s)
+    x = 4.0 * w / (1.0 - s * s)
+    pref = (2.0 / (1.0 - s)) * np.exp((M - 1.0) * np.log(np.maximum(y, 1e-300)) - y)
+    ratio = (s + 1.0) / (s - 1.0)
+    out = np.empty((w.size, n_max + 1), dtype=np.float64)
+    lm1 = np.zeros_like(w)
+    l0 = np.ones_like(w)
+    a = M - 1.0
+    for n in range(n_max + 1):
+        cn = np.exp(gammaln(n + 1.0) - gammaln(n + M)) * ratio**n
+        out[:, n] = pref * cn * l0
+        lnext = ((2 * n + 1 + a - x) * l0 - (n + a) * lm1) / (n + 1.0)
+        lm1, l0 = l0, lnext
+        if np.max(np.abs(l0)) > _LAGUERRE_GUARD:
+            raise NumericalError(f"Laguerre recurrence overflow at n = {n + 1}")
+    return out
+
+
 def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
                          points: int = 400, w_max: Sequence[float] | None = None,
                          validate: bool = True) -> QuasiDistribution:
@@ -543,12 +577,8 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
             wmax_ax = float(w_max[axis])
         step = wmax_ax / points
         w = (np.arange(points) + 0.5) * step
-        try:
-            k = laguerre_kernel(w, vals.shape[axis] - 1, s, M)
-        except FloatingPointError as exc:
-            raise NumericalError(str(exc)) from exc
         steps.append(step)
-        kernels.append(k)
+        kernels.append(_laguerre_kernel(w, vals.shape[axis] - 1, s, M))
     out = QuasiDistribution(fock.contract(vals, kernels), s, modes, tuple(steps))
     if validate:
         _validate_quasi(out, d)

@@ -5,18 +5,20 @@ computes another way; none of them is on the package's own code path.
 """
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from tripletwb import fock
-from tripletwb._kernels import laguerre_kernel
-from tripletwb.detector import _matrices_for
-from tripletwb.errors import DataError
+from tripletwb.detector import (DetectionMatrix, DetectorConfig, _matrices_for,
+                                default_c_max)
+from tripletwb.errors import DataError, NumericalError, ParameterError
 from tripletwb.fock import JointDistribution
-from tripletwb.nonclassical import _theta
+from tripletwb.nonclassical import _laguerre_kernel, _theta
 
 
 def resummed_smoothing_matrix_loop(n_max: int, m_max: int, s: float, M: float) -> np.ndarray:
@@ -63,7 +65,7 @@ def kernel_route_probabilities(d: JointDistribution, s: float,
         wmax = 3.0 * (m_max + M * th + 25.0)
         step = wmax / points
         w = (np.arange(points) + 0.5) * step
-        k = laguerre_kernel(w, m_max, s, M)  # (points, m_max+1)
+        k = _laguerre_kernel(w, m_max, s, M)  # (points, m_max+1)
         ns = np.arange(n_box + 1, dtype=np.float64)
         logpois = ns[:, None] * np.log(w)[None, :] - w[None, :] - gammaln(ns + 1.0)[:, None]
         Q = (np.exp(logpois) @ k) * step  # (n_box+1, m_max+1)
@@ -141,3 +143,61 @@ def sample_clicks_pixelwise_copying(n: np.ndarray, cfg, rng: np.random.Generator
     dark = rng.binomial(N, cfg.dark_prob, size=frames)
     overlap = rng.hypergeometric(dark, N - dark, occupied)
     return occupied + dark - overlap
+
+
+def detection_matrix_alternating(cfg: DetectorConfig, n_max: int,
+                                 c_max: int | None = None,
+                                 clamp: float = 1e-12,
+                                 deficit_tol: float = 1e-9) -> DetectionMatrix:
+    """Direct evaluation of the alternating closed form (cross-check route).
+
+    Negative round-off entries below ``clamp`` in magnitude are zeroed and
+    the columns renormalized; a larger deficit raises NumericalError.
+    """
+    if c_max is None:
+        c_max = default_c_max(cfg, n_max)
+    if c_max > cfg.pixels:
+        raise ParameterError(f"c_max {c_max} exceeds pixel count {cfg.pixels}")
+    N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
+    n = np.arange(n_max + 1, dtype=np.longdouble)
+    T = np.zeros((c_max + 1, n_max + 1), dtype=np.longdouble)
+    log1md = np.log1p(np.longdouble(-d)) if d > 0 else np.longdouble(0.0)
+    for c in range(c_max + 1):
+        logbinNc = gammaln(N + 1) - gammaln(c + 1) - gammaln(N - c + 1)
+        acc = np.zeros(n_max + 1, dtype=np.longdouble)
+        for l in range(c + 1):
+            base = np.longdouble(1.0 - eta + l * eta / N)
+            if base == 0.0:
+                powv = np.where(n == 0, np.longdouble(1.0), np.longdouble(0.0))
+            else:
+                powv = np.exp(n * np.log(base))
+            logc = gammaln(c + 1) - gammaln(l + 1) - gammaln(c - l + 1)
+            term = np.exp(np.longdouble(logc) - l * log1md) * powv
+            acc += term if (c - l) % 2 == 0 else -term
+        T[c, :] = np.exp(np.longdouble(logbinNc) + N * log1md) * acc
+    T = T.astype(np.float64)
+    bad = T < 0
+    if np.any(T[bad] < -clamp):
+        raise NumericalError(
+            f"alternating-sum entries as negative as {T.min():.2e}; "
+            "use the occupancy route")
+    T[bad] = 0.0
+    deficit = np.abs(T.sum(axis=0) - 1.0).max()
+    if deficit > deficit_tol:
+        raise NumericalError(f"column deficit {deficit:.2e} after clamping")
+    T /= T.sum(axis=0, keepdims=True)
+    return DetectionMatrix(T, cfg)
+
+
+def write_cells_loop(path, header: list[str], table: np.ndarray, keep: np.ndarray,
+                     cell) -> None:
+    """A ``cell..., value`` CSV written row by row through the ``csv`` module.
+
+    ``io._write_cells`` writes the same bytes in blocks; ``cell`` formats one
+    value (``int`` for histogram counts, ``"{:.17g}".format`` for values).
+    """
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for idx in np.argwhere(keep):
+            writer.writerow([*idx.tolist(), cell(table[tuple(idx)])])

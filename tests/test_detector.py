@@ -1,18 +1,18 @@
 """Click-detector model: matrices, forward map, sampling."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import binom, chi2
+from scipy.stats import binom, chi2, ncx2
 
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 _sample_clicks_pixelwise, default_c_max, detection_matrix,
-                                detection_matrix_alternating, forward_counts,
-                                sample_counts, simulate_pixel_clicks)
+                                forward_counts, sample_counts, simulate_pixel_clicks)
 from tripletwb.errors import DataError, ParameterError
 from tripletwb.fock import JointDistribution
 
-from tests.oracles import sample_clicks_pixelwise_copying
+from tests.oracles import detection_matrix_alternating, sample_clicks_pixelwise_copying
 
 
 IDEAL = DetectorConfig(pixels=10**6, efficiency=1.0, dark_rate=0.0)
@@ -136,17 +136,40 @@ def test_pixel_monte_carlo_matches_closed_form():
 
 def test_monte_carlo_gate_rejects_biased_efficiency():
     # Power of the acceptance Monte-Carlo gate (test_02: 10^6 frames, seeds
-    # 97 + n, 1% family-wise over its 10 distinct (config, n) checks):
-    # a signal detector 0.5% (relative) more efficient than the matrix
-    # assumes must be rejected. The asymptotic (noncentral chi^2) power is
-    # 0.86 at n = 5 and indistinguishable from 1 at n = 32.
+    # 97 + n, 1% family-wise over its 10 distinct (config, n) checks)
+    # against a signal detector 0.5% (relative) more efficient than the
+    # matrix assumes. At n = 5 one sampled draw would miss with the gate's
+    # own miss rate (about 14%), so the asymptotic power is computed: the
+    # Pearson statistic is noncentral chi^2 with noncentrality frames times
+    # the pooled chi^2 distance of the biased column. At n = 32 the power
+    # is 1 to double precision and one sampled draw must reject.
     cfg = PAPER_TABLE_1["s"]
     biased = dataclasses.replace(cfg, efficiency=cfg.efficiency * 1.005)
+    frames = 10**6
     t = detection_matrix(cfg, 32)
-    for n in (5, 32):
-        clicks = simulate_pixel_clicks(biased, n, 10**6, seed=97 + n)
-        stat, dof = pooled_pearson(clicks, t.entries[:, n])
-        assert stat > chi2.isf(0.01 / 10, dof), (n, stat)
+    p, q = t.entries[:, 5], detection_matrix(biased, 32).entries[:, 5]
+    keep = p * frames >= 5.0  # the gate's pooling, from the assumed column
+    p = np.append(p[keep], 1.0 - p[keep].sum())
+    q = np.append(q[keep], 1.0 - q[keep].sum())
+    dof = int(keep.sum())
+    power = ncx2.sf(chi2.isf(0.01 / 10, dof), dof, frames * np.sum((q - p) ** 2 / p))
+    assert power >= 0.85, power
+    clicks = simulate_pixel_clicks(biased, 32, frames, seed=97 + 32)
+    stat, dof = pooled_pearson(clicks, t.entries[:, 32])
+    assert stat > chi2.isf(0.01 / 10, dof), stat
+
+
+def test_pixel_sampler_peak_memory():
+    # about one int64 key per registered photon (7.5 per frame here) and
+    # the per-frame draws: ~128 MiB. A dense (frames, max registered)
+    # pixel table does not fit under the bound.
+    tracemalloc.start()
+    try:
+        simulate_pixel_clicks(PAPER_TABLE_1["s"], 32, 10**6, 129)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------

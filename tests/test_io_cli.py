@@ -1,5 +1,6 @@
 """File formats and the command-line pipelines."""
 import json
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1
 from tripletwb.errors import DataError
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution
+
+from tests.oracles import write_cells_loop
 
 FRAME_TEXT = """frame_id,c_s,c_i1,c_i2,c_i3
 0,2,1,0,1
@@ -98,6 +101,29 @@ def test_distribution_round_trip(tmp_path):
     assert back.normalized
     assert back.axis_labels == d.axis_labels
     np.testing.assert_allclose(back.values, d.values, atol=1e-16)
+
+
+def test_table_writers_match_csv_module_loop(tmp_path):
+    # more rows than one write block, values of every magnitude and sign
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(50, 40, 40)) * 10.0 ** rng.integers(-300, 300, (50, 40, 40))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[0, :4, 0] = [np.inf, -np.inf, 5e-324, 0.5]
+    signed = types.SimpleNamespace(values=values, axis_labels=("i1", "i2", "i3"),
+                                   cutoffs=(49, 39, 39), normalized=False)
+    for floor in (0.0, 1.0):
+        io.save_distribution(signed, tmp_path / "signed.csv", value_floor=floor)
+        write_cells_loop(tmp_path / "loop.csv", ["n_i1", "n_i2", "n_i3", "value"],
+                         values, np.abs(values) > floor, "{:.17g}".format)
+        assert ((tmp_path / "signed.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes()), floor
+    counts = rng.integers(0, 3, size=(20, 13, 31, 17))
+    counts[0, 0, 0, 0] = 10**12
+    h = Histogram(counts, int(counts.sum()))
+    io.save_histogram(h, tmp_path / "hist.csv")
+    write_cells_loop(tmp_path / "loop.csv", ["c_s", "c_i1", "c_i2", "c_i3", "count"],
+                     counts, counts > 0, int)
+    assert (tmp_path / "hist.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 TABLE_FORMATS = {
@@ -304,6 +330,20 @@ def test_cli_ncd_field_and_cut(runner, workdir, dist3):
         "cut", "--input", str(workdir / "dist3.csv"), "--kind", "triangular",
         "--level", "2", "--out", str(workdir / "cut2.csv")])
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("ncc", "--modes", "a,1,1"),
+    ("ncd-field", "--box", "1,x,1"),
+    ("ncd-field", "--box", "1,1"),
+])
+def test_cli_malformed_triple_exits_2(runner, workdir, dist3, command, option, value):
+    res = runner.invoke(main, [
+        command, "--dist", str(dist3), "--criterion", "cs", option, value,
+        "--out", str(workdir / "nope6.csv")])
+    assert res.exit_code == 2, res.output
+    assert f"{option} needs three comma-separated" in res.output
+    assert repr(value) in res.output
 
 
 def test_cli_quasi(runner, workdir, dist3_poisson):

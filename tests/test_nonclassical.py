@@ -305,6 +305,8 @@ def test_ncd_field_box_guard():
     d = poisson_product((0.5, 0.5, 0.5), n_max=6)
     with pytest.raises(DataError):
         ncd_field(d, "cs", (1.0, 1.0, 1.0), (6, 6, 6))
+    with pytest.raises(DataError, match="nonnegative"):
+        ncd_field(d, "cs", (1.0, 1.0, 1.0), (1, -1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,14 @@ def test_quasi_distribution_validates_grid_moments():
     d = JointDistribution(pmf / pmf.sum(), ("i1",), normalized=True)
     with pytest.raises(NumericalError):
         quasi_distribution_W(d, 0.0, (1.0,), points=4)
+
+
+def test_quasi_distribution_laguerre_overflow_is_numerical_error():
+    # at W ~ 1e9 the Laguerre recurrence passes its guard within 32 orders
+    d = JointDistribution(np.full((33, 3, 3), 1.0 / 297), ("i1", "i2", "i3"),
+                          normalized=True)
+    with pytest.raises(NumericalError, match="Laguerre recurrence overflow"):
+        quasi_distribution_W(d, 0.0, (1.0, 1.0, 1.0), points=4, w_max=(1e9, 10, 10))
 
 
 MODES_8 = (8.0, 8.0, 8.0)
