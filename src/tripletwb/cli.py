@@ -14,13 +14,11 @@ import numpy as np
 
 from . import emrec, io, nonclassical, postselect
 from .detector import (DetectorConfig, PRESETS, default_c_max,
-                       detection_matrix, forward_counts, sample_counts)
+                       detection_matrix, sample_counts)
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fit import fit
-from .fock import (AXIS_ORDER, Histogram, JointDistribution, check_tail,
-                   condition, normalize)
-from .gaussian import (GaussianFieldModel, PAPER_TABLE_2, TripleTwbParams,
-                       sample_photon_numbers)
+from .fock import AXIS_ORDER, Histogram, check_tail, condition, normalize
+from .gaussian import PAPER_TABLE_2, TripleTwbParams, sample_photon_numbers
 
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3

@@ -175,9 +175,9 @@ def forward_counts(p: JointDistribution,
                 f"detection matrix covers n <= {mat.n_max}, table needs "
                 f"{size - 1} on axis {label}")
     vals = contract(p.values, [m.entries[:, :size] for m, size in zip(mats, p.values.shape)])
-    total = vals.sum()
-    return JointDistribution(vals / total if p.normalized else vals,
-                             p.axis_labels, normalized=p.normalized)
+    if p.normalized:
+        vals /= vals.sum()  # contract returns a fresh table: no second copy
+    return JointDistribution(vals, p.axis_labels, normalized=p.normalized)
 
 
 def _matrices_for(labels, matrices):

@@ -7,7 +7,8 @@ s-ordered quasi-probabilities) live in :mod:`tripletwb.nonclassical`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -84,6 +85,10 @@ class Histogram:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.counts)
+        if arr.base is not None:
+            # a view: writes through its base would change the counts under
+            # the cached ``support``, so the histogram keeps its own copy
+            arr = arr.copy()
         if not np.issubdtype(arr.dtype, np.integer):
             raise DataError("histogram counts must be integers")
         if np.any(arr < 0):
@@ -98,6 +103,18 @@ class Histogram:
     @property
     def cutoffs(self) -> tuple[int, ...]:
         return tuple(n - 1 for n in self.counts.shape)
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of the observed cells and their frequencies counts / trials.
+
+        Computed once per histogram; both arrays are read-only.
+        """
+        cells = np.flatnonzero(self.counts)
+        rel = self.counts.reshape(-1)[cells] / float(self.trials)
+        cells.flags.writeable = False
+        rel.flags.writeable = False
+        return cells, rel
 
 
 def check_tail(discarded: float, tol: float = TAIL_TOL, what: str = "table") -> None:
@@ -146,12 +163,9 @@ def factorial_moment(d: JointDistribution,
             raise DataError("orders length does not match table rank")
     if any(k < 0 for k in ks):
         raise DataError("factorial moment orders must be >= 0")
-    acc = d.values
-    for axis in reversed(range(d.values.ndim)):
-        n = np.arange(acc.shape[axis], dtype=np.float64)
-        w = falling_factorial(n, ks[axis])
-        acc = np.tensordot(acc, w, axes=(axis, 0))
-    return float(acc)
+    rows = [falling_factorial(np.arange(size, dtype=np.float64), k)[None, :]
+            for size, k in zip(d.values.shape, ks)]
+    return contract(d.values, rows).item()
 
 
 def falling_factorial(n: np.ndarray, k: int) -> np.ndarray:

@@ -45,6 +45,16 @@ def _theta(s: float) -> float:
     return (1.0 - s) / 2.0
 
 
+def _check_modes(modes: Sequence[float], ndim: int) -> tuple[float, ...]:
+    """One finite, positive mode number per beam, as floats."""
+    modes = tuple(float(x) for x in modes)
+    if len(modes) != ndim:
+        raise DataError("need one mode number per beam")
+    if not all(math.isfinite(M) and M > 0 for M in modes):
+        raise ParameterError(f"mode numbers must be finite and > 0, got {modes}")
+    return modes
+
+
 @dataclass(frozen=True)
 class IntensityMoments:
     """Tensor of <prod_j W_j^k_j>_s for per-beam orders k_j <= k_max."""
@@ -181,11 +191,7 @@ def s_transform_moments(m: IntensityMoments, s_target: float,
     """Transform normal-ordered moments to ordering ``s_target``."""
     if m.s != 1.0:
         raise DataError("s transform expects normal-ordered (s = 1) input")
-    modes = tuple(float(x) for x in modes)
-    if len(modes) != m.tensor.ndim:
-        raise DataError("need one mode number per beam")
-    if any(M <= 0 for M in modes):
-        raise ParameterError("mode numbers must be > 0")
+    modes = _check_modes(modes, m.tensor.ndim)
     tensor = fock.contract(m.tensor, [_ordering_matrix(m.k_max, s_target, M) for M in modes])
     return IntensityMoments(tensor, s_target, modes)
 
@@ -319,10 +325,8 @@ def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
     """
     if not d.normalized:
         raise DataError("quasi-probabilities need a normalized distribution")
-    modes = tuple(float(x) for x in modes)
     ndim = d.values.ndim
-    if len(modes) != ndim:
-        raise DataError("need one mode number per beam")
+    modes = _check_modes(modes, ndim)
     boxes = [int(n_box)] * ndim if np.isscalar(n_box) else [int(b) for b in n_box]
     vals = d.values
     if method == "resummed":
@@ -558,10 +562,7 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
         raise DataError("quasi-distribution needs a normalized distribution")
     if not (-1.0 < s < 1.0):
         raise ParameterError("quasi-distribution synthesis needs s in (-1, 1)")
-    modes = tuple(float(x) for x in modes)
-    ndim = d.values.ndim
-    if len(modes) != ndim:
-        raise DataError("need one mode number per beam")
+    modes = _check_modes(modes, d.values.ndim)
     if points < 2:
         raise DataError("grid needs at least 2 points")
     steps = []

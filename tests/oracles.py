@@ -201,3 +201,40 @@ def write_cells_loop(path, header: list[str], table: np.ndarray, keep: np.ndarra
         writer.writerow(header)
         for idx in np.argwhere(keep):
             writer.writerow([*idx.tolist(), cell(table[tuple(idx)])])
+
+
+def table_moments_reductions(rel: np.ndarray, labels) -> dict:
+    """Means and covariances from one full-table ``sum`` per 1D and 2D marginal.
+
+    The former ``fit.table_moments``: 14 reductions of a 4D table.
+    """
+    means = {}
+    cov = {}
+    grids = [np.arange(n, dtype=np.float64) for n in rel.shape]
+    for a, la in enumerate(labels):
+        marg = rel.sum(axis=tuple(x for x in range(rel.ndim) if x != a))
+        means[la] = float(np.dot(grids[a], marg))
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels):
+            if b < a:
+                cov[(la, lb)] = cov[(lb, la)]
+                continue
+            keep = (a, b) if a != b else (a,)
+            marg = rel.sum(axis=tuple(x for x in range(rel.ndim) if x not in keep))
+            if a == b:
+                second = float(np.dot(grids[a] ** 2, marg))
+                cov[(la, lb)] = second - means[la] ** 2
+            else:
+                second = float(grids[a] @ marg @ grids[b])
+                cov[(la, lb)] = second - means[la] * means[lb]
+    return {"mean": means, "cov": cov}
+
+
+def declination_dense(h: fock.Histogram, f_model: JointDistribution,
+                      eps: float = 1e-10) -> float:
+    """The Pearson declination summed over every cell of the dense table."""
+    rel = h.counts / h.trials
+    f = f_model.values
+    if rel.shape != f.shape:
+        raise DataError("histogram and model cutoffs do not match")
+    return float(np.sum((rel - f) ** 2 / np.maximum(f, eps)))

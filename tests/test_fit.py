@@ -1,16 +1,19 @@
 """Moment extraction, declination scoring, and the parameter fit."""
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from tripletwb.detector import PAPER_TABLE_1, sample_counts
+from tripletwb.detector import PAPER_TABLE_1, forward_counts, sample_counts
 from tripletwb.errors import CutoffError, DataError, NumericalError
-from tripletwb.fit import (declination, fit, params_from_photon_moments,
-                           photocount_moments, table_moments)
-from tripletwb.fock import Histogram, JointDistribution
+from tripletwb.fit import (_ForwardCache, declination, fit,
+                           params_from_photon_moments, photocount_moments,
+                           table_moments)
+from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, model_moments,
                                 sample_photon_numbers)
+from tests.oracles import declination_dense, table_moments_reductions
 
 PHOTON_SEED = 20240817
 CLICK_SEED = 20240818
@@ -59,6 +62,51 @@ def test_table_moments_product_has_zero_covariance():
     assert mom["cov"][("s", "s")] == pytest.approx(1.5, abs=1e-6)
 
 
+def assert_moments_close(got: dict, want: dict, rel: float):
+    """Means relative to themselves, covariances relative to sqrt(var_a var_b)."""
+    assert got["mean"].keys() == want["mean"].keys()
+    assert got["cov"].keys() == want["cov"].keys()
+    for l, m in want["mean"].items():
+        assert abs(got["mean"][l] - m) <= rel * abs(m)
+    for (a, b), c in want["cov"].items():
+        scale = math.sqrt(want["cov"][(a, a)] * want["cov"][(b, b)])
+        assert abs(got["cov"][(a, b)] - c) <= rel * scale
+
+
+@pytest.mark.parametrize("shape", [(17,), (9, 12), (7, 5, 6, 4)])
+def test_table_moments_match_marginal_reductions(shape):
+    rng = np.random.default_rng(len(shape))
+    labels = AXIS_ORDER[-len(shape):]
+    rel = rng.random(shape) ** 4
+    rel /= rel.sum()
+    assert_moments_close(table_moments(rel, labels),
+                         table_moments_reductions(rel, labels), 1e-12)
+
+
+def test_table_moments_match_marginal_reductions_on_model(f_model):
+    assert_moments_close(table_moments(f_model.values, f_model.axis_labels),
+                         table_moments_reductions(f_model.values, f_model.axis_labels),
+                         1e-12)
+
+
+def test_click_moments_skip_the_forward_table(monkeypatch):
+    cache = _ForwardCache((43, 31, 31, 31), dict(PAPER_TABLE_1), (32, 20, 20, 20), 1e-3)
+    f = forward_counts(cache.photon_table(PAPER_TABLE_2), cache.matrices())
+    want = table_moments(f.values, f.axis_labels)
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(args)
+        return forward_counts(*args, **kwargs)
+
+    # the module, not the function that the package rebinds to its name
+    monkeypatch.setattr(importlib.import_module("tripletwb.fit"), "forward_counts",
+                        counting_forward)
+    got = cache.click_moments(PAPER_TABLE_2)
+    assert calls == []
+    assert_moments_close(got, want, 1e-12)
+
+
 def test_sampled_click_mean_matches_exact_table(f_model):
     frames = 20000
     photons = sample_photon_numbers(PAPER_TABLE_2, frames, PHOTON_SEED)
@@ -87,6 +135,35 @@ def test_declination_positive_and_shape_checked():
                               normalized=True)
     with pytest.raises(DataError):
         declination(h, wrong)
+
+
+def test_declination_matches_dense_sum():
+    # observed cells where the model is 0, below and above eps, plus
+    # unobserved cells at and below eps (declination needs no normalization)
+    rng = np.random.default_rng(5)
+    f = rng.random((6, 5, 4)) ** 3 / 30.0
+    f[0, 0, :2] = 0.0
+    f[1, 0, :3] = [1e-14, 3e-11, 2e-10]
+    f[2, 1, :2] = [5e-12, 1e-10]
+    counts = rng.integers(0, 40, size=f.shape) * (rng.random(f.shape) < 0.4)
+    counts[0, 0, 0] = 3          # observed, f = 0
+    counts[1, 0, :3] = [1, 0, 2]  # observed where f << eps, unobserved below eps
+    counts[2, 1, :2] = 0          # unobserved, f < eps
+    h = Histogram(counts, int(counts.sum()), ("i1", "i2", "i3"))
+    model = JointDistribution(f, ("i1", "i2", "i3"))
+    want = declination_dense(h, model)
+    assert abs(declination(h, model) - want) <= 1e-12 * want
+    wrong = JointDistribution(np.full((6, 5, 3), 1.0 / 90), ("i1", "i2", "i3"))
+    with pytest.raises(DataError):
+        declination(h, wrong)
+
+
+def test_declination_matches_dense_sum_on_sampled_histogram(f_model):
+    photons = sample_photon_numbers(PAPER_TABLE_2, 200_000, PHOTON_SEED)
+    clicks = sample_counts(photons, PAPER_TABLE_1, CLICK_SEED)
+    h = clicks_to_histogram(clicks, (42, 30, 30, 30))
+    want = declination_dense(h, f_model)
+    assert abs(declination(h, f_model) - want) <= 1e-12 * want
 
 
 # ------------------------------------------------------- moment closure

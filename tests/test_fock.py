@@ -53,6 +53,29 @@ def test_histogram_trials_must_cover_counts():
         Histogram(np.array([[3, 1], [0, 4]]), 5)
 
 
+def test_histogram_support_lists_observed_cells_once():
+    counts = np.zeros((3, 4), dtype=np.int64)
+    counts[0, 1], counts[2, 3] = 6, 2
+    h = Histogram(counts, 8, ("s", "i1"))
+    cells, rel = h.support
+    np.testing.assert_array_equal(cells, [1, 11])
+    np.testing.assert_array_equal(rel, [0.75, 0.25])
+    assert h.support[0] is cells
+    with pytest.raises(ValueError):
+        rel[0] = 1.0
+
+
+def test_histogram_on_a_view_keeps_its_own_counts():
+    base = np.zeros((2, 3, 3), dtype=np.int64)
+    base[0, 0, 0] = 4
+    h = Histogram(base[0], 4, ("s", "i1"))
+    cells, _ = h.support
+    base[0, 0, 0], base[0, 2, 2] = 0, 4
+    assert h.counts[0, 0] == 4 and h.counts[2, 2] == 0
+    np.testing.assert_array_equal(h.support[0], cells)
+    assert base.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # normalize
 # ---------------------------------------------------------------------------

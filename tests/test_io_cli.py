@@ -346,6 +346,19 @@ def test_cli_malformed_triple_exits_2(runner, workdir, dist3, command, option, v
     assert repr(value) in res.output
 
 
+@pytest.mark.parametrize("kind", ["probability", "intensity"])
+@pytest.mark.parametrize("modes", ["nan,1,1", "0,1,1", "-1,1,1"])
+def test_cli_ncc_invalid_modes_exit_2(runner, workdir, dist3_poisson, modes, kind):
+    out = workdir / f"ncc_modes_{kind}_{modes}.json"
+    res = runner.invoke(main, [
+        "ncc", "--dist", str(dist3_poisson), "--criterion", "cs", "--kind", kind,
+        "--modes", modes, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "mode numbers must be finite and > 0" in res.output
+    assert "NaN" not in res.output
+    assert not out.exists()
+
+
 def test_cli_quasi(runner, workdir, dist3_poisson):
     out = workdir / "quasi.csv"
     res = runner.invoke(main, [

@@ -121,6 +121,20 @@ def test_s_transform_requires_valid_range():
         s_transform_moments(m, 1.5, (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("route", ["s_transform", "resummed", "series", "grid"])
+def test_invalid_mode_numbers_raise_parameter_error(route, bad):
+    d = poisson_product((0.5, 0.5, 0.5))
+    modes = (bad, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="mode numbers must be finite and > 0"):
+        if route == "s_transform":
+            s_transform_moments(intensity_moments(d, 2), 0.5, modes)
+        elif route == "grid":
+            quasi_distribution_W(d, 0.5, modes, points=4, validate=False)
+        else:
+            quasi_probabilities(d, 0.5, modes, 2, method=route)
+
+
 # ---------------------------------------------------------------------------
 # intensity criteria
 # ---------------------------------------------------------------------------
