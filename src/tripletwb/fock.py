@@ -50,6 +50,10 @@ class JointDistribution:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
+        if arr.base is not None:
+            # a view: writes through its base would change the table after
+            # the checks below, so the distribution keeps its own copy
+            arr = arr.copy()
         if arr.ndim < 1 or arr.ndim > 4:
             raise DataError(f"tables must have 1 to 4 axes, got {arr.ndim}")
         _check_labels(self.axis_labels, arr.ndim)
@@ -212,14 +216,17 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     ``rest`` the table viewed as (n, everything else); the new axis lands
     last. After one step per axis the axes are back in their original
     order and the result is C-contiguous, with no ``moveaxis`` copies.
-    A C-contiguous input is read in place.
+    A C-contiguous input is read in place. Each step writes through
+    ``out=`` into a fresh array of its own shape, so the result owns its
+    memory and :class:`JointDistribution` takes it without a copy.
     """
     out = np.asarray(values)
     if len(mats) != out.ndim:
         raise DataError(f"{len(mats)} matrices for a {out.ndim}-d table")
     for mat in mats:
         rest = out.reshape(out.shape[0], -1)
-        out = (rest.T @ mat.T).reshape(out.shape[1:] + (mat.shape[0],))
+        out = np.empty(out.shape[1:] + (mat.shape[0],), dtype=np.result_type(rest, mat))
+        np.matmul(rest.T, mat.T, out=out.reshape(rest.shape[1], mat.shape[0]))
     return out
 
 

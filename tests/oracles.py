@@ -238,3 +238,56 @@ def declination_dense(h: fock.Histogram, f_model: JointDistribution,
     if rel.shape != f.shape:
         raise DataError("histogram and model cutoffs do not match")
     return float(np.sum((rel - f) ** 2 / np.maximum(f, eps)))
+
+
+def grid_moments_memory_order(q, k_max: int) -> np.ndarray:
+    """Grid moments through ``fock.contract`` alone, axes in memory order.
+
+    The former ``_validate_quasi`` route: its first GEMM writes rows of
+    k_max + 1 from the (points^(d-1), points) grid view.
+    """
+    order = sorted(range(q.values.ndim), key=lambda a: -q.values.strides[a])
+    powers = [np.stack([q.grid(axis) ** k for k in range(k_max + 1)]) for axis in order]
+    grid_mom = fock.contract(q.values.transpose(order), powers)
+    return grid_mom.transpose(np.argsort(order)) * math.prod(q.steps)
+
+
+def triangular_cut_loop(arr: np.ndarray, level: int) -> np.ndarray:
+    """The lattice plane n_i1 + n_i2 + n_i3 = level, one cell at a time."""
+    u = np.arange(min(level, arr.shape[0] - 1) + 1)
+    v = np.arange(min(level, arr.shape[2] - 1) + 1)
+    vals = np.full((u.size, v.size), np.nan)
+    for i in u:
+        for j in v:
+            n2 = level - i - j
+            if 0 <= n2 < arr.shape[1]:
+                vals[i, j] = arr[i, n2, j]
+    return vals
+
+
+def grid_triangular_cut_loop(q, level: float) -> np.ndarray:
+    """The W-grid plane W_1 + W_2 + W_3 = level, nearest grid cell on axis 1."""
+    arr = q.values
+    g0, g1, g2 = (q.grid(a) for a in range(3))
+    vals = np.full((arr.shape[0], arr.shape[2]), np.nan)
+    for i in range(arr.shape[0]):
+        for j in range(arr.shape[2]):
+            w2 = level - g0[i] - g2[j]
+            if w2 < 0 or w2 > g1[-1] + 0.5 * q.steps[1]:
+                continue
+            idx = int(round(w2 / q.steps[1] - 0.5))
+            idx = min(max(idx, 0), arr.shape[1] - 1)
+            vals[i, j] = arr[i, idx, j]
+    return vals
+
+
+def plane_cut_csv_loop(pc) -> str:
+    """``PlaneCut.to_csv`` one f-string per cell, NaN cells skipped."""
+    lines = ["u,v,value"]
+    for i, uu in enumerate(pc.u):
+        for j, vv in enumerate(pc.v):
+            val = pc.values[i, j]
+            if np.isnan(val):
+                continue
+            lines.append(f"{uu:.10g},{vv:.10g},{val:.10g}")
+    return "\n".join(lines) + "\n"

@@ -273,6 +273,7 @@ def test_contract_matches_apply_matrix_loop(shape, rows):
     got = contract(values, mats)
     assert got.shape == loop.shape
     assert got.flags.c_contiguous
+    assert got.flags.owndata  # a distribution built on it needs no copy
     np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
 
 
@@ -286,3 +287,16 @@ def test_contract_reads_strided_input_and_checks_rank():
     np.testing.assert_allclose(contract(values, mats), loop, rtol=1e-14, atol=0.0)
     with pytest.raises(DataError):
         contract(values, mats[:2])
+
+
+def test_distribution_on_a_view_keeps_its_values():
+    base = np.full((2, 4), 0.25)
+    d = JointDistribution(base[0], ("i1",), normalized=True)
+    base[0] = [1, -5, 0, 0]
+    assert d.total() == 1.0
+    np.testing.assert_array_equal(d.values, [0.25] * 4)
+
+
+def test_distribution_takes_an_owning_array_without_a_copy():
+    vals = contract(np.full((3, 4), 1.0 / 12), [np.eye(3), np.eye(4)])
+    assert JointDistribution(vals, ("i1", "i2"), normalized=True).values is vals

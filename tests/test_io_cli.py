@@ -368,6 +368,16 @@ def test_cli_quasi(runner, workdir, dist3_poisson):
     assert meta["integral"] == pytest.approx(1.0, abs=1e-2)
 
 
+def test_cli_quasi_nonfinite_level_exits_2(runner, workdir, dist3_poisson):
+    out = workdir / "nan_level.csv"
+    res = runner.invoke(main, [
+        "quasi", "--dist", str(dist3_poisson), "--s", "0.5", "--cut", "triangular",
+        "--level", "nan", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "level must be finite" in res.output
+    assert not out.exists()
+
+
 def test_cli_quasi_numerical_error_exits_3(runner, workdir, dist3_poisson):
     res = runner.invoke(main, [
         "quasi", "--dist", str(dist3_poisson), "--s", "0.5", "--points", "3",

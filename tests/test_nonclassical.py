@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import poisson
 
-from tripletwb import nonclassical
+from tripletwb import fock, nonclassical
 from tripletwb.errors import CutoffError, DataError, NumericalError, ParameterError
 from tripletwb.fock import JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, MandelRiceComponent,
@@ -17,8 +17,9 @@ from tripletwb.nonclassical import (NcdSettings, default_mode_numbers,
                                     ncc_probability, ncd, ncd_field, plane_cut,
                                     probability_ncd, quasi_distribution_W,
                                     quasi_probabilities, s_transform_moments)
-from tests.oracles import (kernel_route_probabilities,
-                           resummed_smoothing_matrix_loop)
+from tests.oracles import (grid_moments_memory_order, grid_triangular_cut_loop,
+                           kernel_route_probabilities, plane_cut_csv_loop,
+                           resummed_smoothing_matrix_loop, triangular_cut_loop)
 
 
 def poisson_product(lams, n_max=30):
@@ -401,6 +402,59 @@ def test_validate_quasi_allocates_no_grid_copy():
     assert peak < q.values.nbytes / 10
 
 
+@pytest.mark.parametrize("shape", [(31,), (12, 7), (9, 13, 6)])
+def test_quasi_grid_matches_contract_of_kernels(shape):
+    # the synthesis contracts axes 1..d-1 first and axis 0 last; the grid
+    # is the plain all-axes contraction of the per-axis kernels
+    vals = np.random.default_rng(len(shape)).random(shape)
+    labels = ("i1", "i2", "i3")[: len(shape)]
+    d = JointDistribution(vals / vals.sum(), labels, normalized=True)
+    modes = (1.0, 2.5, 4.0)[: len(shape)]
+    q = quasi_distribution_W(d, -0.3, modes, points=50, validate=False)
+    kernels = [nonclassical._laguerre_kernel(q.grid(a), n - 1, -0.3, M)
+               for a, (n, M) in enumerate(zip(shape, modes))]
+    ref = fock.contract(d.values, kernels)
+    assert q.values.shape == (50,) * len(shape)
+    assert q.values.flags.c_contiguous
+    assert np.max(np.abs(q.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def rectangular_grid():
+    """A signed 3D grid with unequal points and steps per axis."""
+    vals = np.random.default_rng(11).standard_normal((20, 30, 40))
+    return nonclassical.QuasiDistribution(vals, 0.0, MODES_8, (0.1, 0.25, 0.05))
+
+
+def transposed(q, perm):
+    """The same field with its axes permuted: a non-C-ordered view of the grid."""
+    return nonclassical.QuasiDistribution(
+        q.values.transpose(perm), q.s, tuple(q.modes[a] for a in perm),
+        tuple(q.steps[a] for a in perm))
+
+
+@pytest.mark.parametrize("grid", ["quasi_3d", "rectangular"])
+@pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
+def test_grid_moments_match_memory_order_route(grid, perm):
+    q = quasi_3d()[1] if grid == "quasi_3d" else rectangular_grid()
+    qt = transposed(q, perm)
+    got = nonclassical._grid_moments(qt, 3)
+    np.testing.assert_allclose(got, grid_moments_memory_order(qt, 3),
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(got)))
+    np.testing.assert_allclose(got, nonclassical._grid_moments(q, 3).transpose(perm),
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(got)))
+
+
+@pytest.mark.parametrize("shape", [(40,), (25, 30)])
+def test_grid_moments_in_one_and_two_dimensions(shape):
+    vals = np.random.default_rng(3).standard_normal(shape)
+    q = nonclassical.QuasiDistribution(vals, 0.0, (1.0,) * len(shape),
+                                       (0.2, 0.3)[: len(shape)])
+    for qq in (q, transposed(q, tuple(range(len(shape)))[::-1])):
+        got = nonclassical._grid_moments(qq, 3)
+        np.testing.assert_allclose(got, grid_moments_memory_order(qq, 3),
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(got)))
+
+
 def test_quasi_distribution_requires_open_interval():
     pmf = mandel_rice_vector(30, MandelRiceComponent(1.0, 0.3))
     d = JointDistribution(pmf / pmf.sum(), ("i1",), normalized=True)
@@ -442,6 +496,64 @@ def test_triangular_cut_of_paired_slice_carries_all_mass():
 def test_cut_level_must_be_in_box():
     with pytest.raises(DataError):
         plane_cut(np.zeros((4, 4, 4)), "triangular", 30)
+
+
+def test_lattice_triangular_cut_matches_loop():
+    arr = np.random.default_rng(4).standard_normal((5, 7, 6))
+    for level in range(sum(n - 1 for n in arr.shape) + 1):
+        pc = plane_cut(arr, "triangular", level)
+        np.testing.assert_array_equal(pc.values, triangular_cut_loop(arr, level))
+        assert pc.u.size == pc.values.shape[0] and pc.v.size == pc.values.shape[1]
+
+
+@pytest.mark.parametrize("grid", ["quasi_3d", "rectangular"])
+def test_grid_triangular_cut_matches_loop(grid):
+    q = quasi_3d()[1] if grid == "quasi_3d" else rectangular_grid()
+    top = sum(q.grid(a)[-1] for a in range(3))
+    # level 0 and levels past the box give all-NaN cuts; the last level
+    # puts w2 on cell boundaries (exactly on the rectangular grid), where
+    # halves round to even
+    levels = [0.0, 0.3 * top, 0.5 * top, top, 2.0 * top,
+              q.grid(0)[3] + q.grid(2)[2] + 3.0 * q.steps[1]]
+    for level in levels:
+        pc = plane_cut(q, "triangular", level)
+        np.testing.assert_array_equal(pc.values, grid_triangular_cut_loop(q, level))
+
+
+def test_grid_triangular_cut_needs_a_finite_level():
+    q = rectangular_grid()
+    for level in (math.nan, math.inf):
+        with pytest.raises(DataError, match="finite"):
+            plane_cut(q, "triangular", level)
+
+
+def test_diagonal_cuts_take_the_diagonal():
+    arr = np.random.default_rng(6).standard_normal((4, 6, 3))
+    pc = plane_cut(arr, "diagonal")
+    np.testing.assert_array_equal(pc.values, np.stack([arr[i, i, :] for i in range(4)]))
+    q = rectangular_grid()
+    pc = plane_cut(q, "diagonal")
+    np.testing.assert_array_equal(pc.values, np.stack([q.values[i, i, :] for i in range(20)]))
+    np.testing.assert_array_equal(pc.u, q.grid(0)[:20])
+
+
+def test_cut_csv_matches_cell_loop():
+    vals = np.array([[1.0, np.nan, -2.5e-7, np.inf],
+                     [-np.inf, 5e-324, -0.0, 123456789012.5],
+                     [np.nan, np.nan, np.nan, np.nan],
+                     [1e300, -1e-300, 0.1 + 0.2, 7.0]])
+    cuts = [
+        nonclassical.PlaneCut("triangular", 3, np.arange(4), np.arange(4), vals),
+        nonclassical.PlaneCut("diagonal", None, np.linspace(-1.5, 2e11, 4),
+                              np.array([0.05, 1e-12, -3.0, 12345678901.0]), vals),
+        nonclassical.PlaneCut("triangular", 1.0, np.arange(4.0), np.arange(4.0),
+                              np.full((4, 4), np.nan)),
+        plane_cut(np.random.default_rng(8).standard_normal((6, 6, 6)), "triangular", 7),
+        plane_cut(np.arange(60).reshape(3, 4, 5), "diagonal"),
+        plane_cut(rectangular_grid(), "triangular", 4.0),
+    ]
+    for pc in cuts:
+        assert pc.to_csv() == plane_cut_csv_loop(pc)
 
 
 def test_cut_csv_format():
