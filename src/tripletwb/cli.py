@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -277,17 +278,22 @@ def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
 @click.option("--modes", default="1,1,1", show_default=True,
               help="Per-beam mode numbers M1,M2,M3.")
 @click.option("--with-ncd/--no-ncd", default=True, show_default=True)
+@click.option("--tail-tol", type=float, default=1e-6, show_default=True,
+              help="Largest share of the order-2 intensity moment the outer "
+                   "occupation shell may carry (--kind intensity).")
 @click.option("--out", type=click.Path(), default=None)
 @handle_errors
-def ncc(dist_file, criterion, kind, modes, with_ncd, out):
+def ncc(dist_file, criterion, kind, modes, with_ncd, tail_tol, out):
     """Evaluate a nonclassicality criterion (and its depth) on a 3D field."""
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise ParameterError(f"--tail-tol must be finite and > 0, got {tail_tol}")
     d = io.load_distribution(dist_file)
     m = _parse_triple(modes, "--modes")
     if kind == "intensity":
         if with_ncd:
-            res = nonclassical.intensity_ncd(d, criterion, m)
+            res = nonclassical.intensity_ncd(d, criterion, m, tail_tol=tail_tol)
         else:
-            base = nonclassical.intensity_moments(d, 2)
+            base = nonclassical.intensity_moments(d, 2, tail_tol=tail_tol)
             fn = {"cs": nonclassical.ncc_cs_intensity,
                   "matrix": nonclassical.ncc_matrix_intensity}[criterion]
             res = fn(nonclassical.s_transform_moments(base, 1.0, m))
@@ -309,7 +315,7 @@ def ncc(dist_file, criterion, kind, modes, with_ncd, out):
     text = json.dumps(payload, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
-        io.write_manifest(Path(out), "ncc", payload)
+        io.write_manifest(Path(out), "ncc", {**payload, "tail_tol": tail_tol})
     click.echo(text.rstrip())
 
 
@@ -351,6 +357,7 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
 @handle_errors
 def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
     """Quasi-distribution of integrated intensities; exports one plane cut."""
+    nonclassical.check_grid_cut(cut_kind, level)  # before the grid, not after it
     d = io.load_distribution(dist_file)
     m = _parse_triple(modes, "--modes")
     q = nonclassical.quasi_distribution_W(d, s_value, m, points=points)

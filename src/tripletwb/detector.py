@@ -120,42 +120,42 @@ def _occupancy_log_table(k_max: int, pixels: int) -> np.ndarray:
     return logp
 
 
-def _binomial_log_pmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
+def _binomial_pmf(n: np.ndarray, p: float, k: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) pmf at k, broadcast over n and k; zero where k > n."""
+    n, k = np.broadcast_arrays(np.asarray(n, dtype=np.float64), np.asarray(k, dtype=np.float64))
+    inside = (k >= 0) & (k <= n)
     if p == 0.0:
-        return np.where(k == 0, 0.0, -np.inf)
+        return np.where(inside & (k == 0), 1.0, 0.0)
     if p == 1.0:
-        return np.where(k == n, 0.0, -np.inf)
-    return (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            + k * math.log(p) + (n - k) * math.log1p(-p))
+        return np.where(inside & (k == n), 1.0, 0.0)
+    nn, kk = np.where(inside, n, 0.0), np.where(inside, k, 0.0)
+    logp = (gammaln(nn + 1) - gammaln(kk + 1) - gammaln(nn - kk + 1)
+            + kk * math.log(p) + (nn - kk) * math.log1p(-p))
+    return np.where(inside, np.exp(logp), 0.0)
 
 
 def detection_matrix(cfg: DetectorConfig, n_max: int,
                      c_max: int | None = None) -> DetectionMatrix:
-    """Build T(c|n) for n <= n_max, c <= c_max (defaults to `default_c_max`)."""
+    """Build T(c|n) for n <= n_max, c <= c_max (defaults to `default_c_max`).
+
+    T = D O B, three column-stochastic stages: B[k, n] is the Binomial(n, eta)
+    thinning to k registered photons, O[j, k] the occupancy of j distinct
+    pixels by k photons, and D[c, j] = Binomial(N - j, d)(c - j) adds the
+    dark counts of the N - j idle pixels on the rows c >= j. Occupancies
+    j > c_max have no row and lose their mass, which the column check
+    reports.
+    """
     if c_max is None:
         c_max = default_c_max(cfg, n_max)
     if c_max > cfg.pixels:
         raise ParameterError(f"c_max {c_max} exceeds pixel count {cfg.pixels}")
     N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
     ks = np.arange(n_max + 1)
-    occ_log = _occupancy_log_table(n_max, N)
-    T = np.zeros((c_max + 1, n_max + 1))
-    dark_log = {}  # per distinct-count j: log Binomial(N - j, d) pmf over c - j
-    for n in range(n_max + 1):
-        pk = np.exp(_binomial_log_pmf(n, eta, ks[: n + 1]))  # registered photons
-        col = np.zeros(c_max + 1)
-        for k in range(n + 1):
-            if pk[k] == 0.0:
-                continue
-            pj = np.exp(occ_log[k, : k + 1])
-            for j in range(min(k, c_max) + 1):
-                if pj[j] == 0.0:
-                    continue
-                if j not in dark_log:
-                    m = np.arange(c_max + 1 - j)
-                    dark_log[j] = np.exp(_binomial_log_pmf(N - j, d, m))
-                col[j:] += pk[k] * pj[j] * dark_log[j]
-        T[:, n] = col
+    thin = _binomial_pmf(ks[None, :], eta, ks[:, None])
+    occupancy = np.exp(_occupancy_log_table(n_max, N)).T
+    cs = np.arange(c_max + 1)
+    dark = _binomial_pmf(N - ks[None, :], d, cs[:, None] - ks[None, :])
+    T = dark @ (occupancy @ thin)
     deficit = np.abs(T.sum(axis=0) - 1.0).max()
     if deficit > COLUMN_TOL:
         raise NumericalError(

@@ -212,21 +212,52 @@ def apply_matrix(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
 def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Contract ``mats[a][c, n]`` against axis ``a`` of ``values``, for every axis.
 
-    Each step is one GEMM on the leading axis, ``rest.T @ mat.T`` with
-    ``rest`` the table viewed as (n, everything else); the new axis lands
-    last. After one step per axis the axes are back in their original
-    order and the result is C-contiguous, with no ``moveaxis`` copies.
+    Step order: the leading axis first, then the trailing axes from the
+    last one inwards, so the signal axis of a 4D table is still contracted
+    first (the EM's forward map shrinks it before the idler axes grow).
+
+    - Axis 0 is one GEMM ``mat_0 @ x`` with ``x`` viewed as (n_0, everything
+      else). It writes (c_0, n_1, ...) in rows of n_1 ... n_{d-1}.
+    - Axes d-1, ..., 1 are each one batched ``matmul`` over the c_0 slices,
+      ``mat_a @ x_i.T`` with ``x_i`` viewed as (everything else, n_a). The
+      new axis goes in front of the axes not yet contracted, so every step
+      writes rows of all of them, and after axis 1 the axes are back in
+      their original order.
+
+    Orientation: every step writes long output rows (hundreds to thousands
+    of cells), not the short new axis (10-43 cells) that the cyclic
+    ``rest.T @ mat.T`` (leading axis contracted, new axis appended last)
+    wrote. With an inner dimension of ~20, OpenBLAS writes long rows
+    faster. The batched steps take their matrix in Fortran order, which
+    OpenBLAS runs 1.2-1.5x faster there; a Fortran-ordered matrix (such as
+    a transposed view) is used as it is. Medians with one BLAS thread
+    (OpenBLAS 0.3.31, Haswell kernel, shared 2-vCPU host), cyclic -> this:
+
+    - fit forward map 33x21^3 -> 43x31^3: 11.4 -> 7.6 ms;
+    - the model's 4D Toeplitz sweep: 2.3 -> 1.4 ms;
+    - click moments of the 43x31^3 table: 1.03 -> 0.82 ms;
+    - 4D observed-box EM (20x13x31x17 clicks): forward 1.21 -> 0.87 ms,
+      backward 1.91 -> 1.35 ms;
+    - 3D EM (10^3 clicks, 21^3 photons): forward 0.015 -> 0.018 ms,
+      backward 0.017 -> 0.019 ms, the batching overhead of small tables.
+
     A C-contiguous input is read in place. Each step writes through
-    ``out=`` into a fresh array of its own shape, so the result owns its
-    memory and :class:`JointDistribution` takes it without a copy.
+    ``out=`` into a fresh array of its own shape, so the result is
+    C-contiguous, owns its memory and :class:`JointDistribution` takes it
+    without a copy.
     """
-    out = np.asarray(values)
-    if len(mats) != out.ndim:
-        raise DataError(f"{len(mats)} matrices for a {out.ndim}-d table")
-    for mat in mats:
-        rest = out.reshape(out.shape[0], -1)
-        out = np.empty(out.shape[1:] + (mat.shape[0],), dtype=np.result_type(rest, mat))
-        np.matmul(rest.T, mat.T, out=out.reshape(rest.shape[1], mat.shape[0]))
+    x = np.asarray(values)
+    if len(mats) != x.ndim:
+        raise DataError(f"{len(mats)} matrices for a {x.ndim}-d table")
+    mat = mats[0]
+    out = np.empty((mat.shape[0],) + x.shape[1:], dtype=np.result_type(x, mat))
+    np.matmul(mat, x.reshape(x.shape[0], -1), out=out.reshape(mat.shape[0], -1))
+    for mat in reversed(mats[1:]):
+        x = out
+        c0, n = x.shape[0], x.shape[-1]
+        out = np.empty((c0, mat.shape[0]) + x.shape[1:-1], dtype=np.result_type(x, mat))
+        np.matmul(np.asfortranarray(mat), x.reshape(c0, -1, n).transpose(0, 2, 1),
+                  out=out.reshape(c0, mat.shape[0], -1))
     return out
 
 

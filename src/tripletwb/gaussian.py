@@ -4,6 +4,17 @@ Three Mandel-Rice pair components share the signal axis (a pair photon
 always appears on both the signal and its idler axis), and four independent
 Mandel-Rice noise components are convolved on top, one per axis. The 14
 scalar parameters are the (M, B) of the seven components.
+
+On a truncation box the model table is
+
+    M(t, m_1, m_2, m_3) = sum_k N_s(t - K) prod_j p_j(k_j) N_j(m_j - k_j),
+
+with p_j the pair pmfs, N the noise pmfs and K = k_1 + k_2 + k_3 the pair
+photons on the signal axis. :meth:`GaussianFieldModel.distribution` sums it
+as three nested signal-axis convolutions, one idler at a time.
+:func:`paired_part` and :func:`compose_with_noise` build the same table the
+long way: the paired table on the hyperplane t = K, then one Toeplitz
+convolution per axis.
 """
 from __future__ import annotations
 
@@ -137,9 +148,67 @@ class GaussianFieldModel:
     tail_tol: float = fock.TAIL_TOL
 
     def distribution(self) -> JointDistribution:
-        paired = paired_part(self.params, self.signal_cutoff, self.idler_cutoffs,
-                             tail_tol=self.tail_tol)
-        return compose_with_noise(paired, self.params, tail_tol=self.tail_tol)
+        """The composed 4D table on the truncation box, normalized.
+
+        With p_j the pair pmfs, N_s and N_j the noise pmfs and
+        A_j(k, m) = p_j(k) N_j(m - k), the table is
+
+            M(t, m_1, m_2, m_3) = sum_k N_s(t - K) prod_j A_j(k_j, m_j),
+
+        K = k_1 + k_2 + k_3, over K <= t <= signal cutoff and
+        k_j <= m_j <= idler cutoff: the terms that ``paired_part`` followed
+        by ``compose_with_noise`` sum. The sum is nested one idler at a
+        time, each step a convolution along the signal axis:
+
+            G_3(t, m_3) = sum_k A_3(k, m_3) N_s(t - k)
+            G_2(t, m_2, m_3) = sum_k A_2(k, m_2) G_3(t - k, m_3)
+            M(t, m_1, m_2, m_3) = sum_k A_1(k, m_1) G_2(t - k, m_2, m_3)
+
+        Each step is one GEMM ``B_j @ G`` with B_j[(t, m), u] = A_j(t - u, m),
+        of shape (s + 1)(c + 1) x (s + 1); the last one writes the C-ordered
+        table in rows of (c_2 + 1)(c_3 + 1). No paired table is built. The
+        paired part's tail check reads the pair mass with K <= s from two
+        ``np.convolve`` calls; the composed-mass check and the
+        normalization are those of ``compose_with_noise``.
+        """
+        s_cut = self.signal_cutoff
+        pairs = [mandel_rice_vector(c, comp)
+                 for c, comp in zip(self.idler_cutoffs, self.params.pairs)]
+        paired_mass = np.convolve(np.convolve(pairs[0], pairs[1]), pairs[2])[: s_cut + 1].sum()
+        check_tail(1.0 - paired_mass, self.tail_tol, "paired part")
+        steps = [_signal_shift_matrix(pair, mandel_rice_vector(c, noise), s_cut)
+                 for c, pair, noise in zip(self.idler_cutoffs, pairs, self.params.noises[1:])]
+        g = mandel_rice_vector(s_cut, self.params.noise_s)
+        for b in reversed(steps[1:]):
+            g = b @ g.reshape(s_cut + 1, -1)
+        vals = np.empty((s_cut + 1,) + tuple(c + 1 for c in self.idler_cutoffs))
+        np.matmul(steps[0], g.reshape(s_cut + 1, -1), out=vals.reshape(steps[0].shape[0], -1))
+        mass = vals.sum()
+        check_tail(1.0 - mass, self.tail_tol, "composed model")
+        vals /= mass
+        return JointDistribution(vals, AXIS_ORDER, normalized=True)
+
+
+def _signal_shift_matrix(pair: np.ndarray, noise: np.ndarray, signal_cutoff: int) -> np.ndarray:
+    """B[(t, m), u] = A(t - u, m) with A(k, m) = pair[k] noise[m - k], zero off k <= m.
+
+    One idler's step of the nested model sum: ``B @ G`` convolves G along
+    the signal axis u with the pairs of k photons (k <= t - u) and spreads
+    each over the idler values m >= k with the idler noise.
+    """
+    size = pair.size
+    k = np.arange(size)
+    lag = k[None, :] - k[:, None]  # m - k
+    a = np.where(lag >= 0, noise[np.clip(lag, 0, size - 1)], 0.0) * pair[:, None]
+    # pairs of k > s photons cannot fit under the signal cutoff; the zero
+    # row s + 1 serves every t < u
+    padded = np.zeros((signal_cutoff + 2, size))
+    rows = min(size, signal_cutoff + 1)
+    padded[:rows] = a[:rows]
+    t = np.arange(signal_cutoff + 1)
+    shift = t[:, None] - t[None, :]
+    b = padded[np.where(shift >= 0, shift, signal_cutoff + 1)]  # [t, u, m]
+    return b.transpose(0, 2, 1).reshape(-1, signal_cutoff + 1)
 
 
 def paired_part(params: TripleTwbParams,

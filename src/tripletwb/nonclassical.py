@@ -601,19 +601,16 @@ def _grid_moments(q: QuasiDistribution, k_max: int) -> np.ndarray:
     """Grid moments sum_W prod_j W_j^k_j P_s(W) dW for every k_j <= k_max.
 
     The grid axes are contracted in memory order, outermost first, so the
-    grid is read in place and never copied. The first contraction is one
-    GEMM ``P_0 @ g`` with the grid viewed as (points, everything else): it
-    writes k_max + 1 long rows, the orientation BLAS runs fastest (about
-    2x the rows of k_max + 1 that ``fock.contract`` would write). The
-    small result then goes through ``contract``, the identity keeping its
-    moment axis.
+    grid is read in place and never copied. The first contraction, the
+    only grid-sized one, is ``fock.contract``'s leading GEMM ``P_0 @ g``
+    with the grid viewed as (points, everything else): it writes k_max + 1
+    long rows, the orientation BLAS runs fastest (about 2x the rows of
+    k_max + 1 that ``g.T @ P_0.T`` would write).
     """
     order = sorted(range(q.values.ndim), key=lambda a: -q.values.strides[a])
     g = q.values.transpose(order)
     powers = [np.stack([q.grid(axis) ** k for k in range(k_max + 1)]) for axis in order]
-    head = powers[0] @ g.reshape(g.shape[0], -1)
-    grid_mom = fock.contract(head.reshape((k_max + 1,) + g.shape[1:]),
-                             [np.eye(k_max + 1)] + powers[1:])
+    grid_mom = fock.contract(g, powers)
     return grid_mom.transpose(np.argsort(order)) * math.prod(q.steps)
 
 
@@ -705,28 +702,37 @@ def plane_cut(field, kind: str, level: int | float | None = None) -> PlaneCut:
     raise DataError(f"unknown cut kind {kind!r}")
 
 
-def _plane_cut_grid(q: QuasiDistribution, kind: str, level: float | None) -> PlaneCut:
-    arr = q.values
-    if arr.ndim != 3:
-        raise DataError("plane cuts need a 3-axis field")
-    g0, g1, g2 = (q.grid(a) for a in range(3))
-    if kind == "diagonal":
-        k = np.arange(min(arr.shape[0], arr.shape[1]))
-        return PlaneCut("diagonal", None, g0[k], g2, arr[k, k])
+def check_grid_cut(kind: str, level: float | None) -> None:
+    """Raise DataError unless ``kind`` and ``level`` name a cut of a grid field.
+
+    Cheap enough to run before the grid is synthesized.
+    """
+    if kind not in ("diagonal", "triangular"):
+        raise DataError(f"unknown cut kind {kind!r}")
     if kind == "triangular":
         if level is None:
             raise DataError("triangular cuts need a level")
         if not math.isfinite(level):
             raise DataError(f"triangular cut level must be finite, got {level}")
-        # nearest grid plane W_2 = level - W_0 - W_1 (halves round to even)
-        w2 = level - g0[:, None] - g2[None, :]
-        on = (w2 >= 0) & (w2 <= g1[-1] + 0.5 * q.steps[1])
-        i, j = np.nonzero(on)
-        idx = np.clip(np.rint(w2[on] / q.steps[1] - 0.5).astype(np.intp), 0, arr.shape[1] - 1)
-        vals = np.full(w2.shape, np.nan)
-        vals[on] = arr[i, idx, j]
-        return PlaneCut("triangular", float(level), g0, g2, vals)
-    raise DataError(f"unknown cut kind {kind!r}")
+
+
+def _plane_cut_grid(q: QuasiDistribution, kind: str, level: float | None) -> PlaneCut:
+    arr = q.values
+    if arr.ndim != 3:
+        raise DataError("plane cuts need a 3-axis field")
+    check_grid_cut(kind, level)
+    g0, g1, g2 = (q.grid(a) for a in range(3))
+    if kind == "diagonal":
+        k = np.arange(min(arr.shape[0], arr.shape[1]))
+        return PlaneCut("diagonal", None, g0[k], g2, arr[k, k])
+    # triangular: nearest grid plane W_2 = level - W_0 - W_1 (halves round to even)
+    w2 = level - g0[:, None] - g2[None, :]
+    on = (w2 >= 0) & (w2 <= g1[-1] + 0.5 * q.steps[1])
+    i, j = np.nonzero(on)
+    idx = np.clip(np.rint(w2[on] / q.steps[1] - 0.5).astype(np.intp), 0, arr.shape[1] - 1)
+    vals = np.full(w2.shape, np.nan)
+    vals[on] = arr[i, idx, j]
+    return PlaneCut("triangular", float(level), g0, g2, vals)
 
 
 def default_mode_numbers(params) -> tuple[float, float, float]:

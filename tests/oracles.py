@@ -15,7 +15,7 @@ from scipy.special import gammaln, logsumexp
 
 from tripletwb import fock
 from tripletwb.detector import (DetectionMatrix, DetectorConfig, _matrices_for,
-                                default_c_max)
+                                _occupancy_log_table, default_c_max)
 from tripletwb.errors import DataError, NumericalError, ParameterError
 from tripletwb.fock import JointDistribution
 from tripletwb.nonclassical import _laguerre_kernel, _theta
@@ -80,6 +80,12 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings,
     The map ``emrec.em_reconstruct`` ran before it moved to the observed
     click box and ``fock.contract``. Returns (p, iterations, loglik trace,
     residual trace, converged).
+
+    The axes go in the order ``fock.contract`` sums them: 0, then d-1, ..., 1.
+    Unobserved click cells add exact zeros, so the two routes then round
+    alike (bit for bit on the tests' tables); in another order the
+    iterates drift apart by a few ulps, and the residual trace, a
+    difference of nearby iterates, by ~1e-12 relative.
     """
     mat_objs = _matrices_for(f.axis_labels, matrices)
     if photon_cutoffs is None:
@@ -87,14 +93,16 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings,
     mats = [np.ascontiguousarray(mat.entries[: cdim, : cut + 1])
             for mat, cut, cdim in zip(mat_objs, photon_cutoffs, f.values.shape)]
 
+    order = [0, *range(len(mats) - 1, 0, -1)]
+
     def forward(values):
-        for axis, mat in enumerate(mats):
-            values = fock.apply_matrix(values, mat, axis)
+        for axis in order:
+            values = fock.apply_matrix(values, mats[axis], axis)
         return values
 
     def backward(values):
-        for axis, mat in enumerate(mats):
-            values = fock.apply_matrix(values, mat.T, axis)
+        for axis in order:
+            values = fock.apply_matrix(values, mats[axis].T, axis)
         return values
 
     fv = f.values
@@ -143,6 +151,45 @@ def sample_clicks_pixelwise_copying(n: np.ndarray, cfg, rng: np.random.Generator
     dark = rng.binomial(N, cfg.dark_prob, size=frames)
     overlap = rng.hypergeometric(dark, N - dark, occupied)
     return occupied + dark - overlap
+
+
+def _binomial_log_pmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
+    if p == 0.0:
+        return np.where(k == 0, 0.0, -np.inf)
+    if p == 1.0:
+        return np.where(k == n, 0.0, -np.inf)
+    return (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+            + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def detection_matrix_loop(cfg: DetectorConfig, n_max: int, c_max: int) -> np.ndarray:
+    """The occupancy route of ``detector.detection_matrix``, one column term at a time.
+
+    For each n, k registered photons and j occupied pixels it adds
+    B(k|n) O(j|k) times the Binomial(N - j, d) dark-count pmf on rows c >= j.
+    Unnormalized and unchecked: the raw T(c|n) before the column check.
+    """
+    N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
+    ks = np.arange(n_max + 1)
+    occ_log = _occupancy_log_table(n_max, N)
+    T = np.zeros((c_max + 1, n_max + 1))
+    dark_log = {}  # per distinct-count j: Binomial(N - j, d) pmf over c - j
+    for n in range(n_max + 1):
+        pk = np.exp(_binomial_log_pmf(n, eta, ks[: n + 1]))  # registered photons
+        col = np.zeros(c_max + 1)
+        for k in range(n + 1):
+            if pk[k] == 0.0:
+                continue
+            pj = np.exp(occ_log[k, : k + 1])
+            for j in range(min(k, c_max) + 1):
+                if pj[j] == 0.0:
+                    continue
+                if j not in dark_log:
+                    m = np.arange(c_max + 1 - j)
+                    dark_log[j] = np.exp(_binomial_log_pmf(N - j, d, m))
+                col[j:] += pk[k] * pj[j] * dark_log[j]
+        T[:, n] = col
+    return T
 
 
 def detection_matrix_alternating(cfg: DetectorConfig, n_max: int,

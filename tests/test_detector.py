@@ -12,7 +12,8 @@ from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
 from tripletwb.errors import DataError, ParameterError
 from tripletwb.fock import JointDistribution
 
-from tests.oracles import detection_matrix_alternating, sample_clicks_pixelwise_copying
+from tests.oracles import (detection_matrix_alternating, detection_matrix_loop,
+                           sample_clicks_pixelwise_copying)
 
 
 IDEAL = DetectorConfig(pixels=10**6, efficiency=1.0, dark_rate=0.0)
@@ -101,6 +102,32 @@ def test_occupancy_and_alternating_routes_agree():
     a = detection_matrix(cfg, 4, c_max=12)
     b = detection_matrix_alternating(cfg, 4, c_max=12, clamp=1e-9)
     np.testing.assert_allclose(a.entries, b.entries, atol=1e-9)
+
+
+@pytest.mark.parametrize("cfg, n_max", [
+    (PAPER_TABLE_1["s"], 32),
+    (PAPER_TABLE_1["i1"], 20),
+    (DetectorConfig(pixels=7, efficiency=0.5, dark_rate=0.3), 12),  # n > pixels
+    (DetectorConfig(pixels=5, efficiency=1.0, dark_rate=0.0), 10),
+    (DetectorConfig(pixels=40, efficiency=0.0, dark_rate=2.0), 8),
+])
+def test_matrix_product_matches_the_term_loop(cfg, n_max):
+    c_max = default_c_max(cfg, n_max)
+    got = detection_matrix(cfg, n_max, c_max).entries
+    raw = detection_matrix_loop(cfg, n_max, c_max)
+    want = raw / raw.sum(axis=0, keepdims=True)
+    nonzero = want > 0
+    assert np.all(got[~nonzero] == 0.0)
+    assert np.max(np.abs(got[nonzero] - want[nonzero]) / want[nonzero]) <= 1e-14
+
+
+def test_too_few_click_rows_fail_the_column_check():
+    from tripletwb.errors import NumericalError
+    cfg = DetectorConfig(pixels=100, efficiency=0.9, dark_rate=0.0)
+    raw = detection_matrix_loop(cfg, 12, 4)
+    assert np.abs(raw.sum(axis=0) - 1.0).max() > 1e-9
+    with pytest.raises(NumericalError, match="increase c_max"):
+        detection_matrix(cfg, 12, c_max=4)
 
 
 def test_alternating_route_rejects_unstable_configs():

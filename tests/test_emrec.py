@@ -239,6 +239,25 @@ def test_observed_box_matches_full_box_with_start_and_reduced_cutoffs():
                             photon_cutoffs=cutoffs, start=start)
 
 
+def test_iterates_hold_no_subnormal_cells():
+    # only click 0 is observed and T(0|n) = 0.1^n, so the weight on n >= 1
+    # falls tenfold per map and passes through the subnormal range near
+    # map 308; the flushed iterate stops there, the full-box route keeps
+    # 1e-315 on (0, 1) and (1, 0)
+    cfg = DetectorConfig(pixels=100, efficiency=0.9, dark_rate=0.0)
+    mats = [detection_matrix(cfg, 3, c_max=3)] * 2
+    counts = np.zeros((4, 4), dtype=np.int64)
+    counts[0, 0] = 10
+    f = normalize(Histogram(counts, 10, ("s", "i1")))
+    settings = EmSettings(max_iterations=315, stop_tolerance=1e-320)
+    p = em_reconstruct(f, mats, settings).distribution.values
+    q = em_reconstruct_full_box(f, mats, settings)[0]
+    tiny = np.finfo(np.float64).tiny
+    assert np.any((q > 0) & (q < tiny))
+    assert not np.any((p > 0) & (p < tiny))
+    np.testing.assert_allclose(p, q, rtol=0.0, atol=tiny)
+
+
 def test_zero_probability_observed_cell_raises_in_observed_box():
     # i1 observes clicks 0 and 6; with photons <= 1 and no dark counts
     # click 6 has zero model probability

@@ -257,19 +257,27 @@ def test_condition_then_marginalize_commutes(v):
 # contract
 # ---------------------------------------------------------------------------
 
+def loop_contraction(values, mats):
+    for axis, mat in enumerate(mats):
+        values = apply_matrix(values, mat, axis)
+    return values
+
+
+def rectangular_mats(rng, shape, rows):
+    # "mixed" widens some axes and narrows others, "collapse" maps each
+    # axis to one row
+    width = {"mixed": lambda a, n: n + (2 if a % 2 else -1),
+             "collapse": lambda a, n: 1}[rows]
+    return [rng.random((width(a, n), n)) for a, n in enumerate(shape)]
+
+
 @pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 3), (6, 2, 5, 3)])
 @pytest.mark.parametrize("rows", ["mixed", "collapse"])
 def test_contract_matches_apply_matrix_loop(shape, rows):
     rng = np.random.default_rng(len(shape))
     values = rng.random(shape)
-    # rectangular on every axis: "mixed" widens some axes and narrows others,
-    # "collapse" maps each axis to one row
-    width = {"mixed": lambda a, n: n + (2 if a % 2 else -1),
-             "collapse": lambda a, n: 1}[rows]
-    mats = [rng.random((width(a, n), n)) for a, n in enumerate(shape)]
-    loop = values
-    for axis, mat in enumerate(mats):
-        loop = apply_matrix(loop, mat, axis)
+    mats = rectangular_mats(rng, shape, rows)
+    loop = loop_contraction(values, mats)
     got = contract(values, mats)
     assert got.shape == loop.shape
     assert got.flags.c_contiguous
@@ -277,13 +285,37 @@ def test_contract_matches_apply_matrix_loop(shape, rows):
     np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
 
 
+def laid_out(values, layout):
+    """The same table in Fortran order or as a strided view."""
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    # every other cell of a table twice as long on each axis
+    big = np.zeros(tuple(2 * n for n in values.shape))
+    view = big[tuple(slice(None, None, 2) for _ in values.shape)]
+    view[...] = values
+    return view
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 3), (6, 2, 5, 3)])
+@pytest.mark.parametrize("rows", ["mixed", "collapse"])
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_contract_reads_any_layout_with_either_matrix_order(shape, rows, layout):
+    rng = np.random.default_rng(len(shape))
+    values = rng.random(shape)
+    mats = rectangular_mats(rng, shape, rows)
+    loop = loop_contraction(values, mats)
+    # C-ordered matrices and Fortran-ordered ones (the EM passes those)
+    for ms in (mats, [np.asfortranarray(m) for m in mats]):
+        got = contract(laid_out(values, layout), ms)
+        assert got.flags.c_contiguous and got.flags.owndata
+        np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
+
+
 def test_contract_reads_strided_input_and_checks_rank():
     rng = np.random.default_rng(9)
     values = rng.random((4, 5, 6)).transpose(2, 0, 1)
     mats = [rng.random((3, n)) for n in values.shape]
-    loop = values
-    for axis, mat in enumerate(mats):
-        loop = apply_matrix(loop, mat, axis)
+    loop = loop_contraction(values, mats)
     np.testing.assert_allclose(contract(values, mats), loop, rtol=1e-14, atol=0.0)
     with pytest.raises(DataError):
         contract(values, mats[:2])

@@ -1,10 +1,12 @@
 """Forward field model: Mandel-Rice components, pairing, noise, sampling."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from tripletwb.errors import DataError, ParameterError
-from tripletwb.fock import JointDistribution, marginalize
+from tripletwb.errors import CutoffError, DataError, ParameterError
+from tripletwb.fock import AXIS_ORDER, JointDistribution, contract, marginalize
 from tripletwb.gaussian import (PAPER_TABLE_2, GaussianFieldModel,
                                 MandelRiceComponent, TripleTwbParams,
                                 compose_with_noise, mandel_rice_pmf,
@@ -202,6 +204,78 @@ def test_sampling_chi_square_against_composed_table(model4):
 def test_sampling_rejects_empty_request():
     with pytest.raises(DataError):
         sample_photon_numbers(PAPER_TABLE_2, 0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the model table as nested convolutions
+# ---------------------------------------------------------------------------
+
+def two_step_route(model):
+    """The model table the long way: the paired table, then the noise sweeps."""
+    paired = paired_part(model.params, model.signal_cutoff, model.idler_cutoffs,
+                         tail_tol=model.tail_tol)
+    return compose_with_noise(paired, model.params, tail_tol=model.tail_tol)
+
+
+NESTED_CASES = {
+    "preset 32/(20,20,20)": (PAPER_TABLE_2, 32, (20, 20, 20), 1e-3),
+    "signal cutoff above the idler sum": (PAPER_TABLE_2, 40, (8, 8, 8), 0.2),
+    "unequal idler cutoffs": (PAPER_TABLE_2, 24, (6, 9, 12), 0.2),
+    "B = 0 pair and B = 0 noise": (
+        dataclasses.replace(PAPER_TABLE_2, pair_2=zero(3.0), noise_i3=zero(0.5)),
+        24, (6, 9, 12), 0.2),
+    "B = 0 signal noise": (dataclasses.replace(PAPER_TABLE_2, noise_s=zero()),
+                           10, (12, 3, 20), 0.9),
+}
+
+
+@pytest.mark.parametrize("case", list(NESTED_CASES))
+def test_distribution_matches_paired_then_composed(case):
+    params, s_cut, i_cuts, tol = NESTED_CASES[case]
+    model = GaussianFieldModel(params, s_cut, i_cuts, tail_tol=tol)
+    got = model.distribution()
+    want = two_step_route(model).values
+    assert got.normalized and got.axis_labels == AXIS_ORDER
+    assert got.values.shape == want.shape == (s_cut + 1,) + tuple(c + 1 for c in i_cuts)
+    nonzero = want > 0
+    rel = np.abs(got.values[nonzero] - want[nonzero]) / want[nonzero]
+    assert rel.max() <= 1e-13
+    # the cells the two-step route leaves empty (t < K, m_j < k_j) stay empty
+    np.testing.assert_array_equal(got.values[~nonzero], 0.0)
+
+
+def cutoff_message(fn):
+    with pytest.raises(CutoffError) as exc:
+        fn()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("check", ["paired part", "composed model"])
+def test_distribution_tail_checks_match_two_step_route(check):
+    # 12/(5,5,5) discards the pairs beyond an idler cutoff or with K > 12,
+    # and the noise beyond the box on top; each check fires just below the
+    # mass it reads
+    s_cut, i_cuts = 12, (5, 5, 5)
+    paired = paired_part(PAPER_TABLE_2, s_cut, i_cuts, tail_tol=1.0)
+    # summing a Toeplitz sweep's output rows leaves the reversed noise cdf
+    cdfs = [np.cumsum(mandel_rice_vector(n - 1, comp))[::-1][None, :]
+            for n, comp in zip(paired.values.shape, PAPER_TABLE_2.noises)]
+    lost = {"paired part": 1.0 - paired.total(),
+            "composed model": 1.0 - contract(paired.values, cdfs).item()}
+    assert 0.0 < lost["paired part"] < lost["composed model"] < 1.0
+    below = GaussianFieldModel(PAPER_TABLE_2, s_cut, i_cuts,
+                               tail_tol=lost[check] * (1 - 1e-9))
+    above = GaussianFieldModel(PAPER_TABLE_2, s_cut, i_cuts,
+                               tail_tol=lost[check] * (1 + 1e-9))
+    got = cutoff_message(below.distribution)
+    assert got == cutoff_message(lambda: two_step_route(below))
+    assert got.startswith(f"{check}: discarded tail mass")
+    if check == "paired part":
+        # past the paired check, the composed one still fires
+        assert cutoff_message(above.distribution).startswith("composed model:")
+    else:
+        assert above.distribution().normalized
+        assert two_step_route(above).normalized
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from tripletwb import io
 from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1
 from tripletwb.errors import DataError
-from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution
+from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, condition
 
 from tests.oracles import write_cells_loop
 
@@ -311,6 +311,41 @@ def test_cli_ncc(runner, workdir, dist3):
     assert json.loads(out.read_text())["tau"] is not None
 
 
+@pytest.fixture(scope="module")
+def ideal_ns10(workdir, model4):
+    """The exact idler field of the shipped model post-selected on n_s = 10."""
+    path = workdir / "ideal_ns10.csv"
+    io.save_distribution(condition(model4, "s", 10), path)
+    return path
+
+
+def test_cli_ncc_intensity_tail_tol(runner, workdir, ideal_ns10):
+    # the outer shell of this field carries 4.5e-3 of the order-2 moment
+    res = runner.invoke(main, [
+        "ncc", "--dist", str(ideal_ns10), "--criterion", "cs", "--kind", "intensity"])
+    assert res.exit_code == 2, res.output
+    assert "outer shell carries" in res.output
+    out = workdir / "ncc_ns10.json"
+    res = runner.invoke(main, [
+        "ncc", "--dist", str(ideal_ns10), "--criterion", "cs", "--kind", "intensity",
+        "--tail-tol", "2e-2", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["tau"] > 0.0
+    manifest = json.loads((workdir / "ncc_ns10.json.manifest.json").read_text())
+    assert manifest["settings"]["tail_tol"] == 2e-2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
+def test_cli_ncc_rejects_a_bad_tail_tol(runner, workdir, dist3, tol):
+    out = workdir / f"ncc_tol_{tol}.json"
+    res = runner.invoke(main, [
+        "ncc", "--dist", str(dist3), "--criterion", "cs", "--kind", "intensity",
+        "--tail-tol", tol, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "--tail-tol must be finite and > 0" in res.output
+    assert not out.exists()
+
+
 def test_cli_ncd_field_and_cut(runner, workdir, dist3):
     field_out = workdir / "field.csv"
     res = runner.invoke(main, [
@@ -375,6 +410,25 @@ def test_cli_quasi_nonfinite_level_exits_2(runner, workdir, dist3_poisson):
         "--level", "nan", "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "level must be finite" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", [None, "nan"])
+def test_cli_quasi_checks_the_cut_before_the_grid(runner, workdir, dist3_poisson,
+                                                   monkeypatch, level):
+    from tripletwb import nonclassical
+    calls = []
+    synthesize = nonclassical.quasi_distribution_W
+    monkeypatch.setattr(nonclassical, "quasi_distribution_W",
+                        lambda *a, **k: calls.append(1) or synthesize(*a, **k))
+    out = workdir / f"cut_first_{level}.csv"
+    extra = [] if level is None else ["--level", level]
+    res = runner.invoke(main, [
+        "quasi", "--dist", str(dist3_poisson), "--s", "0.5", "--cut", "triangular",
+        *extra, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert ("need a level" if level is None else "level must be finite") in res.output
+    assert calls == []
     assert not out.exists()
 
 
