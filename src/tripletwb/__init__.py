@@ -26,7 +26,7 @@ from .nonclassical import (IntensityMoments, NccResult, NcdField, NcdResult,
                            quasi_distribution_W, quasi_probabilities,
                            s_transform_moments)
 from .postselect import (PostselectSweep, SweepRow, conditioned_field,
-                         corr_fluct, fano, photocount_sweep,
-                         sweep_distribution, sweep_histogram)
+                         corr_fluct, fano, sweep_distribution,
+                         sweep_histogram)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

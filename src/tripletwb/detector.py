@@ -167,17 +167,26 @@ def detection_matrix(cfg: DetectorConfig, n_max: int,
 
 def forward_counts(p: JointDistribution,
                    matrices: dict[str, DetectionMatrix] | list[DetectionMatrix]) -> JointDistribution:
-    """Photocount distribution f(c) = sum_n prod_axes T(c|n) p(n)."""
+    """Photocount distribution f(c) = sum_n prod_axes T(c|n) p(n).
+
+    A normalized ``p`` gives a normalized table, written once: the click-box
+    mass z = sum_n p(n) prod_a sum_c T_a(c|n) comes from contracting ``p``
+    with the column sums of each matrix (one read of the photon table), and
+    the leading axis is contracted with T_0 / z. No pass over the finished
+    click table sums or rescales it. An unnormalized ``p`` gets the plain
+    contraction.
+    """
     mats = _matrices_for(p.axis_labels, matrices)
     for label, mat, size in zip(p.axis_labels, mats, p.values.shape):
         if mat.n_max + 1 < size:
             raise DataError(
                 f"detection matrix covers n <= {mat.n_max}, table needs "
                 f"{size - 1} on axis {label}")
-    vals = contract(p.values, [m.entries[:, :size] for m, size in zip(mats, p.values.shape)])
+    ts = [m.entries[:, :size] for m, size in zip(mats, p.values.shape)]
     if p.normalized:
-        vals /= vals.sum()  # contract returns a fresh table: no second copy
-    return JointDistribution(vals, p.axis_labels, normalized=p.normalized)
+        z = contract(p.values, [t.sum(axis=0, keepdims=True) for t in ts]).item()
+        ts[0] = ts[0] / z
+    return JointDistribution(contract(p.values, ts), p.axis_labels, normalized=p.normalized)
 
 
 def _matrices_for(labels, matrices):

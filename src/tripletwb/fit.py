@@ -15,8 +15,9 @@ One objective evaluation builds, for up to 12 unfolding steps, the 4D
 photon table of the current parameters and contracts it once with the
 power rows 1, c, c^2 pushed through each detection matrix; that gives the
 click means and covariances without the click table. It then maps the
-final photon table forward to the click table once and scores it: one
-pass over every cell plus a correction on the histogram's observed cells.
+final photon table forward to the click table, which comes out of the
+contraction already normalized, and scores it: one read of every cell, in
+cache-sized blocks, plus a correction on the histogram's observed cells.
 """
 from __future__ import annotations
 
@@ -33,6 +34,9 @@ from .fock import AXIS_ORDER, Histogram, JointDistribution, contract
 from .gaussian import GaussianFieldModel, MandelRiceComponent, TripleTwbParams
 
 DECLINATION_EPS = 1e-10
+#: Cells per block of the declination's dense term: 256 KB, which stays in
+#: cache between the clip and the dot product that reads it back
+DECLINATION_BLOCK = 1 << 15
 B_MIN, B_MAX = 1e-8, 1e3
 M_MIN, M_MAX = 1e-6, 1e4
 MEAN_FLOOR = 1e-8
@@ -101,9 +105,12 @@ def declination(h: Histogram, f_model: JointDistribution) -> float:
     """Pearson-weighted squared deviation between histogram and model.
 
     sum_c (r - f)^2 / max(f, eps) with r = counts / trials. Unobserved
-    cells (r = 0) contribute f^2 / max(f, eps) = f min(f, eps) / eps; that
-    sum is taken over every cell in one pass and the observed cells are
-    then corrected by r (r - 2 f) / max(f, eps) on the histogram's support.
+    cells (r = 0) contribute f^2 / max(f, eps) = f min(f, eps) / eps. That
+    sum is taken over every cell in blocks of ``DECLINATION_BLOCK`` cells
+    (256 KB), each clipped into one reused buffer while it is still in
+    cache, so the table is read once and no table-sized temporary is made.
+    The observed cells are then corrected by r (r - 2 f) / max(f, eps) on
+    the histogram's support.
     """
     f = f_model.values
     if h.counts.shape != f.shape:
@@ -112,7 +119,13 @@ def declination(h: Histogram, f_model: JointDistribution) -> float:
         raise DataError("empty histogram")
     cells, rel = h.support
     flat = f.reshape(-1)
-    dense = float(np.dot(flat, np.minimum(flat, DECLINATION_EPS))) / DECLINATION_EPS
+    buf = np.empty(min(DECLINATION_BLOCK, flat.size))
+    dense = 0.0
+    for start in range(0, flat.size, DECLINATION_BLOCK):
+        block = flat[start: start + DECLINATION_BLOCK]
+        clipped = np.minimum(block, DECLINATION_EPS, out=buf[: block.size])
+        dense += float(np.dot(block, clipped))
+    dense /= DECLINATION_EPS
     fs = flat[cells]
     return dense + float(np.sum(rel * (rel - 2.0 * fs) / np.maximum(fs, DECLINATION_EPS)))
 

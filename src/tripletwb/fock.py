@@ -57,10 +57,13 @@ class JointDistribution:
         if arr.ndim < 1 or arr.ndim > 4:
             raise DataError(f"tables must have 1 to 4 axes, got {arr.ndim}")
         _check_labels(self.axis_labels, arr.ndim)
-        if np.any(arr < 0):
-            raise DataError("negative cell in a probability table")
-        if self.normalized and abs(arr.sum() - 1.0) > NORM_TOL:
-            raise DataError(f"normalized table sums to {arr.sum()!r}")
+        # written so that NaN fails both comparisons
+        if not np.all(arr >= 0):
+            raise DataError("negative or NaN cell in a probability table")
+        if self.normalized:
+            total = arr.sum()
+            if not abs(total - 1.0) <= NORM_TOL:
+                raise DataError(f"normalized table sums to {total!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "axis_labels", tuple(self.axis_labels))
@@ -259,14 +262,3 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
         np.matmul(np.asfortranarray(mat), x.reshape(c0, -1, n).transpose(0, 2, 1),
                   out=out.reshape(c0, mat.shape[0], -1))
     return out
-
-
-def pad_to(d: JointDistribution, cutoffs: Sequence[int]) -> JointDistribution:
-    """Zero-pad the table so each axis reaches at least the given cutoff."""
-    shape = d.values.shape
-    target = tuple(max(s, c + 1) for s, c in zip(shape, cutoffs))
-    if target == shape:
-        return d
-    vals = np.zeros(target)
-    vals[tuple(slice(0, s) for s in shape)] = d.values
-    return JointDistribution(vals, d.axis_labels, normalized=d.normalized)

@@ -168,8 +168,10 @@ class GaussianFieldModel:
         of shape (s + 1)(c + 1) x (s + 1); the last one writes the C-ordered
         table in rows of (c_2 + 1)(c_3 + 1). No paired table is built. The
         paired part's tail check reads the pair mass with K <= s from two
-        ``np.convolve`` calls; the composed-mass check and the
-        normalization are those of ``compose_with_noise``.
+        ``np.convolve`` calls. The composed mass is the column sums of B_1
+        against the row sums of G_2, taken before the last GEMM; it gets
+        ``compose_with_noise``'s tail check, and the last GEMM multiplies
+        by B_1 / mass, so the table is written once, already normalized.
         """
         s_cut = self.signal_cutoff
         pairs = [mandel_rice_vector(c, comp)
@@ -181,11 +183,13 @@ class GaussianFieldModel:
         g = mandel_rice_vector(s_cut, self.params.noise_s)
         for b in reversed(steps[1:]):
             g = b @ g.reshape(s_cut + 1, -1)
-        vals = np.empty((s_cut + 1,) + tuple(c + 1 for c in self.idler_cutoffs))
-        np.matmul(steps[0], g.reshape(s_cut + 1, -1), out=vals.reshape(steps[0].shape[0], -1))
-        mass = vals.sum()
+        g = g.reshape(s_cut + 1, -1)
+        # the table's mass is 1^T B_1 G 1: checked before the last GEMM,
+        # which then writes the normalized table once
+        mass = steps[0].sum(axis=0) @ g.sum(axis=1)
         check_tail(1.0 - mass, self.tail_tol, "composed model")
-        vals /= mass
+        vals = np.empty((s_cut + 1,) + tuple(c + 1 for c in self.idler_cutoffs))
+        np.matmul(steps[0] / mass, g, out=vals.reshape(steps[0].shape[0], -1))
         return JointDistribution(vals, AXIS_ORDER, normalized=True)
 
 

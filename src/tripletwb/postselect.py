@@ -174,17 +174,3 @@ def sweep_histogram(h: Histogram, idler_matrices: list[DetectionMatrix],
         em.append({"selector": c_s, "iterations": rec.iterations,
                    "residual": rec.residual, "converged": rec.converged})
     return PostselectSweep("c_s", tuple(rows), tuple(gaps), tuple(em))
-
-
-def photocount_sweep(h: Histogram, values: range | list[int],
-                     mass_floor: float = MASS_FLOOR) -> PostselectSweep:
-    """Click-level sweep (no reconstruction): statistics of histogram slices."""
-    f = normalize(h)
-    rows, gaps = [], []
-    for c_s in values:
-        mass = slice_mass(f, "s", c_s)
-        if mass < mass_floor:
-            gaps.append(c_s)
-            continue
-        rows.append(_stats_row(c_s, mass, condition(f, "s", c_s)))
-    return PostselectSweep("c_s", tuple(rows), tuple(gaps))

@@ -133,6 +133,17 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings,
     return p, it, np.asarray(logliks), np.asarray(residuals), converged
 
 
+def forward_counts_then_normalized(p: JointDistribution, matrices) -> np.ndarray:
+    """The click table contracted first and divided by its sum afterwards.
+
+    The route ``detector.forward_counts`` took before it folded the
+    normalization into the leading axis's matrix.
+    """
+    mats = _matrices_for(p.axis_labels, matrices)
+    vals = fock.contract(p.values, [m.entries[:, :size] for m, size in zip(mats, p.values.shape)])
+    return vals / vals.sum()
+
+
 def sample_clicks_pixelwise_copying(n: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
     """``detector._sample_clicks_pixelwise`` with a fresh array per step.
 

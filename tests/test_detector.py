@@ -10,10 +10,10 @@ from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 _sample_clicks_pixelwise, default_c_max, detection_matrix,
                                 forward_counts, sample_counts, simulate_pixel_clicks)
 from tripletwb.errors import DataError, ParameterError
-from tripletwb.fock import JointDistribution
+from tripletwb.fock import JointDistribution, contract
 
 from tests.oracles import (detection_matrix_alternating, detection_matrix_loop,
-                           sample_clicks_pixelwise_copying)
+                           forward_counts_then_normalized, sample_clicks_pixelwise_copying)
 
 
 IDEAL = DetectorConfig(pixels=10**6, efficiency=1.0, dark_rate=0.0)
@@ -225,6 +225,39 @@ def test_forward_counts_builds_one_click_table():
         tracemalloc.stop()
     assert f.values.shape == (43, 31, 31, 31)
     assert peak < 1.9 * f.values.nbytes
+
+
+def preset_click_box_matrices():
+    return {l: detection_matrix(PAPER_TABLE_1[l], n, c)
+            for l, n, c in zip(("s", "i1", "i2", "i3"), (32, 20, 20, 20), (42, 30, 30, 30))}
+
+
+def random_photon_table(seed):
+    vals = np.random.default_rng(seed).random((33, 21, 21, 21))
+    return JointDistribution(vals / vals.sum(), ("s", "i1", "i2", "i3"), normalized=True)
+
+
+@pytest.mark.parametrize("source", ["preset", "random"])
+def test_forward_counts_matches_contract_then_normalize(source, model4):
+    p = model4 if source == "preset" else random_photon_table(11)
+    mats = preset_click_box_matrices()
+    got = forward_counts(p, mats).values
+    want = forward_counts_then_normalized(p, mats)
+    assert got.shape == (43, 31, 31, 31)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    nz = want != 0.0
+    assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 1e-14
+    assert abs(got.sum() - 1.0) <= 1e-14
+
+
+def test_forward_counts_of_an_unnormalized_table_is_the_plain_contraction():
+    vals = np.random.default_rng(12).random((33, 21, 21, 21)) * 3.0
+    p = JointDistribution(vals, ("s", "i1", "i2", "i3"))
+    mats = preset_click_box_matrices()
+    f = forward_counts(p, mats)
+    assert not f.normalized
+    want = contract(vals, [mats[l].entries for l in ("s", "i1", "i2", "i3")])
+    np.testing.assert_array_equal(f.values, want)
 
 
 def test_vacuum_dark_floor():

@@ -1,6 +1,7 @@
 """Moment extraction, declination scoring, and the parameter fit."""
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_declination_matches_dense_sum_on_sampled_histogram(f_model):
     h = clicks_to_histogram(clicks, (42, 30, 30, 30))
     want = declination_dense(h, f_model)
     assert abs(declination(h, f_model) - want) <= 1e-12 * want
+
+
+def test_declination_makes_no_table_sized_temporary(f_model):
+    counts = np.zeros(f_model.values.shape, dtype=np.int64)
+    counts[3, 2, 2, 2], counts[5, 4, 3, 1] = 6, 4
+    h = Histogram(counts, 10)
+    h.support  # cached before the measurement, as in a fit
+    tracemalloc.start()
+    try:
+        d = declination(h, f_model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(d)
+    assert peak < f_model.values.nbytes / 10
 
 
 # ------------------------------------------------------- moment closure

@@ -36,6 +36,17 @@ def test_normalized_flag_checks_total():
         table([[0.5, 0.1]], ("s", "i1"))  # sums to 0.6
 
 
+@pytest.mark.parametrize("normalized", [True, False])
+def test_nan_cell_rejected(normalized):
+    with pytest.raises(DataError, match="NaN"):
+        table([0.5, np.nan, 0.5], ("s",), normalized=normalized)
+
+
+def test_normalized_flag_rejects_an_infinite_total():
+    with pytest.raises(DataError, match="sums to"):
+        table([0.5, np.inf, 0.5], ("s",))
+
+
 def test_axis_labels_must_follow_canonical_order():
     with pytest.raises(DataError):
         JointDistribution(np.ones((2, 2)) / 4, ("i1", "s"), normalized=True)
