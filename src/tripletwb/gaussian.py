@@ -184,8 +184,6 @@ class GaussianFieldModel:
         for b in reversed(steps[1:]):
             g = b @ g.reshape(s_cut + 1, -1)
         g = g.reshape(s_cut + 1, -1)
-        # the table's mass is 1^T B_1 G 1: checked before the last GEMM,
-        # which then writes the normalized table once
         mass = steps[0].sum(axis=0) @ g.sum(axis=1)
         check_tail(1.0 - mass, self.tail_tol, "composed model")
         vals = np.empty((s_cut + 1,) + tuple(c + 1 for c in self.idler_cutoffs))

@@ -210,23 +210,6 @@ def test_forward_with_identity_matrices_is_identity(model4):
     np.testing.assert_allclose(f.values, model4.values, rtol=1e-12)
 
 
-def test_forward_counts_builds_one_click_table():
-    # the 42/30 click box of 33 x 21^3 photons: 10.2 MB; the last GEMM's
-    # 7 MB operand is alive while it is written, a second table is not
-    mats = {l: detection_matrix(PAPER_TABLE_1[l], n, c)
-            for l, n, c in zip(("s", "i1", "i2", "i3"), (32, 20, 20, 20), (42, 30, 30, 30))}
-    vals = np.random.default_rng(5).random((33, 21, 21, 21))
-    p = JointDistribution(vals / vals.sum(), ("s", "i1", "i2", "i3"), normalized=True)
-    tracemalloc.start()
-    try:
-        f = forward_counts(p, mats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert f.values.shape == (43, 31, 31, 31)
-    assert peak < 1.9 * f.values.nbytes
-
-
 def preset_click_box_matrices():
     return {l: detection_matrix(PAPER_TABLE_1[l], n, c)
             for l, n, c in zip(("s", "i1", "i2", "i3"), (32, 20, 20, 20), (42, 30, 30, 30))}
@@ -235,6 +218,21 @@ def preset_click_box_matrices():
 def random_photon_table(seed):
     vals = np.random.default_rng(seed).random((33, 21, 21, 21))
     return JointDistribution(vals / vals.sum(), ("s", "i1", "i2", "i3"), normalized=True)
+
+
+def test_forward_counts_builds_one_click_table():
+    # the 42/30 click box of 33 x 21^3 photons: 10.2 MB; the last GEMM's
+    # 7 MB operand is alive while it is written, a second table is not
+    mats = preset_click_box_matrices()
+    p = random_photon_table(5)
+    tracemalloc.start()
+    try:
+        f = forward_counts(p, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.shape == (43, 31, 31, 31)
+    assert peak < 1.9 * f.values.nbytes
 
 
 @pytest.mark.parametrize("source", ["preset", "random"])
