@@ -15,8 +15,8 @@ from .fit import FitReport, declination, fit, photocount_moments
 from .fock import (Histogram, JointDistribution, condition, factorial_moment,
                    marginalize, normalize)
 from .gaussian import (GaussianFieldModel, MandelRiceComponent, PAPER_TABLE_2,
-                       TripleTwbParams, compose_with_noise, mandel_rice_pmf,
-                       model_moments, paired_part, sample_photon_numbers)
+                       TripleTwbParams, mandel_rice_pmf, model_moments,
+                       sample_photon_numbers)
 from .nonclassical import (IntensityMoments, NccResult, NcdField, NcdResult,
                            NcdSettings, PlaneCut, QuasiDistribution,
                            QuasiProbabilityTable, intensity_moments,

@@ -83,7 +83,8 @@ class DetectionMatrix:
     def __post_init__(self):
         arr = np.ascontiguousarray(self.entries, dtype=np.float64)
         sums = arr.sum(axis=0)
-        if np.any(arr < 0) or np.any(np.abs(sums - 1.0) > COLUMN_TOL):
+        # written so that a NaN entry or column sum fails them
+        if not np.all(arr >= 0) or not np.all(np.abs(sums - 1.0) <= COLUMN_TOL):
             raise NumericalError("detection matrix is not column-stochastic")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)

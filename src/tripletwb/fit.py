@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detector import DetectorConfig, detection_matrix, forward_counts
 from .errors import CutoffError, DataError, NumericalError, ParameterError
@@ -325,6 +324,9 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
         if state["best"] is None or d < state["best"][0]:
             state["best"] = (d, params, eff, mom)
         return d
+
+    # imported here so that commands other than fit skip scipy.optimize's start-up cost
+    from scipy.optimize import minimize
 
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxfev": max_evals, "xatol": 1e-3, "fatol": 1e-10})

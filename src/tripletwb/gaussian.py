@@ -12,9 +12,9 @@ On a truncation box the model table is
 with p_j the pair pmfs, N the noise pmfs and K = k_1 + k_2 + k_3 the pair
 photons on the signal axis. :meth:`GaussianFieldModel.distribution` sums it
 as three nested signal-axis convolutions, one idler at a time.
-:func:`paired_part` and :func:`compose_with_noise` build the same table the
-long way: the paired table on the hyperplane t = K, then one Toeplitz
-convolution per axis.
+``tests/oracles.py`` builds the same table the long way, as the tests'
+reference: the paired table on the hyperplane t = K (``paired_part``), then
+one Toeplitz convolution per axis (``compose_with_noise``).
 """
 from __future__ import annotations
 
@@ -156,9 +156,10 @@ class GaussianFieldModel:
             M(t, m_1, m_2, m_3) = sum_k N_s(t - K) prod_j A_j(k_j, m_j),
 
         K = k_1 + k_2 + k_3, over K <= t <= signal cutoff and
-        k_j <= m_j <= idler cutoff: the terms that ``paired_part`` followed
-        by ``compose_with_noise`` sum. The sum is nested one idler at a
-        time, each step a convolution along the signal axis:
+        k_j <= m_j <= idler cutoff: the terms that the oracle route in
+        ``tests/oracles.py`` sums (``paired_part``, then
+        ``compose_with_noise``). The sum is nested one idler at a time, each
+        step a convolution along the signal axis:
 
             G_3(t, m_3) = sum_k A_3(k, m_3) N_s(t - k)
             G_2(t, m_2, m_3) = sum_k A_2(k, m_2) G_3(t - k, m_3)
@@ -170,8 +171,8 @@ class GaussianFieldModel:
         paired part's tail check reads the pair mass with K <= s from two
         ``np.convolve`` calls. The composed mass is the column sums of B_1
         against the row sums of G_2, taken before the last GEMM; it gets
-        ``compose_with_noise``'s tail check, and the last GEMM multiplies
-        by B_1 / mass, so the table is written once, already normalized.
+        the "composed model" tail check, and the last GEMM multiplies by
+        B_1 / mass, so the table is written once, already normalized.
         """
         s_cut = self.signal_cutoff
         pairs = [mandel_rice_vector(c, comp)
@@ -211,46 +212,6 @@ def _signal_shift_matrix(pair: np.ndarray, noise: np.ndarray, signal_cutoff: int
     shift = t[:, None] - t[None, :]
     b = padded[np.where(shift >= 0, shift, signal_cutoff + 1)]  # [t, u, m]
     return b.transpose(0, 2, 1).reshape(-1, signal_cutoff + 1)
-
-
-def paired_part(params: TripleTwbParams,
-                signal_cutoff: int = DEFAULT_SIGNAL_CUTOFF,
-                idler_cutoffs: tuple[int, int, int] = (DEFAULT_IDLER_CUTOFF,) * 3,
-                tail_tol: float = fock.TAIL_TOL) -> JointDistribution:
-    """Paired 4D distribution, supported on n_s = n_i1 + n_i2 + n_i3.
-
-    Each pair component contributes identical photon numbers on the signal
-    and its idler axis, so the joint table is the outer product of the three
-    idler Mandel-Rice pmfs placed on the pairing hyperplane.
-    """
-    c1, c2, c3 = idler_cutoffs
-    p1 = mandel_rice_vector(c1, params.pair_1)
-    p2 = mandel_rice_vector(c2, params.pair_2)
-    p3 = mandel_rice_vector(c3, params.pair_3)
-    outer = p1[:, None, None] * p2[None, :, None] * p3[None, None, :]
-    vals = np.zeros((signal_cutoff + 1, c1 + 1, c2 + 1, c3 + 1))
-    n1, n2, n3 = np.indices(outer.shape)
-    total = n1 + n2 + n3
-    inside = total <= signal_cutoff
-    vals[total[inside], n1[inside], n2[inside], n3[inside]] = outer[inside]
-    check_tail(1.0 - vals.sum(), tail_tol, "paired part")
-    return JointDistribution(vals, AXIS_ORDER)
-
-
-def compose_with_noise(paired: JointDistribution, params: TripleTwbParams,
-                       tail_tol: float = fock.TAIL_TOL) -> JointDistribution:
-    """Convolve independent Mandel-Rice noise onto each axis of the paired part."""
-    convs = []
-    for size, comp in zip(paired.values.shape, params.noises):
-        pmf = mandel_rice_vector(size - 1, comp)
-        # lower-triangular Toeplitz: conv[n, l] = pmf[n - l]; B = 0 gives the identity
-        idx = np.arange(size)
-        diff = idx[:, None] - idx[None, :]
-        convs.append(np.where(diff >= 0, pmf[np.clip(diff, 0, size - 1)], 0.0))
-    vals = fock.contract(paired.values, convs)
-    mass = vals.sum()
-    check_tail(1.0 - mass, tail_tol, "composed model")
-    return JointDistribution(vals / mass, paired.axis_labels, normalized=True)
 
 
 def model_moments(params: TripleTwbParams) -> dict:

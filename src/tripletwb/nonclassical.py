@@ -330,8 +330,13 @@ def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
     boxes = [int(n_box)] * ndim if np.isscalar(n_box) else [int(b) for b in n_box]
     vals = d.values
     if method == "resummed":
-        mats = [_resummed_smoothing_matrix(nb, size - 1, s, M)
-                for size, M, nb in zip(vals.shape, modes, boxes)]
+        # axes that share (box, size, M) share one matrix, built once per call
+        built = {}
+        mats = []
+        for nb, size, M in zip(boxes, vals.shape, modes):
+            if (nb, size, M) not in built:
+                built[nb, size, M] = _resummed_smoothing_matrix(nb, size - 1, s, M)
+            mats.append(built[nb, size, M])
         return QuasiProbabilityTable(fock.contract(vals, mats), s, modes)
     if method != "series":
         raise DataError(f"unknown method {method!r}")

@@ -17,7 +17,9 @@ from tripletwb import fock
 from tripletwb.detector import (DetectionMatrix, DetectorConfig, _matrices_for,
                                 _occupancy_log_table, default_c_max)
 from tripletwb.errors import DataError, NumericalError, ParameterError
-from tripletwb.fock import JointDistribution
+from tripletwb.fock import AXIS_ORDER, JointDistribution, check_tail
+from tripletwb.gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF,
+                                TripleTwbParams, mandel_rice_vector)
 from tripletwb.nonclassical import _laguerre_kernel, _theta
 
 
@@ -142,6 +144,52 @@ def forward_counts_then_normalized(p: JointDistribution, matrices) -> np.ndarray
     mats = _matrices_for(p.axis_labels, matrices)
     vals = fock.contract(p.values, [m.entries[:, :size] for m, size in zip(mats, p.values.shape)])
     return vals / vals.sum()
+
+
+def paired_part(params: TripleTwbParams,
+                signal_cutoff: int = DEFAULT_SIGNAL_CUTOFF,
+                idler_cutoffs: tuple[int, int, int] = (DEFAULT_IDLER_CUTOFF,) * 3,
+                tail_tol: float = fock.TAIL_TOL) -> JointDistribution:
+    """Paired 4D distribution, supported on n_s = n_i1 + n_i2 + n_i3.
+
+    Each pair component contributes identical photon numbers on the signal
+    and its idler axis, so the joint table is the outer product of the three
+    idler Mandel-Rice pmfs placed on the pairing hyperplane. The first half
+    of the long route to ``GaussianFieldModel.distribution``'s table;
+    ``compose_with_noise`` is the second.
+    """
+    c1, c2, c3 = idler_cutoffs
+    p1 = mandel_rice_vector(c1, params.pair_1)
+    p2 = mandel_rice_vector(c2, params.pair_2)
+    p3 = mandel_rice_vector(c3, params.pair_3)
+    outer = p1[:, None, None] * p2[None, :, None] * p3[None, None, :]
+    vals = np.zeros((signal_cutoff + 1, c1 + 1, c2 + 1, c3 + 1))
+    n1, n2, n3 = np.indices(outer.shape)
+    total = n1 + n2 + n3
+    inside = total <= signal_cutoff
+    vals[total[inside], n1[inside], n2[inside], n3[inside]] = outer[inside]
+    check_tail(1.0 - vals.sum(), tail_tol, "paired part")
+    return JointDistribution(vals, AXIS_ORDER)
+
+
+def compose_with_noise(paired: JointDistribution, params: TripleTwbParams,
+                       tail_tol: float = fock.TAIL_TOL) -> JointDistribution:
+    """Convolve independent Mandel-Rice noise onto each axis of the paired part.
+
+    One Toeplitz sweep per axis, then a sum and a rescale of the whole
+    table; the model sums the same terms as nested signal-axis convolutions.
+    """
+    convs = []
+    for size, comp in zip(paired.values.shape, params.noises):
+        pmf = mandel_rice_vector(size - 1, comp)
+        # lower-triangular Toeplitz: conv[n, l] = pmf[n - l]; B = 0 gives the identity
+        idx = np.arange(size)
+        diff = idx[:, None] - idx[None, :]
+        convs.append(np.where(diff >= 0, pmf[np.clip(diff, 0, size - 1)], 0.0))
+    vals = fock.contract(paired.values, convs)
+    mass = vals.sum()
+    check_tail(1.0 - mass, tail_tol, "composed model")
+    return JointDistribution(vals / mass, paired.axis_labels, normalized=True)
 
 
 def sample_clicks_pixelwise_copying(n: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:

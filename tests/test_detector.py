@@ -130,6 +130,13 @@ def test_too_few_click_rows_fail_the_column_check():
         detection_matrix(cfg, 12, c_max=4)
 
 
+def test_nan_entry_fails_the_column_check():
+    from tripletwb.errors import NumericalError
+    with pytest.raises(NumericalError, match="not column-stochastic"):
+        DetectionMatrix(np.array([[np.nan, 0.0], [0.5, 1.0]]),
+                        DetectorConfig(10, 0.5, 0.0))
+
+
 def test_alternating_route_rejects_unstable_configs():
     from tripletwb.errors import NumericalError
     with pytest.raises(NumericalError):

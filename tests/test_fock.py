@@ -141,7 +141,9 @@ def test_marginalize_unknown_axis_errors(model4):
 def test_paired_marginal_matches_triple_convolution():
     # signal marginal of the paired table is the convolution of the three
     # pair pmfs, checked by brute-force triple summation for n_s <= 6
-    from tripletwb.gaussian import PAPER_TABLE_2, paired_part
+    from tripletwb.gaussian import PAPER_TABLE_2
+
+    from tests.oracles import paired_part
     d = paired_part(PAPER_TABLE_2, 24, (8, 8, 8), tail_tol=1e-2)
     sig = marginalize(d, ["s"]).values
     pmfs = [mandel_rice_vector(8, c) for c in PAPER_TABLE_2.pairs]

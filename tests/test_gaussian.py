@@ -9,9 +9,10 @@ from tripletwb.errors import CutoffError, DataError, ParameterError
 from tripletwb.fock import AXIS_ORDER, JointDistribution, contract, marginalize
 from tripletwb.gaussian import (PAPER_TABLE_2, GaussianFieldModel,
                                 MandelRiceComponent, TripleTwbParams,
-                                compose_with_noise, mandel_rice_pmf,
-                                mandel_rice_vector, model_moments,
-                                paired_part, sample_photon_numbers)
+                                mandel_rice_pmf, mandel_rice_vector,
+                                model_moments, sample_photon_numbers)
+
+from tests.oracles import compose_with_noise, paired_part
 
 
 def zero(M=1.0):

@@ -569,3 +569,19 @@ def test_one_version_string():
         warnings.simplefilter("ignore")  # [tool.setuptools] is flagged beta
         project = read_configuration(pyproject)["project"]
     assert project["version"] == tripletwb.__version__
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter, since other tests load scipy.optimize into this one;
+    # only fit.fit imports it, so the other commands start without it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(tripletwb.__file__).resolve().parents[1])
+    code = "import sys, tripletwb, tripletwb.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -18,8 +18,9 @@ from tripletwb.nonclassical import (NcdSettings, default_mode_numbers,
                                     probability_ncd, quasi_distribution_W,
                                     quasi_probabilities, s_transform_moments)
 from tests.oracles import (grid_moments_memory_order, grid_triangular_cut_loop,
-                           kernel_route_probabilities, plane_cut_csv_loop,
-                           resummed_smoothing_matrix_loop, triangular_cut_loop)
+                           kernel_route_probabilities, paired_part,
+                           plane_cut_csv_loop, resummed_smoothing_matrix_loop,
+                           triangular_cut_loop)
 
 
 def poisson_product(lams, n_max=30):
@@ -225,6 +226,21 @@ def test_resummed_matrix_matches_loop_oracle(n_max, m_max):
             want = resummed_smoothing_matrix_loop(n_max, m_max, s, M)
             assert got.shape == want.shape == (n_max + 1, m_max + 1)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("modes, box, builds", [((1.0, 1.0, 1.0), 3, 1),
+                                                ((1.0, 2.0, 1.0), 3, 2),
+                                                ((1.0, 1.0, 1.0), (3, 2, 3), 2)])
+def test_resummed_route_builds_each_distinct_matrix_once(monkeypatch, modes, box, builds):
+    d = poisson_product((0.5, 0.8, 0.5), n_max=10)
+    build = nonclassical._resummed_smoothing_matrix
+    want = [build(b, 10, -0.4, M) for b, M in zip(np.broadcast_to(box, 3), modes)]
+    calls = []
+    monkeypatch.setattr(nonclassical, "_resummed_smoothing_matrix",
+                        lambda *args: calls.append(args) or build(*args))
+    got = quasi_probabilities(d, -0.4, modes, box).values
+    assert len(calls) == builds
+    np.testing.assert_array_equal(got, fock.contract(d.values, want))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +502,6 @@ def test_cut_of_zero_field_is_zero():
 
 def test_triangular_cut_of_paired_slice_carries_all_mass():
     from tripletwb.fock import condition
-    from tripletwb.gaussian import paired_part
     d4 = paired_part(PAPER_TABLE_2, 24, (8, 8, 8), tail_tol=1e-2)
     sl = condition(d4, "s", 4)
     pc = plane_cut(sl, "triangular", 4)
