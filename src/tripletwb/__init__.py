@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .detector import (DetectionMatrix, DetectorConfig, PAPER_TABLE_1, PRESETS,
                        detection_matrix, forward_counts, sample_counts)
-from .emrec import (EmResult, EmSettings, derive_photocount_conditional,
-                    em_reconstruct, em_reconstruct_conditional)
+from .emrec import EmResult, EmSettings, derive_photocount_conditional, em_reconstruct
 from .errors import (CutoffError, DataError, NumericalError, ParameterError,
                      TripleTwbError)
 from .fit import FitReport, declination, fit, photocount_moments

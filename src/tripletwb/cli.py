@@ -53,15 +53,25 @@ def _detectors(preset: str, config_file: str | None) -> dict[str, DetectorConfig
     return dict(PRESETS[preset])
 
 
-def _matrices(cfgs: dict[str, DetectorConfig], photon_cutoffs,
+def _matrices(cfgs: dict[str, DetectorConfig], labels, photon_cutoffs,
               click_cutoffs=None) -> dict:
-    mats = {}
-    for axis, l in enumerate(AXIS_ORDER):
-        n_max = photon_cutoffs[axis]
-        c_max = (click_cutoffs[axis] if click_cutoffs is not None
-                 else default_c_max(cfgs[l], n_max))
-        mats[l] = detection_matrix(cfgs[l], n_max, c_max)
-    return mats
+    """Detection matrices keyed by label; click cutoffs default per detector."""
+    if click_cutoffs is None:
+        click_cutoffs = [None] * len(labels)
+    return {l: detection_matrix(cfgs[l], n_max, c_max)
+            for l, n_max, c_max in zip(labels, photon_cutoffs, click_cutoffs)}
+
+
+def _finite_positive(ctx, param, value):
+    """Click callback: a float option that must be finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise click.UsageError(f"{param.opts[0]} must be finite and > 0, got {value}", ctx)
+    return value
+
+
+#: integer option types; click exits 2 on a value outside the range
+NONNEGATIVE = click.IntRange(min=0)
+POSITIVE = click.IntRange(min=1)
 
 
 def _selector_range(sel_range: str | None, top: int) -> range:
@@ -97,14 +107,16 @@ def main():
               help="Parameter JSON; defaults to the built-in fitted preset.")
 @click.option("--detectors", "preset", default="paper-table-1", show_default=True)
 @click.option("--detector-file", type=click.Path(exists=True))
-@click.option("--frames", type=int, required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--frames", type=POSITIVE, required=True)
+@click.option("--seed", type=NONNEGATIVE, required=True)
 @click.option("--out", type=click.Path(), required=True,
               help="Histogram CSV output path.")
 @click.option("--frames-out", type=click.Path(), help="Also write raw frames CSV.")
-@click.option("--signal-cutoff", type=int, default=32, show_default=True)
-@click.option("--idler-cutoff", type=int, default=20, show_default=True)
-@click.option("--tail-tol", type=float, default=1e-3, show_default=True)
+@click.option("--signal-cutoff", type=NONNEGATIVE, default=32, show_default=True)
+@click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
+@click.option("--tail-tol", type=float, default=1e-3, show_default=True,
+              callback=_finite_positive,
+              help="Largest share of frames that may fall outside the click box.")
 @handle_errors
 def simulate(params_file, preset, detector_file, frames, seed, out, frames_out,
              signal_cutoff, idler_cutoff, tail_tol):
@@ -153,7 +165,7 @@ def ingest(frames_file, preset, detector_file, out):
 @click.option("--detector-file", type=click.Path(exists=True))
 @click.option("--free-efficiencies", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--max-evals", type=int, default=200, show_default=True)
+@click.option("--max-evals", type=POSITIVE, default=200, show_default=True)
 @handle_errors
 def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals):
     """Fit the 14 field parameters to a photocount histogram."""
@@ -172,11 +184,11 @@ def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals)
 @click.option("--detectors", "preset", default="paper-table-1", show_default=True)
 @click.option("--detector-file", type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--conditional", type=int, default=None,
+@click.option("--conditional", type=NONNEGATIVE, default=None,
               help="Reconstruct only the 3D idler field at this c_s slice.")
-@click.option("--signal-cutoff", type=int, default=32, show_default=True)
-@click.option("--idler-cutoff", type=int, default=20, show_default=True)
-@click.option("--max-iterations", type=int, default=100_000, show_default=True)
+@click.option("--signal-cutoff", type=NONNEGATIVE, default=32, show_default=True)
+@click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
+@click.option("--max-iterations", type=POSITIVE, default=100_000, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--trace-out", type=click.Path(), default=None)
 @handle_errors
@@ -187,16 +199,11 @@ def reconstruct(hist_file, preset, detector_file, out, conditional,
     cfgs = _detectors(preset, detector_file)
     f = normalize(h)
     settings = emrec.EmSettings(max_iterations=max_iterations, stop_tolerance=tol)
-    if conditional is None:
-        cutoffs = (signal_cutoff, idler_cutoff, idler_cutoff, idler_cutoff)
-        mats = _matrices(cfgs, cutoffs, [c for c in h.cutoffs])
-        result = emrec.em_reconstruct(f, mats, settings)
-    else:
-        f3 = condition(f, "s", conditional)
-        cutoffs3 = (idler_cutoff,) * 3
-        mats = {l: detection_matrix(cfgs[l], idler_cutoff, f3.values.shape[i] - 1)
-                for i, l in enumerate(("i1", "i2", "i3"))}
-        result = emrec.em_reconstruct_conditional(f3, mats, settings)
+    if conditional is not None:
+        f = condition(f, "s", conditional)
+    cutoffs = [signal_cutoff if l == "s" else idler_cutoff for l in f.axis_labels]
+    mats = _matrices(cfgs, f.axis_labels, cutoffs, [n - 1 for n in f.values.shape])
+    result = emrec.em_reconstruct(f, mats, settings)
     io.save_distribution(result.distribution, out)
     if trace_out:
         Path(trace_out).write_text(result.trace_csv())
@@ -221,9 +228,7 @@ def postselect_cmd(dist_file, selector, value, preset, out):
     d = io.load_distribution(dist_file)
     t_s = None
     if selector == "c_s":
-        cfgs = _detectors(preset, None)
-        t_s = detection_matrix(cfgs["s"], d.values.shape[0] - 1,
-                               default_c_max(cfgs["s"], d.values.shape[0] - 1))
+        t_s = _matrices(_detectors(preset, None), ["s"], [d.values.shape[0] - 1])["s"]
     mass, cond = postselect.conditioned_field(d, selector, value, t_s)
     io.save_distribution(cond, out)
     io.write_manifest(Path(out), "postselect",
@@ -238,7 +243,7 @@ def postselect_cmd(dist_file, selector, value, preset, out):
 @click.option("--range", "sel_range", default=None,
               help="Inclusive selector range lo:hi; defaults to the full axis.")
 @click.option("--detectors", "preset", default="paper-table-1", show_default=True)
-@click.option("--idler-cutoff", type=int, default=20, show_default=True)
+@click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @handle_errors
 def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
@@ -249,17 +254,16 @@ def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
         n_max = d.values.shape[0] - 1
         top, t_s = n_max, None
         if selector == "c_s":
-            top = default_c_max(cfgs["s"], n_max)
-            t_s = detection_matrix(cfgs["s"], n_max, top)
+            t_s = _matrices(cfgs, ["s"], [n_max])["s"]
+            top = t_s.c_max
         result = postselect.sweep_distribution(
             d, selector, _selector_range(sel_range, top), t_s)
     else:
         h = io.load_histogram(input_file)
         if selector == "n_s":
             raise DataError("histogram sweeps post-select on c_s")
-        mats = {l: detection_matrix(cfgs[l], idler_cutoff,
-                                    h.counts.shape[i + 1] - 1)
-                for i, l in enumerate(("i1", "i2", "i3"))}
+        mats = _matrices(cfgs, ("i1", "i2", "i3"), (idler_cutoff,) * 3,
+                         [n - 1 for n in h.counts.shape[1:]])
         result = postselect.sweep_histogram(
             h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
     Path(out).write_text(result.to_csv())
@@ -279,14 +283,13 @@ def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
               help="Per-beam mode numbers M1,M2,M3.")
 @click.option("--with-ncd/--no-ncd", default=True, show_default=True)
 @click.option("--tail-tol", type=float, default=1e-6, show_default=True,
+              callback=_finite_positive,
               help="Largest share of the order-2 intensity moment the outer "
                    "occupation shell may carry (--kind intensity).")
 @click.option("--out", type=click.Path(), default=None)
 @handle_errors
 def ncc(dist_file, criterion, kind, modes, with_ncd, tail_tol, out):
     """Evaluate a nonclassicality criterion (and its depth) on a 3D field."""
-    if not (math.isfinite(tail_tol) and tail_tol > 0):
-        raise ParameterError(f"--tail-tol must be finite and > 0, got {tail_tol}")
     d = io.load_distribution(dist_file)
     m = _parse_triple(modes, "--modes")
     if kind == "intensity":
@@ -349,7 +352,7 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
 @click.option("--dist", "dist_file", type=click.Path(exists=True), required=True)
 @click.option("--s", "s_value", type=float, required=True)
 @click.option("--modes", default="1,1,1", show_default=True)
-@click.option("--points", type=int, default=400, show_default=True)
+@click.option("--points", type=click.IntRange(min=2), default=400, show_default=True)
 @click.option("--cut", "cut_kind", type=click.Choice(["diagonal", "triangular"]),
               default="diagonal", show_default=True)
 @click.option("--level", type=float, default=None)

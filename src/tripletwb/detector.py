@@ -194,46 +194,28 @@ def _matrices_for(labels, matrices):
     if isinstance(matrices, dict):
         missing = [l for l in labels if l not in matrices]
         if missing:
-            raise DataError(f"no detection matrix for axes {missing}")
+            raise DataError(f"no detector entry for axes {missing}")
         return [matrices[l] for l in labels]
     if len(matrices) != len(labels):
-        raise DataError("matrix list length does not match table rank")
+        raise DataError("per-axis list length does not match table rank")
     return list(matrices)
 
 
 def sample_counts(photons: np.ndarray,
-                  matrices: dict[str, DetectionMatrix] | list[DetectionMatrix],
-                  seed: int,
-                  axis_labels: tuple[str, ...] = fock.AXIS_ORDER) -> np.ndarray:
-    """Sample clicks per frame from the T(.|n) columns; deterministic per seed.
+                  cfgs: dict[str, DetectorConfig] | list[DetectorConfig],
+                  seed: int) -> np.ndarray:
+    """Sample the clicks of each frame pixel by pixel; deterministic per seed.
 
-    ``photons`` has shape (frames, n_axes); the output matches it.
-    Detector configs may be passed instead of prebuilt matrices; the
-    matrices are then built to cover the sampled photon numbers.
+    ``photons`` has shape (frames, n_axes); the output matches it. ``cfgs``
+    is keyed by axis label, or a list with one config per photon column.
     """
     photons = np.asarray(photons)
-    items = (list(matrices.values()) if isinstance(matrices, dict)
-             else list(matrices))
-    if items and isinstance(items[0], DetectorConfig):
-        cfg_list = _matrices_for(axis_labels, matrices)
-        rng = np.random.default_rng(seed)
-        out = np.empty_like(photons)
-        for axis, cfg in enumerate(cfg_list):
-            out[:, axis] = _sample_clicks_pixelwise(photons[:, axis], cfg, rng)
-        return out
-    mats = _matrices_for(axis_labels, matrices)
+    cfg_list = _matrices_for(fock.AXIS_ORDER[: photons.shape[1]], cfgs)
     rng = np.random.default_rng(seed)
     out = np.empty_like(photons)
-    for axis, mat in enumerate(mats):
-        n_ax = photons[:, axis]
-        if n_ax.max() > mat.n_max:
-            raise DataError(f"photon number {n_ax.max()} exceeds matrix n_max {mat.n_max}")
-        u = rng.random(photons.shape[0])
-        cums = np.cumsum(mat.entries, axis=0)
-        for nval in np.unique(n_ax):
-            sel = n_ax == nval
-            out[sel, axis] = np.searchsorted(cums[:, nval], u[sel], side="right")
-    return np.minimum(out, np.array([m.c_max for m in mats])[None, :])
+    for axis, cfg in enumerate(cfg_list):
+        out[:, axis] = _sample_clicks_pixelwise(photons[:, axis], cfg, rng)
+    return out
 
 
 def _sample_clicks_pixelwise(n: np.ndarray, cfg: DetectorConfig,
@@ -267,8 +249,3 @@ def _sample_clicks_pixelwise(n: np.ndarray, cfg: DetectorConfig,
     occupied -= overlap
     return occupied
 
-
-def simulate_pixel_clicks(cfg: DetectorConfig, n: int, frames: int, seed: int) -> np.ndarray:
-    """Pixel-level Monte Carlo of the click count for fixed photon number n."""
-    return _sample_clicks_pixelwise(np.full(int(frames), int(n)), cfg,
-                                    np.random.default_rng(seed))

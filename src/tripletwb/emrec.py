@@ -23,7 +23,7 @@ the next map's GEMMs several-fold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +52,14 @@ class EmResult:
     iterations: int
     residual: float
     loglik_trace: np.ndarray
+    residual_trace: np.ndarray
     converged: bool
 
     def trace_csv(self) -> str:
         lines = ["iteration,loglik,residual"]
-        for i, (ll, r) in enumerate(zip(self.loglik_trace, self._residuals), start=1):
+        for i, (ll, r) in enumerate(zip(self.loglik_trace, self.residual_trace), start=1):
             lines.append(f"{i},{ll:.12g},{r:.6g}")
         return "\n".join(lines) + "\n"
-
-    _residuals: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
 
 def em_reconstruct(f: JointDistribution,
@@ -128,22 +127,11 @@ def em_reconstruct(f: JointDistribution,
             converged = True
             break
     dist = JointDistribution(p, f.axis_labels, normalized=True)
-    return EmResult(dist, it, residuals[-1], np.asarray(logliks), converged,
-                    _residuals=np.asarray(residuals))
+    return EmResult(dist, it, residuals[-1], np.asarray(logliks),
+                    np.asarray(residuals), converged)
 
 
-def em_reconstruct_conditional(f_cs: JointDistribution,
-                               matrices: dict[str, DetectionMatrix] | list[DetectionMatrix],
-                               settings: EmSettings = EmSettings(),
-                               photon_cutoffs: tuple[int, ...] | None = None) -> EmResult:
-    """Partial (3D idler) reconstruction for one post-selected c_s slice."""
-    if f_cs.values.ndim != 3:
-        raise DataError("conditional reconstruction expects a 3-axis table")
-    return em_reconstruct(f_cs, matrices, settings, photon_cutoffs)
-
-
-def derive_photocount_conditional(p4: JointDistribution, t_s: DetectionMatrix,
-                                  mass_floor: float = 0.0
+def derive_photocount_conditional(p4: JointDistribution, t_s: DetectionMatrix
                                   ) -> dict[int, tuple[float, JointDistribution]]:
     """Map the signal axis through T_s and condition on each click number c_s.
 
@@ -158,7 +146,7 @@ def derive_photocount_conditional(p4: JointDistribution, t_s: DetectionMatrix,
     out = {}
     for c_s in range(mixed.shape[0]):
         mass = float(mixed[c_s].sum())
-        if mass <= max(mass_floor, 0.0):
+        if mass <= 0.0:
             continue
         out[c_s] = (mass, JointDistribution(mixed[c_s] / mass, p4.axis_labels[1:],
                                             normalized=True))

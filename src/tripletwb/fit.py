@@ -39,6 +39,8 @@ DECLINATION_BLOCK = 1 << 15
 B_MIN, B_MAX = 1e-8, 1e3
 M_MIN, M_MAX = 1e-6, 1e4
 MEAN_FLOOR = 1e-8
+#: Share of each idler mean that the simplex starts by giving the pair component
+START_SPLIT = 0.95
 
 
 @dataclass(frozen=True)
@@ -274,8 +276,7 @@ def _initial_photon_moments(exp_mom: dict, cfgs: dict[str, DetectorConfig]) -> d
 def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
         fix_efficiencies: bool = True,
         photon_cutoffs: tuple[int, int, int, int] = (32, 20, 20, 20),
-        tail_tol: float = 1e-3, start_splits: tuple[float, float, float] = (0.95,) * 3,
-        max_evals: int = 200) -> FitReport:
+        tail_tol: float = 1e-3, max_evals: int = 200) -> FitReport:
     """Fit the 14 parameters (optionally plus efficiencies) to a histogram.
 
     The simplex variables are the logit pair-mean splits (and logit
@@ -299,7 +300,7 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
     def expit(z):
         return 1.0 / (1.0 + math.exp(-z))
 
-    x0 = [logit(min(max(s, 1e-3), 1 - 1e-3)) for s in start_splits]
+    x0 = [logit(START_SPLIT)] * 3
     if not fix_efficiencies:
         x0 += [logit(cfgs[l].efficiency) for l in AXIS_ORDER]
 

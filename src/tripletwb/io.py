@@ -52,53 +52,36 @@ def load_detectors(path: str | Path) -> dict[str, DetectorConfig]:
 
 
 def ingest_frames(path: str | Path,
-                  cfgs: dict[str, DetectorConfig] | None = None,
-                  cutoffs: tuple[int, int, int, int] | None = None) -> Histogram:
+                  cfgs: dict[str, DetectorConfig] | None = None) -> Histogram:
     """Accumulate a frame CSV into a Histogram.
 
-    Rejects duplicate frame ids and counts above the detector pixel budget;
-    malformed rows are reported with their line number.
+    Every field must be a nonnegative integer. Rejects duplicate frame ids
+    and counts above the detector pixel budget; a malformed row is reported
+    with its line number.
     """
     path = Path(path)
-    seen: set[int] = set()
-    rows: list[tuple[int, int, int, int]] = []
-    maxima = [0, 0, 0, 0]
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != FRAME_HEADER:
-            raise DataError(f"{path}:1: expected header {','.join(FRAME_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                vals = [int(x) for x in row]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            fid, counts = vals[0], vals[1:]
-            if fid in seen:
-                raise DataError(f"{path}:{lineno}: duplicate frame_id {fid}")
-            seen.add(fid)
-            if any(c < 0 for c in counts):
-                raise DataError(f"{path}:{lineno}: negative count")
-            if cfgs is not None:
-                for label, c in zip(AXIS_ORDER, counts):
-                    if c > cfgs[label].pixels:
-                        raise DataError(
-                            f"{path}:{lineno}: count {c} exceeds the "
-                            f"{cfgs[label].pixels} pixels of region {label}")
-            rows.append(tuple(counts))
-            maxima = [max(m, c) for m, c in zip(maxima, counts)]
-    if not rows:
+    # read as cells (frame_id, c_s, c_i1, c_i2) with the value c_i3
+    cells, last = _read_cells(path, FRAME_HEADER, counts=True)
+    if not len(last):
         raise DataError(f"{path}: no frames")
-    shape = tuple((max(m, c) if cutoffs else m) + 1
-                  for m, c in zip(maxima, cutoffs or maxima))
-    counts = np.zeros(shape, dtype=np.int64)
-    for cell in rows:
-        counts[cell] += 1
-    return Histogram(counts, len(rows))
+    frame_ids = cells[:, 0]
+    clicks = np.column_stack([cells[:, 1:], last.astype(np.int64)])
+    repeat = np.ones(len(frame_ids), dtype=bool)
+    repeat[np.unique(frame_ids, return_index=True)[1]] = False
+    if repeat.any():
+        row = int(np.argmax(repeat))
+        raise DataError(f"{path}:{_line_of(path, row)}: duplicate frame_id {frame_ids[row]}")
+    if cfgs is not None:
+        pixels = np.array([cfgs[l].pixels for l in AXIS_ORDER])
+        over = np.argwhere(clicks > pixels)
+        if len(over):
+            row, axis = over[0]
+            raise DataError(
+                f"{path}:{_line_of(path, row)}: count {clicks[row, axis]} exceeds the "
+                f"{pixels[axis]} pixels of region {AXIS_ORDER[axis]}")
+    counts = np.zeros(tuple(clicks.max(axis=0) + 1), dtype=np.int64)
+    np.add.at(counts, tuple(clicks.T), 1)
+    return Histogram(counts, len(clicks))
 
 
 def _table_shape(meta: dict, path: Path) -> tuple[int, ...]:
@@ -122,6 +105,11 @@ def _data_lines(path: Path):
                 yield lineno, line
 
 
+def _line_of(path: Path, row: int) -> int:
+    """File line number of data row ``row`` (0-based)."""
+    return next(itertools.islice(_data_lines(path), row, None))[0]
+
+
 def _parse_error(path: Path, width: int) -> str:
     """Line and reason of the first row that is not ``width`` numbers."""
     for lineno, line in _data_lines(path):
@@ -142,9 +130,9 @@ def _read_cells(path: Path, header: list[str] | None = None,
 
     The first line must equal ``header``; without one, any header of at
     least two names sets the rank. Every index must be a nonnegative
-    integer, below ``shape`` when given; every value finite, and a
-    nonnegative integer for ``counts``. A violation is a DataError naming
-    the file and line.
+    integer below 2**53, which a double holds exactly, and below ``shape``
+    when given; every value finite, and a nonnegative integer for
+    ``counts``. A violation is a DataError naming the file and line.
     """
     try:
         fh = path.open()
@@ -163,12 +151,13 @@ def _read_cells(path: Path, header: list[str] | None = None,
             except ValueError:
                 raise DataError(_parse_error(path, len(names))) from None
     if len(data) and data.shape[1] != len(names):
-        raise DataError(f"{path}:{next(_data_lines(path))[0]}: wrong cell rank: "
-                        f"{data.shape[1] - 1} indices, header has {len(names) - 1}")
+        raise DataError(f"{path}:{_line_of(path, 0)}: wrong cell rank: "
+                        f"expected {len(names)} fields, got {data.shape[1]}")
     data = data.reshape(-1, len(names))
     cells, values = data[:, :-1], data[:, -1]
     checks = [("non-finite value", ~np.isfinite(values)),
-              ("cell index is not an integer", np.any(cells != np.floor(cells), axis=1)),
+              ("cell index is not an integer below 2**53",
+               np.any((cells != np.floor(cells)) | (cells >= 2.0**53), axis=1)),
               ("negative cell index", np.any(cells < 0, axis=1))]
     if shape is not None:
         checks.append((f"cell outside cutoffs {[n - 1 for n in shape]}",
@@ -179,9 +168,8 @@ def _read_cells(path: Path, header: list[str] | None = None,
     for reason, bad in checks:
         if bad.any():
             row = int(np.argmax(bad))
-            lineno = next(itertools.islice(_data_lines(path), row, None))[0]
             cell = ",".join(f"{x:g}" for x in data[row])
-            raise DataError(f"{path}:{lineno}: {reason} ({cell})")
+            raise DataError(f"{path}:{_line_of(path, row)}: {reason} ({cell})")
     return cells.astype(np.int64), values
 
 
@@ -238,11 +226,10 @@ def _distribution_header(labels) -> list[str]:
     return [*(f"n_{l}" for l in labels), "value"]
 
 
-def save_distribution(d: JointDistribution, path: str | Path,
-                      value_floor: float = 0.0) -> None:
+def save_distribution(d: JointDistribution, path: str | Path) -> None:
     path = Path(path)
     _write_cells(path, _distribution_header(d.axis_labels), d.values,
-                 np.abs(d.values) > value_floor, "%.17g")
+                 np.abs(d.values) > 0, "%.17g")
     meta = {
         "cutoffs": list(d.cutoffs),
         "axis_labels": list(d.axis_labels),

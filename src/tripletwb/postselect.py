@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
+from . import emrec
 from .detector import DetectionMatrix
-from .emrec import EmResult, EmSettings, derive_photocount_conditional, em_reconstruct_conditional
+from .emrec import EmSettings, derive_photocount_conditional
 from .errors import DataError
 from .fock import Histogram, JointDistribution, condition, marginalize, normalize, slice_mass
 
@@ -123,8 +123,7 @@ def conditioned_field(p4: JointDistribution, selector_kind: str, value: int,
 
 def sweep_distribution(p4: JointDistribution, selector_kind: str,
                        values: range | list[int],
-                       t_s: DetectionMatrix | None = None,
-                       mass_floor: float = MASS_FLOOR) -> PostselectSweep:
+                       t_s: DetectionMatrix | None = None) -> PostselectSweep:
     """Statistics sweep over the selector from a model photon distribution."""
     rows, gaps = [], []
     cache = derive_photocount_conditional(p4, t_s) if selector_kind == "c_s" else None
@@ -139,7 +138,7 @@ def sweep_distribution(p4: JointDistribution, selector_kind: str,
         except DataError:
             gaps.append(v)
             continue
-        if mass < mass_floor:
+        if mass < MASS_FLOOR:
             gaps.append(v)
             continue
         try:
@@ -150,26 +149,26 @@ def sweep_distribution(p4: JointDistribution, selector_kind: str,
     return PostselectSweep(selector_kind, tuple(rows), tuple(gaps))
 
 
-def sweep_histogram(h: Histogram, idler_matrices: list[DetectionMatrix],
+def sweep_histogram(h: Histogram,
+                    idler_matrices: dict[str, DetectionMatrix] | list[DetectionMatrix],
                     values: range | list[int],
-                    settings: EmSettings = EmSettings(max_iterations=2000),
-                    photon_cutoffs: tuple[int, int, int] | None = None,
-                    mass_floor: float = MASS_FLOOR) -> PostselectSweep:
+                    settings: EmSettings = EmSettings(max_iterations=2000)) -> PostselectSweep:
     """Photon-level sweep over c_s from a measured histogram.
 
     Every slice is conditioned (the 3D photocount histogram for that c_s)
-    and inverted with the partial EM reconstruction before the statistics
-    are evaluated.
+    and inverted by EM over the three idler axes before the statistics are
+    evaluated.
     """
     f = normalize(h)
     rows, gaps, em = [], [], []
     for c_s in values:
         mass = slice_mass(f, "s", c_s)
-        if mass < mass_floor:
+        if mass < MASS_FLOOR:
             gaps.append(c_s)
             continue
         f_cs = condition(f, "s", c_s)
-        rec = em_reconstruct_conditional(f_cs, idler_matrices, settings, photon_cutoffs)
+        # through the module, so that a wrapped emrec.em_reconstruct is the one called
+        rec = emrec.em_reconstruct(f_cs, idler_matrices, settings)
         rows.append(_stats_row(c_s, mass, rec.distribution))
         em.append({"selector": c_s, "iterations": rec.iterations,
                    "residual": rec.residual, "converged": rec.converged})

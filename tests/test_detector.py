@@ -8,7 +8,7 @@ from scipy.stats import binom, chi2, ncx2
 
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 _sample_clicks_pixelwise, default_c_max, detection_matrix,
-                                forward_counts, sample_counts, simulate_pixel_clicks)
+                                forward_counts, sample_counts)
 from tripletwb.errors import DataError, ParameterError
 from tripletwb.fock import JointDistribution, contract
 
@@ -163,7 +163,7 @@ def test_pixel_monte_carlo_matches_closed_form():
     cfg = PAPER_TABLE_1["i1"]
     t = detection_matrix(cfg, 12)
     for n in (0, 3, 9):
-        clicks = simulate_pixel_clicks(cfg, n, 10**5, seed=100 + n)
+        clicks = sample_counts(np.full((10**5, 1), n), [cfg], 100 + n)[:, 0]
         stat, dof = pooled_pearson(clicks, t.entries[:, n])
         assert stat < chi2.ppf(0.99, dof)
 
@@ -188,7 +188,7 @@ def test_monte_carlo_gate_rejects_biased_efficiency():
     dof = int(keep.sum())
     power = ncx2.sf(chi2.isf(0.01 / 10, dof), dof, frames * np.sum((q - p) ** 2 / p))
     assert power >= 0.85, power
-    clicks = simulate_pixel_clicks(biased, 32, frames, seed=97 + 32)
+    clicks = sample_counts(np.full((frames, 1), 32), [biased], 97 + 32)[:, 0]
     stat, dof = pooled_pearson(clicks, t.entries[:, 32])
     assert stat > chi2.isf(0.01 / 10, dof), stat
 
@@ -199,7 +199,7 @@ def test_pixel_sampler_peak_memory():
     # pixel table does not fit under the bound.
     tracemalloc.start()
     try:
-        simulate_pixel_clicks(PAPER_TABLE_1["s"], 32, 10**6, 129)
+        sample_counts(np.full((10**6, 1), 32), [PAPER_TABLE_1["s"]], 129)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,32 +296,17 @@ def test_forward_is_linear(rng):
 def test_sample_blind_detector_never_clicks():
     cfg = DetectorConfig(pixels=16, efficiency=0.0, dark_rate=0.0)
     photons = np.full((500, 1), 7)
-    out = sample_counts(photons, [detection_matrix(cfg, 10)], seed=3,
-                        axis_labels=("s",))
+    out = sample_counts(photons, [cfg], seed=3)
     assert np.all(out == 0)
 
 
 def test_sample_counts_deterministic():
-    mats = {l: detection_matrix(cfg, 20) for l, cfg in PAPER_TABLE_1.items()}
     photons = np.tile(np.array([[5, 2, 1, 0]]), (400, 1))
-    a = sample_counts(photons, mats, seed=9)
-    b = sample_counts(photons, mats, seed=9)
-    c = sample_counts(photons, mats, seed=10)
+    a = sample_counts(photons, PAPER_TABLE_1, seed=9)
+    b = sample_counts(photons, PAPER_TABLE_1, seed=9)
+    c = sample_counts(photons, PAPER_TABLE_1, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_sample_counts_column_chi_square():
-    cfg = PAPER_TABLE_1["i1"]
-    t = detection_matrix(cfg, 10)
-    photons = np.full((10**5, 1), 6)
-    out = sample_counts(photons, [t], seed=21, axis_labels=("i1",))
-    col = t.entries[:, 6]
-    obs = np.bincount(out[:, 0], minlength=col.size)[: col.size]
-    exp = col * photons.shape[0]
-    keep = exp >= 5.0
-    stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
-    assert stat < chi2.ppf(0.99, keep.sum() - 1)
 
 
 @pytest.mark.parametrize("label", ["s", "i1"])

@@ -4,8 +4,7 @@ import pytest
 
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 detection_matrix, forward_counts, sample_counts)
-from tripletwb.emrec import (EmSettings, derive_photocount_conditional,
-                             em_reconstruct, em_reconstruct_conditional)
+from tripletwb.emrec import EmSettings, derive_photocount_conditional, em_reconstruct
 from tripletwb.errors import DataError
 from tripletwb.fock import Histogram, JointDistribution, condition, marginalize, normalize
 from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
@@ -109,16 +108,8 @@ def test_trace_csv_header():
 def test_conditional_identity_matrices():
     d3 = small_model(seed=4, shape=(4, 4, 4))
     mats = [identity_matrix(3)] * 3
-    res = em_reconstruct_conditional(d3, mats,
-                                     EmSettings(max_iterations=10,
-                                                stop_tolerance=1e-12))
+    res = em_reconstruct(d3, mats, EmSettings(max_iterations=10, stop_tolerance=1e-12))
     np.testing.assert_allclose(res.distribution.values, d3.values, atol=1e-12)
-
-
-def test_conditional_requires_three_axes():
-    d = small_model(shape=(4, 4))
-    with pytest.raises(DataError):
-        em_reconstruct_conditional(d, [identity_matrix(3)] * 2)
 
 
 def test_conditional_round_trip_on_model_slice(model4, matrices):
@@ -128,9 +119,7 @@ def test_conditional_round_trip_on_model_slice(model4, matrices):
     mass, truth = fields[5]
     idler_mats = {l: matrices[l] for l in ("i1", "i2", "i3")}
     f3 = forward_counts(truth, idler_mats)
-    res = em_reconstruct_conditional(f3, idler_mats,
-                                     EmSettings(max_iterations=4000,
-                                                stop_tolerance=1e-11))
+    res = em_reconstruct(f3, idler_mats, EmSettings(max_iterations=4000, stop_tolerance=1e-11))
     for l in ("i1", "i2", "i3"):
         m_true = marginalize(truth, [l]).values
         m_rec = marginalize(res.distribution, [l]).values
@@ -184,7 +173,7 @@ def assert_matches_full_box(f, mats, settings, **kwargs):
     assert res.iterations == iterations
     assert res.converged == converged
     np.testing.assert_allclose(res.loglik_trace, logliks, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(res._residuals, residuals, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(res.residual_trace, residuals, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(res.distribution.values, p, rtol=0.0, atol=1e-14)
     return res
 

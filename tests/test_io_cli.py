@@ -80,6 +80,29 @@ def test_ingest_frames_enforces_pixel_budget(tmp_path):
         io.ingest_frames(p, PAPER_TABLE_1)
 
 
+@pytest.mark.parametrize("row, match", [
+    ("-1,2,1,0,1", r":3: negative cell index \(-1,2,1,0,1\)"),
+    ("1,2,-1,0,1", r":3: negative cell index"),
+    ("1,2,1,0,-1", r":3: count is not a nonnegative integer"),
+    ("1,2,1.5,0,1", r":3: cell index is not an integer"),
+    # read as doubles, ids above 2**53 would collide
+    ("9007199254740993,2,1,0,1", r":3: cell index is not an integer below 2\*\*53"),
+])
+def test_ingest_frames_rejects_negative_or_fractional_fields(tmp_path, row, match):
+    p = tmp_path / "frames.csv"
+    p.write_text(f"frame_id,c_s,c_i1,c_i2,c_i3\n0,0,0,0,0\n{row}\n")
+    with pytest.raises(DataError, match=match):
+        io.ingest_frames(p)
+
+
+def test_ingest_frames_accepts_integral_floats(tmp_path):
+    p = tmp_path / "frames.csv"
+    p.write_text("frame_id,c_s,c_i1,c_i2,c_i3\n0,2.0,1,0,1\n1.0,2,1,0,1e0\n")
+    h = io.ingest_frames(p)
+    assert h.trials == 2
+    assert h.counts[2, 1, 0, 1] == 2
+
+
 def test_histogram_round_trip(tmp_path):
     counts = np.zeros((4, 3, 3, 3), dtype=np.int64)
     counts[0, 0, 0, 0] = 5
@@ -111,12 +134,10 @@ def test_table_writers_match_csv_module_loop(tmp_path):
     values[0, :4, 0] = [np.inf, -np.inf, 5e-324, 0.5]
     signed = types.SimpleNamespace(values=values, axis_labels=("i1", "i2", "i3"),
                                    cutoffs=(49, 39, 39), normalized=False)
-    for floor in (0.0, 1.0):
-        io.save_distribution(signed, tmp_path / "signed.csv", value_floor=floor)
-        write_cells_loop(tmp_path / "loop.csv", ["n_i1", "n_i2", "n_i3", "value"],
-                         values, np.abs(values) > floor, "{:.17g}".format)
-        assert ((tmp_path / "signed.csv").read_bytes()
-                == (tmp_path / "loop.csv").read_bytes()), floor
+    io.save_distribution(signed, tmp_path / "signed.csv")
+    write_cells_loop(tmp_path / "loop.csv", ["n_i1", "n_i2", "n_i3", "value"],
+                     values, np.abs(values) > 0, "{:.17g}".format)
+    assert (tmp_path / "signed.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
     counts = rng.integers(0, 3, size=(20, 13, 31, 17))
     counts[0, 0, 0, 0] = 10**12
     h = Histogram(counts, int(counts.sum()))
@@ -240,13 +261,19 @@ def test_cli_simulate_writes_histogram_and_manifest(sim_hist, workdir):
     assert (workdir / "frames.csv").exists()
 
 
-def test_cli_ingest(runner, workdir):
+def test_cli_ingest(runner, workdir, sim_hist):
     out = workdir / "ingested.csv"
     res = runner.invoke(main, [
         "ingest", "--frames", str(workdir / "frames.csv"), "--out", str(out)])
     assert res.exit_code == 0, res.output
     h = io.load_histogram(out)
     assert h.trials == 3000
+    # the frames simulate wrote bin to simulate's own histogram; frames it
+    # dropped beyond its click box lie outside the shared cells
+    sim = io.load_histogram(sim_hist).counts
+    shared = tuple(slice(0, min(a, b)) for a, b in zip(sim.shape, h.counts.shape))
+    assert sim[shared].sum() == sim.sum()
+    np.testing.assert_array_equal(h.counts[shared], sim[shared])
 
 
 def test_cli_ingest_duplicate_frames_exits_2(runner, workdir):
@@ -498,6 +525,33 @@ def test_cli_cut_malformed_lattice_exits_2(runner, workdir):
         "--out", str(workdir / "nope6.csv")])
     assert res.exit_code == 2, res.output
     assert f"{lattice}:3: negative cell index" in res.output
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("simulate", "--seed", "-5"),
+    ("simulate", "--frames", "0"),
+    ("simulate", "--tail-tol", "nan"),
+    ("simulate", "--tail-tol", "0"),
+    ("reconstruct", "--signal-cutoff", "-2"),
+    ("reconstruct", "--max-iterations", "0"),
+    ("sweep", "--idler-cutoff", "-1"),
+    ("fit", "--max-evals", "0"),
+    ("quasi", "--points", "1"),
+])
+def test_cli_out_of_range_option_exits_2(runner, workdir, sim_hist, dist3,
+                                         command, option, value):
+    out = workdir / f"out_of_range_{command}{option}{value}.csv"
+    inputs = {"simulate": ["--frames", "10", "--seed", "1"],
+              "reconstruct": ["--histogram", str(sim_hist)],
+              "sweep": ["--source", "histogram", "--input", str(sim_hist),
+                        "--selector", "c_s"],
+              "fit": ["--histogram", str(sim_hist)],
+              "quasi": ["--dist", str(dist3), "--s", "0.5"]}[command]
+    res = runner.invoke(main, [command, *inputs, option, value, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert option in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
 
 
 def test_cli_sweep_malformed_range_exits_2(runner, workdir, dist4):
