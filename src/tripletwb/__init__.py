@@ -17,7 +17,7 @@ from .gaussian import (GaussianFieldModel, MandelRiceComponent, PAPER_TABLE_2,
                        TripleTwbParams, mandel_rice_pmf, model_moments,
                        sample_photon_numbers)
 from .nonclassical import (IntensityMoments, NccResult, NcdField, NcdResult,
-                           NcdSettings, PlaneCut, QuasiDistribution,
+                           PlaneCut, QuasiDistribution,
                            QuasiProbabilityTable, intensity_moments,
                            intensity_ncd, ncc_cs_intensity,
                            ncc_matrix_intensity, ncc_probability, ncd,

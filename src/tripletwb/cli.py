@@ -82,6 +82,8 @@ def _selector_range(sel_range: str | None, top: int) -> range:
         lo, hi = (int(x) for x in sel_range.split(":"))
     except ValueError:
         raise DataError(f"--range needs lo:hi, got {sel_range!r}") from None
+    if not 0 <= lo <= hi:
+        raise DataError(f"--range needs 0 <= lo <= hi, got {sel_range!r}")
     return range(lo, hi + 1)
 
 

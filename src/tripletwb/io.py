@@ -177,21 +177,29 @@ def _read_cells(path: Path, header: list[str] | None = None,
 _WRITE_ROWS = 1 << 12
 
 
+def _write_rows(path: Path, header: list[str], columns: list[np.ndarray],
+                line: str) -> None:
+    """Write ``header``, then ``line % row`` for each row of ``columns``.
+
+    The columns are equal-length arrays, formatted in blocks of rows;
+    ``line`` ends in ``\r\n`` as the ``csv`` module writes lines.
+    """
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            block = [c[start: start + _WRITE_ROWS].tolist() for c in columns]
+            fh.write("".join(map(line.__mod__, zip(*block))))
+
+
 def _write_cells(path: Path, header: list[str], table: np.ndarray,
                  keep: np.ndarray, value_format: str) -> None:
     """A ``cell..., value`` CSV with one row per kept cell, in C order.
 
-    Rows are formatted in blocks, indices with ``%d`` and values with
-    ``value_format``; lines end in ``\\r\\n`` as the ``csv`` module writes them.
+    Indices are written with ``%d`` and values with ``value_format``.
     """
     cells = np.nonzero(keep)
     line = ",".join(["%d"] * len(cells) + [value_format]) + "\r\n"
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, cells[0].size, _WRITE_ROWS):
-            block = tuple(c[start: start + _WRITE_ROWS] for c in cells)
-            columns = [c.tolist() for c in block] + [table[block].tolist()]
-            fh.write("".join(map(line.__mod__, zip(*columns))))
+    _write_rows(path, header, [*cells, table[cells]], line)
 
 
 def _histogram_header(labels) -> list[str]:
@@ -268,12 +276,9 @@ def load_lattice(path: str | Path) -> np.ndarray:
 
 
 def save_frames(samples: np.ndarray, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAME_HEADER)
-        for i, row in enumerate(samples):
-            writer.writerow([i, *[int(x) for x in row]])
+    """One ``frame_id, c_s, c_i1, c_i2, c_i3`` row per frame, numbered from 0."""
+    _write_rows(Path(path), FRAME_HEADER, [np.arange(len(samples)), *samples.T],
+                ",".join(["%d"] * len(FRAME_HEADER)) + "\r\n")
 
 
 def write_manifest(out_path: str | Path, command: str, settings: dict) -> None:

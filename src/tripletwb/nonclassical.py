@@ -36,7 +36,12 @@ from . import fock
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fock import JointDistribution, falling_factorial
 
-S_MIN = -0.999
+S_MIN = -0.999  # lowest ordering the depth search tries: tau = 1 below it
+S_TOL = 1e-3  # the bisection stops at this width in s
+NCD_BISECTIONS = 40  # ... or after this many halvings
+SCAN_POINTS = 17  # orderings of the coarse sign scan over [S_MIN, 1]
+_SERIES_TAIL_TOL = 1e-12  # the series route sums its tail to a term below this
+_SERIES_K_CAP = 4000  # ... within this many terms
 
 
 def _theta(s: float) -> float:
@@ -150,16 +155,11 @@ def intensity_moments(d: JointDistribution, k_max: int,
         n = np.arange(vals.shape[axis], dtype=np.float64)
         mats.append(np.stack([falling_factorial(n, k) for k in range(k_max + 1)]))
     tensor = fock.contract(vals, mats)
-    # outer-shell contribution to the all-k_max moment
+    # outer-shell contribution to the all-k_max moment: weighting the last
+    # index of every axis by 0 drops exactly the shell, without a table copy
     top = tensor[(k_max,) * ndim]
     if top > 0:
-        inner = vals.copy()
-        sl = [slice(None)] * ndim
-        for axis in range(ndim):
-            sl_ax = sl.copy()
-            sl_ax[axis] = -1
-            inner[tuple(sl_ax)] = 0.0
-        t_in = fock.contract(inner, [m[k_max: k_max + 1] for m in mats])
+        t_in = fock.contract(vals, [np.append(m[k_max, :-1], 0.0)[None] for m in mats])
         shell_share = 1.0 - float(t_in.squeeze()) / top
         if shell_share > tail_tol:
             raise CutoffError(
@@ -223,15 +223,14 @@ def ncc_matrix_intensity(m: IntensityMoments) -> NccResult:
     return NccResult("matrix_intensity", value, value < 0.0)
 
 
-def _series_smoothing_matrix(n_max: int, m_max: int, s: float, M: float,
-                             tol: float = 1e-12, k_cap: int = 4000) -> np.ndarray:
+def _series_smoothing_matrix(n_max: int, m_max: int, s: float, M: float) -> np.ndarray:
     """A[n, m] = sum_k (-1)^k mu(n+k | m) / (n! k!) by direct summation.
 
     mu(r|m) = sum_l C(r, l) theta^(r-l) Gamma(M+r)/Gamma(M+l) (m)_l is the
     contribution of a unit mass at occupation m to the s-ordered moment
     <W^r>_s. The alternating tail is extended until terms drop below
-    ``tol``; no convergence by ``k_cap`` raises NumericalError (use the
-    resummed route instead).
+    ``_SERIES_TAIL_TOL``; no convergence by ``_SERIES_K_CAP`` terms raises
+    NumericalError (use the resummed route instead).
     """
     th = _theta(s)
     if th == 0.0:
@@ -271,12 +270,12 @@ def _series_smoothing_matrix(n_max: int, m_max: int, s: float, M: float,
             # round-off estimate per entry: one extended-precision ulp of
             # the largest cancelled term survives the summation
             err[n, :] = np.max(np.abs(terms), axis=0).astype(np.float64) * 1e-19
-            if np.max(np.abs(terms[-1])) > tol:
+            if np.max(np.abs(terms[-1])) > _SERIES_TAIL_TOL:
                 tail_ok = False
         if tail_ok:
             return A, err
         K *= 2
-        if K > k_cap:
+        if K > _SERIES_K_CAP:
             raise NumericalError(
                 "alternating quasi-probability series did not converge; "
                 "use the resummed route or a larger ordering parameter")
@@ -314,8 +313,8 @@ def _resummed_smoothing_matrix(n_max: int, m_max: int, s: float, M: float) -> np
 
 
 def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
-                        n_box: int | Sequence[int], method: str = "resummed",
-                        tol: float = 1e-12) -> QuasiProbabilityTable:
+                        n_box: int | Sequence[int],
+                        method: str = "resummed") -> QuasiProbabilityTable:
     """s-ordered probabilities p_s(n) for occupations n_j <= n_box.
 
     ``method="series"`` sums the alternating moment series directly;
@@ -342,7 +341,7 @@ def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
         raise DataError(f"unknown method {method!r}")
     err_tab = np.zeros_like(vals)
     for axis, (M, nb) in enumerate(zip(modes, boxes)):
-        A, E = _series_smoothing_matrix(nb, vals.shape[axis] - 1, s, M, tol=tol)
+        A, E = _series_smoothing_matrix(nb, vals.shape[axis] - 1, s, M)
         # propagate the round-off estimate axis by axis through the same contraction
         err_tab = (fock.apply_matrix(err_tab, np.abs(A), axis)
                    + fock.apply_matrix(np.abs(vals), E, axis))
@@ -387,33 +386,24 @@ def ncc_probability(table: QuasiProbabilityTable, criterion: str,
 # Lee nonclassicality depth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NcdSettings:
-    s_min: float = S_MIN
-    s_tol: float = 1e-3
-    max_iterations: int = 40
-    scan_points: int = 17
-
-
-def ncd(evaluator: Callable[[float], float],
-        settings: NcdSettings = NcdSettings()) -> NcdResult:
+def ncd(evaluator: Callable[[float], float]) -> NcdResult:
     """Lee depth tau = (1 - s_th)/2 from the sign change of a criterion.
 
     ``evaluator(s)`` returns the criterion value at ordering s; negative
     means nonclassical. Classical at s = 1 gives tau = 0; nonclassical all
-    the way down to s_min gives tau = 1 with the saturation flag. A coarse
+    the way down to S_MIN gives tau = 1 with the saturation flag. A coarse
     scan detects non-monotone sign patterns; those are flagged ambiguous
     and resolved at the largest classical-to-nonclassical transition.
     """
     v1 = evaluator(1.0)
     if v1 >= 0.0:
         return NcdResult(0.0, None)
-    v_lo = evaluator(settings.s_min)
+    v_lo = evaluator(S_MIN)
     if v_lo < 0.0:
         return NcdResult(1.0, None, saturated=True)
-    grid = np.linspace(settings.s_min, 1.0, settings.scan_points)
+    grid = np.linspace(S_MIN, 1.0, SCAN_POINTS)
     signs = []
-    vals = {settings.s_min: v_lo, 1.0: v1}
+    vals = {S_MIN: v_lo, 1.0: v1}
     for sv in grid:
         sv = float(sv)
         if sv not in vals:
@@ -423,8 +413,8 @@ def ncd(evaluator: Callable[[float], float],
     # bracket the highest classical -> nonclassical transition
     hi_idx = max(i for i in range(len(grid) - 1) if (not signs[i]) and signs[i + 1])
     lo, hi = float(grid[hi_idx]), float(grid[hi_idx + 1])
-    for _ in range(settings.max_iterations):
-        if hi - lo <= settings.s_tol:
+    for _ in range(NCD_BISECTIONS):
+        if hi - lo <= S_TOL:
             break
         mid = 0.5 * (lo + hi)
         if evaluator(mid) < 0.0:
@@ -436,7 +426,6 @@ def ncd(evaluator: Callable[[float], float],
 
 
 def intensity_ncd(d: JointDistribution, criterion: str, modes: Sequence[float],
-                  settings: NcdSettings = NcdSettings(),
                   tail_tol: float = 1e-6) -> NccResult:
     """NCD of an intensity criterion ("cs" or "matrix") for a 3D field."""
     base = intensity_moments(d, 2, tail_tol=tail_tol)
@@ -446,30 +435,26 @@ def intensity_ncd(d: JointDistribution, criterion: str, modes: Sequence[float],
         return crit(s_transform_moments(base, s, modes)).value
 
     at1 = crit(s_transform_moments(base, 1.0, modes))
-    depth = ncd(evaluator, settings)
+    depth = ncd(evaluator)
     return NccResult(at1.criterion, at1.value, at1.nonclassical, ncd=depth)
 
 
 def probability_ncd(d: JointDistribution, criterion: str, modes: Sequence[float],
-                    offset: tuple[int, int, int] = (0, 0, 0),
-                    settings: NcdSettings = NcdSettings(),
-                    method: str = "resummed") -> NccResult:
+                    offset: tuple[int, int, int] = (0, 0, 0)) -> NccResult:
     """NCD of a probability criterion at one lattice offset."""
     box = tuple(offset[j] + 2 for j in range(3))
 
     def evaluator(s: float) -> float:
-        table = quasi_probabilities(d, s, modes, box, method=method)
+        table = quasi_probabilities(d, s, modes, box)
         return ncc_probability(table, criterion, offset).value
 
     at1 = ncc_probability(quasi_probabilities(d, 1.0, modes, box), criterion, offset)
-    depth = ncd(evaluator, settings)
+    depth = ncd(evaluator)
     return NccResult(at1.criterion, at1.value, at1.nonclassical, ncd=depth)
 
 
 def ncd_field(d: JointDistribution, criterion: str, modes: Sequence[float],
-              box: tuple[int, int, int],
-              settings: NcdSettings = NcdSettings(),
-              method: str = "resummed") -> NcdField:
+              box: tuple[int, int, int]) -> NcdField:
     """Lattice field of Lee depths of the offset probability criteria.
 
     At lattice point n the criterion instance uses probabilities from the
@@ -486,7 +471,7 @@ def ncd_field(d: JointDistribution, criterion: str, modes: Sequence[float],
 
     def table_at(s: float) -> QuasiProbabilityTable:
         if s not in cache:
-            cache[s] = quasi_probabilities(d, s, modes, n_box, method=method)
+            cache[s] = quasi_probabilities(d, s, modes, n_box)
         return cache[s]
 
     out = np.zeros(tuple(b + 1 for b in box))
@@ -498,7 +483,7 @@ def ncd_field(d: JointDistribution, criterion: str, modes: Sequence[float],
                 def evaluator(s: float, off=off) -> float:
                     return ncc_probability(table_at(s), criterion, off).value
 
-                out[off] = ncd(evaluator, settings).tau
+                out[off] = ncd(evaluator).tau
     return NcdField(out, f"{criterion}_probability")
 
 
@@ -554,13 +539,13 @@ def _laguerre_kernel(w: np.ndarray, n_max: int, s: float, M: float) -> np.ndarra
 
 
 def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
-                         points: int = 400, w_max: Sequence[float] | None = None,
-                         validate: bool = True) -> QuasiDistribution:
+                         points: int = 400) -> QuasiDistribution:
     """Synthesize P_s(W) on a uniform midpoint grid via the Laguerre kernel.
 
     The per-beam kernel K_{s,M}(W, n) is contracted against the photon
-    table. When ``validate`` is set, grid moments up to order 3 per beam
-    are checked against the moment transform (relative 1e-4) and the grid
+    table. Each axis spans 16 standard deviations of its s-ordered
+    intensity above the mean. Grid moments up to order 3 per beam are
+    checked against the moment transform (relative 1e-4) and the grid
     integral against 1 (1e-3); a failure raises NumericalError.
 
     GEMM orientation: axes 1..d-1 go through :func:`fock.contract` first,
@@ -580,14 +565,10 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
     kernels = []
     vals = d.values
     for axis, M in enumerate(modes):
-        if w_max is None:
-            # 16 sigma: third-order grid moments must hold to 1e-4, and the
-            # synthesized density has slowly decaying signed tails
-            mean, sd = _axis_scale(d, axis, s, M)
-            wmax_ax = mean + 16.0 * sd
-        else:
-            wmax_ax = float(w_max[axis])
-        step = wmax_ax / points
+        # 16 sigma: third-order grid moments must hold to 1e-4, and the
+        # synthesized density has slowly decaying signed tails
+        mean, sd = _axis_scale(d, axis, s, M)
+        step = (mean + 16.0 * sd) / points
         w = (np.arange(points) + 0.5) * step
         steps.append(step)
         kernels.append(_laguerre_kernel(w, vals.shape[axis] - 1, s, M))
@@ -597,8 +578,7 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
     np.matmul(kernels[0], y.reshape(vals.shape[0], -1), out=grid.reshape(points, -1))
     del y  # 27 MB at 400 points: not held through the check
     out = QuasiDistribution(grid, s, modes, tuple(steps))
-    if validate:
-        _validate_quasi(out, d)
+    _validate_quasi(out, d)
     return out
 
 
@@ -619,19 +599,17 @@ def _grid_moments(q: QuasiDistribution, k_max: int) -> np.ndarray:
     return grid_mom.transpose(np.argsort(order)) * math.prod(q.steps)
 
 
-def _validate_quasi(q: QuasiDistribution, d: JointDistribution,
-                    k_check: int = 3, rel_tol: float = 1e-4,
-                    norm_tol: float = 1e-3) -> None:
-    """Check the grid's integral and moments up to ``k_check`` per axis."""
-    grid_mom = _grid_moments(q, k_check)
+def _validate_quasi(q: QuasiDistribution, d: JointDistribution) -> None:
+    """Check the grid integral (to 1e-3) and moments to order 3 (relative 1e-4)."""
+    grid_mom = _grid_moments(q, 3)
     total = float(grid_mom[(0,) * grid_mom.ndim])
-    if abs(total - 1.0) > norm_tol:
+    if abs(total - 1.0) > 1e-3:
         raise NumericalError(
             f"quasi-distribution integrates to {total:.6f} on the grid")
-    exact = s_transform_moments(intensity_moments(d, k_check, tail_tol=1.0),
+    exact = s_transform_moments(intensity_moments(d, 3, tail_tol=1.0),
                                 q.s, q.modes).tensor
     err = np.abs(grid_mom - exact) / np.maximum(np.abs(exact), 1e-9)
-    if float(err.max()) > rel_tol:
+    if float(err.max()) > 1e-4:
         raise NumericalError(
             f"Laguerre kernel failed the moment check (max rel err {err.max():.2e})")
 

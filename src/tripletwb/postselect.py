@@ -20,6 +20,9 @@ from .fock import Histogram, JointDistribution, condition, marginalize, normaliz
 #: gaps; they carry only sampling noise.
 MASS_FLOOR = 1e-6
 
+#: EM budget of each c_s slice a histogram sweep inverts
+SWEEP_EM = EmSettings(max_iterations=2000)
+
 
 def _axis_moments(d: JointDistribution, axis: str) -> tuple[float, float]:
     marg = marginalize(d, [axis]).values
@@ -99,6 +102,27 @@ def _stats_row(selector: int, mass: float, d3: JointDistribution) -> SweepRow:
     return SweepRow(selector, mass, means, fanos, corrs)
 
 
+def _conditioned_fields(p4: JointDistribution, selector_kind: str,
+                        t_s: DetectionMatrix | None):
+    """A function from each selector value to its (slice mass, 3D field).
+
+    Values with no mass map to None. ``n_s`` conditions on the signal
+    slice; ``c_s`` mixes the signal axis through ``t_s`` once, for all
+    values. An unknown selector, or ``c_s`` without ``t_s``, raises
+    DataError before any value is tried.
+    """
+    if selector_kind == "n_s":
+        def field(value: int):
+            mass = slice_mass(p4, "s", value)
+            return (mass, condition(p4, "s", value)) if mass > 0.0 else None
+        return field
+    if selector_kind == "c_s":
+        if t_s is None:
+            raise DataError("c_s post-selection needs the signal detection matrix")
+        return derive_photocount_conditional(p4, t_s).get
+    raise DataError(f"unknown selector kind {selector_kind!r}")
+
+
 def conditioned_field(p4: JointDistribution, selector_kind: str, value: int,
                       t_s: DetectionMatrix | None = None) -> tuple[float, JointDistribution]:
     """One post-selected idler field from a 4D photon distribution.
@@ -106,43 +130,25 @@ def conditioned_field(p4: JointDistribution, selector_kind: str, value: int,
     ``n_s`` conditions directly; ``c_s`` mixes the signal axis through the
     detection matrix first. Returns (slice mass, 3D distribution).
     """
-    if selector_kind == "n_s":
-        mass = slice_mass(p4, "s", value)
-        if mass <= 0.0:
-            raise DataError(f"unconditionable outcome n_s={value}")
-        return mass, condition(p4, "s", value)
-    if selector_kind == "c_s":
-        if t_s is None:
-            raise DataError("c_s post-selection needs the signal detection matrix")
-        fields = derive_photocount_conditional(p4, t_s)
-        if value not in fields:
-            raise DataError(f"unconditionable outcome c_s={value}")
-        return fields[value]
-    raise DataError(f"unknown selector kind {selector_kind!r}")
+    found = _conditioned_fields(p4, selector_kind, t_s)(value)
+    if found is None:
+        raise DataError(f"unconditionable outcome {selector_kind}={value}")
+    return found
 
 
 def sweep_distribution(p4: JointDistribution, selector_kind: str,
                        values: range | list[int],
                        t_s: DetectionMatrix | None = None) -> PostselectSweep:
     """Statistics sweep over the selector from a model photon distribution."""
+    field = _conditioned_fields(p4, selector_kind, t_s)
     rows, gaps = [], []
-    cache = derive_photocount_conditional(p4, t_s) if selector_kind == "c_s" else None
     for v in values:
-        try:
-            if cache is not None:
-                if v not in cache:
-                    raise DataError("empty")
-                mass, d3 = cache[v]
-            else:
-                mass, d3 = conditioned_field(p4, selector_kind, v)
-        except DataError:
-            gaps.append(v)
-            continue
-        if mass < MASS_FLOOR:
+        found = field(v)
+        if found is None or found[0] < MASS_FLOOR:
             gaps.append(v)
             continue
         try:
-            rows.append(_stats_row(v, mass, d3))
+            rows.append(_stats_row(v, *found))
         except DataError:
             # degenerate slice (zero mean or variance): a gap, not a failure
             gaps.append(v)
@@ -151,13 +157,12 @@ def sweep_distribution(p4: JointDistribution, selector_kind: str,
 
 def sweep_histogram(h: Histogram,
                     idler_matrices: dict[str, DetectionMatrix] | list[DetectionMatrix],
-                    values: range | list[int],
-                    settings: EmSettings = EmSettings(max_iterations=2000)) -> PostselectSweep:
+                    values: range | list[int]) -> PostselectSweep:
     """Photon-level sweep over c_s from a measured histogram.
 
     Every slice is conditioned (the 3D photocount histogram for that c_s)
-    and inverted by EM over the three idler axes before the statistics are
-    evaluated.
+    and inverted by EM over the three idler axes, with ``SWEEP_EM``, before
+    the statistics are evaluated.
     """
     f = normalize(h)
     rows, gaps, em = [], [], []
@@ -168,7 +173,7 @@ def sweep_histogram(h: Histogram,
             continue
         f_cs = condition(f, "s", c_s)
         # through the module, so that a wrapped emrec.em_reconstruct is the one called
-        rec = emrec.em_reconstruct(f_cs, idler_matrices, settings)
+        rec = emrec.em_reconstruct(f_cs, idler_matrices, SWEEP_EM)
         rows.append(_stats_row(c_s, mass, rec.distribution))
         em.append({"selector": c_s, "iterations": rec.iterations,
                    "residual": rec.residual, "converged": rec.converged})

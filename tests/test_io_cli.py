@@ -1,4 +1,5 @@
 """File formats and the command-line pipelines."""
+import csv
 import json
 import types
 
@@ -145,6 +146,16 @@ def test_table_writers_match_csv_module_loop(tmp_path):
     write_cells_loop(tmp_path / "loop.csv", ["c_s", "c_i1", "c_i2", "c_i3", "count"],
                      counts, counts > 0, int)
     assert (tmp_path / "hist.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    # frames: more rows than one write block, a count beyond 32 bits
+    frames = rng.integers(0, 40, size=(10_000, 4))
+    frames[7, 2] = 10**12
+    io.save_frames(frames, tmp_path / "frames.csv")
+    with (tmp_path / "loop.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(io.FRAME_HEADER)
+        for i, row in enumerate(frames):
+            writer.writerow([i, *[int(x) for x in row]])
+    assert (tmp_path / "frames.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 TABLE_FORMATS = {
@@ -555,11 +566,15 @@ def test_cli_out_of_range_option_exits_2(runner, workdir, sim_hist, dist3,
 
 
 def test_cli_sweep_malformed_range_exits_2(runner, workdir, dist4):
-    res = runner.invoke(main, [
-        "sweep", "--source", "dist", "--input", str(dist4), "--selector", "n_s",
-        "--range", "3", "--out", str(workdir / "nope3.csv")])
-    assert res.exit_code == 2
-    assert "--range" in res.output
+    # not lo:hi, a negative end, and lo > hi (which wrote a header-only CSV)
+    for sel_range in ("3", "-2:1", "0:-1", "4:2"):
+        out = workdir / f"nope3_{sel_range}.csv"
+        res = runner.invoke(main, [
+            "sweep", "--source", "dist", "--input", str(dist4), "--selector", "n_s",
+            "--range", sel_range, "--out", str(out)])
+        assert res.exit_code == 2, (sel_range, res.output)
+        assert "--range" in res.output
+        assert not out.exists()
 
 
 def test_cli_fit_runs(runner, workdir):

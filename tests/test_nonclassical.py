@@ -11,9 +11,9 @@ from tripletwb.errors import CutoffError, DataError, NumericalError, ParameterEr
 from tripletwb.fock import JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, MandelRiceComponent,
                                 mandel_rice_vector)
-from tripletwb.nonclassical import (NcdSettings, default_mode_numbers,
-                                    intensity_moments, intensity_ncd,
-                                    ncc_cs_intensity, ncc_matrix_intensity,
+from tripletwb.nonclassical import (default_mode_numbers, intensity_moments,
+                                    intensity_ncd, ncc_cs_intensity,
+                                    ncc_matrix_intensity,
                                     ncc_probability, ncd, ncd_field, plane_cut,
                                     probability_ncd, quasi_distribution_W,
                                     quasi_probabilities, s_transform_moments)
@@ -132,7 +132,7 @@ def test_invalid_mode_numbers_raise_parameter_error(route, bad):
         if route == "s_transform":
             s_transform_moments(intensity_moments(d, 2), 0.5, modes)
         elif route == "grid":
-            quasi_distribution_W(d, 0.5, modes, points=4, validate=False)
+            quasi_distribution_W(d, 0.5, modes, points=4)
         else:
             quasi_probabilities(d, 0.5, modes, 2, method=route)
 
@@ -285,7 +285,7 @@ def test_ncd_single_photon_has_positive_depth():
 
 def test_ncd_saturation_flag():
     # an evaluator negative on the entire ordering range saturates at tau 1
-    res = ncd(lambda s: -1.0, NcdSettings())
+    res = ncd(lambda s: -1.0)
     assert res.tau == 1.0
     assert res.saturated
 
@@ -362,18 +362,19 @@ def test_quasi_distribution_validates_grid_moments():
 
 
 def test_quasi_distribution_laguerre_overflow_is_numerical_error():
-    # at W ~ 1e9 the Laguerre recurrence passes its guard within 32 orders
-    d = JointDistribution(np.full((33, 3, 3), 1.0 / 297), ("i1", "i2", "i3"),
-                          normalized=True)
-    with pytest.raises(NumericalError, match="Laguerre recurrence overflow"):
-        quasi_distribution_W(d, 0.0, (1.0, 1.0, 1.0), points=4, w_max=(1e9, 10, 10))
+    # at s = -0.999 the Laguerre argument 4W/(1 - s^2) is 2000 W: on the
+    # default grid of a uniform 101-cell table the recurrence passes its
+    # guard at n = 54, before any grid moment is checked
+    d = JointDistribution(np.full(101, 1.0 / 101), ("i1",), normalized=True)
+    with pytest.raises(NumericalError, match="Laguerre recurrence overflow at n = 54"):
+        quasi_distribution_W(d, -0.999, (1.0,), points=4)
 
 
 MODES_8 = (8.0, 8.0, 8.0)
 
 
 def quasi_3d():
-    """An 8-mode thermal product and its s = 0 grid, built unvalidated.
+    """An 8-mode thermal product and its s = 0 grid.
 
     Eight modes make the density vanish smoothly at W = 0, so 100 points
     per axis pass the grid-moment check (one mode needs about 400).
@@ -382,7 +383,7 @@ def quasi_3d():
             for B in (0.2, 0.3, 0.25)]
     vals = np.einsum("i,j,k->ijk", *vecs)
     d = JointDistribution(vals / vals.sum(), ("i1", "i2", "i3"), normalized=True)
-    return d, quasi_distribution_W(d, 0.0, MODES_8, points=100, validate=False)
+    return d, quasi_distribution_W(d, 0.0, MODES_8, points=100)
 
 
 def test_validate_quasi_rejects_one_wrong_third_moment():
@@ -419,14 +420,16 @@ def test_validate_quasi_allocates_no_grid_copy():
 
 
 @pytest.mark.parametrize("shape", [(31,), (12, 7), (9, 13, 6)])
-def test_quasi_grid_matches_contract_of_kernels(shape):
+def test_quasi_grid_matches_contract_of_kernels(shape, monkeypatch):
     # the synthesis contracts axes 1..d-1 first and axis 0 last; the grid
-    # is the plain all-axes contraction of the per-axis kernels
+    # is the plain all-axes contraction of the per-axis kernels. 50 points
+    # are too coarse for the grid-moment check, which is switched off here
     vals = np.random.default_rng(len(shape)).random(shape)
     labels = ("i1", "i2", "i3")[: len(shape)]
     d = JointDistribution(vals / vals.sum(), labels, normalized=True)
     modes = (1.0, 2.5, 4.0)[: len(shape)]
-    q = quasi_distribution_W(d, -0.3, modes, points=50, validate=False)
+    monkeypatch.setattr(nonclassical, "_validate_quasi", lambda q, d: None)
+    q = quasi_distribution_W(d, -0.3, modes, points=50)
     kernels = [nonclassical._laguerre_kernel(q.grid(a), n - 1, -0.3, M)
                for a, (n, M) in enumerate(zip(shape, modes))]
     ref = fock.contract(d.values, kernels)

@@ -107,16 +107,26 @@ def test_conditioned_field_photon_selector():
         d3.values[: 7, : 7, : 7], multinomial_thirds(6).values, atol=1e-12)
 
 
+#: the two public conditioning routes, each given a selector kind
+ROUTES = (lambda p4, kind: conditioned_field(p4, kind, 2),
+          lambda p4, kind: sweep_distribution(p4, kind, range(4)))
+
+
 def test_conditioned_field_click_selector_needs_matrix():
+    # the sweep too refuses before any value is tried, not with a raw
+    # AttributeError
     p4 = equal_split_pure_pair(4)
-    with pytest.raises(DataError):
-        conditioned_field(p4, "c_s", 2)
+    for route in ROUTES:
+        with pytest.raises(DataError, match="needs the signal detection matrix"):
+            route(p4, "c_s")
 
 
 def test_conditioned_field_unknown_selector():
+    # the sweep too refuses, rather than reporting every value as a gap
     p4 = equal_split_pure_pair(4)
-    with pytest.raises(DataError):
-        conditioned_field(p4, "clicks", 2)
+    for route in ROUTES:
+        with pytest.raises(DataError, match="unknown selector kind 'clicks'"):
+            route(p4, "clicks")
 
 
 # ---------------------------------------------------------------------------
