@@ -7,15 +7,14 @@ __version__ = "0.1.0"
 
 from .detector import (DetectionMatrix, DetectorConfig, PAPER_TABLE_1, PRESETS,
                        detection_matrix, forward_counts, sample_counts)
-from .emrec import EmResult, EmSettings, derive_photocount_conditional, em_reconstruct
+from .emrec import EmResult, EmSettings, em_reconstruct
 from .errors import (CutoffError, DataError, NumericalError, ParameterError,
                      TripleTwbError)
-from .fit import FitReport, declination, fit, photocount_moments
+from .fit import FitReport, declination, photocount_moments
 from .fock import (Histogram, JointDistribution, condition, factorial_moment,
                    marginalize, normalize)
 from .gaussian import (GaussianFieldModel, MandelRiceComponent, PAPER_TABLE_2,
-                       TripleTwbParams, mandel_rice_pmf, model_moments,
-                       sample_photon_numbers)
+                       TripleTwbParams, mandel_rice_pmf, sample_photon_numbers)
 from .nonclassical import (IntensityMoments, NccResult, NcdField, NcdResult,
                            PlaneCut, QuasiDistribution,
                            QuasiProbabilityTable, intensity_moments,

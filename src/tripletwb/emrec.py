@@ -29,7 +29,9 @@ import numpy as np
 
 from .detector import DetectionMatrix, _matrices_for
 from .errors import DataError
-from .fock import JointDistribution, apply_matrix, contract
+# apply_matrix stays importable here: the benchmark's tracer (perfbench/workload.py)
+# wraps it under this module's name
+from .fock import JointDistribution, apply_matrix, contract  # noqa: F401
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -95,8 +97,14 @@ def em_reconstruct(f: JointDistribution,
     ratio = np.zeros(fbox.shape)
 
     if start is not None:
-        p = start.values.astype(np.float64).copy()
-        p /= p.sum()
+        box = tuple(c + 1 for c in photon_cutoffs)
+        if start.axis_labels != f.axis_labels or start.values.shape != box:
+            raise DataError(f"start table {start.axis_labels} {start.values.shape} "
+                            f"does not match the photon box {f.axis_labels} {box}")
+        total = start.total()
+        if not total > 0.0:
+            raise DataError(f"start table sums to {total!r}; it needs a total > 0")
+        p = start.values / total
     else:
         p = np.full([c + 1 for c in photon_cutoffs], 1.0)
         p /= p.size
@@ -129,25 +137,3 @@ def em_reconstruct(f: JointDistribution,
     dist = JointDistribution(p, f.axis_labels, normalized=True)
     return EmResult(dist, it, residuals[-1], np.asarray(logliks),
                     np.asarray(residuals), converged)
-
-
-def derive_photocount_conditional(p4: JointDistribution, t_s: DetectionMatrix
-                                  ) -> dict[int, tuple[float, JointDistribution]]:
-    """Map the signal axis through T_s and condition on each click number c_s.
-
-    Returns {c_s: (slice mass, normalized 3D idler distribution)}; zero-mass
-    slices are skipped.
-    """
-    if not p4.normalized or p4.values.ndim != 4 or p4.axis_labels[0] != "s":
-        raise DataError("expected a normalized 4-axis table with leading signal axis")
-    if t_s.n_max + 1 < p4.values.shape[0]:
-        raise DataError("signal detection matrix does not cover the signal cutoff")
-    mixed = apply_matrix(p4.values, t_s.entries[:, : p4.values.shape[0]], 0)
-    out = {}
-    for c_s in range(mixed.shape[0]):
-        mass = float(mixed[c_s].sum())
-        if mass <= 0.0:
-            continue
-        out[c_s] = (mass, JointDistribution(mixed[c_s] / mass, p4.axis_labels[1:],
-                                            normalized=True))
-    return out

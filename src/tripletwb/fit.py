@@ -29,7 +29,8 @@ import numpy as np
 
 from .detector import DetectorConfig, detection_matrix, forward_counts
 from .errors import CutoffError, DataError, NumericalError, ParameterError
-from .fock import AXIS_ORDER, Histogram, JointDistribution, contract
+from .fock import (AXIS_ORDER, Histogram, JointDistribution, _power_rows, _read_moments,
+                   contract, table_moments)
 from .gaussian import GaussianFieldModel, MandelRiceComponent, TripleTwbParams
 
 DECLINATION_EPS = 1e-10
@@ -70,36 +71,6 @@ def photocount_moments(h: Histogram) -> dict:
     if h.trials <= 0:
         raise DataError("empty histogram")
     return table_moments(h.counts / h.trials, h.axis_labels)
-
-
-def table_moments(rel: np.ndarray, labels) -> dict:
-    """Means and covariances of any normalized multivariate table.
-
-    One contraction of every axis against its power rows 1, c, c^2 gives
-    the 3^d table of mixed moments, from which both are read off.
-    """
-    rel = np.asarray(rel)
-    return _read_moments(contract(rel, [_power_rows(n) for n in rel.shape]), labels)
-
-
-def _power_rows(size: int) -> np.ndarray:
-    """The 3 x size matrix with rows 1, c and c^2 over c = 0 .. size - 1."""
-    c = np.arange(size, dtype=np.float64)
-    return np.stack([np.ones(size), c, c * c])
-
-
-def _read_moments(mixed: np.ndarray, labels) -> dict:
-    """Means and covariances from mixed[k] = sum_c f(c) prod_a c_a^k_a, k_a <= 2."""
-    def moment(*axes):
-        index = [0] * mixed.ndim
-        for a in axes:
-            index[a] += 1
-        return float(mixed[tuple(index)])
-
-    means = {la: moment(a) for a, la in enumerate(labels)}
-    cov = {(la, lb): moment(a, b) - means[la] * means[lb]
-           for a, la in enumerate(labels) for b, lb in enumerate(labels)}
-    return {"mean": means, "cov": cov}
 
 
 def declination(h: Histogram, f_model: JointDistribution) -> float:

@@ -214,29 +214,6 @@ def _signal_shift_matrix(pair: np.ndarray, noise: np.ndarray, signal_cutoff: int
     return b.transpose(0, 2, 1).reshape(-1, signal_cutoff + 1)
 
 
-def model_moments(params: TripleTwbParams) -> dict:
-    """Closed-form first and second photon-number moments.
-
-    Axis variances add the M B (1+B) of every component on that axis;
-    the only nonzero covariances are cov(n_s, n_ij) = M_pj B_pj (1+B_pj)
-    through the shared pair components.
-    """
-    labels = AXIS_ORDER
-    means = {l: params.axis_mean(l) for l in labels}
-    var = {
-        "s": sum(p.variance for p in params.pairs) + params.noise_s.variance,
-        "i1": params.pair_1.variance + params.noise_i1.variance,
-        "i2": params.pair_2.variance + params.noise_i2.variance,
-        "i3": params.pair_3.variance + params.noise_i3.variance,
-    }
-    cov = {(a, b): 0.0 for a in labels for b in labels}
-    for l in labels:
-        cov[(l, l)] = var[l]
-    for j, l in enumerate(("i1", "i2", "i3")):
-        cov[("s", l)] = cov[(l, "s")] = params.pairs[j].variance
-    return {"mean": means, "cov": cov}
-
-
 def sample_photon_numbers(params: TripleTwbParams, trials: int, seed: int) -> np.ndarray:
     """Draw i.i.d. (n_s, n_i1, n_i2, n_i3) samples; deterministic per seed.
 

@@ -491,17 +491,15 @@ def ncd_field(d: JointDistribution, criterion: str, modes: Sequence[float],
 # quasi-distributions of integrated intensities
 # ---------------------------------------------------------------------------
 
-def _axis_scale(d: JointDistribution, axis: int, s: float, M: float) -> tuple[float, float]:
-    """Mean and standard deviation of the s-ordered intensity on one axis."""
-    marg = d.values
-    drop = tuple(a for a in range(marg.ndim) if a != axis)
-    m = marg.sum(axis=drop) if drop else marg
-    n = np.arange(m.size, dtype=np.float64)
-    w1 = float(np.dot(n, m))
-    w2 = float(np.dot(n * (n - 1.0), m))
+def _axis_scale(mean_n: float, var_n: float, s: float, M: float) -> tuple[float, float]:
+    """Mean and standard deviation of the s-ordered intensity on one axis.
+
+    ``mean_n`` and ``var_n`` are the photon-number mean and variance of
+    that axis.
+    """
     th = _theta(s)
-    mean = w1 + M * th
-    var = max(w2 - w1 * w1, 0.0) + 2.0 * th * w1 + M * th * th
+    mean = mean_n + M * th
+    var = max(var_n - mean_n, 0.0) + 2.0 * th * mean_n + M * th * th
     return mean, math.sqrt(max(var, 1e-12))
 
 
@@ -564,10 +562,11 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
     steps = []
     kernels = []
     vals = d.values
-    for axis, M in enumerate(modes):
+    mom = fock.table_moments(vals, d.axis_labels)
+    for axis, (label, M) in enumerate(zip(d.axis_labels, modes)):
         # 16 sigma: third-order grid moments must hold to 1e-4, and the
         # synthesized density has slowly decaying signed tails
-        mean, sd = _axis_scale(d, axis, s, M)
+        mean, sd = _axis_scale(mom["mean"][label], mom["cov"][(label, label)], s, M)
         step = (mean + 16.0 * sd) / points
         w = (np.arange(points) + 0.5) * step
         steps.append(step)
@@ -716,10 +715,3 @@ def _plane_cut_grid(q: QuasiDistribution, kind: str, level: float | None) -> Pla
     vals = np.full(w2.shape, np.nan)
     vals[on] = arr[i, idx, j]
     return PlaneCut("triangular", float(level), g0, g2, vals)
-
-
-def default_mode_numbers(params) -> tuple[float, float, float]:
-    """Per-beam mode numbers from fitted parameters: pair plus noise modes."""
-    return (params.pair_1.M + params.noise_i1.M,
-            params.pair_2.M + params.noise_i2.M,
-            params.pair_3.M + params.noise_i3.M)

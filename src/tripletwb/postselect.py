@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import emrec
+from . import emrec, fock
 from .detector import DetectionMatrix
-from .emrec import EmSettings, derive_photocount_conditional
+from .emrec import EmSettings
 from .errors import DataError
-from .fock import Histogram, JointDistribution, condition, marginalize, normalize, slice_mass
+from .fock import (Histogram, JointDistribution, condition, normalize, slice_mass,
+                   table_moments)
 
 #: Slices holding less than this fraction of the total mass are reported as
 #: gaps; they carry only sampling noise.
@@ -24,32 +25,35 @@ MASS_FLOOR = 1e-6
 SWEEP_EM = EmSettings(max_iterations=2000)
 
 
-def _axis_moments(d: JointDistribution, axis: str) -> tuple[float, float]:
-    marg = marginalize(d, [axis]).values
-    n = np.arange(marg.size)
-    mean = float(np.dot(n, marg))
-    var = float(np.dot((n - mean) ** 2, marg))
-    return mean, var
+def _fano(mom: dict, axis: str) -> float:
+    mean = mom["mean"][axis]
+    if mean <= 0.0:
+        raise DataError(f"undefined Fano: axis {axis} has zero mean")
+    return mom["cov"][(axis, axis)] / mean
+
+
+def _corr(mom: dict, axis_j: str, axis_k: str) -> float:
+    cov = mom["cov"]
+    vj, vk = cov[(axis_j, axis_j)], cov[(axis_k, axis_k)]
+    if vj <= 0.0 or vk <= 0.0:
+        raise DataError("correlation undefined for a zero-variance axis")
+    return cov[(axis_j, axis_k)] / np.sqrt(vj * vk)
+
+
+def _moments(d: JointDistribution, *axes: str) -> dict:
+    for axis in axes:
+        d.axis(axis)  # an unknown axis raises DataError
+    return table_moments(d.values, d.axis_labels)
 
 
 def fano(d: JointDistribution, axis: str) -> float:
     """Variance-to-mean ratio of the axis marginal; < 1 is sub-Poissonian."""
-    mean, var = _axis_moments(d, axis)
-    if mean <= 0.0:
-        raise DataError(f"undefined Fano: axis {axis} has zero mean")
-    return var / mean
+    return _fano(_moments(d, axis), axis)
+
 
 def corr_fluct(d: JointDistribution, axis_j: str, axis_k: str) -> float:
     """Pearson correlation of the photon-number fluctuations of two axes."""
-    mj, vj = _axis_moments(d, axis_j)
-    mk, vk = _axis_moments(d, axis_k)
-    if vj <= 0.0 or vk <= 0.0:
-        raise DataError("correlation undefined for a zero-variance axis")
-    pair = marginalize(d, [axis_j, axis_k]).values
-    nj = np.arange(pair.shape[0], dtype=np.float64)
-    nk = np.arange(pair.shape[1], dtype=np.float64)
-    cov = float(nj @ pair @ nk) - mj * mk
-    return cov / np.sqrt(vj * vk)
+    return _corr(_moments(d, axis_j, axis_k), axis_j, axis_k)
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,11 @@ class PostselectSweep:
 
 
 def _stats_row(selector: int, mass: float, d3: JointDistribution) -> SweepRow:
-    means = tuple(_axis_moments(d3, a)[0] for a in ("i1", "i2", "i3"))
-    fanos = tuple(fano(d3, a) for a in ("i1", "i2", "i3"))
-    corrs = (corr_fluct(d3, "i1", "i2"), corr_fluct(d3, "i1", "i3"),
-             corr_fluct(d3, "i2", "i3"))
+    mom = table_moments(d3.values, d3.axis_labels)
+    idlers = ("i1", "i2", "i3")
+    means = tuple(mom["mean"][a] for a in idlers)
+    fanos = tuple(_fano(mom, a) for a in idlers)
+    corrs = (_corr(mom, "i1", "i2"), _corr(mom, "i1", "i3"), _corr(mom, "i2", "i3"))
     return SweepRow(selector, mass, means, fanos, corrs)
 
 
@@ -107,20 +112,30 @@ def _conditioned_fields(p4: JointDistribution, selector_kind: str,
     """A function from each selector value to its (slice mass, 3D field).
 
     Values with no mass map to None. ``n_s`` conditions on the signal
-    slice; ``c_s`` mixes the signal axis through ``t_s`` once, for all
-    values. An unknown selector, or ``c_s`` without ``t_s``, raises
-    DataError before any value is tried.
+    slice. ``c_s`` first maps the signal axis of the normalized 4-axis
+    table through ``t_s``, once for all values, and then conditions the
+    mixed table the same way. An unknown selector, or ``c_s`` without a
+    ``t_s`` that covers the signal cutoff, raises DataError before any
+    value is tried.
     """
-    if selector_kind == "n_s":
-        def field(value: int):
-            mass = slice_mass(p4, "s", value)
-            return (mass, condition(p4, "s", value)) if mass > 0.0 else None
-        return field
     if selector_kind == "c_s":
         if t_s is None:
             raise DataError("c_s post-selection needs the signal detection matrix")
-        return derive_photocount_conditional(p4, t_s).get
-    raise DataError(f"unknown selector kind {selector_kind!r}")
+        if not p4.normalized or p4.values.ndim != 4 or p4.axis_labels[0] != "s":
+            raise DataError("expected a normalized 4-axis table with leading signal axis")
+        n_0 = p4.values.shape[0]
+        if t_s.n_max + 1 < n_0:
+            raise DataError("signal detection matrix does not cover the signal cutoff")
+        # through the module, so that a wrapped fock.apply_matrix is the one called
+        mixed = fock.apply_matrix(p4.values, t_s.entries[:, :n_0], 0)
+        p4 = JointDistribution(mixed, p4.axis_labels, normalized=True)
+    elif selector_kind != "n_s":
+        raise DataError(f"unknown selector kind {selector_kind!r}")
+
+    def field(value: int):
+        mass = slice_mass(p4, "s", value)
+        return (mass, condition(p4, "s", value)) if mass > 0.0 else None
+    return field
 
 
 def conditioned_field(p4: JointDistribution, selector_kind: str, value: int,

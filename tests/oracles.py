@@ -397,3 +397,53 @@ def plane_cut_csv_loop(pc) -> str:
                 continue
             lines.append(f"{uu:.10g},{vv:.10g},{val:.10g}")
     return "\n".join(lines) + "\n"
+
+
+def model_moments(params: TripleTwbParams) -> dict:
+    """Closed-form first and second photon-number moments of the model.
+
+    Axis variances add the M B (1+B) of every component on that axis;
+    the only nonzero covariances are cov(n_s, n_ij) = M_pj B_pj (1+B_pj)
+    through the shared pair components.
+    """
+    labels = AXIS_ORDER
+    means = {l: params.axis_mean(l) for l in labels}
+    var = {
+        "s": sum(p.variance for p in params.pairs) + params.noise_s.variance,
+        "i1": params.pair_1.variance + params.noise_i1.variance,
+        "i2": params.pair_2.variance + params.noise_i2.variance,
+        "i3": params.pair_3.variance + params.noise_i3.variance,
+    }
+    cov = {(a, b): 0.0 for a in labels for b in labels}
+    for l in labels:
+        cov[(l, l)] = var[l]
+    for j, l in enumerate(("i1", "i2", "i3")):
+        cov[("s", l)] = cov[(l, "s")] = params.pairs[j].variance
+    return {"mean": means, "cov": cov}
+
+
+def stats_row_marginals(d3: JointDistribution):
+    """Idler means, Fano factors and correlations from 15 marginal reductions.
+
+    The former ``postselect._stats_row``: 3 axis marginals for the means,
+    3 more for the Fano factors, and 2 axis marginals plus 1 pair marginal
+    for each of the 3 correlations. Returns (means, fanos, corrs).
+    """
+    def axis_moments(axis):
+        marg = fock.marginalize(d3, [axis]).values
+        n = np.arange(marg.size)
+        mean = float(np.dot(n, marg))
+        return mean, float(np.dot((n - mean) ** 2, marg))
+
+    def corr(a, b):
+        (ma, va), (mb, vb) = axis_moments(a), axis_moments(b)
+        pair = fock.marginalize(d3, [a, b]).values
+        na = np.arange(pair.shape[0], dtype=np.float64)
+        nb = np.arange(pair.shape[1], dtype=np.float64)
+        return (float(na @ pair @ nb) - ma * mb) / np.sqrt(va * vb)
+
+    idlers = ("i1", "i2", "i3")
+    means = tuple(axis_moments(a)[0] for a in idlers)
+    fanos = tuple(v / m for m, v in (axis_moments(a) for a in idlers))
+    corrs = (corr("i1", "i2"), corr("i1", "i3"), corr("i2", "i3"))
+    return means, fanos, corrs

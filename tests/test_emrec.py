@@ -4,9 +4,9 @@ import pytest
 
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 detection_matrix, forward_counts, sample_counts)
-from tripletwb.emrec import EmSettings, derive_photocount_conditional, em_reconstruct
+from tripletwb.emrec import EmSettings, em_reconstruct
 from tripletwb.errors import DataError
-from tripletwb.fock import Histogram, JointDistribution, condition, marginalize, normalize
+from tripletwb.fock import Histogram, JointDistribution, normalize
 from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
 
 from tests.oracles import em_reconstruct_full_box
@@ -60,6 +60,26 @@ def test_truth_is_a_fixed_point():
     assert res.residual < 1e-10
 
 
+def test_start_off_the_photon_box_raises():
+    p = small_model(seed=8)
+    mats = small_matrices(p.values.shape)
+    f = forward_counts(p, mats)
+    wrong_shape = small_model(seed=9, shape=(5, 5, 5))
+    wrong_labels = JointDistribution(p.values, ("s", "i1", "i3"))
+    for start in (wrong_shape, wrong_labels):
+        with pytest.raises(DataError, match="does not match the photon box"):
+            em_reconstruct(f, mats, EmSettings(max_iterations=3), start=start)
+
+
+def test_all_zero_start_raises_before_the_first_map():
+    p = small_model(seed=8)
+    mats = small_matrices(p.values.shape)
+    f = forward_counts(p, mats)
+    start = JointDistribution(np.zeros(p.values.shape), p.axis_labels)
+    with pytest.raises(DataError, match="start table sums to 0.0"):
+        em_reconstruct(f, mats, EmSettings(max_iterations=3), start=start)
+
+
 def test_loglik_nondecreasing_and_normalized_iterates():
     p = small_model(seed=12)
     mats = small_matrices(p.values.shape)
@@ -110,56 +130,6 @@ def test_conditional_identity_matrices():
     mats = [identity_matrix(3)] * 3
     res = em_reconstruct(d3, mats, EmSettings(max_iterations=10, stop_tolerance=1e-12))
     np.testing.assert_allclose(res.distribution.values, d3.values, atol=1e-12)
-
-
-def test_conditional_round_trip_on_model_slice(model4, matrices):
-    # c_s slice of the exact click table, inverted with the idler matrices,
-    # must recover the conditional photon field's means within 2%
-    fields = derive_photocount_conditional(model4, matrices["s"])
-    mass, truth = fields[5]
-    idler_mats = {l: matrices[l] for l in ("i1", "i2", "i3")}
-    f3 = forward_counts(truth, idler_mats)
-    res = em_reconstruct(f3, idler_mats, EmSettings(max_iterations=4000, stop_tolerance=1e-11))
-    for l in ("i1", "i2", "i3"):
-        m_true = marginalize(truth, [l]).values
-        m_rec = marginalize(res.distribution, [l]).values
-        mean_true = float(np.arange(m_true.size) @ m_true)
-        mean_rec = float(np.arange(m_rec.size) @ m_rec)
-        assert abs(mean_rec - mean_true) < 0.02 * mean_true
-
-
-# ---------------------------------------------------------------------------
-# photocount conditioning of a photon table
-# ---------------------------------------------------------------------------
-
-def test_derive_conditional_with_ideal_signal_detector(model4):
-    t_s = identity_matrix(model4.values.shape[0] - 1)
-    fields = derive_photocount_conditional(model4, t_s)
-    mass, d3 = fields[10]
-    direct = condition(model4, "s", 10)
-    np.testing.assert_allclose(d3.values, direct.values, atol=1e-12)
-    assert abs(mass - marginalize(model4, ["s"]).values[10]) < 1e-12
-
-
-def test_derive_conditional_with_blind_signal_detector(model4):
-    blind = DetectorConfig(pixels=64, efficiency=0.0, dark_rate=0.0)
-    t_s = detection_matrix(blind, model4.values.shape[0] - 1, c_max=2)
-    fields = derive_photocount_conditional(model4, t_s)
-    assert list(fields) == [0]
-    mass, d3 = fields[0]
-    assert abs(mass - 1.0) < 1e-12
-    idlers = marginalize(model4, ["i1", "i2", "i3"])
-    np.testing.assert_allclose(d3.values, idlers.values, atol=1e-12)
-
-
-def test_derive_conditional_matches_direct_summation(model4, matrices):
-    fields = derive_photocount_conditional(model4, matrices["s"])
-    mass, d3 = fields[5]
-    t = matrices["s"].entries
-    brute = sum(t[5, n] * model4.values[n]
-                for n in range(model4.values.shape[0]))
-    np.testing.assert_allclose(d3.values, brute / brute.sum(), rtol=1e-12)
-    assert abs(mass - brute.sum()) < 1e-12
 
 
 # ---------------------------------------------------------------------------

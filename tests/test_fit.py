@@ -1,20 +1,20 @@
 """Moment extraction, declination scoring, and the parameter fit."""
-import importlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+import tripletwb.fit
 from tripletwb.detector import PAPER_TABLE_1, forward_counts, sample_counts
 from tripletwb.errors import CutoffError, DataError, NumericalError
 from tripletwb.fit import (_ForwardCache, declination, fit,
                            params_from_photon_moments, photocount_moments,
                            table_moments)
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution
-from tripletwb.gaussian import (PAPER_TABLE_2, model_moments,
-                                sample_photon_numbers)
-from tests.oracles import declination_dense, table_moments_reductions
+from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
+from tests.oracles import declination_dense, model_moments, table_moments_reductions
 
 PHOTON_SEED = 20240817
 CLICK_SEED = 20240818
@@ -27,6 +27,11 @@ def clicks_to_histogram(clicks: np.ndarray, box: tuple[int, ...]) -> Histogram:
     counts = np.zeros(tuple(b + 1 for b in box), dtype=np.int64)
     np.add.at(counts, tuple(kept.T), 1)
     return Histogram(counts, int(kept.shape[0]))
+
+
+def test_package_attribute_fit_is_the_module():
+    assert isinstance(tripletwb.fit, types.ModuleType)
+    assert tripletwb.fit.fit is fit
 
 
 # ---------------------------------------------------------------- moments
@@ -100,9 +105,7 @@ def test_click_moments_skip_the_forward_table(monkeypatch):
         calls.append(args)
         return forward_counts(*args, **kwargs)
 
-    # the module, not the function that the package rebinds to its name
-    monkeypatch.setattr(importlib.import_module("tripletwb.fit"), "forward_counts",
-                        counting_forward)
+    monkeypatch.setattr(tripletwb.fit, "forward_counts", counting_forward)
     got = cache.click_moments(PAPER_TABLE_2)
     assert calls == []
     assert_moments_close(got, want, 1e-12)

@@ -10,9 +10,9 @@ from tripletwb.fock import AXIS_ORDER, JointDistribution, contract, marginalize
 from tripletwb.gaussian import (PAPER_TABLE_2, GaussianFieldModel,
                                 MandelRiceComponent, TripleTwbParams,
                                 mandel_rice_pmf, mandel_rice_vector,
-                                model_moments, sample_photon_numbers)
+                                sample_photon_numbers)
 
-from tests.oracles import compose_with_noise, paired_part
+from tests.oracles import compose_with_noise, model_moments, paired_part
 
 
 def zero(M=1.0):

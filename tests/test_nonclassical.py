@@ -11,9 +11,8 @@ from tripletwb.errors import CutoffError, DataError, NumericalError, ParameterEr
 from tripletwb.fock import JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, MandelRiceComponent,
                                 mandel_rice_vector)
-from tripletwb.nonclassical import (default_mode_numbers, intensity_moments,
-                                    intensity_ncd, ncc_cs_intensity,
-                                    ncc_matrix_intensity,
+from tripletwb.nonclassical import (intensity_moments, intensity_ncd,
+                                    ncc_cs_intensity, ncc_matrix_intensity,
                                     ncc_probability, ncd, ncd_field, plane_cut,
                                     probability_ncd, quasi_distribution_W,
                                     quasi_probabilities, s_transform_moments)
@@ -580,12 +579,3 @@ def test_cut_csv_format():
     assert lines[0] == "u,v,value"
     assert len(lines) == 1 + 9
 
-
-# ---------------------------------------------------------------------------
-# mode-number policy
-# ---------------------------------------------------------------------------
-
-def test_default_mode_numbers_add_pair_and_noise():
-    m = default_mode_numbers(PAPER_TABLE_2)
-    assert m == pytest.approx((552.0 + 0.0274, 29.9 + 6.33e-5, 51.5 + 0.00225),
-                              rel=1e-6)
