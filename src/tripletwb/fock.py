@@ -237,9 +237,23 @@ def slice_mass(d: JointDistribution, axis: str, value: int) -> float:
 
 
 def apply_matrix(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``mat[c, n]`` against occupation axis ``axis`` of ``values``."""
+    """Contract ``mat[c, n]`` against occupation axis ``axis`` of ``values``.
+
+    On axis 0 this is :func:`contract`'s first step, one GEMM written
+    through ``out=`` into a fresh array, so :class:`JointDistribution`
+    takes the result without a copy.
+    """
+    if axis == 0:
+        return _leading_axis(np.asarray(values), mat)
     out = np.tensordot(mat, values, axes=(1, axis))
     return np.moveaxis(out, 0, axis)
+
+
+def _leading_axis(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``mat`` against axis 0 of ``x``: one GEMM into a fresh C-ordered array."""
+    out = np.empty((mat.shape[0],) + x.shape[1:], dtype=np.result_type(x, mat))
+    np.matmul(mat, x.reshape(x.shape[0], -1), out=out.reshape(mat.shape[0], -1))
+    return out
 
 
 def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -282,9 +296,7 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     x = np.asarray(values)
     if len(mats) != x.ndim:
         raise DataError(f"{len(mats)} matrices for a {x.ndim}-d table")
-    mat = mats[0]
-    out = np.empty((mat.shape[0],) + x.shape[1:], dtype=np.result_type(x, mat))
-    np.matmul(mat, x.reshape(x.shape[0], -1), out=out.reshape(mat.shape[0], -1))
+    out = _leading_axis(x, mats[0])
     for mat in reversed(mats[1:]):
         x = out
         c0, n = x.shape[0], x.shape[-1]

@@ -1,13 +1,21 @@
 """File formats: frame streams, sparse histograms, sparse distributions,
 run manifests. All tables are CSV with a JSON sidecar carrying shape and
 normalization metadata, so every artifact is diff-able and language-neutral.
+
+A saved distribution also gets a binary copy of its table, ``<out>.npy``,
+and its sidecar records the SHA-256 of the CSV and of the copy. The loader
+reads the copy, skipping the CSV parse, only while both digests match the
+files; otherwise (a hand-edited CSV, a missing or stale copy) it parses the
+CSV. The CSV is the canonical artifact, and deleting a ``.npy`` is safe.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
 import warnings
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -234,25 +242,76 @@ def _distribution_header(labels) -> list[str]:
     return [*(f"n_{l}" for l in labels), "value"]
 
 
+def _payload(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".npy")
+
+
+#: bytes read per step when hashing a file
+_HASH_CHUNK = 1 << 20
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def save_distribution(d: JointDistribution, path: str | Path) -> None:
+    """The table as a ``cell..., value`` CSV, its ``.npy`` payload, then the sidecar.
+
+    The sidecar comes last and records the SHA-256 of both files, so a
+    save cut short leaves no record that matches them.
+    """
     path = Path(path)
     _write_cells(path, _distribution_header(d.axis_labels), d.values,
                  np.abs(d.values) > 0, "%.17g")
+    buf = BytesIO()
+    # + 0.0 turns -0.0 into +0.0: the CSV skips zero cells, which load as +0.0
+    np.save(buf, d.values + 0.0, allow_pickle=False)
+    payload = buf.getvalue()
+    _payload(path).write_bytes(payload)
     meta = {
         "cutoffs": list(d.cutoffs),
         "axis_labels": list(d.axis_labels),
         "normalized": d.normalized,
+        "payload": {"csv_sha256": _sha256(path),
+                    "npy_sha256": hashlib.sha256(payload).hexdigest()},
     }
     _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _read_payload(path: Path, meta: dict, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The ``.npy`` table of a saved CSV, or None unless the sidecar's digests
+    match both files and the table is finite float64 of ``shape``."""
+    record = meta.get("payload")
+    if not isinstance(record, dict):
+        return None
+    try:
+        data = _payload(path).read_bytes()
+        if (hashlib.sha256(data).hexdigest() != record.get("npy_sha256")
+                or _sha256(path) != record.get("csv_sha256")):
+            return None
+        values = np.load(BytesIO(data), allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if values.dtype != np.float64 or values.shape != shape or not np.isfinite(values).all():
+        return None
+    return values
+
+
 def load_distribution(path: str | Path) -> JointDistribution:
+    """A saved table: its ``.npy`` payload while the sidecar's digests match,
+    else the parsed CSV."""
     path = Path(path)
     meta = _read_json(_sidecar(path), ("cutoffs", "axis_labels", "normalized"))
     shape = _table_shape(meta, path)
-    cells, vals = _read_cells(path, _distribution_header(meta["axis_labels"]), shape)
-    values = np.zeros(shape)
-    values[tuple(cells.T)] = vals
+    values = _read_payload(path, meta, shape)
+    if values is None:
+        cells, vals = _read_cells(path, _distribution_header(meta["axis_labels"]), shape)
+        values = np.zeros(shape)
+        values[tuple(cells.T)] = vals
     return JointDistribution(values, tuple(meta["axis_labels"]),
                              normalized=bool(meta["normalized"]))
 

@@ -298,6 +298,19 @@ def test_contract_matches_apply_matrix_loop(shape, rows):
     np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+def test_apply_matrix_on_axis_0_owns_its_result(layout):
+    # the c_s post-selection mix: a distribution built on it needs no copy
+    rng = np.random.default_rng(4)
+    values = rng.random((6, 2, 5, 3))
+    mat = rng.random((4, 6))
+    got = apply_matrix(values if layout == "c" else laid_out(values, layout), mat, 0)
+    assert got.flags.c_contiguous and got.flags.owndata
+    np.testing.assert_allclose(got, np.tensordot(mat, values, axes=(1, 0)),
+                               rtol=1e-14, atol=0.0)
+    assert JointDistribution(got, AXIS_ORDER).values is got
+
+
 def laid_out(values, layout):
     """The same table in Fortran order or as a strided view."""
     if layout == "fortran":

@@ -124,7 +124,121 @@ def test_distribution_round_trip(tmp_path):
     back = io.load_distribution(path)
     assert back.normalized
     assert back.axis_labels == d.axis_labels
-    np.testing.assert_allclose(back.values, d.values, atol=1e-16)
+    np.testing.assert_array_equal(back.values, d.values)
+
+
+def awkward_table():
+    """Unnormalized 3D table of 17-digit values, subnormals, zeros and a -0.0."""
+    rng = np.random.default_rng(21)
+    values = rng.random((4, 5, 3)) * 10.0 ** rng.integers(-300, 3, (4, 5, 3))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[0, 0, :3] = [5e-324, 2.2250738585072e-309, 1.0 / 3.0]
+    values[3, 4, 2] = -0.0
+    return JointDistribution(values, ("i1", "i2", "i3"))
+
+
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """Paths the CSV route parsed since the test began."""
+    paths = []
+    read_cells = io._read_cells
+
+    def spy(path, *args, **kwargs):
+        paths.append(path)
+        return read_cells(path, *args, **kwargs)
+    monkeypatch.setattr(io, "_read_cells", spy)
+    return paths
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def test_payload_and_csv_routes_give_the_same_bits(tmp_path, csv_reads):
+    d = awkward_table()
+    path = tmp_path / "dist.csv"
+    io.save_distribution(d, path)
+    meta = json.loads((tmp_path / "dist.csv.meta.json").read_text())
+    assert sorted(meta["payload"]) == ["csv_sha256", "npy_sha256"]
+    via_payload = io.load_distribution(path)
+    assert csv_reads == []
+    (tmp_path / "dist.csv.npy").unlink()
+    via_csv = io.load_distribution(path)
+    assert csv_reads == [path]
+    assert via_payload.axis_labels == via_csv.axis_labels == d.axis_labels
+    np.testing.assert_array_equal(bits(via_payload.values), bits(via_csv.values))
+    np.testing.assert_array_equal(bits(via_csv.values), bits(d.values + 0.0))
+    assert bits(via_csv.values)[3, 4, 2] == 0  # -0.0 reads as +0.0 on both routes
+
+
+@pytest.mark.parametrize("edit", ["value", "row"])
+def test_hand_edit_of_a_saved_csv_wins(tmp_path, csv_reads, edit):
+    path = tmp_path / "dist.csv"
+    io.save_distribution(awkward_table(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    cell = tuple(int(x) for x in lines[1].split(",")[:-1])
+    lines[1] = ",".join(map(str, cell)) + ",0.25\r\n" if edit == "value" else ""
+    path.write_text("".join(lines))
+    back = io.load_distribution(path)
+    assert csv_reads == [path]
+    assert back.values[cell] == (0.25 if edit == "value" else 0.0)
+
+
+def _rewrite_payload(path, values):
+    """Replace a saved table's .npy and pin the sidecar's digest to it."""
+    np.save(io._payload(path), values, allow_pickle=False)
+    side = io._sidecar(path)
+    meta = json.loads(side.read_text())
+    meta["payload"]["npy_sha256"] = io._sha256(io._payload(path))
+    side.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("stale", ["deleted", "truncated", "swapped", "no record",
+                                   "float32", "wrong shape"])
+def test_stale_payload_falls_back_to_the_csv(tmp_path, csv_reads, stale):
+    d = awkward_table()
+    path = tmp_path / "dist.csv"
+    io.save_distribution(d, path)
+    npy, side = tmp_path / "dist.csv.npy", tmp_path / "dist.csv.meta.json"
+    if stale == "deleted":
+        npy.unlink()
+    elif stale == "truncated":
+        npy.write_bytes(npy.read_bytes()[:-8])
+    elif stale == "swapped":
+        io.save_distribution(JointDistribution(d.values[::-1].copy(), d.axis_labels),
+                             tmp_path / "other.csv")
+        npy.write_bytes((tmp_path / "other.csv.npy").read_bytes())
+    elif stale == "no record":
+        meta = json.loads(side.read_text())
+        del meta["payload"]
+        side.write_text(json.dumps(meta))
+    elif stale == "float32":
+        _rewrite_payload(path, d.values.astype(np.float32))
+    else:
+        _rewrite_payload(path, d.values[:, :, :2])
+    back = io.load_distribution(path)
+    assert csv_reads == [path]
+    np.testing.assert_array_equal(bits(back.values), bits(d.values + 0.0))
+
+
+def test_non_finite_table_fails_on_the_csv_route(tmp_path, csv_reads):
+    values = awkward_table().values.copy()
+    values[1, 1, 1] = np.inf
+    path = tmp_path / "dist.csv"
+    io.save_distribution(JointDistribution(values, ("i1", "i2", "i3")), path)
+    with pytest.raises(DataError, match=r"dist\.csv:\d+: non-finite value"):
+        io.load_distribution(path)
+    assert csv_reads == [path]
+
+
+def test_malformed_row_in_a_saved_csv_keeps_its_line(tmp_path):
+    path = tmp_path / "dist.csv"
+    io.save_distribution(awkward_table(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:3], "0,0,x,1", *lines[3:]]) + "\n")
+    with pytest.raises(DataError, match=r":4: could not convert string to float: 'x'") as exc:
+        io.load_distribution(path)
+    assert str(path) in str(exc.value)
 
 
 def test_table_writers_match_csv_module_loop(tmp_path):
@@ -332,6 +446,35 @@ def test_cli_sweep(runner, workdir, dist4):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("selector,mean_i1")
     assert len(lines) == 5
+
+
+def test_cli_outputs_do_not_depend_on_the_payload(runner, tmp_path, csv_reads):
+    rng = np.random.default_rng(5)
+    values = rng.random((9, 5, 4, 6))
+    dist = tmp_path / "photons.csv"
+    io.save_distribution(JointDistribution(values / values.sum(), AXIS_ORDER,
+                                           normalized=True), dist)
+    commands = [
+        ["postselect", "--dist", str(dist), "--selector", "n_s", "--value", "2",
+         "--out", "cond_ns.csv"],
+        ["postselect", "--dist", str(dist), "--selector", "c_s", "--value", "1",
+         "--out", "cond_cs.csv"],
+        ["sweep", "--source", "dist", "--input", str(dist), "--selector", "c_s",
+         "--out", "sweep.csv"],
+    ]
+    outputs = {}
+    for run in ("with", "without"):
+        if run == "without":
+            io._payload(dist).unlink()
+        out_dir = tmp_path / run
+        out_dir.mkdir()
+        for args in commands:
+            res = runner.invoke(main, [*args[:-1], str(out_dir / args[-1])])
+            assert res.exit_code == 0, res.output
+        outputs[run] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert csv_reads.count(dist) == (0 if run == "with" else len(commands))
+    assert "cond_cs.csv.npy" in outputs["with"]
+    assert outputs["with"] == outputs["without"]
 
 
 def test_cli_ncc(runner, workdir, dist3):
