@@ -1,6 +1,7 @@
 """Command-line surface composing the library modules into pipelines.
 
-Exit codes: 0 success, 2 data/parameter/cutoff error, 3 numerical error.
+Exit codes: 0 success, 2 data/parameter/cutoff error or out of memory,
+3 numerical error.
 """
 from __future__ import annotations
 
@@ -36,6 +37,10 @@ def handle_errors(fn):
         except NumericalError as exc:
             click.echo(f"numerical error: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory ({exc}); lower a size option "
+                       "(--frames, --points, --box or the cutoffs)", err=True)
+            sys.exit(EXIT_DATA)
     return wrapper
 
 

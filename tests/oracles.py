@@ -346,16 +346,24 @@ def declination_dense(h: fock.Histogram, f_model: JointDistribution,
     return float(np.sum((rel - f) ** 2 / np.maximum(f, eps)))
 
 
-def grid_moments_memory_order(q, k_max: int) -> np.ndarray:
-    """Grid moments through ``fock.contract`` alone, axes in memory order.
+def grid_moments(q, k_max: int) -> np.ndarray:
+    """Grid moments sum_W prod_j W_j^k_j P_s(W) dW for every k_j <= k_max.
 
-    The former ``_validate_quasi`` route: its first GEMM writes rows of
-    k_max + 1 from the (points^(d-1), points) grid view.
+    Read from the finished grid: the reference for
+    ``nonclassical._kernel_moments``, which sums the same moments per axis
+    from the kernels. The grid axes are contracted in memory order,
+    outermost first, so the grid is read in place and never copied.
     """
     order = sorted(range(q.values.ndim), key=lambda a: -q.values.strides[a])
     powers = [np.stack([q.grid(axis) ** k for k in range(k_max + 1)]) for axis in order]
     grid_mom = fock.contract(q.values.transpose(order), powers)
     return grid_mom.transpose(np.argsort(order)) * math.prod(q.steps)
+
+
+def quasi_kernels(q, d: JointDistribution) -> list[np.ndarray]:
+    """The per-axis Laguerre kernels ``quasi_distribution_W`` built for ``q``."""
+    return [_laguerre_kernel(q.grid(a), n - 1, q.s, M)
+            for a, (n, M) in enumerate(zip(d.values.shape, q.modes))]
 
 
 def triangular_cut_loop(arr: np.ndarray, level: int) -> np.ndarray:

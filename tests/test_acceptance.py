@@ -17,7 +17,7 @@ from tripletwb.fock import (Histogram, JointDistribution, condition,
 from tripletwb.gaussian import (PAPER_TABLE_2, PAPER_TABLE_2_MEANS, PARAM_KEYS,
                                 MandelRiceComponent, mandel_rice_vector,
                                 sample_photon_numbers)
-from tests.oracles import kernel_route_probabilities
+from tests.oracles import grid_moments, kernel_route_probabilities, quasi_kernels
 
 PHOTON_SEED = 20240817
 CLICK_SEED = 20240818
@@ -253,6 +253,11 @@ def test_09_quasi_distribution_negativity(ideal_field_exact, real_field_exact):
     assert q_ideal.values.min() < 0.0
     q_real = nonclassical.quasi_distribution_W(real_field_exact, 0.05, MODES)
     assert q_real.values.min() < 0.0
+    # the grid check's per-axis moments are the moments of the grid itself
+    for d, q in ((ideal_field_exact, q_ideal), (real_field_exact, q_real)):
+        got = nonclassical._kernel_moments(q, d, quasi_kernels(q, d))
+        ref = grid_moments(q, 3)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
     # negativity at s = 0.05 certifies a depth beyond (1 - s)/2
     assert (1.0 - 0.05) / 2.0 == pytest.approx(0.475)
 

@@ -620,6 +620,21 @@ def test_cli_quasi_numerical_error_exits_3(runner, workdir, dist3_poisson):
     assert res.exit_code == 3
 
 
+def test_cli_quasi_out_of_memory_exits_2(runner, workdir):
+    # a 3x3x3 table keeps the kernels and the first partial contraction
+    # near 30 MB; the next one asks for 894 GiB and fails at once
+    path = workdir / "tiny3.csv"
+    io.save_distribution(product_dist((0.3, 0.2, 0.25), 2), path)
+    out = workdir / "huge_quasi.csv"
+    res = runner.invoke(main, [
+        "quasi", "--dist", str(path), "--s", "0.0", "--points", "200000",
+        "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "--points" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 def test_cli_sweep_default_range_is_full_axis(runner, workdir, dist4):
     from tripletwb.detector import default_c_max
     n_max = 8

@@ -16,10 +16,10 @@ from tripletwb.nonclassical import (intensity_moments, intensity_ncd,
                                     ncc_probability, ncd, ncd_field, plane_cut,
                                     probability_ncd, quasi_distribution_W,
                                     quasi_probabilities, s_transform_moments)
-from tests.oracles import (grid_moments_memory_order, grid_triangular_cut_loop,
+from tests.oracles import (grid_moments, grid_triangular_cut_loop,
                            kernel_route_probabilities, paired_part,
-                           plane_cut_csv_loop, resummed_smoothing_matrix_loop,
-                           triangular_cut_loop)
+                           plane_cut_csv_loop, quasi_kernels,
+                           resummed_smoothing_matrix_loop, triangular_cut_loop)
 
 
 def poisson_product(lams, n_max=30):
@@ -387,50 +387,72 @@ def quasi_3d():
 
 def test_validate_quasi_rejects_one_wrong_third_moment():
     d, q = quasi_3d()
-    nonclassical._validate_quasi(q, d)
-    # least-norm grid vectors with one prescribed moment each: u carries
-    # only <W^3>, v only the zeroth moment, so u x v x v moves only the
-    # (3, 0, 0) grid moment
-    powers = [np.stack([q.grid(a) ** k for k in range(4)]) for a in range(3)]
-    u = np.linalg.pinv(powers[0]) @ np.array([0.0, 0.0, 0.0, 1.0])
-    v1, v2 = (np.linalg.pinv(p) @ np.array([1.0, 0.0, 0.0, 0.0])
-              for p in powers[1:])
+    kernels = quasi_kernels(q, d)
+    nonclassical._validate_quasi(q, d, kernels)
+    # the least-norm grid vector u with P_0 u = (0, 0, 0, 1) carries only
+    # <W^3>: added to every column of the axis-0 kernel it moves only the
+    # moments of order 3 on axis 0. The table is a product, so all of them
+    # move by the same share, 1e-3 of the exact moment
+    p0 = np.stack([q.grid(0) ** k for k in range(4)])
+    u = np.linalg.pinv(p0) @ np.array([0.0, 0.0, 0.0, 1.0])
     exact = s_transform_moments(intensity_moments(d, 3, tail_tol=1.0), 0.0,
                                 MODES_8).tensor
-    cell = math.prod(q.steps)
-    before = q.integral()
-    q.values[...] += (1e-3 * exact[3, 0, 0] / cell) * np.einsum(
-        "i,j,k->ijk", u, v1, v2)
-    assert q.integral() == pytest.approx(before, abs=1e-12)
+    bumped = [kernels[0] + np.outer(1e-3 * exact[3, 0, 0] / q.steps[0] * u,
+                                    np.ones(kernels[0].shape[1]))] + kernels[1:]
+    before = nonclassical._kernel_moments(q, d, kernels)
+    after = nonclassical._kernel_moments(q, d, bumped)
+    np.testing.assert_allclose(after[:3], before[:3], rtol=1e-12, atol=1e-12)
+    assert after[3, 0, 0] - before[3, 0, 0] == pytest.approx(1e-3 * exact[3, 0, 0],
+                                                            rel=1e-2)
     with pytest.raises(NumericalError, match="moment check"):
-        nonclassical._validate_quasi(q, d)
+        nonclassical._validate_quasi(q, d, bumped)
 
 
 def test_validate_quasi_allocates_no_grid_copy():
+    # the check never reads the grid: a grid of NaN passes it
     import tracemalloc
     d, q = quasi_3d()
+    kernels = quasi_kernels(q, d)
+    blank = nonclassical.QuasiDistribution(np.full_like(q.values, np.nan), q.s,
+                                           q.modes, q.steps)
     tracemalloc.start()
     try:
-        nonclassical._validate_quasi(q, d)
+        nonclassical._validate_quasi(blank, d, kernels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < q.values.nbytes / 10
 
 
+def test_validate_quasi_rejects_nan_moments():
+    d, q = quasi_3d()
+    kernels = quasi_kernels(q, d)
+    kernels[2][5, 3] = np.nan
+    with pytest.raises(NumericalError, match="integrates to nan"):
+        nonclassical._validate_quasi(q, d, kernels)
+
+
+def test_kernel_moments_match_grid_moments():
+    d, q = quasi_3d()
+    got = nonclassical._kernel_moments(q, d, quasi_kernels(q, d))
+    ref = grid_moments(q, 3)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
 @pytest.mark.parametrize("shape", [(31,), (12, 7), (9, 13, 6)])
 def test_quasi_grid_matches_contract_of_kernels(shape, monkeypatch):
     # the synthesis contracts axes 1..d-1 first and axis 0 last; the grid
-    # is the plain all-axes contraction of the per-axis kernels. 50 points
-    # are too coarse for the grid-moment check, which is switched off here
+    # is the plain all-axes contraction of the per-axis kernels. The check
+    # sums its moments from the kernels and never reads the grid, so this
+    # test is what guards the grid against differing from that contraction.
+    # 50 points are too coarse for the check, which is switched off here
     vals = np.random.default_rng(len(shape)).random(shape)
     labels = ("i1", "i2", "i3")[: len(shape)]
     d = JointDistribution(vals / vals.sum(), labels, normalized=True)
     modes = (1.0, 2.5, 4.0)[: len(shape)]
-    monkeypatch.setattr(nonclassical, "_validate_quasi", lambda q, d: None)
+    monkeypatch.setattr(nonclassical, "_validate_quasi", lambda q, d, kernels: None)
     q = quasi_distribution_W(d, -0.3, modes, points=50)
-    kernels = [nonclassical._laguerre_kernel(q.grid(a), n - 1, -0.3, M)
-               for a, (n, M) in enumerate(zip(shape, modes))]
+    kernels = quasi_kernels(q, d)
     ref = fock.contract(d.values, kernels)
     assert q.values.shape == (50,) * len(shape)
     assert q.values.flags.c_contiguous
@@ -450,15 +472,25 @@ def transposed(q, perm):
         tuple(q.steps[a] for a in perm))
 
 
+def einsum_moments(q, k_max):
+    """Grid moments as one einsum over the grid and the per-axis powers."""
+    ax = "abc"[: q.values.ndim]
+    powers = [np.stack([q.grid(a) ** k for k in range(k_max + 1)]) for a in range(len(ax))]
+    spec = ax + "".join(f",{o}{a}" for o, a in zip("ijk", ax)) + "->" + "ijk"[: len(ax)]
+    return np.einsum(spec, q.values, *powers) * math.prod(q.steps)
+
+
 @pytest.mark.parametrize("grid", ["quasi_3d", "rectangular"])
 @pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
 def test_grid_moments_match_memory_order_route(grid, perm):
+    # the oracle contracts in memory order; transposed views must agree
+    # with the einsum and with the transposed moments of the C-ordered grid
     q = quasi_3d()[1] if grid == "quasi_3d" else rectangular_grid()
     qt = transposed(q, perm)
-    got = nonclassical._grid_moments(qt, 3)
-    np.testing.assert_allclose(got, grid_moments_memory_order(qt, 3),
+    got = grid_moments(qt, 3)
+    np.testing.assert_allclose(got, einsum_moments(qt, 3),
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(got)))
-    np.testing.assert_allclose(got, nonclassical._grid_moments(q, 3).transpose(perm),
+    np.testing.assert_allclose(got, grid_moments(q, 3).transpose(perm),
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(got)))
 
 
@@ -468,8 +500,8 @@ def test_grid_moments_in_one_and_two_dimensions(shape):
     q = nonclassical.QuasiDistribution(vals, 0.0, (1.0,) * len(shape),
                                        (0.2, 0.3)[: len(shape)])
     for qq in (q, transposed(q, tuple(range(len(shape)))[::-1])):
-        got = nonclassical._grid_moments(qq, 3)
-        np.testing.assert_allclose(got, grid_moments_memory_order(qq, 3),
+        got = grid_moments(qq, 3)
+        np.testing.assert_allclose(got, einsum_moments(qq, 3),
                                    rtol=1e-12, atol=1e-12 * np.max(np.abs(got)))
 
 
