@@ -182,7 +182,8 @@ def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals)
                  max_evals=max_evals)
     Path(out).write_text(report.to_json() + "\n")
     io.write_manifest(Path(out), "fit", {
-        "histogram": str(hist_file), "free_efficiencies": free_efficiencies})
+        "histogram": str(hist_file), "free_efficiencies": free_efficiencies,
+        "max_evals": max_evals})
     click.echo(f"declination {report.declination:.6g}; wrote {out}")
 
 
@@ -196,7 +197,9 @@ def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals)
 @click.option("--signal-cutoff", type=NONNEGATIVE, default=32, show_default=True)
 @click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
 @click.option("--max-iterations", type=POSITIVE, default=100_000, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True,
+              callback=_finite_positive,
+              help="Stop once no cell changes by more than this in one EM map.")
 @click.option("--trace-out", type=click.Path(), default=None)
 @handle_errors
 def reconstruct(hist_file, preset, detector_file, out, conditional,

@@ -23,6 +23,7 @@ the next map's GEMMs several-fold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class EmSettings:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
-        if not (self.stop_tolerance > 0):
-            raise DataError("stop_tolerance must be > 0")
+        if not (math.isfinite(self.stop_tolerance) and self.stop_tolerance > 0):
+            raise DataError(f"stop_tolerance must be finite and > 0, got {self.stop_tolerance}")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,15 @@ declination between the histogram and the model prediction. Detector
 efficiencies default to the configured constants and can optionally be
 freed as additional simplex variables.
 
-One objective evaluation builds, for up to 12 unfolding steps, the 4D
-photon table of the current parameters and contracts it once with the
+One objective evaluation builds, at each of up to 13 unfolding steps, the
+4D photon table of the current parameters and contracts it once with the
 power rows 1, c, c^2 pushed through each detection matrix; that gives the
 click means and covariances without the click table. It then maps the
-final photon table forward to the click table, which comes out of the
+last of those tables forward to the click table, which comes out of the
 contraction already normalized, and scores it: one read of every cell, in
 cache-sized blocks, plus a correction on the histogram's observed cells.
+Parameters, declination and moments of one evaluation all belong to that
+one table, so the best evaluation is the report and nothing is rebuilt.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectorConfig, detection_matrix, forward_counts
+from .detector import DetectionMatrix, DetectorConfig, detection_matrix, forward_counts
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fock import (AXIS_ORDER, Histogram, JointDistribution, _power_rows, _read_moments,
                    contract, table_moments)
@@ -42,6 +44,15 @@ M_MIN, M_MAX = 1e-6, 1e4
 MEAN_FLOOR = 1e-8
 #: Share of each idler mean that the simplex starts by giving the pair component
 START_SPLIT = 0.95
+#: Largest tail mass a model photon table may discard
+TAIL_TOL = 1e-3
+#: Moment updates per unfolding, and the largest relative click-moment
+#: miss at which it stops early
+UNFOLD_STEPS = 12
+UNFOLD_TOL = 1e-4
+#: Largest relative moment residual at which a fit whose simplex did not
+#: converge still returns
+CLOSE_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -135,89 +146,57 @@ def params_from_photon_moments(mom: dict, splits: tuple[float, float, float]) ->
                            noise_s, noises_i[0], noises_i[1], noises_i[2])
 
 
+#: The 11 click moments the unfolding matches and the report lists: axis
+#: means, axis variances and the signal-idler covariances
+MOMENT_KEYS = (tuple(("mean", l) for l in AXIS_ORDER)
+               + tuple(("cov", (l, l)) for l in AXIS_ORDER)
+               + tuple(("cov", ("s", l)) for l in ("i1", "i2", "i3")))
+
+
 def _moment_vector(mom: dict) -> np.ndarray:
-    keys = _moment_keys()
-    out = []
-    for kind, key in keys:
-        out.append(mom[kind][key])
-    return np.asarray(out)
+    return np.asarray([mom[kind][key] for kind, key in MOMENT_KEYS])
 
 
-def _moment_keys():
-    keys = [("mean", l) for l in AXIS_ORDER]
-    keys += [("cov", (l, l)) for l in AXIS_ORDER]
-    keys += [("cov", ("s", l)) for l in ("i1", "i2", "i3")]
-    return keys
+def click_moments(p: JointDistribution, mats: dict[str, DetectionMatrix]) -> dict:
+    """Moments of ``forward_counts(p, mats)`` without building that table.
+
+    The detectors act independently given the photon numbers, so the
+    mixed click moments are the photon table contracted with the power
+    rows pushed through each detection matrix, P_a T_a.
+    """
+    rows = [_power_rows(mats[l].c_max + 1) @ mats[l].entries[:, :size]
+            for l, size in zip(p.axis_labels, p.values.shape)]
+    mixed = contract(p.values, rows)
+    return _read_moments(mixed / mixed.flat[0], p.axis_labels)
 
 
-class _ForwardCache:
-    """Model photocount tables and moments for candidate parameters."""
-
-    def __init__(self, shape, cfgs: dict[str, DetectorConfig],
-                 photon_cutoffs: tuple[int, int, int, int], tail_tol: float):
-        self.shape = shape
-        self.cfgs = cfgs
-        self.cutoffs = photon_cutoffs
-        self.tail_tol = tail_tol
-        self._mats = None
-
-    def matrices(self):
-        if self._mats is None:
-            self._mats = {}
-            for axis, l in enumerate(AXIS_ORDER):
-                cfg = self.cfgs[l]
-                self._mats[l] = detection_matrix(
-                    cfg, self.cutoffs[axis], self.shape[axis] - 1)
-        return self._mats
-
-    def set_efficiencies(self, eff: dict[str, float]):
-        self.cfgs = {l: replace(c, efficiency=eff[l]) for l, c in self.cfgs.items()}
-        self._mats = None
-
-    def photon_table(self, params: TripleTwbParams) -> JointDistribution:
-        return GaussianFieldModel(params, self.cutoffs[0], tuple(self.cutoffs[1:]),
-                                  tail_tol=self.tail_tol).distribution()
-
-    def click_table(self, params: TripleTwbParams) -> JointDistribution:
-        return forward_counts(self.photon_table(params), self.matrices())
-
-    def click_moments(self, params: TripleTwbParams) -> dict:
-        """Moments of ``click_table(params)`` without building that table.
-
-        The detectors act independently given the photon numbers, so the
-        mixed click moments are the photon table contracted with the power
-        rows pushed through each detection matrix, P_a T_a.
-        """
-        p = self.photon_table(params)
-        mats = self.matrices()
-        rows = [_power_rows(mats[l].c_max + 1) @ mats[l].entries[:, :size]
-                for l, size in zip(p.axis_labels, p.values.shape)]
-        mixed = contract(p.values, rows)
-        return _read_moments(mixed / mixed.flat[0], p.axis_labels)
-
-
-def _unfold_photon_moments(exp_mom: dict, splits, cache: _ForwardCache,
-                           start_mom: dict, iterations: int = 12,
-                           rel_tol: float = 1e-4) -> tuple[dict, TripleTwbParams]:
+def _unfold_photon_moments(exp_mom: dict, splits, mats: dict[str, DetectionMatrix],
+                           start_mom: dict, photon_cutoffs: tuple[int, int, int, int]
+                           ) -> tuple[TripleTwbParams, JointDistribution, dict]:
     """Fixed-point update of photon-level moment targets.
 
     Adjusts the photon moments multiplicatively until the exact model
-    photocount moments match the experimental ones.
+    photocount moments match the experimental ones, for at most
+    ``UNFOLD_STEPS`` updates. Returns the final parameters, their photon
+    table and that table's click moments.
     """
     exp_vec = _moment_vector(exp_mom)
     mom = {"mean": dict(start_mom["mean"]), "cov": dict(start_mom["cov"])}
-    params = params_from_photon_moments(mom, splits)
-    for _ in range(iterations):
-        model_vec = _moment_vector(cache.click_moments(params))
-        ratio = np.clip(exp_vec / np.maximum(model_vec, 1e-12), 0.2, 5.0)
-        if np.max(np.abs(ratio - 1.0)) < rel_tol:
+    for step in range(UNFOLD_STEPS + 1):
+        params = params_from_photon_moments(mom, splits)
+        table = GaussianFieldModel(params, photon_cutoffs[0], tuple(photon_cutoffs[1:]),
+                                   tail_tol=TAIL_TOL).distribution()
+        model_mom = click_moments(table, mats)
+        if step == UNFOLD_STEPS:
+            break
+        ratio = np.clip(exp_vec / np.maximum(_moment_vector(model_mom), 1e-12), 0.2, 5.0)
+        if np.max(np.abs(ratio - 1.0)) < UNFOLD_TOL:
             break
         vec = _moment_vector(mom) * ratio
-        for i, (kind, key) in enumerate(_moment_keys()):
-            mom[kind][key] = float(vec[i])
+        for (kind, key), v in zip(MOMENT_KEYS, vec):
+            mom[kind][key] = float(v)
         mom["cov"].update({(b, a): v for (a, b), v in list(mom["cov"].items())})
-        params = params_from_photon_moments(mom, splits)
-    return mom, params
+    return params, table, model_mom
 
 
 def _initial_photon_moments(exp_mom: dict, cfgs: dict[str, DetectorConfig]) -> dict:
@@ -247,13 +226,16 @@ def _initial_photon_moments(exp_mom: dict, cfgs: dict[str, DetectorConfig]) -> d
 def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
         fix_efficiencies: bool = True,
         photon_cutoffs: tuple[int, int, int, int] = (32, 20, 20, 20),
-        tail_tol: float = 1e-3, max_evals: int = 200) -> FitReport:
+        max_evals: int = 200) -> FitReport:
     """Fit the 14 parameters (optionally plus efficiencies) to a histogram.
 
     The simplex variables are the logit pair-mean splits (and logit
     efficiencies when freed); every objective evaluation re-solves the
     remaining parameters from the moment-matching closure before scoring
-    the Pearson declination of the predicted click table.
+    the Pearson declination of the predicted click table. Each feasible
+    evaluation makes one record - declination, parameters, efficiencies
+    and click moments, all of the same photon table - and the best record
+    is the report.
     """
     if h.trials <= 0:
         raise DataError("empty histogram")
@@ -261,9 +243,13 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
     for l in AXIS_ORDER:
         if exp_mom["cov"][(l, l)] <= 0:
             raise DataError(f"histogram has zero variance on axis {l}")
-    cache = _ForwardCache(h.counts.shape, dict(cfgs), photon_cutoffs, tail_tol)
     start_mom = _initial_photon_moments(exp_mom, cfgs)
     state = {"best": None, "evals": 0, "infeasible": None}
+
+    def matrices(eff: dict[str, float]) -> dict[str, DetectionMatrix]:
+        return {l: detection_matrix(replace(cfgs[l], efficiency=eff[l]),
+                                    photon_cutoffs[axis], h.counts.shape[axis] - 1)
+                for axis, l in enumerate(AXIS_ORDER)}
 
     def logit(x):
         return math.log(x / (1.0 - x))
@@ -272,29 +258,29 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
         return 1.0 / (1.0 + math.exp(-z))
 
     x0 = [logit(START_SPLIT)] * 3
+    fixed_eff = {l: cfgs[l].efficiency for l in AXIS_ORDER}
+    fixed_mats = matrices(fixed_eff) if fix_efficiencies else None
     if not fix_efficiencies:
-        x0 += [logit(cfgs[l].efficiency) for l in AXIS_ORDER]
+        x0 += [logit(fixed_eff[l]) for l in AXIS_ORDER]
 
     def objective(x):
         splits = tuple(expit(z) for z in x[:3])
-        if not fix_efficiencies:
-            eff = {l: expit(x[3 + i]) for i, l in enumerate(AXIS_ORDER)}
-            cache.set_efficiencies(eff)
-        else:
-            eff = {l: cfgs[l].efficiency for l in AXIS_ORDER}
+        eff = fixed_eff if fix_efficiencies else {
+            l: expit(x[3 + i]) for i, l in enumerate(AXIS_ORDER)}
+        state["evals"] += 1
         try:
-            mom, params = _unfold_photon_moments(exp_mom, splits, cache, start_mom)
-            f_model = cache.click_table(params)
+            mats = fixed_mats or matrices(eff)
+            params, table, model_mom = _unfold_photon_moments(
+                exp_mom, splits, mats, start_mom, photon_cutoffs)
+            f_model = forward_counts(table, mats)
         except (CutoffError, ParameterError, DataError) as exc:
             # infeasible vertex (e.g. moment split implies a tail heavier
             # than the truncation box admits): steer the simplex away
-            state["evals"] += 1
             state["infeasible"] = exc
             return 1e12
         d = declination(h, f_model)
-        state["evals"] += 1
         if state["best"] is None or d < state["best"][0]:
-            state["best"] = (d, params, eff, mom)
+            state["best"] = (d, params, eff, model_mom)
         return d
 
     # imported here so that commands other than fit skip scipy.optimize's start-up cost
@@ -306,11 +292,10 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
         raise CutoffError(
             f"all {state['evals']} fit evaluations were infeasible; "
             f"the last: {state['infeasible']}")
-    d_best, params, eff, _ = state["best"]
-    model_mom = cache.click_moments(params)
+    d_best, params, eff, model_mom = state["best"]
     residuals = [
         (f"{kind}:{key}", float(exp_mom[kind][key]), float(model_mom[kind][key]))
-        for kind, key in _moment_keys()]
+        for kind, key in MOMENT_KEYS]
     report = FitReport(params, eff, d_best, residuals,
                        iterations=state["evals"], converged=bool(res.success))
     if not res.success and not _moments_close(residuals):
@@ -320,6 +305,6 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
     return report
 
 
-def _moments_close(residuals, rel_tol: float = 1e-2) -> bool:
-    return all(abs(ex - mo) <= rel_tol * max(abs(ex), 1e-6)
+def _moments_close(residuals) -> bool:
+    return all(abs(ex - mo) <= CLOSE_TOL * max(abs(ex), 1e-6)
                for _, ex, mo in residuals)

@@ -75,17 +75,6 @@ class PostselectSweep:
     #: per reconstructed slice: selector, EM iterations, final residual, converged
     em: tuple[dict, ...] = ()
 
-    def column(self, name: str) -> np.ndarray:
-        idx = {"mean_i1": ("mean", 0), "mean_i2": ("mean", 1), "mean_i3": ("mean", 2),
-               "fano_i1": ("fano", 0), "fano_i2": ("fano", 1), "fano_i3": ("fano", 2),
-               "corr_12": ("corr", 0), "corr_13": ("corr", 1), "corr_23": ("corr", 2)}
-        if name == "selector":
-            return np.array([r.selector for r in self.rows])
-        if name == "slice_mass":
-            return np.array([r.mass for r in self.rows])
-        attr, k = idx[name]
-        return np.array([getattr(r, attr)[k] for r in self.rows])
-
     def to_csv(self) -> str:
         header = ("selector,mean_i1,mean_i2,mean_i3,fano_i1,fano_i2,fano_i3,"
                   "corr_12,corr_13,corr_23,slice_mass")

@@ -44,6 +44,19 @@ def pair_tvs(a: JointDistribution, b: JointDistribution) -> dict[str, float]:
     return tvs
 
 
+#: (field, axis) of the sweep columns the trend tests read
+SWEEP_COLUMNS = {"mean_i1": ("mean", 0), "fano_i1": ("fano", 0), "fano_i2": ("fano", 1),
+                 "fano_i3": ("fano", 2), "corr_23": ("corr", 2)}
+
+
+def column(sweep: postselect.PostselectSweep, name: str) -> np.ndarray:
+    """One column of a sweep, named as in its CSV header."""
+    if name == "selector":
+        return np.array([r.selector for r in sweep.rows])
+    field, k = SWEEP_COLUMNS[name]
+    return np.array([getattr(r, field)[k] for r in sweep.rows])
+
+
 def max_2d_tv(a: JointDistribution, b: JointDistribution) -> float:
     """Largest total-variation distance over the six 2D marginals."""
     return max(pair_tvs(a, b).values())
@@ -167,21 +180,21 @@ def test_04_em_round_trip_sampled_data(model4, em_sampled):
 
 def test_05_ideal_postselection_trends(model4):
     sweep = postselect.sweep_distribution(model4, "n_s", range(0, 14))
-    ns = sweep.column("selector").astype(float)
-    slope = np.polyfit(ns, sweep.column("mean_i1"), 1)[0]
+    ns = column(sweep, "selector").astype(float)
+    slope = np.polyfit(ns, column(sweep, "mean_i1"), 1)[0]
     assert abs(slope - 1.0 / 3.0) <= 0.05
     window = (ns >= 3) & (ns <= 13)
-    min_fano = min(sweep.column(f"fano_i{j}")[window].min() for j in (1, 2, 3))
+    min_fano = min(column(sweep, f"fano_i{j}")[window].min() for j in (1, 2, 3))
     assert min_fano < 0.8
-    assert sweep.column("corr_23")[window].min() < -0.40
+    assert column(sweep, "corr_23")[window].min() < -0.40
 
 
 def test_06_real_postselection_trends(model4, matrices):
     sweep = postselect.sweep_distribution(model4, "c_s", range(0, 16),
                                           t_s=matrices["s"])
-    cs = sweep.column("selector")
+    cs = column(sweep, "selector")
     for col in ("fano_i1", "fano_i2", "fano_i3", "corr_23"):
-        vals = sweep.column(col)
+        vals = column(sweep, col)
         ext = int(cs[np.argmin(vals)])
         assert abs(ext - 7) <= 1, (col, ext)
         # non-monotone: strictly falls into the extremum, then rises

@@ -1,4 +1,6 @@
 """Expectation-maximization inversion of photocount tables."""
+import math
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,10 @@ def small_matrices(shape):
 def test_settings_validation():
     with pytest.raises(DataError):
         EmSettings(max_iterations=0)
-    with pytest.raises(DataError):
-        EmSettings(stop_tolerance=0.0)
+    # an infinite tolerance stopped after one map and reported convergence
+    for tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(DataError, match="stop_tolerance must be finite and > 0"):
+            EmSettings(stop_tolerance=tol)
 
 
 def test_identity_channel_fixed_point_at_first_iteration():

@@ -2,18 +2,19 @@
 import math
 import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tripletwb.fit
-from tripletwb.detector import PAPER_TABLE_1, forward_counts, sample_counts
+from tripletwb.detector import PAPER_TABLE_1, detection_matrix, forward_counts, sample_counts
 from tripletwb.errors import CutoffError, DataError, NumericalError
-from tripletwb.fit import (_ForwardCache, declination, fit,
+from tripletwb.fit import (MOMENT_KEYS, TAIL_TOL, click_moments, declination, fit,
                            params_from_photon_moments, photocount_moments,
                            table_moments)
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution
-from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
+from tripletwb.gaussian import GaussianFieldModel, PAPER_TABLE_2, sample_photon_numbers
 from tests.oracles import declination_dense, model_moments, table_moments_reductions
 
 PHOTON_SEED = 20240817
@@ -95,9 +96,21 @@ def test_table_moments_match_marginal_reductions_on_model(f_model):
                          1e-12)
 
 
+def fit_matrices(efficiencies: dict[str, float]) -> dict:
+    """Detection matrices of fit's default photon box and a 42/30 click box."""
+    return {l: detection_matrix(replace(PAPER_TABLE_1[l], efficiency=efficiencies[l]),
+                                n_max, c_max)
+            for l, n_max, c_max in zip(AXIS_ORDER, (32, 20, 20, 20), (42, 30, 30, 30))}
+
+
+def fit_photon_table(params) -> JointDistribution:
+    return GaussianFieldModel(params, 32, (20, 20, 20), tail_tol=TAIL_TOL).distribution()
+
+
 def test_click_moments_skip_the_forward_table(monkeypatch):
-    cache = _ForwardCache((43, 31, 31, 31), dict(PAPER_TABLE_1), (32, 20, 20, 20), 1e-3)
-    f = forward_counts(cache.photon_table(PAPER_TABLE_2), cache.matrices())
+    mats = fit_matrices({l: c.efficiency for l, c in PAPER_TABLE_1.items()})
+    p = fit_photon_table(PAPER_TABLE_2)
+    f = forward_counts(p, mats)
     want = table_moments(f.values, f.axis_labels)
     calls = []
 
@@ -106,7 +119,7 @@ def test_click_moments_skip_the_forward_table(monkeypatch):
         return forward_counts(*args, **kwargs)
 
     monkeypatch.setattr(tripletwb.fit, "forward_counts", counting_forward)
-    got = cache.click_moments(PAPER_TABLE_2)
+    got = click_moments(p, mats)
     assert calls == []
     assert_moments_close(got, want, 1e-12)
 
@@ -247,3 +260,25 @@ def test_fit_round_trip_on_sampled_histogram(f_model):
     parsed = __import__("json").loads(report.to_json())
     assert set(parsed) == {"params", "efficiencies", "declination",
                            "moment_residuals", "iterations", "converged"}
+
+
+@pytest.mark.parametrize("fix_efficiencies", [True, False])
+def test_fit_report_belongs_to_one_table(fix_efficiencies):
+    # the reported moments and declination are those of the reported
+    # parameters' photon table pushed through detectors at the reported
+    # efficiencies, on both efficiency paths
+    photons = sample_photon_numbers(PAPER_TABLE_2, 200_000, 3)
+    clicks = sample_counts(photons, PAPER_TABLE_1, 4)
+    h = clicks_to_histogram(clicks, (42, 30, 30, 30))
+    try:
+        report = fit(h, PAPER_TABLE_1, fix_efficiencies=fix_efficiencies, max_evals=20)
+    except NumericalError as err:
+        report = err.report
+    mats = fit_matrices(report.efficiencies)
+    p = fit_photon_table(report.params)
+    want = click_moments(p, mats)
+    assert [mid for mid, _, _ in report.moment_residuals] == [
+        f"{kind}:{key}" for kind, key in MOMENT_KEYS]
+    for (_, _, got), (kind, key) in zip(report.moment_residuals, MOMENT_KEYS):
+        assert abs(got - want[kind][key]) <= 1e-12 * abs(want[kind][key])
+    assert report.declination == declination(h, forward_counts(p, mats))

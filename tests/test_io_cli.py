@@ -703,6 +703,9 @@ def test_cli_cut_malformed_lattice_exits_2(runner, workdir):
     ("simulate", "--tail-tol", "0"),
     ("reconstruct", "--signal-cutoff", "-2"),
     ("reconstruct", "--max-iterations", "0"),
+    ("reconstruct", "--tol", "inf"),
+    ("reconstruct", "--tol", "nan"),
+    ("reconstruct", "--tol", "0"),
     ("sweep", "--idler-cutoff", "-1"),
     ("fit", "--max-evals", "0"),
     ("quasi", "--points", "1"),
@@ -748,6 +751,8 @@ def test_cli_fit_runs(runner, workdir):
     assert res.exit_code in (0, 3), res.output
     if res.exit_code == 0:
         assert "declination" in json.loads(out.read_text())
+        manifest = json.loads((workdir / "fit.json.manifest.json").read_text())
+        assert manifest["settings"]["max_evals"] == 3
     else:
         assert res.output.startswith("numerical error: ")
 
