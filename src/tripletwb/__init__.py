@@ -17,10 +17,10 @@ from .gaussian import (GaussianFieldModel, MandelRiceComponent, PAPER_TABLE_2,
                        TripleTwbParams, mandel_rice_pmf, sample_photon_numbers)
 from .nonclassical import (IntensityMoments, NccResult, NcdField, NcdResult,
                            PlaneCut, QuasiDistribution,
-                           QuasiProbabilityTable, intensity_moments,
-                           intensity_ncd, ncc_cs_intensity,
-                           ncc_matrix_intensity, ncc_probability, ncd,
-                           ncd_field, plane_cut, probability_ncd,
+                           QuasiProbabilityTable, intensity_criterion,
+                           intensity_moments, intensity_ncd,
+                           moment_criterion, ncd, ncd_field, plane_cut,
+                           probability_criterion, probability_ncd,
                            quasi_distribution_W, quasi_probabilities,
                            s_transform_moments)
 from .postselect import (PostselectSweep, SweepRow, conditioned_field,

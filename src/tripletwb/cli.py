@@ -47,7 +47,7 @@ def handle_errors(fn):
 def _load_params(params_file: str | None) -> TripleTwbParams:
     if params_file is None:
         return PAPER_TABLE_2
-    return TripleTwbParams.from_json(params_file)
+    return io.load_params(params_file)
 
 
 def _detectors(preset: str, config_file: str | None) -> dict[str, DetectorConfig]:
@@ -302,20 +302,14 @@ def ncc(dist_file, criterion, kind, modes, with_ncd, tail_tol, out):
     """Evaluate a nonclassicality criterion (and its depth) on a 3D field."""
     d = io.load_distribution(dist_file)
     m = _parse_triple(modes, "--modes")
-    if kind == "intensity":
-        if with_ncd:
-            res = nonclassical.intensity_ncd(d, criterion, m, tail_tol=tail_tol)
-        else:
-            base = nonclassical.intensity_moments(d, 2, tail_tol=tail_tol)
-            fn = {"cs": nonclassical.ncc_cs_intensity,
-                  "matrix": nonclassical.ncc_matrix_intensity}[criterion]
-            res = fn(nonclassical.s_transform_moments(base, 1.0, m))
+    intensity = kind == "intensity"
+    if with_ncd:
+        res = (nonclassical.intensity_ncd(d, criterion, m, tail_tol=tail_tol) if intensity
+               else nonclassical.probability_ncd(d, criterion, m))
     else:
-        if with_ncd:
-            res = nonclassical.probability_ncd(d, criterion, m)
-        else:
-            table = nonclassical.quasi_probabilities(d, 1.0, m, 2)
-            res = nonclassical.ncc_probability(table, criterion)
+        value = (nonclassical.intensity_criterion(d, criterion, m, tail_tol) if intensity
+                 else nonclassical.probability_criterion(d, criterion, m))(1.0)
+        res = nonclassical.NccResult(f"{criterion}_{kind}", value, value < 0.0)
     payload = {
         "criterion": res.criterion,
         "value": res.value,

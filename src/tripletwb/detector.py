@@ -42,8 +42,9 @@ class DetectorConfig:
     dark_rate: float
 
     def __post_init__(self):
-        if self.pixels < 1:
-            raise ParameterError(f"pixels must be >= 1, got {self.pixels}")
+        if (isinstance(self.pixels, bool) or not isinstance(self.pixels, (int, np.integer))
+                or self.pixels < 1):
+            raise ParameterError(f"pixels must be an integer >= 1, got {self.pixels!r}")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ParameterError(f"efficiency must lie in [0, 1], got {self.efficiency}")
         if self.dark_rate < 0.0:

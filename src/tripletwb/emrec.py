@@ -43,8 +43,10 @@ class EmSettings:
     stop_tolerance: float = 1e-9  # max absolute per-cell change
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be >= 1")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, (int, np.integer))
+                or self.max_iterations < 1):
+            raise DataError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if not (math.isfinite(self.stop_tolerance) and self.stop_tolerance > 0):
             raise DataError(f"stop_tolerance must be finite and > 0, got {self.stop_tolerance}")
 

@@ -18,9 +18,7 @@ one Toeplitz convolution per axis (``compose_with_noise``).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
@@ -95,13 +93,6 @@ class TripleTwbParams:
         comps = {k: MandelRiceComponent(float(data[k]["M"]), float(data[k]["B"]))
                  for k in PARAM_KEYS}
         return cls(**comps)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "TripleTwbParams":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 #: Fitted field parameters shipped as the "paper-table-2" preset.

@@ -24,6 +24,7 @@ from . import __version__
 from .detector import DetectorConfig
 from .errors import DataError
 from .fock import AXIS_ORDER, Histogram, JointDistribution
+from .gaussian import PARAM_KEYS, TripleTwbParams
 
 FRAME_HEADER = ["frame_id", "c_s", "c_i1", "c_i2", "c_i3"]
 
@@ -57,6 +58,21 @@ def load_detectors(path: str | Path) -> dict[str, DetectorConfig]:
         return {l: DetectorConfig(**data[l]) for l in AXIS_ORDER}
     except TypeError as exc:
         raise DataError(f"{path}: malformed detector entry ({exc})") from exc
+
+
+def load_params(path: str | Path) -> TripleTwbParams:
+    """Field parameters from a JSON object keyed by ``PARAM_KEYS``.
+
+    Each entry holds the component's mode number ``M`` and mean photons
+    per mode ``B``.
+    """
+    path = Path(path)
+    data = _read_json(path, PARAM_KEYS)
+    try:
+        return TripleTwbParams.from_dict(data)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise DataError(f"{path}: malformed parameter entry; each needs numbers "
+                        f"M and B ({exc!r})") from exc
 
 
 def ingest_frames(path: str | Path,

@@ -19,12 +19,14 @@ per-beam convolution with the Mandel-Rice pmf of (M_j, theta): adding Gamma
 intensity noise adds thermal counts. Both evaluations are provided; the
 resummed form is the default because the raw series degrades near s = -1.
 
-A criterion value < 0 certifies nonclassicality; the Lee depth is
-tau = (1 - s_th)/2 at the ordering threshold s_th where the criterion
-changes sign.
+Both criterion families are one moment-matrix determinant, taken on the
+s-ordered intensity moments or on the weighted quasi-probabilities
+k! p_s(o + k). A value < 0 certifies nonclassicality; the Lee depth is
+tau = (1 - s_th)/2 at the ordering threshold s_th where it changes sign.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -196,33 +198,6 @@ def s_transform_moments(m: IntensityMoments, s_target: float,
     return IntensityMoments(tensor, s_target, modes)
 
 
-# ---------------------------------------------------------------------------
-# criteria
-# ---------------------------------------------------------------------------
-
-def ncc_cs_intensity(m: IntensityMoments) -> NccResult:
-    """Cauchy-Schwarz intensity criterion <W1^2 W2^2 W3^2> - <W1 W2 W3>^2."""
-    if m.tensor.ndim != 3 or m.k_max < 2:
-        raise DataError("criterion needs 3 beams and orders up to 2")
-    t = m.tensor
-    value = float(t[2, 2, 2] - t[1, 1, 1] ** 2)
-    return NccResult("cs_intensity", value, value < 0.0)
-
-
-def ncc_matrix_intensity(m: IntensityMoments) -> NccResult:
-    """Five-term intensity matrix criterion (beams 1 and 3 against beam 2)."""
-    if m.tensor.ndim != 3 or m.k_max < 2:
-        raise DataError("criterion needs 3 beams and orders up to 2")
-    t = m.tensor
-    value = float(
-        t[2, 0, 2] * t[0, 2, 0]
-        + 2.0 * t[1, 1, 1] * t[0, 1, 0] * t[1, 0, 1]
-        - t[1, 0, 1] ** 2 * t[0, 2, 0]
-        - t[0, 1, 0] ** 2 * t[2, 0, 2]
-        - t[1, 1, 1] ** 2)
-    return NccResult("matrix_intensity", value, value < 0.0)
-
-
 def _series_smoothing_matrix(n_max: int, m_max: int, s: float, M: float) -> np.ndarray:
     """A[n, m] = sum_k (-1)^k mu(n+k | m) / (n! k!) by direct summation.
 
@@ -353,33 +328,62 @@ def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
     return QuasiProbabilityTable(vals, s, modes)
 
 
-def ncc_probability(table: QuasiProbabilityTable, criterion: str,
-                    offset: tuple[int, int, int] = (0, 0, 0)) -> NccResult:
-    """Probability criteria with all arguments translated by ``offset``."""
-    p = table.values
-    if p.ndim != 3:
-        raise DataError("probability criteria need 3 beams")
-    o = tuple(int(x) for x in offset)
-    for j in range(3):
-        if o[j] < 0 or o[j] + 2 > p.shape[j] - 1:
-            raise DataError(f"table does not cover offset {o} plus 2 on axis {j}")
+# ---------------------------------------------------------------------------
+# criteria
+# ---------------------------------------------------------------------------
+
+#: k1! k2! k3! for k_j <= 2; powers of two, so weighting by them is exact
+_K_FACTORIALS = np.einsum("i,j,k->ijk", *[[1.0, 1.0, 2.0]] * 3)
+
+
+def moment_criterion(r: np.ndarray, criterion: str) -> float:
+    """Moment-matrix determinant of a table r[a, b, c], a, b, c <= 2 (< 0: nonclassical).
+
+    ``"cs"`` is r000 r222 - r111^2; ``"matrix"`` is det [[r000, r010, r101],
+    [r010, r020, r111], [r101, r111, r202]]. On s-ordered intensity moments
+    these are the intensity criteria; on r(k) = k! p_s(o + k) they are the
+    probability criteria at offset o.
+    """
+    r = np.asarray(r)
+    if r.ndim != 3 or min(r.shape) < 3:
+        raise DataError(f"criteria need a 3-beam table up to order 2, got shape {r.shape}")
 
     def q(a, b, c):
-        return float(p[o[0] + a, o[1] + b, o[2] + c])
+        return float(r[a, b, c])
 
     if criterion == "cs":
-        value = 8.0 * q(0, 0, 0) * q(2, 2, 2) - q(1, 1, 1) ** 2
-        name = "cs_probability"
-    elif criterion == "matrix":
-        value = (8.0 * q(2, 0, 2) * q(0, 2, 0) * q(0, 0, 0)
-                 + 2.0 * q(1, 1, 1) * q(0, 1, 0) * q(1, 0, 1)
-                 - 2.0 * q(1, 0, 1) ** 2 * q(0, 2, 0)
-                 - 4.0 * q(0, 1, 0) ** 2 * q(2, 0, 2)
-                 - q(1, 1, 1) ** 2 * q(0, 0, 0))
-        name = "matrix_probability"
-    else:
-        raise DataError(f"unknown probability criterion {criterion!r}")
-    return NccResult(name, value, value < 0.0)
+        return q(0, 0, 0) * q(2, 2, 2) - q(1, 1, 1) ** 2
+    if criterion == "matrix":
+        return (q(2, 0, 2) * q(0, 2, 0) * q(0, 0, 0)
+                + 2.0 * q(1, 1, 1) * q(0, 1, 0) * q(1, 0, 1)
+                - q(1, 0, 1) ** 2 * q(0, 2, 0)
+                - q(0, 1, 0) ** 2 * q(2, 0, 2)
+                - q(1, 1, 1) ** 2 * q(0, 0, 0))
+    raise DataError(f"unknown criterion {criterion!r}")
+
+
+def _factorial_weighted(p: np.ndarray, offset: tuple[int, int, int]) -> np.ndarray:
+    """r(k) = k! p(offset + k) for k_j <= 2: the probability criteria's table."""
+    if p.ndim == 3:
+        o1, o2, o3 = offset
+        p = p[o1:o1 + 3, o2:o2 + 3, o3:o3 + 3]
+    if p.shape != (3, 3, 3):
+        raise DataError(f"probability criteria need 3 beams covering offset {offset} plus 2")
+    return p * _K_FACTORIALS
+
+
+def intensity_criterion(d: JointDistribution, criterion: str, modes: Sequence[float],
+                        tail_tol: float = 1e-6) -> Callable[[float], float]:
+    """The intensity criterion of a 3D field as a function of the ordering s."""
+    base = intensity_moments(d, 2, tail_tol=tail_tol)
+    return lambda s: moment_criterion(s_transform_moments(base, s, modes).tensor, criterion)
+
+
+def probability_criterion(d: JointDistribution, criterion: str,
+                          modes: Sequence[float]) -> Callable[[float], float]:
+    """The probability criterion of a 3D field on the cube [0, 2]^3, a function of s."""
+    return lambda s: moment_criterion(
+        _factorial_weighted(quasi_probabilities(d, s, modes, 2).values, (0, 0, 0)), criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -425,32 +429,22 @@ def ncd(evaluator: Callable[[float], float]) -> NcdResult:
     return NcdResult((1.0 - s_th) / 2.0, s_th, ambiguous=changes > 1)
 
 
+def _scored(name: str, evaluator: Callable[[float], float]) -> NccResult:
+    """A criterion's value at s = 1 and its Lee depth."""
+    value = evaluator(1.0)
+    return NccResult(name, value, value < 0.0, ncd=ncd(evaluator))
+
+
 def intensity_ncd(d: JointDistribution, criterion: str, modes: Sequence[float],
                   tail_tol: float = 1e-6) -> NccResult:
     """NCD of an intensity criterion ("cs" or "matrix") for a 3D field."""
-    base = intensity_moments(d, 2, tail_tol=tail_tol)
-    crit = {"cs": ncc_cs_intensity, "matrix": ncc_matrix_intensity}[criterion]
-
-    def evaluator(s: float) -> float:
-        return crit(s_transform_moments(base, s, modes)).value
-
-    at1 = crit(s_transform_moments(base, 1.0, modes))
-    depth = ncd(evaluator)
-    return NccResult(at1.criterion, at1.value, at1.nonclassical, ncd=depth)
+    return _scored(f"{criterion}_intensity", intensity_criterion(d, criterion, modes, tail_tol))
 
 
-def probability_ncd(d: JointDistribution, criterion: str, modes: Sequence[float],
-                    offset: tuple[int, int, int] = (0, 0, 0)) -> NccResult:
-    """NCD of a probability criterion at one lattice offset."""
-    box = tuple(offset[j] + 2 for j in range(3))
-
-    def evaluator(s: float) -> float:
-        table = quasi_probabilities(d, s, modes, box)
-        return ncc_probability(table, criterion, offset).value
-
-    at1 = ncc_probability(quasi_probabilities(d, 1.0, modes, box), criterion, offset)
-    depth = ncd(evaluator)
-    return NccResult(at1.criterion, at1.value, at1.nonclassical, ncd=depth)
+def probability_ncd(d: JointDistribution, criterion: str,
+                    modes: Sequence[float]) -> NccResult:
+    """NCD of a probability criterion ("cs" or "matrix") for a 3D field."""
+    return _scored(f"{criterion}_probability", probability_criterion(d, criterion, modes))
 
 
 def ncd_field(d: JointDistribution, criterion: str, modes: Sequence[float],
@@ -463,27 +457,15 @@ def ncd_field(d: JointDistribution, criterion: str, modes: Sequence[float],
     """
     if min(box) < 0:
         raise DataError(f"lattice box must be nonnegative, got {tuple(box)}")
-    for j in range(3):
-        if box[j] + 2 > d.values.shape[j] - 1:
-            raise DataError("box plus criterion span exceeds table cutoffs")
+    if any(b + 2 > n - 1 for b, n in zip(box, d.values.shape)):
+        raise DataError("box plus criterion span exceeds table cutoffs")
     n_box = tuple(b + 2 for b in box)
-    cache: dict[float, QuasiProbabilityTable] = {}
-
-    def table_at(s: float) -> QuasiProbabilityTable:
-        if s not in cache:
-            cache[s] = quasi_probabilities(d, s, modes, n_box)
-        return cache[s]
-
+    # one quasi-probability table per ordering, shared by all offsets
+    table_at = functools.cache(lambda s: quasi_probabilities(d, s, modes, n_box).values)
     out = np.zeros(tuple(b + 1 for b in box))
-    for o1 in range(box[0] + 1):
-        for o2 in range(box[1] + 1):
-            for o3 in range(box[2] + 1):
-                off = (o1, o2, o3)
-
-                def evaluator(s: float, off=off) -> float:
-                    return ncc_probability(table_at(s), criterion, off).value
-
-                out[off] = ncd(evaluator).tau
+    for off in np.ndindex(out.shape):
+        out[off] = ncd(lambda s: moment_criterion(_factorial_weighted(table_at(s), off),
+                                                  criterion)).tau
     return NcdField(out, f"{criterion}_probability")
 
 

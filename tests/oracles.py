@@ -455,3 +455,47 @@ def stats_row_marginals(d3: JointDistribution):
     fanos = tuple(v / m for m, v in (axis_moments(a) for a in idlers))
     corrs = (corr("i1", "i2"), corr("i1", "i3"), corr("i2", "i3"))
     return means, fanos, corrs
+
+
+def cs_intensity_formula(t: np.ndarray) -> float:
+    """Cauchy-Schwarz intensity criterion <W1^2 W2^2 W3^2> - <W1 W2 W3>^2.
+
+    The former ``nonclassical.ncc_cs_intensity``, written out on the moment
+    tensor with the zeroth moment taken as exactly 1.
+    """
+    return float(t[2, 2, 2] - t[1, 1, 1] ** 2)
+
+
+def matrix_intensity_formula(t: np.ndarray) -> float:
+    """Five-term intensity matrix criterion (beams 1 and 3 against beam 2).
+
+    The former ``nonclassical.ncc_matrix_intensity``, with the zeroth moment
+    taken as exactly 1.
+    """
+    return float(
+        t[2, 0, 2] * t[0, 2, 0]
+        + 2.0 * t[1, 1, 1] * t[0, 1, 0] * t[1, 0, 1]
+        - t[1, 0, 1] ** 2 * t[0, 2, 0]
+        - t[0, 1, 0] ** 2 * t[2, 0, 2]
+        - t[1, 1, 1] ** 2)
+
+
+def probability_criterion_formula(p: np.ndarray, criterion: str,
+                                  offset: tuple[int, int, int]) -> float:
+    """Probability criteria with all arguments translated by ``offset``.
+
+    The former ``nonclassical.ncc_probability``: the factorial weights of
+    the moment-matrix determinant written out as the constants 2, 4 and 8.
+    """
+    o = offset
+
+    def q(a, b, c):
+        return float(p[o[0] + a, o[1] + b, o[2] + c])
+
+    if criterion == "cs":
+        return 8.0 * q(0, 0, 0) * q(2, 2, 2) - q(1, 1, 1) ** 2
+    return (8.0 * q(2, 0, 2) * q(0, 2, 0) * q(0, 0, 0)
+            + 2.0 * q(1, 1, 1) * q(0, 1, 0) * q(1, 0, 1)
+            - 2.0 * q(1, 0, 1) ** 2 * q(0, 2, 0)
+            - 4.0 * q(0, 1, 0) ** 2 * q(2, 0, 2)
+            - q(1, 1, 1) ** 2 * q(0, 0, 0))

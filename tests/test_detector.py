@@ -38,6 +38,15 @@ def test_config_validation():
         DetectorConfig(pixels=2, efficiency=0.5, dark_rate=2.5)
 
 
+@pytest.mark.parametrize("pixels", [1512.5, 1512.0, True, "10"])
+def test_config_requires_an_integer_pixel_count(pixels):
+    # 1512.5 failed later in the click sampler's integer cast; True ran as
+    # a one-pixel detector
+    with pytest.raises(ParameterError, match="pixels must be an integer"):
+        DetectorConfig(pixels=pixels, efficiency=0.5, dark_rate=0.0)
+    assert DetectorConfig(pixels=np.int64(12), efficiency=0.5, dark_rate=0.0).pixels == 12
+
+
 def test_dark_prob_is_rate_over_pixels():
     cfg = PAPER_TABLE_1["s"]
     assert cfg.dark_prob == pytest.approx(0.220 / 4536)

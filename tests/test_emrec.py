@@ -42,6 +42,14 @@ def test_settings_validation():
             EmSettings(stop_tolerance=tol)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "100"])
+def test_settings_require_an_integer_iteration_cap(bad):
+    # 2.5 passed the >= 1 check and failed later in range() with a TypeError
+    with pytest.raises(DataError, match="max_iterations must be an integer >= 1"):
+        EmSettings(max_iterations=bad)
+    assert EmSettings(max_iterations=np.int64(3)).max_iterations == 3
+
+
 def test_identity_channel_fixed_point_at_first_iteration():
     d = small_model()
     mats = [identity_matrix(n - 1) for n in d.values.shape]

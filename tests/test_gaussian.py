@@ -1,10 +1,12 @@
 """Forward field model: Mandel-Rice components, pairing, noise, sampling."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from tripletwb import io
 from tripletwb.errors import CutoffError, DataError, ParameterError
 from tripletwb.fock import AXIS_ORDER, JointDistribution, contract, marginalize
 from tripletwb.gaussian import (PAPER_TABLE_2, GaussianFieldModel,
@@ -285,8 +287,8 @@ def test_distribution_tail_checks_match_two_step_route(check):
 
 def test_params_json_round_trip(tmp_path):
     path = tmp_path / "params.json"
-    PAPER_TABLE_2.to_json(path)
-    back = TripleTwbParams.from_json(path)
+    path.write_text(json.dumps(PAPER_TABLE_2.to_dict()))
+    back = io.load_params(path)
     assert back == PAPER_TABLE_2
 
 

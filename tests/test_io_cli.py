@@ -782,6 +782,41 @@ def test_cli_malformed_detector_file_exits_2(runner, workdir, text):
     assert str(path) in res.output
 
 
+@pytest.mark.parametrize("pixels", [1512.5, True])
+def test_cli_non_integer_pixel_count_exits_2(runner, workdir, pixels):
+    path = workdir / "detectors_pixels.json"
+    cfgs = {l: {"pixels": c.pixels, "efficiency": c.efficiency, "dark_rate": c.dark_rate}
+            for l, c in PAPER_TABLE_1.items()}
+    cfgs["i1"]["pixels"] = pixels
+    path.write_text(json.dumps(cfgs))
+    res = runner.invoke(main, [
+        "simulate", "--frames", "10", "--seed", "1", "--detector-file", str(path),
+        "--out", str(workdir / "nope_pixels.csv")])
+    assert res.exit_code == 2, res.output
+    assert "pixels must be an integer" in res.output
+
+
+PARAM_NAMES = ("pair_1", "pair_2", "pair_3", "noise_s", "noise_i1", "noise_i2", "noise_i3")
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({k: 3 for k in PARAM_NAMES}),
+    json.dumps({k: {"M": "x" if k == "pair_2" else 1.0, "B": 0.1} for k in PARAM_NAMES}),
+    json.dumps({k: {"M": 1.0} if k == "noise_i3" else {"M": 1.0, "B": 0.1}
+                for k in PARAM_NAMES}),
+], ids=["not-json", "number-entries", "text-M", "no-B"])
+def test_cli_malformed_params_file_exits_2(runner, workdir, text):
+    path = workdir / "params_bad.json"
+    path.write_text(text)
+    res = runner.invoke(main, [
+        "simulate", "--params-file", str(path), "--frames", "10", "--seed", "1",
+        "--out", str(workdir / "nope_params.csv")])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert str(path) in res.output
+
+
 def test_load_detectors_round_trip(tmp_path):
     path = tmp_path / "detectors.json"
     path.write_text(json.dumps({l: {"pixels": c.pixels, "efficiency": c.efficiency,

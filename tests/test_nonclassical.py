@@ -11,15 +11,17 @@ from tripletwb.errors import CutoffError, DataError, NumericalError, ParameterEr
 from tripletwb.fock import JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, MandelRiceComponent,
                                 mandel_rice_vector)
-from tripletwb.nonclassical import (intensity_moments, intensity_ncd,
-                                    ncc_cs_intensity, ncc_matrix_intensity,
-                                    ncc_probability, ncd, ncd_field, plane_cut,
-                                    probability_ncd, quasi_distribution_W,
-                                    quasi_probabilities, s_transform_moments)
-from tests.oracles import (grid_moments, grid_triangular_cut_loop,
-                           kernel_route_probabilities, paired_part,
-                           plane_cut_csv_loop, quasi_kernels,
-                           resummed_smoothing_matrix_loop, triangular_cut_loop)
+from tripletwb.nonclassical import (_factorial_weighted, intensity_moments,
+                                    intensity_ncd, moment_criterion, ncd,
+                                    ncd_field, plane_cut, probability_ncd,
+                                    quasi_distribution_W, quasi_probabilities,
+                                    s_transform_moments)
+from tests.oracles import (cs_intensity_formula, grid_moments,
+                           grid_triangular_cut_loop, kernel_route_probabilities,
+                           matrix_intensity_formula, paired_part,
+                           plane_cut_csv_loop, probability_criterion_formula,
+                           quasi_kernels, resummed_smoothing_matrix_loop,
+                           triangular_cut_loop)
 
 
 def poisson_product(lams, n_max=30):
@@ -142,21 +144,21 @@ def test_invalid_mode_numbers_raise_parameter_error(route, bad):
 
 def test_cs_intensity_zero_for_coherent():
     m = intensity_moments(poisson_product((0.8, 1.1, 0.5)), 2)
-    res = ncc_cs_intensity(m)
-    assert abs(res.value) < 1e-9
-    assert not res.nonclassical
+    value = moment_criterion(m.tensor, "cs")
+    assert abs(value) < 1e-9
+    assert not value < 0.0
 
 
 def test_cs_intensity_single_photon():
-    res = ncc_cs_intensity(intensity_moments(delta_111(), 2))
-    assert res.value == -1.0
-    assert res.nonclassical
+    value = moment_criterion(intensity_moments(delta_111(), 2).tensor, "cs")
+    assert value == -1.0
+    assert value < 0.0
 
 
 def test_matrix_intensity_zero_for_coherent():
     m = intensity_moments(poisson_product((0.8, 1.1, 0.5)), 2)
-    res = ncc_matrix_intensity(m)
-    assert abs(res.value) < 1e-9
+    value = moment_criterion(m.tensor, "matrix")
+    assert abs(value) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -248,22 +250,84 @@ def test_resummed_route_builds_each_distinct_matrix_once(monkeypatch, modes, box
 
 def test_probability_cs_single_photon():
     t = quasi_probabilities(delta_111(), 1.0, (1.0, 1.0, 1.0), 2)
-    res = ncc_probability(t, "cs")
-    assert res.value == -1.0
-    assert res.nonclassical
+    value = moment_criterion(_factorial_weighted(t.values, (0, 0, 0)), "cs")
+    assert value == -1.0
+    assert value < 0.0
 
 
 def test_probability_cs_coherent_is_classical():
     d = poisson_product((0.8, 1.1, 0.5), n_max=20)
     t = quasi_probabilities(d, 1.0, (1.0, 1.0, 1.0), 2)
-    assert ncc_probability(t, "cs").value >= 0.0
-    assert ncc_probability(t, "matrix").value >= 0.0
+    assert moment_criterion(_factorial_weighted(t.values, (0, 0, 0)), "cs") >= 0.0
+    assert moment_criterion(_factorial_weighted(t.values, (0, 0, 0)), "matrix") >= 0.0
 
 
 def test_probability_offset_coverage():
     t = quasi_probabilities(delta_111(), 1.0, (1.0, 1.0, 1.0), 2)
     with pytest.raises(DataError):
-        ncc_probability(t, "cs", offset=(1, 0, 0))
+        _factorial_weighted(t.values, (1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the moment-matrix kernel against the written-out formulas
+# ---------------------------------------------------------------------------
+
+OFFSETS = [(0, 0, 0), (1, 0, 2), (3, 2, 0), (4, 4, 5), (2, 3, 1)]
+
+
+@pytest.mark.parametrize("sign", ["nonnegative", "signed"])
+@pytest.mark.parametrize("criterion", ["cs", "matrix"])
+def test_moment_criterion_is_the_probability_formula_bit_for_bit(criterion, sign):
+    # k! <= 2 per axis is a power of two, so weighting the probabilities
+    # first rounds exactly as the written-out constants 2, 4 and 8 do
+    rng = np.random.default_rng(19)
+    for trial in range(20):
+        p = rng.random((7, 7, 8)) * 10.0 ** rng.integers(-12, 1)
+        if sign == "signed":
+            p -= 0.5 * p.mean()
+        for off in OFFSETS:
+            got = moment_criterion(_factorial_weighted(p, off), criterion)
+            assert got == probability_criterion_formula(p, criterion, off)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.6, 0.0, -0.5, -0.999])
+def test_moment_criterion_is_the_intensity_formula(s):
+    # the kernel multiplies in the zeroth moment, the formulas take it as 1:
+    # the two agree to the rounding of the table's normalization
+    rng = np.random.default_rng(7)
+    for trial in range(10):
+        vals = rng.random((6, 5, 7)) ** 3
+        d = JointDistribution(vals / vals.sum(), ("i1", "i2", "i3"), normalized=True)
+        t = s_transform_moments(intensity_moments(d, 2, tail_tol=1.0), s,
+                                (1.0, 2.5, 0.7)).tensor
+        for criterion, formula in (("cs", cs_intensity_formula),
+                                   ("matrix", matrix_intensity_formula)):
+            got, want = moment_criterion(t, criterion), formula(t)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_moment_criterion_needs_three_axes_up_to_order_two():
+    for shape in [(3, 3), (3, 3, 2), (3,)]:
+        with pytest.raises(DataError, match="3-beam table"):
+            moment_criterion(np.ones(shape), "cs")
+    d2 = JointDistribution(np.full((4, 4), 1.0 / 16), ("i1", "i2"), normalized=True)
+    with pytest.raises(DataError):
+        intensity_ncd(d2, "cs", (1.0, 1.0), tail_tol=1.0)
+    with pytest.raises(DataError):
+        probability_ncd(d2, "cs", (1.0, 1.0))
+    with pytest.raises(DataError):
+        ncd_field(d2, "cs", (1.0, 1.0), (1, 1, 1))
+
+
+def test_unknown_criterion_is_a_data_error():
+    d = poisson_product((0.8, 1.1, 0.5), n_max=8)
+    modes = (1.0, 1.0, 1.0)
+    for call in (lambda: intensity_ncd(d, "det", modes, tail_tol=1.0),
+                 lambda: probability_ncd(d, "det", modes),
+                 lambda: ncd_field(d, "det", modes, (1, 1, 1)),
+                 lambda: moment_criterion(np.ones((3, 3, 3)), "det")):
+        with pytest.raises(DataError, match="unknown criterion 'det'"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +356,7 @@ def test_ncd_saturation_flag():
 def test_thermal_criteria_monotone_in_s():
     d = thermal_product((0.5, 0.7, 0.4), n_max=50)
     base = intensity_moments(d, 2, tail_tol=1e-4)
-    vals = [ncc_cs_intensity(s_transform_moments(base, s, (1.0, 1.0, 1.0))).value
+    vals = [moment_criterion(s_transform_moments(base, s, (1.0, 1.0, 1.0)).tensor, "cs")
             for s in np.linspace(1.0, -0.9, 12)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(v >= 0 for v in vals)
