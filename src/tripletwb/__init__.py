@@ -11,8 +11,7 @@ from .emrec import EmResult, EmSettings, em_reconstruct
 from .errors import (CutoffError, DataError, NumericalError, ParameterError,
                      TripleTwbError)
 from .fit import FitReport, declination, photocount_moments
-from .fock import (Histogram, JointDistribution, condition, factorial_moment,
-                   marginalize, normalize)
+from .fock import Histogram, JointDistribution, condition, marginalize, normalize
 from .gaussian import (GaussianFieldModel, MandelRiceComponent, PAPER_TABLE_2,
                        TripleTwbParams, mandel_rice_pmf, sample_photon_numbers)
 from .nonclassical import (IntensityMoments, NccResult, NcdField, NcdResult,

@@ -58,6 +58,11 @@ def _detectors(preset: str, config_file: str | None) -> dict[str, DetectorConfig
     return dict(PRESETS[preset])
 
 
+def _detector_record(preset: str, config_file: str | None) -> dict:
+    """What a histogram's sidecar and manifest name as its detectors."""
+    return {"preset": preset} if config_file is None else {"detector_file": str(config_file)}
+
+
 def _matrices(cfgs: dict[str, DetectorConfig], labels, photon_cutoffs,
               click_cutoffs=None) -> dict:
     """Detection matrices keyed by label; click cutoffs default per detector."""
@@ -141,11 +146,12 @@ def simulate(params_file, preset, detector_file, frames, seed, out, frames_out,
     hist = np.zeros([c + 1 for c in c_cut], dtype=np.int64)
     np.add.at(hist, tuple(kept.T), 1)
     h = Histogram(hist, frames - dropped)
-    io.save_histogram(h, out, detector_presets={"preset": preset})
+    record = _detector_record(preset, detector_file)
+    io.save_histogram(h, out, detector_presets=record)
     if frames_out:
         io.save_frames(counts, frames_out)
     io.write_manifest(Path(out), "simulate", {
-        "frames": frames, "seed": seed, "preset": preset,
+        "frames": frames, "seed": seed, **record,
         "dropped_frames": dropped, "params": params.to_dict(),
         "signal_cutoff": signal_cutoff, "idler_cutoff": idler_cutoff})
     click.echo(f"wrote {out} ({frames - dropped} frames, {dropped} dropped)")
@@ -161,7 +167,7 @@ def ingest(frames_file, preset, detector_file, out):
     """Accumulate a frame CSV into a histogram."""
     cfgs = _detectors(preset, detector_file)
     h = io.ingest_frames(frames_file, cfgs)
-    io.save_histogram(h, out, detector_presets={"preset": preset})
+    io.save_histogram(h, out, detector_presets=_detector_record(preset, detector_file))
     io.write_manifest(Path(out), "ingest", {"frames": str(frames_file)})
     click.echo(f"wrote {out} (trials {h.trials})")
 

@@ -47,8 +47,8 @@ class DetectorConfig:
             raise ParameterError(f"pixels must be an integer >= 1, got {self.pixels!r}")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ParameterError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if self.dark_rate < 0.0:
-            raise ParameterError(f"dark rate must be >= 0, got {self.dark_rate}")
+        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
+            raise ParameterError(f"dark rate must be finite and >= 0, got {self.dark_rate}")
         if self.dark_rate / self.pixels >= 1.0:
             raise ParameterError("per-pixel dark probability D/N must be < 1")
 
@@ -168,7 +168,7 @@ def detection_matrix(cfg: DetectorConfig, n_max: int,
 
 
 def forward_counts(p: JointDistribution,
-                   matrices: dict[str, DetectionMatrix] | list[DetectionMatrix]) -> JointDistribution:
+                   matrices: dict[str, DetectionMatrix]) -> JointDistribution:
     """Photocount distribution f(c) = sum_n prod_axes T(c|n) p(n).
 
     A normalized ``p`` gives a normalized table, written once: the click-box
@@ -191,24 +191,19 @@ def forward_counts(p: JointDistribution,
     return JointDistribution(contract(p.values, ts), p.axis_labels, normalized=p.normalized)
 
 
-def _matrices_for(labels, matrices):
-    if isinstance(matrices, dict):
-        missing = [l for l in labels if l not in matrices]
-        if missing:
-            raise DataError(f"no detector entry for axes {missing}")
-        return [matrices[l] for l in labels]
-    if len(matrices) != len(labels):
-        raise DataError("per-axis list length does not match table rank")
-    return list(matrices)
+def _matrices_for(labels, matrices: dict) -> list:
+    missing = [l for l in labels if l not in matrices]
+    if missing:
+        raise DataError(f"no detector entry for axes {missing}")
+    return [matrices[l] for l in labels]
 
 
-def sample_counts(photons: np.ndarray,
-                  cfgs: dict[str, DetectorConfig] | list[DetectorConfig],
+def sample_counts(photons: np.ndarray, cfgs: dict[str, DetectorConfig],
                   seed: int) -> np.ndarray:
     """Sample the clicks of each frame pixel by pixel; deterministic per seed.
 
     ``photons`` has shape (frames, n_axes); the output matches it. ``cfgs``
-    is keyed by axis label, or a list with one config per photon column.
+    is keyed by axis label, the columns taking the labels of ``AXIS_ORDER``.
     """
     photons = np.asarray(photons)
     cfg_list = _matrices_for(fock.AXIS_ORDER[: photons.shape[1]], cfgs)

@@ -8,7 +8,7 @@ with the separable kernel K(c|n) = prod_axes T(c_axis|n_axis). Because the
 kernel factorizes, both the forward projection and the back projection are
 one :func:`tripletwb.fock.contract` each, a per-axis matrix contraction; no
 dense 8-dimensional kernel is ever formed. Starting point is the uniform
-distribution unless a start table is given.
+distribution on the photon box of the matrices.
 
 Every map works on the observed click box: on each axis only the click
 values that occur in f are kept, along with the matching rows of T. This
@@ -67,23 +67,17 @@ class EmResult:
         return "\n".join(lines) + "\n"
 
 
-def em_reconstruct(f: JointDistribution,
-                   matrices: dict[str, DetectionMatrix] | list[DetectionMatrix],
-                   settings: EmSettings = EmSettings(),
-                   photon_cutoffs: tuple[int, ...] | None = None,
-                   start: JointDistribution | None = None) -> EmResult:
+def em_reconstruct(f: JointDistribution, matrices: dict[str, DetectionMatrix],
+                   settings: EmSettings = EmSettings()) -> EmResult:
     """Invert a photocount distribution into a photon-number distribution.
 
-    ``photon_cutoffs`` defaults to the n ranges of the supplied matrices.
+    The photon box is the n range of each axis's matrix; the iteration
+    starts from the uniform table on it.
     """
     if not f.normalized:
         raise DataError("EM needs a normalized photocount distribution")
     mat_objs = _matrices_for(f.axis_labels, matrices)
-    if photon_cutoffs is None:
-        photon_cutoffs = tuple(m.n_max for m in mat_objs)
-    for mat, cut, cdim in zip(mat_objs, photon_cutoffs, f.values.shape):
-        if cut > mat.n_max:
-            raise DataError(f"photon cutoff {cut} exceeds matrix n_max {mat.n_max}")
+    for mat, cdim in zip(mat_objs, f.values.shape):
         if cdim > mat.entries.shape[0]:
             raise DataError("photocount table exceeds matrix click range")
 
@@ -92,25 +86,14 @@ def em_reconstruct(f: JointDistribution,
     fbox = f.values[np.ix_(*used)]
     # Fortran order in both directions: ``contract``'s batched steps take
     # their matrix in that layout, so no map copies one
-    mats = [np.asfortranarray(mat.entries[rows][:, : cut + 1])
-            for mat, rows, cut in zip(mat_objs, used, photon_cutoffs)]
+    mats = [np.asfortranarray(mat.entries[rows]) for mat, rows in zip(mat_objs, used)]
     mats_T = [np.asfortranarray(m.T) for m in mats]
     support = np.flatnonzero(fbox)
     fs = fbox.ravel()[support]
     ratio = np.zeros(fbox.shape)
 
-    if start is not None:
-        box = tuple(c + 1 for c in photon_cutoffs)
-        if start.axis_labels != f.axis_labels or start.values.shape != box:
-            raise DataError(f"start table {start.axis_labels} {start.values.shape} "
-                            f"does not match the photon box {f.axis_labels} {box}")
-        total = start.total()
-        if not total > 0.0:
-            raise DataError(f"start table sums to {total!r}; it needs a total > 0")
-        p = start.values / total
-    else:
-        p = np.full([c + 1 for c in photon_cutoffs], 1.0)
-        p /= p.size
+    p = np.full([m.n_max + 1 for m in mat_objs], 1.0)
+    p /= p.size
     logliks = []
     residuals = []
     converged = False

@@ -33,7 +33,8 @@ from .detector import DetectionMatrix, DetectorConfig, detection_matrix, forward
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fock import (AXIS_ORDER, Histogram, JointDistribution, _power_rows, _read_moments,
                    contract, table_moments)
-from .gaussian import GaussianFieldModel, MandelRiceComponent, TripleTwbParams
+from .gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF, GaussianFieldModel,
+                       MandelRiceComponent, TripleTwbParams)
 
 DECLINATION_EPS = 1e-10
 #: Cells per block of the declination's dense term: 256 KB, which stays in
@@ -44,6 +45,8 @@ M_MIN, M_MAX = 1e-6, 1e4
 MEAN_FLOOR = 1e-8
 #: Share of each idler mean that the simplex starts by giving the pair component
 START_SPLIT = 0.95
+#: Photon box (n_s, n_i1, n_i2, n_i3 cutoffs) of every model table the fit builds
+PHOTON_CUTOFFS = (DEFAULT_SIGNAL_CUTOFF,) + (DEFAULT_IDLER_CUTOFF,) * 3
 #: Largest tail mass a model photon table may discard
 TAIL_TOL = 1e-3
 #: Moment updates per unfolding, and the largest relative click-moment
@@ -171,8 +174,7 @@ def click_moments(p: JointDistribution, mats: dict[str, DetectionMatrix]) -> dic
 
 
 def _unfold_photon_moments(exp_mom: dict, splits, mats: dict[str, DetectionMatrix],
-                           start_mom: dict, photon_cutoffs: tuple[int, int, int, int]
-                           ) -> tuple[TripleTwbParams, JointDistribution, dict]:
+                           start_mom: dict) -> tuple[TripleTwbParams, JointDistribution, dict]:
     """Fixed-point update of photon-level moment targets.
 
     Adjusts the photon moments multiplicatively until the exact model
@@ -184,7 +186,7 @@ def _unfold_photon_moments(exp_mom: dict, splits, mats: dict[str, DetectionMatri
     mom = {"mean": dict(start_mom["mean"]), "cov": dict(start_mom["cov"])}
     for step in range(UNFOLD_STEPS + 1):
         params = params_from_photon_moments(mom, splits)
-        table = GaussianFieldModel(params, photon_cutoffs[0], tuple(photon_cutoffs[1:]),
+        table = GaussianFieldModel(params, PHOTON_CUTOFFS[0], PHOTON_CUTOFFS[1:],
                                    tail_tol=TAIL_TOL).distribution()
         model_mom = click_moments(table, mats)
         if step == UNFOLD_STEPS:
@@ -224,9 +226,7 @@ def _initial_photon_moments(exp_mom: dict, cfgs: dict[str, DetectorConfig]) -> d
 
 
 def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
-        fix_efficiencies: bool = True,
-        photon_cutoffs: tuple[int, int, int, int] = (32, 20, 20, 20),
-        max_evals: int = 200) -> FitReport:
+        fix_efficiencies: bool = True, max_evals: int = 200) -> FitReport:
     """Fit the 14 parameters (optionally plus efficiencies) to a histogram.
 
     The simplex variables are the logit pair-mean splits (and logit
@@ -248,7 +248,7 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
 
     def matrices(eff: dict[str, float]) -> dict[str, DetectionMatrix]:
         return {l: detection_matrix(replace(cfgs[l], efficiency=eff[l]),
-                                    photon_cutoffs[axis], h.counts.shape[axis] - 1)
+                                    PHOTON_CUTOFFS[axis], h.counts.shape[axis] - 1)
                 for axis, l in enumerate(AXIS_ORDER)}
 
     def logit(x):
@@ -271,7 +271,7 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
         try:
             mats = fixed_mats or matrices(eff)
             params, table, model_mom = _unfold_photon_moments(
-                exp_mom, splits, mats, start_mom, photon_cutoffs)
+                exp_mom, splits, mats, start_mom)
             f_model = forward_counts(table, mats)
         except (CutoffError, ParameterError, DataError) as exc:
             # infeasible vertex (e.g. moment split implies a tail heavier

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -151,28 +151,6 @@ def marginalize(d: JointDistribution, keep_axes: Iterable[str]) -> JointDistribu
     vals = d.values.sum(axis=drop) if drop else d.values
     labels = tuple(l for l in d.axis_labels if l in keep)
     return JointDistribution(vals, labels, normalized=d.normalized)
-
-
-def factorial_moment(d: JointDistribution,
-                     orders: Mapping[str, int] | Sequence[int]) -> float:
-    """Multivariate factorial moment sum p(n) prod_j n_j (n_j-1)...(n_j-k_j+1).
-
-    Normal-ordered intensity moments of the detected field equal these
-    factorial moments, which is why they feed the nonclassicality criteria.
-    """
-    if not d.normalized:
-        raise DataError("factorial_moment requires a normalized distribution")
-    if isinstance(orders, Mapping):
-        ks = [int(orders.get(l, 0)) for l in d.axis_labels]
-    else:
-        ks = [int(k) for k in orders]
-        if len(ks) != d.values.ndim:
-            raise DataError("orders length does not match table rank")
-    if any(k < 0 for k in ks):
-        raise DataError("factorial moment orders must be >= 0")
-    rows = [falling_factorial(np.arange(size, dtype=np.float64), k)[None, :]
-            for size, k in zip(d.values.shape, ks)]
-    return contract(d.values, rows).item()
 
 
 def table_moments(rel: np.ndarray, labels) -> dict:

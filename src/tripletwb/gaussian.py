@@ -18,6 +18,7 @@ one Toeplitz convolution per axis (``compose_with_noise``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ class MandelRiceComponent:
     B: float
 
     def __post_init__(self):
-        if not (self.M > 0):
-            raise ParameterError(f"mode count M must be > 0, got {self.M}")
-        if self.B < 0:
-            raise ParameterError(f"mean photons per mode B must be >= 0, got {self.B}")
+        if not (math.isfinite(self.M) and self.M > 0):
+            raise ParameterError(f"mode count M must be finite and > 0, got {self.M}")
+        if not (math.isfinite(self.B) and self.B >= 0):
+            raise ParameterError(f"mean photons per mode B must be finite and >= 0, got {self.B}")
 
     @property
     def mean(self) -> float:

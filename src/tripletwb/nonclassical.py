@@ -628,21 +628,16 @@ class PlaneCut:
         return "u,v,value\n" + "".join(map("%s,%s,%.10g\n".__mod__, rows))
 
 
-def plane_cut(field, kind: str, level: int | float | None = None) -> PlaneCut:
+def plane_cut(field: np.ndarray | QuasiDistribution, kind: str,
+              level: int | float | None = None) -> PlaneCut:
     """Diagonal or triangular plane cut of a 3D field.
 
-    Accepts an :class:`NcdField`, a 3D :class:`JointDistribution`, a raw 3D
-    array (lattice data) or a :class:`QuasiDistribution` (grid data; the
-    triangular cut uses the nearest grid plane).
+    Accepts a 3D array (lattice data) or a :class:`QuasiDistribution` (grid
+    data; the triangular cut uses the nearest grid plane).
     """
     if isinstance(field, QuasiDistribution):
         return _plane_cut_grid(field, kind, level)
-    if isinstance(field, NcdField):
-        arr = field.values
-    elif isinstance(field, JointDistribution):
-        arr = field.values
-    else:
-        arr = np.asarray(field)
+    arr = np.asarray(field)
     if arr.ndim != 3:
         raise DataError("plane cuts need a 3-axis field")
     if kind == "diagonal":

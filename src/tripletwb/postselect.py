@@ -160,7 +160,7 @@ def sweep_distribution(p4: JointDistribution, selector_kind: str,
 
 
 def sweep_histogram(h: Histogram,
-                    idler_matrices: dict[str, DetectionMatrix] | list[DetectionMatrix],
+                    idler_matrices: dict[str, DetectionMatrix],
                     values: range | list[int]) -> PostselectSweep:
     """Photon-level sweep over c_s from a measured histogram.
 

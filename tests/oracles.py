@@ -75,8 +75,7 @@ def kernel_route_probabilities(d: JointDistribution, s: float,
     return vals
 
 
-def em_reconstruct_full_box(f: JointDistribution, matrices, settings,
-                            photon_cutoffs=None, start=None):
+def em_reconstruct_full_box(f: JointDistribution, matrices, settings):
     """EM on the whole click box, one ``apply_matrix`` per axis and direction.
 
     The map ``emrec.em_reconstruct`` ran before it moved to the observed
@@ -90,10 +89,8 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings,
     difference of nearby iterates, by ~1e-12 relative.
     """
     mat_objs = _matrices_for(f.axis_labels, matrices)
-    if photon_cutoffs is None:
-        photon_cutoffs = tuple(m.n_max for m in mat_objs)
-    mats = [np.ascontiguousarray(mat.entries[: cdim, : cut + 1])
-            for mat, cut, cdim in zip(mat_objs, photon_cutoffs, f.values.shape)]
+    mats = [np.ascontiguousarray(mat.entries[: cdim])
+            for mat, cdim in zip(mat_objs, f.values.shape)]
 
     order = [0, *range(len(mats) - 1, 0, -1)]
 
@@ -108,12 +105,8 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings,
         return values
 
     fv = f.values
-    if start is not None:
-        p = start.values.astype(np.float64).copy()
-        p /= p.sum()
-    else:
-        p = np.full([c + 1 for c in photon_cutoffs], 1.0)
-        p /= p.size
+    p = np.full([m.n_max + 1 for m in mat_objs], 1.0)
+    p /= p.size
     support = fv > 0
     logliks, residuals = [], []
     converged = False

@@ -145,7 +145,7 @@ def test_02_detection_matrices_stochastic_and_match_monte_carlo():
         assert mat.entries.min() >= 0.0, label
         for n in photon_numbers:
             frames = 1_000_000
-            mc = sample_counts(np.full((frames, 1), n), [cfg], 97 + n)[:, 0]
+            mc = sample_counts(np.full((frames, 1), n), {"s": cfg}, 97 + n)[:, 0]
             obs = np.bincount(mc, minlength=mat.c_max + 1).astype(float)
             exp = mat.entries[:, n] * frames
             keepb = exp >= 5.0

@@ -1,5 +1,6 @@
 """Click-detector model: matrices, forward map, sampling."""
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,14 @@ def test_config_validation():
         DetectorConfig(pixels=10, efficiency=0.5, dark_rate=-1.0)
     with pytest.raises(ParameterError):
         DetectorConfig(pixels=2, efficiency=0.5, dark_rate=2.5)
+
+
+@pytest.mark.parametrize("dark_rate", [math.nan, math.inf])
+def test_config_rejects_a_non_finite_dark_rate(dark_rate):
+    # a NaN dark rate passed the dark_rate < 0 check and reached the
+    # binomial sampler as a NaN probability
+    with pytest.raises(ParameterError, match="dark rate must be finite"):
+        DetectorConfig(pixels=10, efficiency=0.5, dark_rate=dark_rate)
 
 
 @pytest.mark.parametrize("pixels", [1512.5, 1512.0, True, "10"])
@@ -172,7 +181,7 @@ def test_pixel_monte_carlo_matches_closed_form():
     cfg = PAPER_TABLE_1["i1"]
     t = detection_matrix(cfg, 12)
     for n in (0, 3, 9):
-        clicks = sample_counts(np.full((10**5, 1), n), [cfg], 100 + n)[:, 0]
+        clicks = sample_counts(np.full((10**5, 1), n), {"s": cfg}, 100 + n)[:, 0]
         stat, dof = pooled_pearson(clicks, t.entries[:, n])
         assert stat < chi2.ppf(0.99, dof)
 
@@ -197,7 +206,7 @@ def test_monte_carlo_gate_rejects_biased_efficiency():
     dof = int(keep.sum())
     power = ncx2.sf(chi2.isf(0.01 / 10, dof), dof, frames * np.sum((q - p) ** 2 / p))
     assert power >= 0.85, power
-    clicks = sample_counts(np.full((frames, 1), 32), [biased], 97 + 32)[:, 0]
+    clicks = sample_counts(np.full((frames, 1), 32), {"s": biased}, 97 + 32)[:, 0]
     stat, dof = pooled_pearson(clicks, t.entries[:, 32])
     assert stat > chi2.isf(0.01 / 10, dof), stat
 
@@ -208,7 +217,7 @@ def test_pixel_sampler_peak_memory():
     # pixel table does not fit under the bound.
     tracemalloc.start()
     try:
-        sample_counts(np.full((10**6, 1), 32), [PAPER_TABLE_1["s"]], 129)
+        sample_counts(np.full((10**6, 1), 32), {"s": PAPER_TABLE_1["s"]}, 129)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -305,7 +314,7 @@ def test_forward_is_linear(rng):
 def test_sample_blind_detector_never_clicks():
     cfg = DetectorConfig(pixels=16, efficiency=0.0, dark_rate=0.0)
     photons = np.full((500, 1), 7)
-    out = sample_counts(photons, [cfg], seed=3)
+    out = sample_counts(photons, {"s": cfg}, seed=3)
     assert np.all(out == 0)
 
 

@@ -8,7 +8,7 @@ from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 detection_matrix, forward_counts, sample_counts)
 from tripletwb.emrec import EmSettings, em_reconstruct
 from tripletwb.errors import DataError
-from tripletwb.fock import Histogram, JointDistribution, normalize
+from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, normalize
 from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
 
 from tests.oracles import em_reconstruct_full_box
@@ -30,7 +30,7 @@ def small_model(seed=3, shape=(6, 5, 5)):
 
 def small_matrices(shape):
     cfg = DetectorConfig(pixels=40, efficiency=0.45, dark_rate=0.05)
-    return [detection_matrix(cfg, n - 1, c_max=n + 5) for n in shape]
+    return {l: detection_matrix(cfg, n - 1, c_max=n + 5) for l, n in zip(AXIS_ORDER, shape)}
 
 
 def test_settings_validation():
@@ -52,7 +52,7 @@ def test_settings_require_an_integer_iteration_cap(bad):
 
 def test_identity_channel_fixed_point_at_first_iteration():
     d = small_model()
-    mats = [identity_matrix(n - 1) for n in d.values.shape]
+    mats = {l: identity_matrix(n - 1) for l, n in zip(d.axis_labels, d.values.shape)}
     # one iteration from the uniform start already lands on p = f exactly
     res = em_reconstruct(d, mats, EmSettings(max_iterations=1,
                                              stop_tolerance=1e-12))
@@ -60,36 +60,6 @@ def test_identity_channel_fixed_point_at_first_iteration():
     res2 = em_reconstruct(d, mats, EmSettings(max_iterations=50,
                                               stop_tolerance=1e-12))
     assert res2.converged and res2.iterations <= 2
-
-
-def test_truth_is_a_fixed_point():
-    p = small_model(seed=8)
-    mats = small_matrices(p.values.shape)
-    f = forward_counts(p, mats)
-    res = em_reconstruct(f, mats,
-                         EmSettings(max_iterations=1, stop_tolerance=1e-14),
-                         start=p)
-    assert res.residual < 1e-10
-
-
-def test_start_off_the_photon_box_raises():
-    p = small_model(seed=8)
-    mats = small_matrices(p.values.shape)
-    f = forward_counts(p, mats)
-    wrong_shape = small_model(seed=9, shape=(5, 5, 5))
-    wrong_labels = JointDistribution(p.values, ("s", "i1", "i3"))
-    for start in (wrong_shape, wrong_labels):
-        with pytest.raises(DataError, match="does not match the photon box"):
-            em_reconstruct(f, mats, EmSettings(max_iterations=3), start=start)
-
-
-def test_all_zero_start_raises_before_the_first_map():
-    p = small_model(seed=8)
-    mats = small_matrices(p.values.shape)
-    f = forward_counts(p, mats)
-    start = JointDistribution(np.zeros(p.values.shape), p.axis_labels)
-    with pytest.raises(DataError, match="start table sums to 0.0"):
-        em_reconstruct(f, mats, EmSettings(max_iterations=3), start=start)
 
 
 def test_loglik_nondecreasing_and_normalized_iterates():
@@ -117,7 +87,7 @@ def test_unsupported_outcome_errors():
     vals[7] = 1.0
     f = JointDistribution(vals, ("s",), normalized=True)
     ideal = identity_matrix(7).entries[:, :3]  # clicks up to 7, photons up to 2
-    mats = [DetectionMatrix(ideal, IDEAL)]
+    mats = {"s": DetectionMatrix(ideal, IDEAL)}
     with pytest.raises(DataError, match="unsupported outcome"):
         em_reconstruct(f, mats, EmSettings(max_iterations=5,
                                            stop_tolerance=1e-9))
@@ -125,7 +95,7 @@ def test_unsupported_outcome_errors():
 
 def test_trace_csv_header():
     d = small_model(shape=(4, 4))
-    mats = [identity_matrix(3), identity_matrix(3)]
+    mats = {"s": identity_matrix(3), "i1": identity_matrix(3)}
     res = em_reconstruct(d, mats, EmSettings(max_iterations=3,
                                              stop_tolerance=1e-15))
     lines = res.trace_csv().strip().splitlines()
@@ -139,7 +109,7 @@ def test_trace_csv_header():
 
 def test_conditional_identity_matrices():
     d3 = small_model(seed=4, shape=(4, 4, 4))
-    mats = [identity_matrix(3)] * 3
+    mats = dict.fromkeys(d3.axis_labels, identity_matrix(3))
     res = em_reconstruct(d3, mats, EmSettings(max_iterations=10, stop_tolerance=1e-12))
     np.testing.assert_allclose(res.distribution.values, d3.values, atol=1e-12)
 
@@ -148,10 +118,10 @@ def test_conditional_identity_matrices():
 # the observed click box against the full-box map
 # ---------------------------------------------------------------------------
 
-def assert_matches_full_box(f, mats, settings, **kwargs):
-    res = em_reconstruct(f, mats, settings, **kwargs)
+def assert_matches_full_box(f, mats, settings):
+    res = em_reconstruct(f, mats, settings)
     p, iterations, logliks, residuals, converged = em_reconstruct_full_box(
-        f, mats, settings, **kwargs)
+        f, mats, settings)
     assert res.iterations == iterations
     assert res.converged == converged
     np.testing.assert_allclose(res.loglik_trace, logliks, rtol=1e-12, atol=0.0)
@@ -180,7 +150,7 @@ def test_observed_box_matches_full_box_with_unobserved_middle_row():
     mats = small_matrices(p.values.shape)
     counts = np.random.default_rng(22).multinomial(
         4000, forward_counts(p, mats).values.ravel()).reshape(
-            tuple(m.c_max + 1 for m in mats))
+            tuple(m.c_max + 1 for m in mats.values()))
     counts[:, 3, :] = 0  # click 3 unobserved on i1, clicks 2 and 4 observed
     assert counts[:, 2, :].sum() > 0 and counts[:, 4, :].sum() > 0
     f = normalize(Histogram(counts, int(counts.sum()), ("s", "i1", "i2")))
@@ -203,11 +173,13 @@ def test_observed_box_matches_full_box_with_start_and_reduced_cutoffs():
     p = small_model(seed=25, shape=(6, 5, 5))
     mats = small_matrices(p.values.shape)
     f = forward_counts(p, mats)
+    # the same click rows on a photon box smaller than the table's, from
+    # the uniform start
     cutoffs = (4, 3, 4)
-    start = small_model(seed=26, shape=tuple(c + 1 for c in cutoffs))
-    assert_matches_full_box(f, mats, EmSettings(max_iterations=200,
-                                                stop_tolerance=1e-12),
-                            photon_cutoffs=cutoffs, start=start)
+    reduced = {l: detection_matrix(m.config, cut, c_max=m.c_max)
+               for (l, m), cut in zip(mats.items(), cutoffs)}
+    assert_matches_full_box(f, reduced, EmSettings(max_iterations=200,
+                                                   stop_tolerance=1e-12))
 
 
 def test_iterates_hold_no_subnormal_cells():
@@ -216,7 +188,7 @@ def test_iterates_hold_no_subnormal_cells():
     # map 308; the flushed iterate stops there, the full-box route keeps
     # 1e-315 on (0, 1) and (1, 0)
     cfg = DetectorConfig(pixels=100, efficiency=0.9, dark_rate=0.0)
-    mats = [detection_matrix(cfg, 3, c_max=3)] * 2
+    mats = dict.fromkeys(("s", "i1"), detection_matrix(cfg, 3, c_max=3))
     counts = np.zeros((4, 4), dtype=np.int64)
     counts[0, 0] = 10
     f = normalize(Histogram(counts, 10, ("s", "i1")))
@@ -233,10 +205,24 @@ def test_zero_probability_observed_cell_raises_in_observed_box():
     # i1 observes clicks 0 and 6; with photons <= 1 and no dark counts
     # click 6 has zero model probability
     cfg = DetectorConfig(pixels=20, efficiency=0.5, dark_rate=0.0)
-    mats = [detection_matrix(cfg, 3, c_max=7)] * 2
+    mats = {"s": detection_matrix(cfg, 3, c_max=7), "i1": detection_matrix(cfg, 1, c_max=7)}
     counts = np.zeros((8, 8), dtype=np.int64)
     counts[0, 0] = 5
     counts[1, 6] = 1
     f = normalize(Histogram(counts, 6, ("s", "i1")))
     with pytest.raises(DataError, match="unsupported outcome"):
-        em_reconstruct(f, mats, EmSettings(max_iterations=5), photon_cutoffs=(3, 1))
+        em_reconstruct(f, mats, EmSettings(max_iterations=5))
+
+
+def test_per_axis_list_is_refused():
+    # detector arguments are keyed by axis label; a list names no axis
+    p = small_model(seed=8)
+    mats = small_matrices(p.values.shape)
+    f = forward_counts(p, mats)
+    cfg = mats["s"].config
+    with pytest.raises(DataError, match=r"no detector entry for axes \['s', 'i1', 'i2'\]"):
+        forward_counts(p, list(mats.values()))
+    with pytest.raises(DataError, match=r"no detector entry for axes \['s', 'i1', 'i2'\]"):
+        em_reconstruct(f, list(mats.values()), EmSettings(max_iterations=3))
+    with pytest.raises(DataError, match=r"no detector entry for axes \['s'\]"):
+        sample_counts(np.zeros((5, 1), dtype=np.int64), [cfg], seed=1)

