@@ -188,8 +188,8 @@ def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals)
                  max_evals=max_evals)
     Path(out).write_text(report.to_json() + "\n")
     io.write_manifest(Path(out), "fit", {
-        "histogram": str(hist_file), "free_efficiencies": free_efficiencies,
-        "max_evals": max_evals})
+        "histogram": str(hist_file), **_detector_record(preset, detector_file),
+        "free_efficiencies": free_efficiencies, "max_evals": max_evals})
     click.echo(f"declination {report.declination:.6g}; wrote {out}")
 
 
@@ -202,10 +202,13 @@ def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals)
               help="Reconstruct only the 3D idler field at this c_s slice.")
 @click.option("--signal-cutoff", type=NONNEGATIVE, default=32, show_default=True)
 @click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
-@click.option("--max-iterations", type=POSITIVE, default=100_000, show_default=True)
+@click.option("--max-iterations", type=POSITIVE, default=100_000, show_default=True,
+              help="EM budget: a run that reaches it has not converged.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               callback=_finite_positive,
-              help="Stop once no cell changes by more than this in one EM map.")
+              help="Stop once no cell changes by more than this in one EM map. "
+                   "EM also stops once a map gains less than "
+                   f"{emrec.STOP_GAIN_NATS} nats of whole-data log-likelihood.")
 @click.option("--trace-out", type=click.Path(), default=None)
 @handle_errors
 def reconstruct(hist_file, preset, detector_file, out, conditional,
@@ -215,19 +218,24 @@ def reconstruct(hist_file, preset, detector_file, out, conditional,
     cfgs = _detectors(preset, detector_file)
     f = normalize(h)
     settings = emrec.EmSettings(max_iterations=max_iterations, stop_tolerance=tol)
+    trials = h.trials
     if conditional is not None:
+        s_axis = f.axis("s")
         f = condition(f, "s", conditional)
+        trials = int(np.take(h.counts, conditional, axis=s_axis).sum())
     cutoffs = [signal_cutoff if l == "s" else idler_cutoff for l in f.axis_labels]
     mats = _matrices(cfgs, f.axis_labels, cutoffs, [n - 1 for n in f.values.shape])
-    result = emrec.em_reconstruct(f, mats, settings)
+    result = emrec.em_reconstruct(f, mats, settings, trials=trials)
     io.save_distribution(result.distribution, out)
     if trace_out:
         Path(trace_out).write_text(result.trace_csv())
     io.write_manifest(Path(out), "reconstruct", {
-        "histogram": str(hist_file), "conditional": conditional,
+        "histogram": str(hist_file), **_detector_record(preset, detector_file),
+        "conditional": conditional, "trials": trials,
         "iterations": result.iterations, "residual": result.residual,
-        "converged": result.converged})
-    click.echo(f"EM finished after {result.iterations} iterations "
+        "stop": result.stop, "stop_gain_nats": emrec.STOP_GAIN_NATS,
+        "last_gain_nats": result.last_gain, "converged": result.converged})
+    click.echo(f"EM stopped ({result.stop}) after {result.iterations} iterations "
                f"(residual {result.residual:.3e}); wrote {out}")
 
 
@@ -283,9 +291,11 @@ def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
         result = postselect.sweep_histogram(
             h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
     Path(out).write_text(result.to_csv())
-    io.write_manifest(Path(out), "sweep", {
-        "source": source, "selector": selector, "range": sel_range,
-        "em": list(result.em)})
+    settings = {"source": source, "selector": selector, "range": sel_range,
+                "em": list(result.em)}
+    if source == "histogram":
+        settings["stop_gain_nats"] = emrec.STOP_GAIN_NATS
+    io.write_manifest(Path(out), "sweep", settings)
     click.echo(f"wrote {out} ({len(result.rows)} rows, {len(result.gaps)} gaps)")
 
 

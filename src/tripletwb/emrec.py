@@ -20,6 +20,22 @@ log-likelihood sum f log(den) and the residual max |p_{k+1} - p_k| are
 recorded for every map. Iterate cells that fall below the smallest normal
 double are set to zero: they weigh nothing, and subnormal operands slow
 the next map's GEMMs several-fold.
+
+Three stops end a run, whichever fires first:
+
+- ``residual``: the largest per-cell change of a map falls below
+  ``EmSettings.stop_tolerance``. Exact tables meet it.
+- ``likelihood``: given the number of frames N behind f (``trials``), the
+  run ends after the first map k whose gain in whole-data log-likelihood,
+  N * (l_k - l_{k-1}) with l_k the k-th entry of the log-likelihood trace,
+  falls below ``STOP_GAIN_NATS``. On sampled data the residual rule is not
+  met in any practical number of maps, and it should not be: inverting a
+  noisy histogram is ill-posed, and the number of maps is the regulariser
+  (Vardi, Shepp & Kaufman, JASA 80, 8, 1985; Silverman, Jones, Wilson &
+  Nychka, JRSS B 52, 271, 1990). A gain of a small fraction of a nat is
+  what the sample cannot tell apart from noise.
+- ``budget``: ``EmSettings.max_iterations`` maps ran. The run has not
+  converged.
 """
 from __future__ import annotations
 
@@ -35,6 +51,10 @@ from .errors import DataError
 from .fock import JointDistribution, apply_matrix, contract  # noqa: F401
 
 _TINY = np.finfo(np.float64).tiny
+
+#: the likelihood stop: whole-data log-likelihood gain, in nats per map,
+#: below which a map on sampled data no longer informs the table
+STOP_GAIN_NATS = 0.03
 
 
 @dataclass(frozen=True)
@@ -58,7 +78,14 @@ class EmResult:
     residual: float
     loglik_trace: np.ndarray
     residual_trace: np.ndarray
-    converged: bool
+    stop: str  # "residual", "likelihood" or "budget"
+    #: N * (l_k - l_{k-1}) of the last map in nats; None without trials or
+    #: after one map
+    last_gain: float | None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "budget"
 
     def trace_csv(self) -> str:
         lines = ["iteration,loglik,residual"]
@@ -68,14 +95,20 @@ class EmResult:
 
 
 def em_reconstruct(f: JointDistribution, matrices: dict[str, DetectionMatrix],
-                   settings: EmSettings = EmSettings()) -> EmResult:
+                   settings: EmSettings = EmSettings(),
+                   trials: int | None = None) -> EmResult:
     """Invert a photocount distribution into a photon-number distribution.
 
     The photon box is the n range of each axis's matrix; the iteration
-    starts from the uniform table on it.
+    starts from the uniform table on it. ``trials`` is the number of frames
+    behind ``f``, which turns on the likelihood stop; None marks an exact
+    table, which stops on the residual or the budget only.
     """
     if not f.normalized:
         raise DataError("EM needs a normalized photocount distribution")
+    if trials is not None and (isinstance(trials, bool)
+                               or not isinstance(trials, (int, np.integer)) or trials < 1):
+        raise DataError(f"trials must be an integer >= 1 or None, got {trials!r}")
     mat_objs = _matrices_for(f.axis_labels, matrices)
     for mat, cdim in zip(mat_objs, f.values.shape):
         if cdim > mat.entries.shape[0]:
@@ -96,7 +129,8 @@ def em_reconstruct(f: JointDistribution, matrices: dict[str, DetectionMatrix],
     p /= p.size
     logliks = []
     residuals = []
-    converged = False
+    stop = "budget"
+    gain = None
     it = 0
     for it in range(1, settings.max_iterations + 1):
         den = contract(p, mats).ravel()[support]
@@ -117,9 +151,14 @@ def em_reconstruct(f: JointDistribution, matrices: dict[str, DetectionMatrix],
         residual = float(np.abs(diff, out=diff).max())
         residuals.append(residual)
         p = p_new
+        if trials is not None and it > 1:
+            gain = trials * (logliks[-1] - logliks[-2])
         if residual < settings.stop_tolerance:
-            converged = True
+            stop = "residual"
+            break
+        if gain is not None and gain < STOP_GAIN_NATS:
+            stop = "likelihood"
             break
     dist = JointDistribution(p, f.axis_labels, normalized=True)
     return EmResult(dist, it, residuals[-1], np.asarray(logliks),
-                    np.asarray(residuals), converged)
+                    np.asarray(residuals), stop, gain)

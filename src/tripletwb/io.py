@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .detector import DetectorConfig
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .fock import AXIS_ORDER, Histogram, JointDistribution
 from .gaussian import PARAM_KEYS, TripleTwbParams
 
@@ -58,6 +58,8 @@ def load_detectors(path: str | Path) -> dict[str, DetectorConfig]:
         return {l: DetectorConfig(**data[l]) for l in AXIS_ORDER}
     except TypeError as exc:
         raise DataError(f"{path}: malformed detector entry ({exc})") from exc
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def load_params(path: str | Path) -> TripleTwbParams:
@@ -73,6 +75,8 @@ def load_params(path: str | Path) -> TripleTwbParams:
     except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"{path}: malformed parameter entry; each needs numbers "
                         f"M and B ({exc!r})") from exc
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def ingest_frames(path: str | Path,

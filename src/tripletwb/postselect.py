@@ -72,7 +72,8 @@ class PostselectSweep:
     selector_kind: str  # "n_s" or "c_s"
     rows: tuple[SweepRow, ...]
     gaps: tuple[int, ...] = ()
-    #: per reconstructed slice: selector, EM iterations, final residual, converged
+    #: per reconstructed slice: selector, frames, EM iterations, final
+    #: residual, stop reason, last log-likelihood gain, converged
     em: tuple[dict, ...] = ()
 
     def to_csv(self) -> str:
@@ -165,10 +166,12 @@ def sweep_histogram(h: Histogram,
     """Photon-level sweep over c_s from a measured histogram.
 
     Every slice is conditioned (the 3D photocount histogram for that c_s)
-    and inverted by EM over the three idler axes, with ``SWEEP_EM``, before
-    the statistics are evaluated.
+    and inverted by EM over the three idler axes before the statistics are
+    evaluated. Each slice's EM stops on the likelihood rule for that
+    slice's frame count, or on the ``SWEEP_EM`` budget.
     """
     f = normalize(h)
+    s_axis = f.axis("s")
     rows, gaps, em = [], [], []
     for c_s in values:
         mass = slice_mass(f, "s", c_s)
@@ -176,9 +179,11 @@ def sweep_histogram(h: Histogram,
             gaps.append(c_s)
             continue
         f_cs = condition(f, "s", c_s)
+        frames = int(np.take(h.counts, c_s, axis=s_axis).sum())
         # through the module, so that a wrapped emrec.em_reconstruct is the one called
-        rec = emrec.em_reconstruct(f_cs, idler_matrices, SWEEP_EM)
+        rec = emrec.em_reconstruct(f_cs, idler_matrices, SWEEP_EM, trials=frames)
         rows.append(_stats_row(c_s, mass, rec.distribution))
-        em.append({"selector": c_s, "iterations": rec.iterations,
-                   "residual": rec.residual, "converged": rec.converged})
+        em.append({"selector": c_s, "frames": frames, "iterations": rec.iterations,
+                   "residual": rec.residual, "stop": rec.stop,
+                   "last_gain_nats": rec.last_gain, "converged": rec.converged})
     return PostselectSweep("c_s", tuple(rows), tuple(gaps), tuple(em))

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from tripletwb import fock
+from tripletwb import emrec, fock
 from tripletwb.detector import (DetectionMatrix, DetectorConfig, _matrices_for,
                                 _occupancy_log_table, default_c_max)
 from tripletwb.errors import DataError, NumericalError, ParameterError
@@ -75,12 +75,12 @@ def kernel_route_probabilities(d: JointDistribution, s: float,
     return vals
 
 
-def em_reconstruct_full_box(f: JointDistribution, matrices, settings):
+def em_reconstruct_full_box(f: JointDistribution, matrices, settings, trials=None):
     """EM on the whole click box, one ``apply_matrix`` per axis and direction.
 
     The map ``emrec.em_reconstruct`` ran before it moved to the observed
-    click box and ``fock.contract``. Returns (p, iterations, loglik trace,
-    residual trace, converged).
+    click box and ``fock.contract``, with the same three stops. Returns
+    (p, iterations, loglik trace, residual trace, stop).
 
     The axes go in the order ``fock.contract`` sums them: 0, then d-1, ..., 1.
     Unobserved click cells add exact zeros, so the two routes then round
@@ -109,7 +109,7 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings):
     p /= p.size
     support = fv > 0
     logliks, residuals = [], []
-    converged = False
+    stop = "budget"
     it = 0
     for it in range(1, settings.max_iterations + 1):
         den = forward(p)
@@ -123,9 +123,13 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings):
         residuals.append(residual)
         p = p_new
         if residual < settings.stop_tolerance:
-            converged = True
+            stop = "residual"
             break
-    return p, it, np.asarray(logliks), np.asarray(residuals), converged
+        if trials is not None and it > 1 and (
+                trials * (logliks[-1] - logliks[-2]) < emrec.STOP_GAIN_NATS):
+            stop = "likelihood"
+            break
+    return p, it, np.asarray(logliks), np.asarray(residuals), stop
 
 
 def forward_counts_then_normalized(p: JointDistribution, matrices) -> np.ndarray:

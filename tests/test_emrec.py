@@ -6,7 +6,7 @@ import pytest
 
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 detection_matrix, forward_counts, sample_counts)
-from tripletwb.emrec import EmSettings, em_reconstruct
+from tripletwb.emrec import STOP_GAIN_NATS, EmSettings, em_reconstruct
 from tripletwb.errors import DataError
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, normalize
 from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
@@ -118,12 +118,12 @@ def test_conditional_identity_matrices():
 # the observed click box against the full-box map
 # ---------------------------------------------------------------------------
 
-def assert_matches_full_box(f, mats, settings):
-    res = em_reconstruct(f, mats, settings)
-    p, iterations, logliks, residuals, converged = em_reconstruct_full_box(
-        f, mats, settings)
+def assert_matches_full_box(f, mats, settings, trials=None):
+    res = em_reconstruct(f, mats, settings, trials=trials)
+    p, iterations, logliks, residuals, stop = em_reconstruct_full_box(
+        f, mats, settings, trials)
     assert res.iterations == iterations
-    assert res.converged == converged
+    assert res.stop == stop
     np.testing.assert_allclose(res.loglik_trace, logliks, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(res.residual_trace, residuals, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(res.distribution.values, p, rtol=0.0, atol=1e-14)
@@ -145,12 +145,27 @@ def test_observed_box_matches_full_box_on_sampled_histogram(matrices):
                                                     stop_tolerance=1e-9))
 
 
-def test_observed_box_matches_full_box_with_unobserved_middle_row():
+SAMPLED_FRAMES = 4000
+
+
+def sampled_histogram():
+    """A multinomial sample of a small 3-axis model's click table, and its matrices."""
     p = small_model(seed=21, shape=(5, 4, 4))
     mats = small_matrices(p.values.shape)
     counts = np.random.default_rng(22).multinomial(
-        4000, forward_counts(p, mats).values.ravel()).reshape(
+        SAMPLED_FRAMES, forward_counts(p, mats).values.ravel()).reshape(
             tuple(m.c_max + 1 for m in mats.values()))
+    return counts, mats
+
+
+def sampled_frequencies():
+    """The sample of :func:`sampled_histogram` as a frequency table, and its matrices."""
+    counts, mats = sampled_histogram()
+    return normalize(Histogram(counts, SAMPLED_FRAMES, ("s", "i1", "i2"))), mats
+
+
+def test_observed_box_matches_full_box_with_unobserved_middle_row():
+    counts, mats = sampled_histogram()
     counts[:, 3, :] = 0  # click 3 unobserved on i1, clicks 2 and 4 observed
     assert counts[:, 2, :].sum() > 0 and counts[:, 4, :].sum() > 0
     f = normalize(Histogram(counts, int(counts.sum()), ("s", "i1", "i2")))
@@ -166,7 +181,7 @@ def test_observed_box_matches_full_box_on_exact_full_support_data():
     assert np.all(f.values > 0)
     res = assert_matches_full_box(f, mats, EmSettings(max_iterations=3000,
                                                       stop_tolerance=1e-5))
-    assert res.converged
+    assert res.converged and res.stop == "residual"
 
 
 def test_observed_box_matches_full_box_with_start_and_reduced_cutoffs():
@@ -180,6 +195,50 @@ def test_observed_box_matches_full_box_with_start_and_reduced_cutoffs():
                for (l, m), cut in zip(mats.items(), cutoffs)}
     assert_matches_full_box(f, reduced, EmSettings(max_iterations=200,
                                                    stop_tolerance=1e-12))
+
+
+# ---------------------------------------------------------------------------
+# the likelihood stop
+# ---------------------------------------------------------------------------
+
+def test_likelihood_stop_fires_before_the_budget():
+    f, mats = sampled_frequencies()
+    settings = EmSettings(max_iterations=5000, stop_tolerance=1e-15)
+    res = assert_matches_full_box(f, mats, settings, trials=SAMPLED_FRAMES)
+    assert res.stop == "likelihood" and res.converged
+    assert res.iterations < settings.max_iterations
+    gains = SAMPLED_FRAMES * np.diff(res.loglik_trace)
+    assert res.last_gain == gains[-1]
+    assert gains[-1] < STOP_GAIN_NATS <= gains[-2]
+
+
+def test_budget_stop_is_not_converged():
+    f, mats = sampled_frequencies()
+    res = em_reconstruct(f, mats, EmSettings(max_iterations=5, stop_tolerance=1e-15),
+                         trials=SAMPLED_FRAMES)
+    assert res.stop == "budget" and not res.converged
+    assert res.iterations == 5
+    assert res.last_gain == SAMPLED_FRAMES * (res.loglik_trace[-1] - res.loglik_trace[-2])
+
+
+def test_without_trials_the_likelihood_run_has_the_same_iterates():
+    # the rule only reads the trace: up to its stop, a run with trials and
+    # one without compute the same maps bit for bit; without trials the
+    # run goes on to its budget
+    f, mats = sampled_frequencies()
+    stopped = em_reconstruct(f, mats, EmSettings(5000, 1e-15), trials=SAMPLED_FRAMES)
+    plain = em_reconstruct(f, mats, EmSettings(stopped.iterations, 1e-15))
+    assert plain.stop == "budget" and plain.last_gain is None
+    np.testing.assert_array_equal(plain.distribution.values, stopped.distribution.values)
+    np.testing.assert_array_equal(plain.loglik_trace, stopped.loglik_trace)
+    np.testing.assert_array_equal(plain.residual_trace, stopped.residual_trace)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "100"])
+def test_trials_must_be_a_positive_integer(bad):
+    f, mats = sampled_frequencies()
+    with pytest.raises(DataError, match="trials must be an integer >= 1"):
+        em_reconstruct(f, mats, EmSettings(max_iterations=3), trials=bad)
 
 
 def test_iterates_hold_no_subnormal_cells():

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import tripletwb
-from tripletwb import io
+from tripletwb import emrec, io
 from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1
 from tripletwb.errors import DataError
@@ -424,6 +424,17 @@ def test_cli_reconstruct_conditional(runner, workdir, sim_hist):
     assert d.values.sum() == pytest.approx(1.0, abs=1e-6)
     trace = (workdir / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,loglik,residual"
+    # the likelihood stop counts the frames of the c_s = 2 slice
+    settings = json.loads((workdir / "rec3.csv.manifest.json").read_text())["settings"]
+    assert settings["preset"] == "paper-table-1"
+    assert settings["trials"] == int(io.load_histogram(sim_hist).counts[2].sum())
+    assert settings["stop_gain_nats"] == emrec.STOP_GAIN_NATS
+    assert settings["stop"] in ("residual", "likelihood", "budget")
+    assert settings["converged"] == (settings["stop"] != "budget")
+    loglik = [float(row.split(",")[1]) for row in trace[1:]]
+    assert len(loglik) == settings["iterations"]
+    assert settings["last_gain_nats"] == pytest.approx(
+        settings["trials"] * (loglik[-1] - loglik[-2]), rel=1e-6, abs=1e-9)
 
 
 def test_cli_postselect(runner, workdir, dist4):
@@ -679,13 +690,25 @@ def test_cli_sweep_histogram_manifest_records_em(runner, workdir):
         "sweep", "--source", "histogram", "--input", str(hist),
         "--selector", "c_s", "--idler-cutoff", "3", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    em = json.loads((workdir / "sweep_em.csv.manifest.json").read_text())["settings"]["em"]
+    settings = json.loads((workdir / "sweep_em.csv.manifest.json").read_text())["settings"]
+    assert settings["stop_gain_nats"] == emrec.STOP_GAIN_NATS
+    em = settings["em"]
     assert [e["selector"] for e in em] == [0, 1, 2]
     for e in em:
-        # the sweep's default budget is 2000 maps at a 1e-9 stop tolerance
+        # each slice stops on a 1e-9 residual, on a gain below STOP_GAIN_NATS
+        # over its own frames, or on the sweep's budget of 2000 maps
+        assert e["frames"] == int(counts[e["selector"]].sum())
         assert 1 <= e["iterations"] <= 2000
-        assert e["converged"] == (e["residual"] < 1e-9)
-        assert e["converged"] or e["iterations"] == 2000
+        assert e["converged"] == (e["stop"] != "budget")
+        if e["stop"] == "residual":
+            assert e["residual"] < 1e-9
+        elif e["stop"] == "likelihood":
+            assert e["last_gain_nats"] < emrec.STOP_GAIN_NATS
+        else:
+            assert e["stop"] == "budget" and e["iterations"] == 2000
+    # this histogram holds thousands of frames per slice: no slice needs
+    # the budget
+    assert {e["stop"] for e in em} == {"likelihood"}
 
 
 def test_cli_cut_malformed_lattice_exits_2(runner, workdir):
@@ -755,6 +778,7 @@ def test_cli_fit_runs(runner, workdir):
         assert "declination" in json.loads(out.read_text())
         manifest = json.loads((workdir / "fit.json.manifest.json").read_text())
         assert manifest["settings"]["max_evals"] == 3
+        assert manifest["settings"]["preset"] == "paper-table-1"
     else:
         assert res.output.startswith("numerical error: ")
 
@@ -841,6 +865,7 @@ def test_cli_non_finite_constant_exits_2(runner, workdir, option, entry, key, va
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert "must be finite" in res.output
+    assert str(path) in res.output
 
 
 @pytest.fixture(scope="module")
@@ -880,6 +905,28 @@ def test_cli_ingest_records_its_detector_file(runner, workdir, sim_hist, half_i2
     assert res.exit_code == 0, res.output
     assert json.loads((workdir / "ingested_file_detectors.csv.meta.json").read_text()
                       )["detector_presets"] == {"detector_file": str(half_i2_detectors)}
+
+
+def test_cli_reconstruct_and_fit_record_their_detector_file(runner, workdir):
+    # the preset's own constants in a file: the fit returns as it does on
+    # the preset (test_cli_fit_runs' histogram), and only the record differs
+    path = workdir / "preset_copy.json"
+    path.write_text(json.dumps(preset_detector_entries()))
+    hist = workdir / "hist_for_file.csv"
+    res = runner.invoke(main, [
+        "simulate", "--frames", "200000", "--seed", "11", "--out", str(hist)])
+    assert res.exit_code == 0, res.output
+    for command, out, extra in (
+            ("reconstruct", "rec_file.csv",
+             ["--conditional", "4", "--idler-cutoff", "10", "--max-iterations", "50"]),
+            ("fit", "fit_file.json", ["--max-evals", "3"])):
+        res = runner.invoke(main, [command, "--histogram", str(hist),
+                                   "--detector-file", str(path), *extra,
+                                   "--out", str(workdir / out)])
+        assert res.exit_code == 0, res.output
+        settings = json.loads((workdir / f"{out}.manifest.json").read_text())["settings"]
+        assert settings["detector_file"] == str(path)
+        assert "preset" not in settings
 
 
 def test_load_detectors_round_trip(tmp_path):
