@@ -5,7 +5,7 @@ nonclassicality quantification.
 # the one version string: pyproject.toml reads it from here
 __version__ = "0.1.0"
 
-from .detector import (DetectionMatrix, DetectorConfig, PAPER_TABLE_1, PRESETS,
+from .detector import (DetectionMatrix, DetectorConfig, PAPER_TABLE_1,
                        detection_matrix, forward_counts, sample_counts)
 from .emrec import EmResult, EmSettings, em_reconstruct
 from .errors import (CutoffError, DataError, NumericalError, ParameterError,

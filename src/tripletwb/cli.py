@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import emrec, io, nonclassical, postselect
-from .detector import (DetectorConfig, PRESETS, default_c_max,
+from .detector import (DetectorConfig, PAPER_TABLE_1, default_c_max,
                        detection_matrix, sample_counts)
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fit import fit
@@ -50,24 +50,15 @@ def _load_params(params_file: str | None) -> TripleTwbParams:
     return io.load_params(params_file)
 
 
-def _detectors(preset: str, config_file: str | None) -> dict[str, DetectorConfig]:
-    if config_file is not None:
-        return io.load_detectors(config_file)
-    if preset not in PRESETS:
-        raise DataError(f"unknown detector preset {preset!r}")
-    return dict(PRESETS[preset])
-
-
-def _detector_record(preset: str, config_file: str | None) -> dict:
-    """What a histogram's sidecar and manifest name as its detectors."""
-    return {"preset": preset} if config_file is None else {"detector_file": str(config_file)}
+def _load_detectors(detector_file: str | None) -> dict[str, DetectorConfig]:
+    if detector_file is None:
+        return PAPER_TABLE_1
+    return io.load_detectors(detector_file)
 
 
 def _matrices(cfgs: dict[str, DetectorConfig], labels, photon_cutoffs,
-              click_cutoffs=None) -> dict:
-    """Detection matrices keyed by label; click cutoffs default per detector."""
-    if click_cutoffs is None:
-        click_cutoffs = [None] * len(labels)
+              click_cutoffs) -> dict:
+    """Detection matrices keyed by label, one per photon and click cutoff."""
     return {l: detection_matrix(cfgs[l], n_max, c_max)
             for l, n_max, c_max in zip(labels, photon_cutoffs, click_cutoffs)}
 
@@ -117,8 +108,8 @@ def main():
 @main.command()
 @click.option("--params-file", type=click.Path(exists=True),
               help="Parameter JSON; defaults to the built-in fitted preset.")
-@click.option("--detectors", "preset", default="paper-table-1", show_default=True)
-@click.option("--detector-file", type=click.Path(exists=True))
+@click.option("--detector-file", type=click.Path(exists=True),
+              help="Detector JSON; defaults to the built-in PAPER_TABLE_1 constants.")
 @click.option("--frames", type=POSITIVE, required=True)
 @click.option("--seed", type=NONNEGATIVE, required=True)
 @click.option("--out", type=click.Path(), required=True,
@@ -130,11 +121,11 @@ def main():
               callback=_finite_positive,
               help="Largest share of frames that may fall outside the click box.")
 @handle_errors
-def simulate(params_file, preset, detector_file, frames, seed, out, frames_out,
+def simulate(params_file, detector_file, frames, seed, out, frames_out,
              signal_cutoff, idler_cutoff, tail_tol):
     """Sample synthetic photocount frames from the field + detector model."""
     params = _load_params(params_file)
-    cfgs = _detectors(preset, detector_file)
+    cfgs = _load_detectors(detector_file)
     counts = sample_counts(sample_photon_numbers(params, frames, seed), cfgs, seed + 1)
     c_cut = [default_c_max(cfgs[l],
                            signal_cutoff if l == "s" else idler_cutoff)
@@ -146,12 +137,11 @@ def simulate(params_file, preset, detector_file, frames, seed, out, frames_out,
     hist = np.zeros([c + 1 for c in c_cut], dtype=np.int64)
     np.add.at(hist, tuple(kept.T), 1)
     h = Histogram(hist, frames - dropped)
-    record = _detector_record(preset, detector_file)
-    io.save_histogram(h, out, detector_presets=record)
+    io.save_histogram(h, out, cfgs)
     if frames_out:
         io.save_frames(counts, frames_out)
     io.write_manifest(Path(out), "simulate", {
-        "frames": frames, "seed": seed, **record,
+        "frames": frames, "seed": seed, "detectors": io.detector_entries(cfgs),
         "dropped_frames": dropped, "params": params.to_dict(),
         "signal_cutoff": signal_cutoff, "idler_cutoff": idler_cutoff})
     click.echo(f"wrote {out} ({frames - dropped} frames, {dropped} dropped)")
@@ -159,44 +149,41 @@ def simulate(params_file, preset, detector_file, frames, seed, out, frames_out,
 
 @main.command()
 @click.option("--frames", "frames_file", type=click.Path(exists=True), required=True)
-@click.option("--detectors", "preset", default="paper-table-1", show_default=True)
-@click.option("--detector-file", type=click.Path(exists=True))
+@click.option("--detector-file", type=click.Path(exists=True),
+              help="Detector JSON; defaults to the built-in PAPER_TABLE_1 constants.")
 @click.option("--out", type=click.Path(), required=True)
 @handle_errors
-def ingest(frames_file, preset, detector_file, out):
+def ingest(frames_file, detector_file, out):
     """Accumulate a frame CSV into a histogram."""
-    cfgs = _detectors(preset, detector_file)
+    cfgs = _load_detectors(detector_file)
     h = io.ingest_frames(frames_file, cfgs)
-    io.save_histogram(h, out, detector_presets=_detector_record(preset, detector_file))
-    io.write_manifest(Path(out), "ingest", {"frames": str(frames_file)})
+    io.save_histogram(h, out, cfgs)
+    io.write_manifest(Path(out), "ingest", {"frames": str(frames_file),
+                                            "detectors": io.detector_entries(cfgs)})
     click.echo(f"wrote {out} (trials {h.trials})")
 
 
 @main.command("fit")
 @click.option("--histogram", "hist_file", type=click.Path(exists=True), required=True)
-@click.option("--detectors", "preset", default="paper-table-1", show_default=True)
-@click.option("--detector-file", type=click.Path(exists=True))
 @click.option("--free-efficiencies", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--max-evals", type=POSITIVE, default=200, show_default=True)
 @handle_errors
-def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals):
+def fit_cmd(hist_file, free_efficiencies, out, max_evals):
     """Fit the 14 field parameters to a photocount histogram."""
+    cfgs = io.recorded_detectors(hist_file)
     h = io.load_histogram(hist_file)
-    cfgs = _detectors(preset, detector_file)
     report = fit(h, cfgs, fix_efficiencies=not free_efficiencies,
                  max_evals=max_evals)
     Path(out).write_text(report.to_json() + "\n")
     io.write_manifest(Path(out), "fit", {
-        "histogram": str(hist_file), **_detector_record(preset, detector_file),
+        "histogram": str(hist_file), "detectors": io.detector_entries(cfgs),
         "free_efficiencies": free_efficiencies, "max_evals": max_evals})
     click.echo(f"declination {report.declination:.6g}; wrote {out}")
 
 
 @main.command()
 @click.option("--histogram", "hist_file", type=click.Path(exists=True), required=True)
-@click.option("--detectors", "preset", default="paper-table-1", show_default=True)
-@click.option("--detector-file", type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--conditional", type=NONNEGATIVE, default=None,
               help="Reconstruct only the 3D idler field at this c_s slice.")
@@ -211,11 +198,11 @@ def fit_cmd(hist_file, preset, detector_file, free_efficiencies, out, max_evals)
                    f"{emrec.STOP_GAIN_NATS} nats of whole-data log-likelihood.")
 @click.option("--trace-out", type=click.Path(), default=None)
 @handle_errors
-def reconstruct(hist_file, preset, detector_file, out, conditional,
+def reconstruct(hist_file, out, conditional,
                 signal_cutoff, idler_cutoff, max_iterations, tol, trace_out):
     """Invert a photocount histogram into a photon-number distribution."""
+    cfgs = io.recorded_detectors(hist_file)
     h = io.load_histogram(hist_file)
-    cfgs = _detectors(preset, detector_file)
     f = normalize(h)
     settings = emrec.EmSettings(max_iterations=max_iterations, stop_tolerance=tol)
     trials = h.trials
@@ -226,11 +213,11 @@ def reconstruct(hist_file, preset, detector_file, out, conditional,
     cutoffs = [signal_cutoff if l == "s" else idler_cutoff for l in f.axis_labels]
     mats = _matrices(cfgs, f.axis_labels, cutoffs, [n - 1 for n in f.values.shape])
     result = emrec.em_reconstruct(f, mats, settings, trials=trials)
-    io.save_distribution(result.distribution, out)
+    io.save_distribution(result.distribution, out, cfgs)
     if trace_out:
         Path(trace_out).write_text(result.trace_csv())
     io.write_manifest(Path(out), "reconstruct", {
-        "histogram": str(hist_file), **_detector_record(preset, detector_file),
+        "histogram": str(hist_file), "detectors": io.detector_entries(cfgs),
         "conditional": conditional, "trials": trials,
         "iterations": result.iterations, "residual": result.residual,
         "stop": result.stop, "stop_gain_nats": emrec.STOP_GAIN_NATS,
@@ -244,19 +231,23 @@ def reconstruct(hist_file, preset, detector_file, out, conditional,
               help="4D photon distribution CSV.")
 @click.option("--selector", type=click.Choice(["n_s", "c_s"]), required=True)
 @click.option("--value", type=int, required=True)
-@click.option("--detectors", "preset", default="paper-table-1", show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @handle_errors
-def postselect_cmd(dist_file, selector, value, preset, out):
-    """Condition the 4D photon field on a signal outcome."""
+def postselect_cmd(dist_file, selector, value, out):
+    """Condition the 4D photon field on a signal outcome.
+
+    A c_s selection reads the signal detector from the table's record.
+    """
     d = io.load_distribution(dist_file)
+    settings = {"selector": selector, "value": value}
     t_s = None
     if selector == "c_s":
-        t_s = _matrices(_detectors(preset, None), ["s"], [d.values.shape[0] - 1])["s"]
+        cfgs = io.recorded_detectors(dist_file)
+        t_s = detection_matrix(cfgs["s"], d.values.shape[0] - 1)
+        settings["detectors"] = io.detector_entries(cfgs)
     mass, cond = postselect.conditioned_field(d, selector, value, t_s)
     io.save_distribution(cond, out)
-    io.write_manifest(Path(out), "postselect",
-                      {"selector": selector, "value": value, "slice_mass": mass})
+    io.write_manifest(Path(out), "postselect", {**settings, "slice_mass": mass})
     click.echo(f"slice mass {mass:.6g}; wrote {out}")
 
 
@@ -266,36 +257,38 @@ def postselect_cmd(dist_file, selector, value, preset, out):
 @click.option("--selector", type=click.Choice(["n_s", "c_s"]), required=True)
 @click.option("--range", "sel_range", default=None,
               help="Inclusive selector range lo:hi; defaults to the full axis.")
-@click.option("--detectors", "preset", default="paper-table-1", show_default=True)
 @click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @handle_errors
-def sweep(source, input_file, selector, sel_range, preset, idler_cutoff, out):
-    """Post-selection sweep: means, Fano factors, correlations per selector."""
-    cfgs = _detectors(preset, None)
+def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
+    """Post-selection sweep: means, Fano factors, correlations per selector.
+
+    A c_s sweep reads its detectors from the input's record.
+    """
+    if source == "histogram" and selector == "n_s":
+        raise DataError("histogram sweeps post-select on c_s")
+    settings = {"source": source, "selector": selector, "range": sel_range}
+    if selector == "c_s":
+        cfgs = io.recorded_detectors(input_file)
+        settings["detectors"] = io.detector_entries(cfgs)
     if source == "dist":
         d = io.load_distribution(input_file)
         n_max = d.values.shape[0] - 1
         top, t_s = n_max, None
         if selector == "c_s":
-            t_s = _matrices(cfgs, ["s"], [n_max])["s"]
+            t_s = detection_matrix(cfgs["s"], n_max)
             top = t_s.c_max
         result = postselect.sweep_distribution(
             d, selector, _selector_range(sel_range, top), t_s)
     else:
         h = io.load_histogram(input_file)
-        if selector == "n_s":
-            raise DataError("histogram sweeps post-select on c_s")
         mats = _matrices(cfgs, ("i1", "i2", "i3"), (idler_cutoff,) * 3,
                          [n - 1 for n in h.counts.shape[1:]])
         result = postselect.sweep_histogram(
             h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
-    Path(out).write_text(result.to_csv())
-    settings = {"source": source, "selector": selector, "range": sel_range,
-                "em": list(result.em)}
-    if source == "histogram":
         settings["stop_gain_nats"] = emrec.STOP_GAIN_NATS
-    io.write_manifest(Path(out), "sweep", settings)
+    Path(out).write_text(result.to_csv())
+    io.write_manifest(Path(out), "sweep", {**settings, "em": list(result.em)})
     click.echo(f"wrote {out} ({len(result.rows)} rows, {len(result.gaps)} gaps)")
 
 

@@ -58,15 +58,14 @@ class DetectorConfig:
         return self.dark_rate / self.pixels
 
 
-#: Detector constants shipped as the "paper-table-1" preset.
+#: Shipped detector constants: the detectors `simulate` and `ingest` record
+#: when no detector file is given.
 PAPER_TABLE_1 = {
     "s": DetectorConfig(pixels=4536, efficiency=0.233, dark_rate=0.220),
     "i1": DetectorConfig(pixels=1512, efficiency=0.226, dark_rate=0.073),
     "i2": DetectorConfig(pixels=1512, efficiency=0.226, dark_rate=0.073),
     "i3": DetectorConfig(pixels=1512, efficiency=0.226, dark_rate=0.073),
 }
-
-PRESETS = {"paper-table-1": PAPER_TABLE_1}
 
 
 def default_c_max(cfg: DetectorConfig, n_max: int) -> int:

@@ -2,6 +2,11 @@
 run manifests. All tables are CSV with a JSON sidecar carrying shape and
 normalization metadata, so every artifact is diff-able and language-neutral.
 
+A histogram's sidecar, and that of a photon table reconstructed from it,
+records the detectors by value under ``"detectors"``: the object a
+detector file holds. One parser reads it from either place; a sidecar
+without it is a DataError naming the sidecar, never a preset's detectors.
+
 A saved distribution also gets a binary copy of its table, ``<out>.npy``,
 and its sidecar records the SHA-256 of the CSV and of the copy. The loader
 reads the copy, skipping the CSV parse, only while both digests match the
@@ -47,19 +52,46 @@ def _read_json(path: Path, keys: tuple[str, ...]) -> dict:
     return data
 
 
-def load_detectors(path: str | Path) -> dict[str, DetectorConfig]:
-    """Detector configs from a JSON object keyed by axis label.
-
-    Each entry holds ``pixels``, ``efficiency`` and ``dark_rate``.
-    """
-    path = Path(path)
-    data = _read_json(path, AXIS_ORDER)
+def _detector_configs(data, path: Path) -> dict[str, DetectorConfig]:
+    """Detector configs from a JSON object keyed by axis label, read from
+    ``path``; anything else is a DataError or ParameterError naming it."""
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: expected a JSON object of detector entries")
+    missing = [l for l in AXIS_ORDER if l not in data]
+    if missing:
+        raise DataError(f"{path}: missing detector entries {missing}")
     try:
         return {l: DetectorConfig(**data[l]) for l in AXIS_ORDER}
     except TypeError as exc:
         raise DataError(f"{path}: malformed detector entry ({exc})") from exc
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
+
+
+def detector_entries(cfgs: dict[str, DetectorConfig]) -> dict:
+    """The JSON object of detector configs: what a detector file holds and
+    what sidecars and manifests record under ``"detectors"``."""
+    return {l: {"pixels": int(cfgs[l].pixels), "efficiency": float(cfgs[l].efficiency),
+                "dark_rate": float(cfgs[l].dark_rate)} for l in AXIS_ORDER}
+
+
+def load_detectors(path: str | Path) -> dict[str, DetectorConfig]:
+    """Detector configs from a JSON object keyed by axis label.
+
+    Each entry holds ``pixels``, ``efficiency`` and ``dark_rate``.
+    """
+    path = Path(path)
+    return _detector_configs(_read_json(path, ()), path)
+
+
+def recorded_detectors(path: str | Path) -> dict[str, DetectorConfig]:
+    """The detector configs recorded in the sidecar of a saved table."""
+    sidecar = _sidecar(Path(path))
+    meta = _read_json(sidecar, ())
+    if "detectors" not in meta:
+        raise DataError(f"{sidecar}: no detector record (simulate, ingest and "
+                        "reconstruct write one)")
+    return _detector_configs(meta["detectors"], sidecar)
 
 
 def load_params(path: str | Path) -> TripleTwbParams:
@@ -235,14 +267,16 @@ def _histogram_header(labels) -> list[str]:
 
 
 def save_histogram(h: Histogram, path: str | Path,
-                   detector_presets: dict | None = None) -> None:
+                   detectors: dict[str, DetectorConfig]) -> None:
+    """The counts as a ``cell..., count`` CSV, then the sidecar with the
+    detectors that produced them."""
     path = Path(path)
     _write_cells(path, _histogram_header(h.axis_labels), h.counts, h.counts > 0, "%d")
     meta = {
         "trials": h.trials,
         "cutoffs": list(h.cutoffs),
         "axis_labels": list(h.axis_labels),
-        "detector_presets": detector_presets,
+        "detectors": detector_entries(detectors),
     }
     _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -278,11 +312,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def save_distribution(d: JointDistribution, path: str | Path) -> None:
+def save_distribution(d: JointDistribution, path: str | Path,
+                      detectors: dict[str, DetectorConfig] | None = None) -> None:
     """The table as a ``cell..., value`` CSV, its ``.npy`` payload, then the sidecar.
 
     The sidecar comes last and records the SHA-256 of both files, so a
-    save cut short leaves no record that matches them.
+    save cut short leaves no record that matches them. Given ``detectors``,
+    it also records them, as a histogram's sidecar does.
     """
     path = Path(path)
     _write_cells(path, _distribution_header(d.axis_labels), d.values,
@@ -299,6 +335,8 @@ def save_distribution(d: JointDistribution, path: str | Path) -> None:
         "payload": {"csv_sha256": _sha256(path),
                     "npy_sha256": hashlib.sha256(payload).hexdigest()},
     }
+    if detectors is not None:
+        meta["detectors"] = detector_entries(detectors)
     _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 

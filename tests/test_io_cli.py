@@ -4,14 +4,16 @@ import json
 import math
 import types
 
+import hypothesis
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import strategies as st
 
 import tripletwb
-from tripletwb import emrec, io
+from tripletwb import emrec, io, postselect
 from tripletwb.cli import main
-from tripletwb.detector import PAPER_TABLE_1
+from tripletwb.detector import PAPER_TABLE_1, detection_matrix
 from tripletwb.errors import DataError
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, condition
 from tripletwb.gaussian import PAPER_TABLE_2
@@ -112,11 +114,12 @@ def test_histogram_round_trip(tmp_path):
     counts[3, 2, 1, 0] = 2
     h = Histogram(counts, 7)
     path = tmp_path / "hist.csv"
-    io.save_histogram(h, path, detector_presets={"preset": "paper-table-1"})
+    io.save_histogram(h, path, PAPER_TABLE_1)
     back = io.load_histogram(path)
     assert back.trials == 7
     assert back.axis_labels == h.axis_labels
     np.testing.assert_array_equal(back.counts, counts)
+    assert io.recorded_detectors(path) == PAPER_TABLE_1
 
 
 def test_distribution_round_trip(tmp_path):
@@ -127,6 +130,9 @@ def test_distribution_round_trip(tmp_path):
     assert back.normalized
     assert back.axis_labels == d.axis_labels
     np.testing.assert_array_equal(back.values, d.values)
+    assert "detectors" not in json.loads((tmp_path / "dist.csv.meta.json").read_text())
+    io.save_distribution(d, path, PAPER_TABLE_1)
+    assert io.recorded_detectors(path) == PAPER_TABLE_1
 
 
 def awkward_table():
@@ -258,7 +264,7 @@ def test_table_writers_match_csv_module_loop(tmp_path):
     counts = rng.integers(0, 3, size=(20, 13, 31, 17))
     counts[0, 0, 0, 0] = 10**12
     h = Histogram(counts, int(counts.sum()))
-    io.save_histogram(h, tmp_path / "hist.csv")
+    io.save_histogram(h, tmp_path / "hist.csv", PAPER_TABLE_1)
     write_cells_loop(tmp_path / "loop.csv", ["c_s", "c_i1", "c_i2", "c_i3", "count"],
                      counts, counts > 0, int)
     assert (tmp_path / "hist.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
@@ -357,7 +363,7 @@ def sim_hist(runner, workdir):
 @pytest.fixture(scope="module")
 def dist4(workdir):
     path = workdir / "dist4.csv"
-    io.save_distribution(product_dist((0.5, 0.3, 0.2, 0.25), 8), path)
+    io.save_distribution(product_dist((0.5, 0.3, 0.2, 0.25), 8), path, PAPER_TABLE_1)
     return path
 
 
@@ -426,7 +432,8 @@ def test_cli_reconstruct_conditional(runner, workdir, sim_hist):
     assert trace[0] == "iteration,loglik,residual"
     # the likelihood stop counts the frames of the c_s = 2 slice
     settings = json.loads((workdir / "rec3.csv.manifest.json").read_text())["settings"]
-    assert settings["preset"] == "paper-table-1"
+    assert settings["detectors"] == preset_detector_entries()
+    assert io.recorded_detectors(out) == PAPER_TABLE_1
     assert settings["trials"] == int(io.load_histogram(sim_hist).counts[2].sum())
     assert settings["stop_gain_nats"] == emrec.STOP_GAIN_NATS
     assert settings["stop"] in ("residual", "likelihood", "budget")
@@ -466,7 +473,7 @@ def test_cli_outputs_do_not_depend_on_the_payload(runner, tmp_path, csv_reads):
     values = rng.random((9, 5, 4, 6))
     dist = tmp_path / "photons.csv"
     io.save_distribution(JointDistribution(values / values.sum(), AXIS_ORDER,
-                                           normalized=True), dist)
+                                           normalized=True), dist, PAPER_TABLE_1)
     commands = [
         ["postselect", "--dist", str(dist), "--selector", "n_s", "--value", "2",
          "--out", "cond_ns.csv"],
@@ -667,7 +674,7 @@ def test_cli_sweep_default_range_is_full_axis(runner, workdir, dist4):
 def test_cli_sweep_histogram_default_range_is_full_axis(runner, workdir):
     counts = np.random.default_rng(5).integers(0, 40, size=(4, 9, 9, 9))
     hist = workdir / "small_hist.csv"
-    io.save_histogram(Histogram(counts, int(counts.sum())), hist)
+    io.save_histogram(Histogram(counts, int(counts.sum())), hist, PAPER_TABLE_1)
     outs = {}
     for name, extra in (("default", []), ("explicit", ["--range", "0:3"])):
         out = workdir / f"sweep_hist_{name}.csv"
@@ -684,7 +691,7 @@ def test_cli_sweep_histogram_default_range_is_full_axis(runner, workdir):
 def test_cli_sweep_histogram_manifest_records_em(runner, workdir):
     counts = np.random.default_rng(6).integers(0, 40, size=(3, 9, 9, 9))
     hist = workdir / "em_hist.csv"
-    io.save_histogram(Histogram(counts, int(counts.sum())), hist)
+    io.save_histogram(Histogram(counts, int(counts.sum())), hist, PAPER_TABLE_1)
     out = workdir / "sweep_em.csv"
     res = runner.invoke(main, [
         "sweep", "--source", "histogram", "--input", str(hist),
@@ -778,7 +785,7 @@ def test_cli_fit_runs(runner, workdir):
         assert "declination" in json.loads(out.read_text())
         manifest = json.loads((workdir / "fit.json.manifest.json").read_text())
         assert manifest["settings"]["max_evals"] == 3
-        assert manifest["settings"]["preset"] == "paper-table-1"
+        assert manifest["settings"]["detectors"] == preset_detector_entries()
     else:
         assert res.output.startswith("numerical error: ")
 
@@ -883,18 +890,18 @@ def test_cli_simulate_records_its_detector_file(runner, workdir, sim_hist, half_
         "simulate", "--frames", "200", "--seed", "3",
         "--detector-file", str(half_i2_detectors), "--out", str(out)])
     assert res.exit_code == 0, res.output
-    record = {"detector_file": str(half_i2_detectors)}
-    assert json.loads((workdir / "hist_file_detectors.csv.meta.json").read_text()
-                      )["detector_presets"] == record
+    record = json.loads(half_i2_detectors.read_text())
+    meta = json.loads((workdir / "hist_file_detectors.csv.meta.json").read_text())
+    assert meta["detectors"] == record
+    assert "detector_presets" not in meta
     settings = json.loads((workdir / "hist_file_detectors.csv.manifest.json").read_text()
                           )["settings"]
-    assert settings["detector_file"] == str(half_i2_detectors)
-    assert "preset" not in settings
-    # without a file, the preset is what both record
+    assert settings["detectors"] == record
+    # without a file, both record the shipped constants
     assert json.loads((workdir / "sim_hist.csv.meta.json").read_text()
-                      )["detector_presets"] == {"preset": "paper-table-1"}
+                      )["detectors"] == preset_detector_entries()
     assert json.loads((workdir / "sim_hist.csv.manifest.json").read_text()
-                      )["settings"]["preset"] == "paper-table-1"
+                      )["settings"]["detectors"] == preset_detector_entries()
 
 
 def test_cli_ingest_records_its_detector_file(runner, workdir, sim_hist, half_i2_detectors):
@@ -903,30 +910,187 @@ def test_cli_ingest_records_its_detector_file(runner, workdir, sim_hist, half_i2
         "ingest", "--frames", str(workdir / "frames.csv"),
         "--detector-file", str(half_i2_detectors), "--out", str(out)])
     assert res.exit_code == 0, res.output
+    record = json.loads(half_i2_detectors.read_text())
     assert json.loads((workdir / "ingested_file_detectors.csv.meta.json").read_text()
-                      )["detector_presets"] == {"detector_file": str(half_i2_detectors)}
+                      )["detectors"] == record
+    assert json.loads((workdir / "ingested_file_detectors.csv.manifest.json").read_text()
+                      )["settings"]["detectors"] == record
 
 
 def test_cli_reconstruct_and_fit_record_their_detector_file(runner, workdir):
-    # the preset's own constants in a file: the fit returns as it does on
-    # the preset (test_cli_fit_runs' histogram), and only the record differs
-    path = workdir / "preset_copy.json"
-    path.write_text(json.dumps(preset_detector_entries()))
+    # the preset's constants but a signal dark rate of 0.25: the fit returns
+    # as it does on the preset (test_cli_fit_runs' histogram), while the
+    # record differs from the preset's
+    path = workdir / "dark_s.json"
+    record = preset_detector_entries()
+    record["s"]["dark_rate"] = 0.25
+    path.write_text(json.dumps(record))
     hist = workdir / "hist_for_file.csv"
     res = runner.invoke(main, [
-        "simulate", "--frames", "200000", "--seed", "11", "--out", str(hist)])
+        "simulate", "--frames", "200000", "--seed", "11", "--detector-file", str(path),
+        "--out", str(hist)])
     assert res.exit_code == 0, res.output
     for command, out, extra in (
             ("reconstruct", "rec_file.csv",
              ["--conditional", "4", "--idler-cutoff", "10", "--max-iterations", "50"]),
             ("fit", "fit_file.json", ["--max-evals", "3"])):
-        res = runner.invoke(main, [command, "--histogram", str(hist),
-                                   "--detector-file", str(path), *extra,
+        res = runner.invoke(main, [command, "--histogram", str(hist), *extra,
                                    "--out", str(workdir / out)])
         assert res.exit_code == 0, res.output
         settings = json.loads((workdir / f"{out}.manifest.json").read_text())["settings"]
-        assert settings["detector_file"] == str(path)
-        assert "preset" not in settings
+        assert settings["detectors"] == record
+    assert io.recorded_detectors(workdir / "rec_file.csv") == io.load_detectors(path)
+
+
+def test_cli_c_s_postselection_uses_the_detectors_of_its_histogram(runner, workdir):
+    # signal and i2 efficiencies off the shipped constants
+    record = preset_detector_entries()
+    record["s"]["efficiency"] = 0.6
+    record["i2"]["efficiency"] = 0.5
+    path = workdir / "s60_detectors.json"
+    path.write_text(json.dumps(record))
+    hist, photons, cond = (workdir / f"s60_{name}.csv" for name in ("hist", "photons", "cond"))
+    for args in (
+            ["simulate", "--frames", "20000", "--seed", "3", "--detector-file", str(path),
+             "--out", str(hist)],
+            ["reconstruct", "--histogram", str(hist), "--idler-cutoff", "8",
+             "--max-iterations", "20", "--out", str(photons)],
+            ["postselect", "--dist", str(photons), "--selector", "c_s", "--value", "5",
+             "--out", str(cond)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    cfgs = io.load_detectors(path)
+    p_s = io.load_distribution(photons).values.sum(axis=(1, 2, 3))
+    settings = json.loads((workdir / "s60_cond.csv.manifest.json").read_text())["settings"]
+    assert settings["detectors"] == record
+    want = float(detection_matrix(cfgs["s"], len(p_s) - 1).entries[5] @ p_s)
+    assert settings["slice_mass"] == pytest.approx(want, rel=1e-12)
+    preset = float(detection_matrix(PAPER_TABLE_1["s"], len(p_s) - 1).entries[5] @ p_s)
+    assert preset != pytest.approx(want, rel=1e-3)
+    # the histogram sweep inverts each slice through the file's idler matrices
+    out = workdir / "s60_sweep.csv"
+    res = runner.invoke(main, [
+        "sweep", "--source", "histogram", "--input", str(hist), "--selector", "c_s",
+        "--range", "4:5", "--idler-cutoff", "6", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    h = io.load_histogram(hist)
+
+    def sweep_rows(detectors):
+        mats = {l: detection_matrix(detectors[l], 6, c_max)
+                for l, c_max in zip(AXIS_ORDER[1:], h.cutoffs[1:])}
+        return postselect.sweep_histogram(h, mats, range(4, 6)).to_csv()
+    assert out.read_text() == sweep_rows(cfgs)
+    assert out.read_text() != sweep_rows(PAPER_TABLE_1)
+    settings = json.loads((workdir / "s60_sweep.csv.manifest.json").read_text())["settings"]
+    assert settings["detectors"] == record
+
+
+@pytest.fixture(scope="module")
+def unrecorded(workdir, sim_hist, dist4):
+    """A histogram and a 4D table whose sidecars hold no detector record;
+    the histogram's names its preset, as sidecars did before the record."""
+    paths = {}
+    for name, source in (("hist", sim_hist), ("dist", dist4)):
+        path = workdir / f"unrecorded_{name}.csv"
+        path.write_text(source.read_text())
+        meta = json.loads((workdir / f"{source.name}.meta.json").read_text())
+        del meta["detectors"]
+        if name == "hist":
+            meta["detector_presets"] = {"preset": "paper-table-1"}
+        (workdir / f"unrecorded_{name}.csv.meta.json").write_text(json.dumps(meta))
+        paths[name] = path
+    return paths
+
+
+@pytest.mark.parametrize("command, table, options", [
+    ("reconstruct", "hist", ["--histogram"]),
+    ("fit", "hist", ["--histogram"]),
+    ("sweep", "hist", ["--source", "histogram", "--selector", "c_s", "--input"]),
+    ("postselect", "dist", ["--selector", "c_s", "--value", "1", "--dist"]),
+    ("sweep", "dist", ["--source", "dist", "--selector", "c_s", "--input"]),
+])
+def test_cli_missing_detector_record_exits_2(runner, workdir, unrecorded, command, table,
+                                             options):
+    path = unrecorded[table]
+    out = workdir / f"no_record_{command}_{table}.csv"
+    res = runner.invoke(main, [command, *options, str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"{path}.meta.json: no detector record" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("postselect", ["--selector", "n_s", "--value", "1", "--dist"]),
+    ("sweep", ["--source", "dist", "--selector", "n_s", "--range", "0:2", "--input"]),
+])
+def test_cli_n_s_selection_needs_no_detector_record(runner, workdir, unrecorded,
+                                                    command, options):
+    out = workdir / f"no_record_{command}_n_s.csv"
+    res = runner.invoke(main, [command, *options, str(unrecorded["dist"]),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    settings = json.loads((workdir / f"{out.name}.manifest.json").read_text())["settings"]
+    assert "detectors" not in settings
+
+
+DETECTOR_KEYS = ("pixels", "efficiency", "dark_rate")
+
+
+@st.composite
+def mutated_records(draw):
+    """The shipped record with one entry broken: a key missing, NaN, a bool
+    or fractional pixel count, or a string for a value or a whole entry."""
+    record = preset_detector_entries()
+    label = draw(st.sampled_from(AXIS_ORDER))
+    key = draw(st.sampled_from(DETECTOR_KEYS))
+    kind = draw(st.sampled_from(["missing", "nan", "bool", "fractional", "string",
+                                 "string-entry"]))
+    if kind == "missing":
+        del record[label][key]
+    elif kind == "nan":
+        record[label][key] = math.nan
+    elif kind == "bool":
+        record[label]["pixels"] = draw(st.booleans())
+    elif kind == "fractional":
+        record[label]["pixels"] = draw(st.floats(1.0, 1e6).filter(
+            lambda x: not x.is_integer()))
+    elif kind == "string":
+        record[label][key] = draw(st.text(max_size=8))
+    else:
+        record[label] = draw(st.text(max_size=8))
+    return record
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(record=mutated_records(), source=st.sampled_from(["sidecar", "detector-file"]))
+def test_cli_malformed_detector_record_exits_2(runner, workdir, dist4, record, source):
+    out = workdir / "mutated_out.csv"
+    if source == "sidecar":
+        path = workdir / "mutated.csv"
+        path.write_text(dist4.read_text())
+        meta = json.loads((workdir / "dist4.csv.meta.json").read_text())
+        (workdir / "mutated.csv.meta.json").write_text(json.dumps({**meta, "detectors": record}))
+        named = f"{path}.meta.json"
+        args = ["postselect", "--dist", str(path), "--selector", "c_s", "--value", "1"]
+    else:
+        path = workdir / "mutated.json"
+        path.write_text(json.dumps(record))
+        named = str(path)
+        args = ["simulate", "--frames", "10", "--seed", "1", "--detector-file", str(path)]
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert named in res.output
+    assert not out.exists()
+
+
+def test_cli_detector_file_only_where_detectors_are_written(runner):
+    for name in main.commands:
+        res = runner.invoke(main, [name, "--help"])
+        assert res.exit_code == 0, res.output
+        assert "--detectors" not in res.output
+        assert ("--detector-file" in res.output) == (name in ("simulate", "ingest"))
 
 
 def test_load_detectors_round_trip(tmp_path):
