@@ -19,8 +19,9 @@ from .detector import (DetectorConfig, PAPER_TABLE_1, default_c_max,
                        detection_matrix, sample_counts)
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fit import fit
-from .fock import AXIS_ORDER, Histogram, check_tail, condition, normalize
-from .gaussian import PAPER_TABLE_2, TripleTwbParams, sample_photon_numbers
+from .fock import AXIS_ORDER, Histogram, check_tail
+from .gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF, PAPER_TABLE_2,
+                       sample_photon_numbers)
 
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
@@ -42,18 +43,6 @@ def handle_errors(fn):
                        "(--frames, --points, --box or the cutoffs)", err=True)
             sys.exit(EXIT_DATA)
     return wrapper
-
-
-def _load_params(params_file: str | None) -> TripleTwbParams:
-    if params_file is None:
-        return PAPER_TABLE_2
-    return io.load_params(params_file)
-
-
-def _load_detectors(detector_file: str | None) -> dict[str, DetectorConfig]:
-    if detector_file is None:
-        return PAPER_TABLE_1
-    return io.load_detectors(detector_file)
 
 
 def _matrices(cfgs: dict[str, DetectorConfig], labels, photon_cutoffs,
@@ -100,7 +89,15 @@ def _parse_triple(text: str, option: str, kind=float) -> tuple:
     return parts
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every command runs inside :func:`handle_errors`, the one exit-code boundary."""
+
+    @handle_errors
+    def invoke(self, ctx):
+        return super().invoke(ctx)
+
+
+@click.group(cls=_Commands)
 def main():
     """Triple twin-beam modeling, reconstruction and nonclassicality."""
 
@@ -115,28 +112,22 @@ def main():
 @click.option("--out", type=click.Path(), required=True,
               help="Histogram CSV output path.")
 @click.option("--frames-out", type=click.Path(), help="Also write raw frames CSV.")
-@click.option("--signal-cutoff", type=NONNEGATIVE, default=32, show_default=True)
-@click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
+@click.option("--signal-cutoff", type=NONNEGATIVE, default=DEFAULT_SIGNAL_CUTOFF, show_default=True)
+@click.option("--idler-cutoff", type=NONNEGATIVE, default=DEFAULT_IDLER_CUTOFF, show_default=True)
 @click.option("--tail-tol", type=float, default=1e-3, show_default=True,
               callback=_finite_positive,
               help="Largest share of frames that may fall outside the click box.")
-@handle_errors
 def simulate(params_file, detector_file, frames, seed, out, frames_out,
              signal_cutoff, idler_cutoff, tail_tol):
     """Sample synthetic photocount frames from the field + detector model."""
-    params = _load_params(params_file)
-    cfgs = _load_detectors(detector_file)
+    params = io.load_params(params_file) if params_file else PAPER_TABLE_2
+    cfgs = io.load_detectors(detector_file) if detector_file else PAPER_TABLE_1
     counts = sample_counts(sample_photon_numbers(params, frames, seed), cfgs, seed + 1)
-    c_cut = [default_c_max(cfgs[l],
-                           signal_cutoff if l == "s" else idler_cutoff)
+    c_cut = [default_c_max(cfgs[l], signal_cutoff if l == "s" else idler_cutoff)
              for l in AXIS_ORDER]
-    keep = np.all(counts <= np.asarray(c_cut), axis=1)
-    dropped = int(frames - keep.sum())
+    h = Histogram.binned(counts, c_cut)
+    dropped = frames - h.trials
     check_tail(dropped / frames, tail_tol, "simulated frames beyond the click box")
-    kept = counts[keep]
-    hist = np.zeros([c + 1 for c in c_cut], dtype=np.int64)
-    np.add.at(hist, tuple(kept.T), 1)
-    h = Histogram(hist, frames - dropped)
     io.save_histogram(h, out, cfgs)
     if frames_out:
         io.save_frames(counts, frames_out)
@@ -152,10 +143,9 @@ def simulate(params_file, detector_file, frames, seed, out, frames_out,
 @click.option("--detector-file", type=click.Path(exists=True),
               help="Detector JSON; defaults to the built-in PAPER_TABLE_1 constants.")
 @click.option("--out", type=click.Path(), required=True)
-@handle_errors
 def ingest(frames_file, detector_file, out):
     """Accumulate a frame CSV into a histogram."""
-    cfgs = _load_detectors(detector_file)
+    cfgs = io.load_detectors(detector_file) if detector_file else PAPER_TABLE_1
     h = io.ingest_frames(frames_file, cfgs)
     io.save_histogram(h, out, cfgs)
     io.write_manifest(Path(out), "ingest", {"frames": str(frames_file),
@@ -168,7 +158,6 @@ def ingest(frames_file, detector_file, out):
 @click.option("--free-efficiencies", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--max-evals", type=POSITIVE, default=200, show_default=True)
-@handle_errors
 def fit_cmd(hist_file, free_efficiencies, out, max_evals):
     """Fit the 14 field parameters to a photocount histogram."""
     cfgs = io.recorded_detectors(hist_file)
@@ -187,8 +176,8 @@ def fit_cmd(hist_file, free_efficiencies, out, max_evals):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--conditional", type=NONNEGATIVE, default=None,
               help="Reconstruct only the 3D idler field at this c_s slice.")
-@click.option("--signal-cutoff", type=NONNEGATIVE, default=32, show_default=True)
-@click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
+@click.option("--signal-cutoff", type=NONNEGATIVE, default=DEFAULT_SIGNAL_CUTOFF, show_default=True)
+@click.option("--idler-cutoff", type=NONNEGATIVE, default=DEFAULT_IDLER_CUTOFF, show_default=True)
 @click.option("--max-iterations", type=POSITIVE, default=100_000, show_default=True,
               help="EM budget: a run that reaches it has not converged.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
@@ -197,28 +186,23 @@ def fit_cmd(hist_file, free_efficiencies, out, max_evals):
                    "EM also stops once a map gains less than "
                    f"{emrec.STOP_GAIN_NATS} nats of whole-data log-likelihood.")
 @click.option("--trace-out", type=click.Path(), default=None)
-@handle_errors
 def reconstruct(hist_file, out, conditional,
                 signal_cutoff, idler_cutoff, max_iterations, tol, trace_out):
     """Invert a photocount histogram into a photon-number distribution."""
     cfgs = io.recorded_detectors(hist_file)
     h = io.load_histogram(hist_file)
-    f = normalize(h)
-    settings = emrec.EmSettings(max_iterations=max_iterations, stop_tolerance=tol)
-    trials = h.trials
     if conditional is not None:
-        s_axis = f.axis("s")
-        f = condition(f, "s", conditional)
-        trials = int(np.take(h.counts, conditional, axis=s_axis).sum())
-    cutoffs = [signal_cutoff if l == "s" else idler_cutoff for l in f.axis_labels]
-    mats = _matrices(cfgs, f.axis_labels, cutoffs, [n - 1 for n in f.values.shape])
-    result = emrec.em_reconstruct(f, mats, settings, trials=trials)
+        h = h.slice("s", conditional)
+    settings = emrec.EmSettings(max_iterations=max_iterations, stop_tolerance=tol)
+    cutoffs = [signal_cutoff if l == "s" else idler_cutoff for l in h.axis_labels]
+    mats = _matrices(cfgs, h.axis_labels, cutoffs, h.cutoffs)
+    result = emrec.em_reconstruct(h, mats, settings)
     io.save_distribution(result.distribution, out, cfgs)
     if trace_out:
         Path(trace_out).write_text(result.trace_csv())
     io.write_manifest(Path(out), "reconstruct", {
         "histogram": str(hist_file), "detectors": io.detector_entries(cfgs),
-        "conditional": conditional, "trials": trials,
+        "conditional": conditional, "trials": h.trials,
         "iterations": result.iterations, "residual": result.residual,
         "stop": result.stop, "stop_gain_nats": emrec.STOP_GAIN_NATS,
         "last_gain_nats": result.last_gain, "converged": result.converged})
@@ -232,7 +216,6 @@ def reconstruct(hist_file, out, conditional,
 @click.option("--selector", type=click.Choice(["n_s", "c_s"]), required=True)
 @click.option("--value", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
-@handle_errors
 def postselect_cmd(dist_file, selector, value, out):
     """Condition the 4D photon field on a signal outcome.
 
@@ -257,9 +240,8 @@ def postselect_cmd(dist_file, selector, value, out):
 @click.option("--selector", type=click.Choice(["n_s", "c_s"]), required=True)
 @click.option("--range", "sel_range", default=None,
               help="Inclusive selector range lo:hi; defaults to the full axis.")
-@click.option("--idler-cutoff", type=NONNEGATIVE, default=20, show_default=True)
+@click.option("--idler-cutoff", type=NONNEGATIVE, default=DEFAULT_IDLER_CUTOFF, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-@handle_errors
 def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
     """Post-selection sweep: means, Fano factors, correlations per selector.
 
@@ -282,8 +264,7 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
             d, selector, _selector_range(sel_range, top), t_s)
     else:
         h = io.load_histogram(input_file)
-        mats = _matrices(cfgs, ("i1", "i2", "i3"), (idler_cutoff,) * 3,
-                         [n - 1 for n in h.counts.shape[1:]])
+        mats = _matrices(cfgs, ("i1", "i2", "i3"), (idler_cutoff,) * 3, h.cutoffs[1:])
         result = postselect.sweep_histogram(
             h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
         settings["stop_gain_nats"] = emrec.STOP_GAIN_NATS
@@ -306,7 +287,6 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
               help="Largest share of the order-2 intensity moment the outer "
                    "occupation shell may carry (--kind intensity).")
 @click.option("--out", type=click.Path(), default=None)
-@handle_errors
 def ncc(dist_file, criterion, kind, modes, with_ncd, tail_tol, out):
     """Evaluate a nonclassicality criterion (and its depth) on a 3D field."""
     d = io.load_distribution(dist_file)
@@ -342,7 +322,6 @@ def ncc(dist_file, criterion, kind, modes, with_ncd, tail_tol, out):
 @click.option("--box", default="6,6,6", show_default=True,
               help="Lattice box b1,b2,b3 of criterion offsets.")
 @click.option("--out", type=click.Path(), required=True)
-@handle_errors
 def ncd_field_cmd(dist_file, criterion, modes, box, out):
     """Lattice field of Lee depths of the offset probability criteria."""
     d = io.load_distribution(dist_file)
@@ -370,7 +349,6 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
               default="diagonal", show_default=True)
 @click.option("--level", type=float, default=None)
 @click.option("--out", type=click.Path(), required=True)
-@handle_errors
 def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
     """Quasi-distribution of integrated intensities; exports one plane cut."""
     nonclassical.check_grid_cut(cut_kind, level)  # before the grid, not after it
@@ -395,7 +373,6 @@ def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
 @click.option("--kind", type=click.Choice(["diagonal", "triangular"]), required=True)
 @click.option("--level", type=int, default=None)
 @click.option("--out", type=click.Path(), required=True)
-@handle_errors
 def cut(input_file, kind, level, out):
     """Plane cut of a 3D lattice field."""
     field = io.load_lattice(input_file)

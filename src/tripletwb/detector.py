@@ -45,9 +45,9 @@ class DetectorConfig:
         if (isinstance(self.pixels, bool) or not isinstance(self.pixels, (int, np.integer))
                 or self.pixels < 1):
             raise ParameterError(f"pixels must be an integer >= 1, got {self.pixels!r}")
-        if not (0.0 <= self.efficiency <= 1.0):
+        if isinstance(self.efficiency, bool) or not (0.0 <= self.efficiency <= 1.0):
             raise ParameterError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
+        if isinstance(self.dark_rate, bool) or not 0.0 <= self.dark_rate < math.inf:
             raise ParameterError(f"dark rate must be finite and >= 0, got {self.dark_rate}")
         if self.dark_rate / self.pixels >= 1.0:
             raise ParameterError("per-pixel dark probability D/N must be < 1")

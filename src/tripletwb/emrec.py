@@ -10,6 +10,9 @@ one :func:`tripletwb.fock.contract` each, a per-axis matrix contraction; no
 dense 8-dimensional kernel is ever formed. Starting point is the uniform
 distribution on the photon box of the matrices.
 
+The data are a :class:`tripletwb.fock.Histogram` of N frames, f = counts / N,
+or an exact table f, a normalized :class:`tripletwb.fock.JointDistribution`.
+
 Every map works on the observed click box: on each axis only the click
 values that occur in f are kept, along with the matching rows of T. This
 is exact. The forward projection is read only on observed cells, and the
@@ -25,10 +28,10 @@ Three stops end a run, whichever fires first:
 
 - ``residual``: the largest per-cell change of a map falls below
   ``EmSettings.stop_tolerance``. Exact tables meet it.
-- ``likelihood``: given the number of frames N behind f (``trials``), the
-  run ends after the first map k whose gain in whole-data log-likelihood,
-  N * (l_k - l_{k-1}) with l_k the k-th entry of the log-likelihood trace,
-  falls below ``STOP_GAIN_NATS``. On sampled data the residual rule is not
+- ``likelihood``: on a histogram of N frames, the run ends after the
+  first map k whose gain in whole-data log-likelihood, N * (l_k - l_{k-1})
+  with l_k the k-th entry of the log-likelihood trace, falls below
+  ``STOP_GAIN_NATS``. On sampled data the residual rule is not
   met in any practical number of maps, and it should not be: inverting a
   noisy histogram is ill-posed, and the number of maps is the regulariser
   (Vardi, Shepp & Kaufman, JASA 80, 8, 1985; Silverman, Jones, Wilson &
@@ -48,7 +51,7 @@ from .detector import DetectionMatrix, _matrices_for
 from .errors import DataError
 # apply_matrix stays importable here: the benchmark's tracer (perfbench/workload.py)
 # wraps it under this module's name
-from .fock import JointDistribution, apply_matrix, contract  # noqa: F401
+from .fock import Histogram, JointDistribution, apply_matrix, contract, normalize  # noqa: F401
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -79,8 +82,7 @@ class EmResult:
     loglik_trace: np.ndarray
     residual_trace: np.ndarray
     stop: str  # "residual", "likelihood" or "budget"
-    #: N * (l_k - l_{k-1}) of the last map in nats; None without trials or
-    #: after one map
+    #: N * (l_k - l_{k-1}) of the last map in nats; None without N or after one map
     last_gain: float | None
 
     @property
@@ -94,21 +96,19 @@ class EmResult:
         return "\n".join(lines) + "\n"
 
 
-def em_reconstruct(f: JointDistribution, matrices: dict[str, DetectionMatrix],
-                   settings: EmSettings = EmSettings(),
-                   trials: int | None = None) -> EmResult:
-    """Invert a photocount distribution into a photon-number distribution.
+def em_reconstruct(data: Histogram | JointDistribution,
+                   matrices: dict[str, DetectionMatrix],
+                   settings: EmSettings = EmSettings()) -> EmResult:
+    """Invert photocount data into a photon-number distribution.
 
     The photon box is the n range of each axis's matrix; the iteration
-    starts from the uniform table on it. ``trials`` is the number of frames
-    behind ``f``, which turns on the likelihood stop; None marks an exact
-    table, which stops on the residual or the budget only.
+    starts from the uniform table on it. A :class:`Histogram` brings its
+    frame count N, which turns on the likelihood stop; an exact table, a
+    normalized :class:`JointDistribution`, stops on the residual or the budget.
     """
+    trials, f = (data.trials, normalize(data)) if isinstance(data, Histogram) else (None, data)
     if not f.normalized:
-        raise DataError("EM needs a normalized photocount distribution")
-    if trials is not None and (isinstance(trials, bool)
-                               or not isinstance(trials, (int, np.integer)) or trials < 1):
-        raise DataError(f"trials must be an integer >= 1 or None, got {trials!r}")
+        raise DataError("EM needs a histogram or a normalized photocount distribution")
     mat_objs = _matrices_for(f.axis_labels, matrices)
     for mat, cdim in zip(mat_objs, f.values.shape):
         if cdim > mat.entries.shape[0]:

@@ -82,8 +82,6 @@ class FitReport:
 
 def photocount_moments(h: Histogram) -> dict:
     """Means <c_a> and covariances <dc_a dc_b> of the click histogram."""
-    if h.trials <= 0:
-        raise DataError("empty histogram")
     return table_moments(h.counts / h.trials, h.axis_labels)
 
 
@@ -101,8 +99,6 @@ def declination(h: Histogram, f_model: JointDistribution) -> float:
     f = f_model.values
     if h.counts.shape != f.shape:
         raise DataError("histogram and model cutoffs do not match")
-    if h.trials <= 0:
-        raise DataError("empty histogram")
     cells, rel = h.support
     flat = f.reshape(-1)
     buf = np.empty(min(DECLINATION_BLOCK, flat.size))
@@ -237,8 +233,6 @@ def fit(h: Histogram, cfgs: dict[str, DetectorConfig],
     and click moments, all of the same photon table - and the best record
     is the report.
     """
-    if h.trials <= 0:
-        raise DataError("empty histogram")
     exp_mom = photocount_moments(h)
     for l in AXIS_ORDER:
         if exp_mom["cov"][(l, l)] <= 0:

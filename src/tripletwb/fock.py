@@ -2,8 +2,9 @@
 
 A :class:`JointDistribution` is a strictly nonnegative table over 1 to 4
 integer occupation axes labeled from ``("s", "i1", "i2", "i3")``. A
-:class:`Histogram` holds raw per-cell frame counts. Signed tables (the
-s-ordered quasi-probabilities) live in :mod:`tripletwb.nonclassical`.
+:class:`Histogram` holds raw per-cell frame counts and the number of
+frames behind them. Signed tables (the s-ordered quasi-probabilities)
+live in :mod:`tripletwb.nonclassical`.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ TAIL_TOL = 1e-8
 
 
 def _check_labels(labels: Sequence[str], ndim: int) -> tuple[str, ...]:
+    if ndim < 1 or ndim > 4:
+        raise DataError(f"tables must have 1 to 4 axes, got {ndim}")
     labels = tuple(labels)
     if len(labels) != ndim:
         raise DataError(f"{len(labels)} axis labels for a {ndim}-d table")
@@ -54,8 +57,6 @@ class JointDistribution:
             # a view: writes through its base would change the table after
             # the checks below, so the distribution keeps its own copy
             arr = arr.copy()
-        if arr.ndim < 1 or arr.ndim > 4:
-            raise DataError(f"tables must have 1 to 4 axes, got {arr.ndim}")
         _check_labels(self.axis_labels, arr.ndim)
         # written so that NaN fails both comparisons
         if not np.all(arr >= 0):
@@ -84,13 +85,19 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Raw integer click counts per (c_s, c_i1, c_i2, c_i3) cell."""
+    """Raw integer click counts per (c_s, c_i1, c_i2, c_i3) cell, and ``trials``,
+    the number of frames behind them: their sum, an integer >= 1."""
 
     counts: np.ndarray
     trials: int
     axis_labels: tuple[str, ...] = AXIS_ORDER
 
     def __post_init__(self):
+        trials = self.trials
+        if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+            raise DataError(f"trials must be an integer >= 1, got {trials!r}")
+        if trials < 1:
+            raise DataError(f"empty histogram: trials must be an integer >= 1, got {trials}")
         arr = np.ascontiguousarray(self.counts)
         if arr.base is not None:
             # a view: writes through its base would change the counts under
@@ -106,6 +113,30 @@ class Histogram:
                 f"histogram counts sum to {int(arr.sum())}, trials = {self.trials}")
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
+        object.__setattr__(self, "trials", int(trials))  # a numpy integer is no JSON number
+
+    @classmethod
+    def binned(cls, clicks: np.ndarray, box: Sequence[int]) -> "Histogram":
+        """Frames, one row of (c_s, c_i1, c_i2, c_i3) each, counted per cell of
+        the click box 0..box; frames outside the box are dropped."""
+        keep = np.all(clicks <= np.asarray(box), axis=1)
+        counts = np.zeros([int(c) + 1 for c in box], dtype=np.int64)
+        np.add.at(counts, tuple(clicks[keep].T), 1)
+        return cls(counts, keep.sum())
+
+    def slice(self, label: str, value: int) -> "Histogram":
+        """The frames at c_label = value, as a histogram over the other axes."""
+        if label not in self.axis_labels:
+            raise DataError(f"unknown axis {label!r}, have {self.axis_labels}")
+        ax = self.axis_labels.index(label)
+        if not 0 <= value < self.counts.shape[ax]:
+            raise DataError(f"no frames at c_{label}={value}: outside the "
+                            f"histogram's c_{label} range 0..{self.counts.shape[ax] - 1}")
+        counts = np.take(self.counts, value, axis=ax)
+        frames = counts.sum()
+        if frames == 0:
+            raise DataError(f"no frames at c_{label}={value}")
+        return Histogram(counts, frames, tuple(l for l in self.axis_labels if l != label))
 
     @property
     def cutoffs(self) -> tuple[int, ...]:
@@ -134,8 +165,6 @@ def check_tail(discarded: float, tol: float = TAIL_TOL, what: str = "table") -> 
 
 def normalize(h: Histogram) -> JointDistribution:
     """Empirical frequency table counts/trials."""
-    if h.trials <= 0:
-        raise DataError("empty histogram")
     return JointDistribution(h.counts / float(h.trials), h.axis_labels, normalized=True)
 
 

@@ -111,13 +111,12 @@ def load_params(path: str | Path) -> TripleTwbParams:
         raise ParameterError(f"{path}: {exc}") from exc
 
 
-def ingest_frames(path: str | Path,
-                  cfgs: dict[str, DetectorConfig] | None = None) -> Histogram:
-    """Accumulate a frame CSV into a Histogram.
+def ingest_frames(path: str | Path, cfgs: dict[str, DetectorConfig]) -> Histogram:
+    """Accumulate a frame CSV into a Histogram over the observed click box.
 
     Every field must be a nonnegative integer. Rejects duplicate frame ids
-    and counts above the detector pixel budget; a malformed row is reported
-    with its line number.
+    and counts above the pixel budget of the detectors ``cfgs``; a
+    malformed row is reported with its line number.
     """
     path = Path(path)
     # read as cells (frame_id, c_s, c_i1, c_i2) with the value c_i3
@@ -131,17 +130,14 @@ def ingest_frames(path: str | Path,
     if repeat.any():
         row = int(np.argmax(repeat))
         raise DataError(f"{path}:{_line_of(path, row)}: duplicate frame_id {frame_ids[row]}")
-    if cfgs is not None:
-        pixels = np.array([cfgs[l].pixels for l in AXIS_ORDER])
-        over = np.argwhere(clicks > pixels)
-        if len(over):
-            row, axis = over[0]
-            raise DataError(
-                f"{path}:{_line_of(path, row)}: count {clicks[row, axis]} exceeds the "
-                f"{pixels[axis]} pixels of region {AXIS_ORDER[axis]}")
-    counts = np.zeros(tuple(clicks.max(axis=0) + 1), dtype=np.int64)
-    np.add.at(counts, tuple(clicks.T), 1)
-    return Histogram(counts, len(clicks))
+    pixels = np.array([cfgs[l].pixels for l in AXIS_ORDER])
+    over = np.argwhere(clicks > pixels)
+    if len(over):
+        row, axis = over[0]
+        raise DataError(
+            f"{path}:{_line_of(path, row)}: count {clicks[row, axis]} exceeds the "
+            f"{pixels[axis]} pixels of region {AXIS_ORDER[axis]}")
+    return Histogram.binned(clicks, clicks.max(axis=0))
 
 
 def _table_shape(meta: dict, path: Path) -> tuple[int, ...]:
@@ -289,7 +285,7 @@ def load_histogram(path: str | Path) -> Histogram:
                                 counts=True)
     table = np.zeros(shape, dtype=np.int64)
     np.add.at(table, tuple(cells.T), counts.astype(np.int64))
-    return Histogram(table, int(meta["trials"]), tuple(meta["axis_labels"]))
+    return Histogram(table, meta["trials"], tuple(meta["axis_labels"]))
 
 
 def _distribution_header(labels) -> list[str]:

@@ -14,8 +14,7 @@ from . import emrec, fock
 from .detector import DetectionMatrix
 from .emrec import EmSettings
 from .errors import DataError
-from .fock import (Histogram, JointDistribution, condition, normalize, slice_mass,
-                   table_moments)
+from .fock import Histogram, JointDistribution, condition, slice_mass, table_moments
 
 #: Slices holding less than this fraction of the total mass are reported as
 #: gaps; they carry only sampling noise.
@@ -165,25 +164,29 @@ def sweep_histogram(h: Histogram,
                     values: range | list[int]) -> PostselectSweep:
     """Photon-level sweep over c_s from a measured histogram.
 
-    Every slice is conditioned (the 3D photocount histogram for that c_s)
-    and inverted by EM over the three idler axes before the statistics are
-    evaluated. Each slice's EM stops on the likelihood rule for that
+    Every slice, the 3D photocount histogram ``h.slice("s", c_s)``, is
+    inverted by EM over the three idler axes before the statistics are
+    evaluated; its mass is its share of the frames, and one with no frames
+    is a gap. Each slice's EM stops on the likelihood rule for that
     slice's frame count, or on the ``SWEEP_EM`` budget.
     """
-    f = normalize(h)
-    s_axis = f.axis("s")
+    if "s" not in h.axis_labels:
+        raise DataError(f"a histogram sweep needs a signal axis, have {h.axis_labels}")
     rows, gaps, em = [], [], []
     for c_s in values:
-        mass = slice_mass(f, "s", c_s)
+        try:
+            h_cs = h.slice("s", c_s)
+        except DataError:  # no frames at c_s
+            gaps.append(c_s)
+            continue
+        mass = h_cs.trials / h.trials
         if mass < MASS_FLOOR:
             gaps.append(c_s)
             continue
-        f_cs = condition(f, "s", c_s)
-        frames = int(np.take(h.counts, c_s, axis=s_axis).sum())
         # through the module, so that a wrapped emrec.em_reconstruct is the one called
-        rec = emrec.em_reconstruct(f_cs, idler_matrices, SWEEP_EM, trials=frames)
+        rec = emrec.em_reconstruct(h_cs, idler_matrices, SWEEP_EM)
         rows.append(_stats_row(c_s, mass, rec.distribution))
-        em.append({"selector": c_s, "frames": frames, "iterations": rec.iterations,
+        em.append({"selector": c_s, "frames": h_cs.trials, "iterations": rec.iterations,
                    "residual": rec.residual, "stop": rec.stop,
                    "last_gain_nats": rec.last_gain, "converged": rec.converged})
     return PostselectSweep("c_s", tuple(rows), tuple(gaps), tuple(em))

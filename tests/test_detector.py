@@ -56,6 +56,15 @@ def test_config_requires_an_integer_pixel_count(pixels):
     assert DetectorConfig(pixels=np.int64(12), efficiency=0.5, dark_rate=0.0).pixels == 12
 
 
+@pytest.mark.parametrize("key", ["efficiency", "dark_rate"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_config_refuses_a_bool_efficiency_or_dark_rate(key, flag):
+    # a bool passed the range checks as 1 or 0, so a JSON true read as 1.0
+    values = {"pixels": 10, "efficiency": 0.5, "dark_rate": 0.0, key: flag}
+    with pytest.raises(ParameterError, match=key.replace("_", " ")):
+        DetectorConfig(**values)
+
+
 def test_dark_prob_is_rate_over_pixels():
     cfg = PAPER_TABLE_1["s"]
     assert cfg.dark_prob == pytest.approx(0.220 / 4536)

@@ -118,8 +118,10 @@ def test_conditional_identity_matrices():
 # the observed click box against the full-box map
 # ---------------------------------------------------------------------------
 
-def assert_matches_full_box(f, mats, settings, trials=None):
-    res = em_reconstruct(f, mats, settings, trials=trials)
+def assert_matches_full_box(data, mats, settings):
+    res = em_reconstruct(data, mats, settings)
+    # the oracle takes the frequency table and the frame count apart
+    f, trials = (normalize(data), data.trials) if isinstance(data, Histogram) else (data, None)
     p, iterations, logliks, residuals, stop = em_reconstruct_full_box(
         f, mats, settings, trials)
     assert res.iterations == iterations
@@ -158,10 +160,10 @@ def sampled_histogram():
     return counts, mats
 
 
-def sampled_frequencies():
-    """The sample of :func:`sampled_histogram` as a frequency table, and its matrices."""
+def sampled_frames():
+    """The sample of :func:`sampled_histogram` as a Histogram, and its matrices."""
     counts, mats = sampled_histogram()
-    return normalize(Histogram(counts, SAMPLED_FRAMES, ("s", "i1", "i2"))), mats
+    return Histogram(counts, SAMPLED_FRAMES, ("s", "i1", "i2")), mats
 
 
 def test_observed_box_matches_full_box_with_unobserved_middle_row():
@@ -202,9 +204,9 @@ def test_observed_box_matches_full_box_with_start_and_reduced_cutoffs():
 # ---------------------------------------------------------------------------
 
 def test_likelihood_stop_fires_before_the_budget():
-    f, mats = sampled_frequencies()
+    h, mats = sampled_frames()
     settings = EmSettings(max_iterations=5000, stop_tolerance=1e-15)
-    res = assert_matches_full_box(f, mats, settings, trials=SAMPLED_FRAMES)
+    res = assert_matches_full_box(h, mats, settings)
     assert res.stop == "likelihood" and res.converged
     assert res.iterations < settings.max_iterations
     gains = SAMPLED_FRAMES * np.diff(res.loglik_trace)
@@ -213,21 +215,20 @@ def test_likelihood_stop_fires_before_the_budget():
 
 
 def test_budget_stop_is_not_converged():
-    f, mats = sampled_frequencies()
-    res = em_reconstruct(f, mats, EmSettings(max_iterations=5, stop_tolerance=1e-15),
-                         trials=SAMPLED_FRAMES)
+    h, mats = sampled_frames()
+    res = em_reconstruct(h, mats, EmSettings(max_iterations=5, stop_tolerance=1e-15))
     assert res.stop == "budget" and not res.converged
     assert res.iterations == 5
     assert res.last_gain == SAMPLED_FRAMES * (res.loglik_trace[-1] - res.loglik_trace[-2])
 
 
 def test_without_trials_the_likelihood_run_has_the_same_iterates():
-    # the rule only reads the trace: up to its stop, a run with trials and
-    # one without compute the same maps bit for bit; without trials the
-    # run goes on to its budget
-    f, mats = sampled_frequencies()
-    stopped = em_reconstruct(f, mats, EmSettings(5000, 1e-15), trials=SAMPLED_FRAMES)
-    plain = em_reconstruct(f, mats, EmSettings(stopped.iterations, 1e-15))
+    # the rule only reads the trace: up to its stop, a run on the histogram
+    # and one on its frequency table, which has no frame count, compute the
+    # same maps bit for bit; the table's run goes on to its budget
+    h, mats = sampled_frames()
+    stopped = em_reconstruct(h, mats, EmSettings(5000, 1e-15))
+    plain = em_reconstruct(normalize(h), mats, EmSettings(stopped.iterations, 1e-15))
     assert plain.stop == "budget" and plain.last_gain is None
     np.testing.assert_array_equal(plain.distribution.values, stopped.distribution.values)
     np.testing.assert_array_equal(plain.loglik_trace, stopped.loglik_trace)
@@ -236,9 +237,11 @@ def test_without_trials_the_likelihood_run_has_the_same_iterates():
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "100"])
 def test_trials_must_be_a_positive_integer(bad):
-    f, mats = sampled_frequencies()
+    # EM reads the frame count from its histogram, so a bad one is refused
+    # where the histogram is built and never reaches EM
+    counts, _ = sampled_histogram()
     with pytest.raises(DataError, match="trials must be an integer >= 1"):
-        em_reconstruct(f, mats, EmSettings(max_iterations=3), trials=bad)
+        Histogram(counts * 0, bad, ("s", "i1", "i2"))
 
 
 def test_iterates_hold_no_subnormal_cells():

@@ -65,6 +65,53 @@ def test_histogram_trials_must_cover_counts():
         Histogram(np.array([[3, 1], [0, 4]]), 5)
 
 
+def test_histogram_keeps_a_python_int_frame_count(tmp_path):
+    # the sidecar is JSON: a numpy integer count could not be saved
+    from tripletwb import io
+    from tripletwb.detector import PAPER_TABLE_1
+    counts = np.zeros((2, 1, 1, 1), dtype=np.int64)
+    counts[1, 0, 0, 0] = 3
+    h = Histogram(counts, counts.sum())
+    assert type(h.trials) is int
+    io.save_histogram(h, tmp_path / "h.csv", PAPER_TABLE_1)
+    assert io.load_histogram(tmp_path / "h.csv").trials == 3
+
+
+def test_binned_counts_frames_inside_the_box():
+    clicks = np.array([[0, 1, 0, 0], [2, 1, 0, 1], [0, 1, 0, 0], [3, 0, 0, 0]])
+    h = Histogram.binned(clicks, (2, 1, 0, 1))
+    assert h.counts.shape == (3, 2, 1, 2)
+    assert h.trials == 3  # the frame with c_s = 3 lies outside the box
+    assert h.counts[0, 1, 0, 0] == 2 and h.counts[2, 1, 0, 1] == 1
+
+
+def sliced_histogram():
+    counts = np.zeros((3, 2, 2), dtype=np.int64)
+    counts[0, 1, 0], counts[0, 0, 1], counts[2, 1, 1] = 4, 1, 3
+    return Histogram(counts, 8, ("s", "i1", "i3"))
+
+
+def test_slice_is_a_histogram_of_the_slice_frames():
+    h = sliced_histogram()
+    sl = h.slice("s", 0)
+    assert sl.axis_labels == ("i1", "i3") and sl.trials == 5
+    np.testing.assert_array_equal(sl.counts, h.counts[0])
+    sl = h.slice("i1", 1)
+    assert sl.axis_labels == ("s", "i3") and sl.trials == 7
+    np.testing.assert_array_equal(sl.counts, h.counts[:, 1, :])
+
+
+@pytest.mark.parametrize("label, value, match", [
+    ("i2", 0, r"unknown axis 'i2'"),
+    ("s", 3, r"no frames at c_s=3: outside the histogram's c_s range 0..2"),
+    ("s", -1, r"no frames at c_s=-1: outside"),
+    ("s", 1, r"^no frames at c_s=1$"),
+])
+def test_slice_names_an_outcome_without_frames(label, value, match):
+    with pytest.raises(DataError, match=match):
+        sliced_histogram().slice(label, value)
+
+
 def test_histogram_support_lists_observed_cells_once():
     counts = np.zeros((3, 4), dtype=np.int64)
     counts[0, 1], counts[2, 3] = 6, 2
@@ -103,8 +150,9 @@ def test_normalize_divides_by_trials():
 
 
 def test_normalize_rejects_zero_trials():
-    with pytest.raises(DataError):
-        Histogram(np.zeros((2, 2), dtype=np.int64), 0)
+    # two labels for the 2-d table, so the empty-histogram check is the one met
+    with pytest.raises(DataError, match="empty histogram"):
+        Histogram(np.zeros((2, 2), dtype=np.int64), 0, ("s", "i1"))
 
 
 def test_normalize_delta_histogram():

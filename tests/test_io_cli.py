@@ -58,23 +58,23 @@ def test_ingest_frames_rejects_duplicates(tmp_path):
     p = tmp_path / "frames.csv"
     p.write_text(FRAME_TEXT + "2,1,1,1,1\n")
     with pytest.raises(DataError, match="duplicate frame_id"):
-        io.ingest_frames(p)
+        io.ingest_frames(p, PAPER_TABLE_1)
 
 
 def test_ingest_frames_rejects_malformed_rows(tmp_path):
     p = tmp_path / "frames.csv"
     p.write_text("frame_id,c_s,c_i1,c_i2,c_i3\n0,2,x,0,1\n")
     with pytest.raises(DataError, match=":2:"):
-        io.ingest_frames(p)
+        io.ingest_frames(p, PAPER_TABLE_1)
     p.write_text("frame_id,c_s,c_i1,c_i2,c_i3\n0,2,1,0\n")
     with pytest.raises(DataError, match="expected 5 fields"):
-        io.ingest_frames(p)
+        io.ingest_frames(p, PAPER_TABLE_1)
     p.write_text("bad,header\n")
     with pytest.raises(DataError, match="expected header"):
-        io.ingest_frames(p)
+        io.ingest_frames(p, PAPER_TABLE_1)
     p.write_text("frame_id,c_s,c_i1,c_i2,c_i3\n")
     with pytest.raises(DataError, match="no frames"):
-        io.ingest_frames(p)
+        io.ingest_frames(p, PAPER_TABLE_1)
 
 
 def test_ingest_frames_enforces_pixel_budget(tmp_path):
@@ -97,13 +97,13 @@ def test_ingest_frames_rejects_negative_or_fractional_fields(tmp_path, row, matc
     p = tmp_path / "frames.csv"
     p.write_text(f"frame_id,c_s,c_i1,c_i2,c_i3\n0,0,0,0,0\n{row}\n")
     with pytest.raises(DataError, match=match):
-        io.ingest_frames(p)
+        io.ingest_frames(p, PAPER_TABLE_1)
 
 
 def test_ingest_frames_accepts_integral_floats(tmp_path):
     p = tmp_path / "frames.csv"
     p.write_text("frame_id,c_s,c_i1,c_i2,c_i3\n0,2.0,1,0,1\n1.0,2,1,0,1e0\n")
-    h = io.ingest_frames(p)
+    h = io.ingest_frames(p, PAPER_TABLE_1)
     assert h.trials == 2
     assert h.counts[2, 1, 0, 1] == 2
 
@@ -442,6 +442,20 @@ def test_cli_reconstruct_conditional(runner, workdir, sim_hist):
     assert len(loglik) == settings["iterations"]
     assert settings["last_gain_nats"] == pytest.approx(
         settings["trials"] * (loglik[-1] - loglik[-2]), rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("where", ["past the click box", "empty slice"])
+def test_cli_reconstruct_conditional_without_frames_exits_2(runner, workdir, sim_hist, where):
+    counts = io.load_histogram(sim_hist).counts
+    c_s = (counts.shape[0] if where == "past the click box"
+           else next(c for c in range(counts.shape[0]) if not counts[c].any()))
+    out = workdir / "rec_none.csv"
+    res = runner.invoke(main, ["reconstruct", "--histogram", str(sim_hist), "--out", str(out),
+                               "--conditional", str(c_s)])
+    assert res.exit_code == 2, res.output
+    assert f"no frames at c_s={c_s}" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
 
 
 def test_cli_postselect(runner, workdir, dist4):
@@ -1040,7 +1054,8 @@ DETECTOR_KEYS = ("pixels", "efficiency", "dark_rate")
 @st.composite
 def mutated_records(draw):
     """The shipped record with one entry broken: a key missing, NaN, a bool
-    or fractional pixel count, or a string for a value or a whole entry."""
+    for any value, a fractional pixel count, or a string for a value or a
+    whole entry."""
     record = preset_detector_entries()
     label = draw(st.sampled_from(AXIS_ORDER))
     key = draw(st.sampled_from(DETECTOR_KEYS))
@@ -1051,7 +1066,7 @@ def mutated_records(draw):
     elif kind == "nan":
         record[label][key] = math.nan
     elif kind == "bool":
-        record[label]["pixels"] = draw(st.booleans())
+        record[label][key] = draw(st.booleans())
     elif kind == "fractional":
         record[label]["pixels"] = draw(st.floats(1.0, 1e6).filter(
             lambda x: not x.is_integer()))

@@ -263,3 +263,29 @@ def test_sweep_histogram_matches_distribution_for_ideal_idlers():
         assert rh.selector == rd.selector
         np.testing.assert_allclose(rh.mean, rd.mean, atol=1e-6)
         np.testing.assert_allclose(rh.fano, rd.fano, atol=1e-6)
+
+
+def test_sweep_histogram_slices_carry_their_frames():
+    # each row's mass is its slice's share of the frames, each slice's EM
+    # counts that slice's frames; a value without frames is a gap
+    from tripletwb.fock import Histogram
+    rng = np.random.default_rng(5)
+    counts = rng.integers(0, 40, size=(4, 3, 3, 3))
+    counts[2] = 0
+    h = Histogram(counts, int(counts.sum()))
+    mats = {l: DetectionMatrix(np.eye(3), IDEAL) for l in ("i1", "i2", "i3")}
+    sw = sweep_histogram(h, mats, range(0, 6))
+    assert sw.gaps == (2, 4, 5)
+    assert [r.selector for r in sw.rows] == [0, 1, 3]
+    for row, em in zip(sw.rows, sw.em):
+        frames = int(counts[row.selector].sum())
+        assert em["frames"] == frames
+        assert row.mass == frames / h.trials
+
+
+def test_sweep_histogram_needs_a_signal_axis():
+    from tripletwb.fock import Histogram
+    h = Histogram(np.ones((2, 2, 2), dtype=np.int64), 8, ("i1", "i2", "i3"))
+    mats = {l: DetectionMatrix(np.eye(2), IDEAL) for l in ("i1", "i2", "i3")}
+    with pytest.raises(DataError, match="signal axis"):
+        sweep_histogram(h, mats, range(2))
