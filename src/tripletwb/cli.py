@@ -19,7 +19,7 @@ from .detector import (DetectorConfig, PAPER_TABLE_1, default_c_max,
                        detection_matrix, sample_counts)
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fit import fit
-from .fock import AXIS_ORDER, Histogram, check_tail
+from .fock import AXIS_ORDER, Histogram, JointDistribution, check_tail
 from .gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF, PAPER_TABLE_2,
                        sample_photon_numbers)
 
@@ -328,15 +328,10 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
     m = _parse_triple(modes, "--modes")
     b = _parse_triple(box, "--box", int)
     field = nonclassical.ncd_field(d, criterion, m, b)
-    lines = ["n_i1,n_i2,n_i3,tau"]
-    for idx in np.ndindex(field.values.shape):
-        lines.append(",".join(str(i) for i in idx)
-                     + f",{field.values[idx]:.6g}")
-    Path(out).write_text("\n".join(lines) + "\n")
-    meta = {"criterion_family": field.family, "modes": list(m),
-            "box": list(b), "max_tau": field.max()}
-    Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    io.write_manifest(Path(out), "ncd-field", meta)
+    io.save_distribution(JointDistribution(field.values, d.axis_labels), out)
+    io.write_manifest(Path(out), "ncd-field", {
+        "criterion_family": field.family, "modes": list(m), "box": list(b),
+        "max_tau": field.max()})
     click.echo(f"max tau {field.max():.4f}; wrote {out}")
 
 
@@ -351,7 +346,7 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
 @click.option("--out", type=click.Path(), required=True)
 def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
     """Quasi-distribution of integrated intensities; exports one plane cut."""
-    nonclassical.check_grid_cut(cut_kind, level)  # before the grid, not after it
+    nonclassical.check_cut(cut_kind, level)  # before the grid, not after it
     d = io.load_distribution(dist_file)
     m = _parse_triple(modes, "--modes")
     q = nonclassical.quasi_distribution_W(d, s_value, m, points=points)
@@ -361,7 +356,6 @@ def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
             "min_value": float(np.nanmin(q.values)),
             "integral": q.integral(),
             "steps": list(q.steps)}
-    Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     io.write_manifest(Path(out), "quasi", meta)
     click.echo(f"min value {meta['min_value']:.4g}, "
                f"integral {meta['integral']:.6f}; wrote {out}")
@@ -369,14 +363,13 @@ def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
 
 @main.command()
 @click.option("--input", "input_file", type=click.Path(exists=True), required=True,
-              help="3D distribution CSV or ncd-field CSV.")
+              help="Saved 3D table: a photon distribution or an ncd-field output.")
 @click.option("--kind", type=click.Choice(["diagonal", "triangular"]), required=True)
 @click.option("--level", type=int, default=None)
 @click.option("--out", type=click.Path(), required=True)
 def cut(input_file, kind, level, out):
-    """Plane cut of a 3D lattice field."""
-    field = io.load_lattice(input_file)
-    pc = nonclassical.plane_cut(field, kind, level)
+    """Plane cut of a saved 3D table."""
+    pc = nonclassical.plane_cut(io.load_distribution(input_file).values, kind, level)
     Path(out).write_text(pc.to_csv())
     io.write_manifest(Path(out), "cut", {"kind": kind, "level": level})
     click.echo(f"wrote {out}")

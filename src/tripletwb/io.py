@@ -1,6 +1,9 @@
 """File formats: frame streams, sparse histograms, sparse distributions,
 run manifests. All tables are CSV with a JSON sidecar carrying shape and
 normalization metadata, so every artifact is diff-able and language-neutral.
+Photon tables and the depth lattices of ``ncd-field`` are both saved
+distributions; a table CSV without its sidecar, or with a sidecar that
+does not describe it, is a DataError naming the sidecar.
 
 A histogram's sidecar, and that of a photon table reconstructed from it,
 records the detectors by value under ``"detectors"``: the object a
@@ -19,6 +22,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import warnings
 from io import BytesIO
 from pathlib import Path
@@ -140,16 +144,23 @@ def ingest_frames(path: str | Path, cfgs: dict[str, DetectorConfig]) -> Histogra
     return Histogram.binned(clicks, clicks.max(axis=0))
 
 
-def _table_shape(meta: dict, path: Path) -> tuple[int, ...]:
-    """Table shape from a sidecar's cutoffs, one per axis label."""
-    try:
-        shape = tuple(int(c) + 1 for c in meta["cutoffs"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed cutoffs ({exc})") from exc
-    if len(shape) != len(meta["axis_labels"]) or min(shape, default=0) < 1:
-        raise DataError(f"{path}: cutoffs {meta['cutoffs']} do not match "
-                        f"axis labels {meta['axis_labels']}")
-    return shape
+def _table_meta(path: Path, keys: tuple[str, ...]) -> tuple[Path, dict, tuple[int, ...]]:
+    """The sidecar of the table at ``path``, its JSON holding ``keys``, and the
+    table shape from its cutoffs, one per axis label; a malformed record is a
+    DataError naming the sidecar."""
+    sidecar = _sidecar(path)
+    meta = _read_json(sidecar, ("cutoffs", "axis_labels", *keys))
+    labels, cutoffs = meta["axis_labels"], meta["cutoffs"]
+    if not (isinstance(labels, list) and labels and all(isinstance(l, str) for l in labels)):
+        raise DataError(f"{sidecar}: axis_labels must be a list of names, got {labels!r}")
+    if not (isinstance(cutoffs, list) and len(cutoffs) == len(labels)
+            and all(type(c) is int and c >= 0 for c in cutoffs)):
+        raise DataError(f"{sidecar}: cutoffs {cutoffs!r} must be one integer >= 0 "
+                        f"per axis label {labels}")
+    shape = tuple(c + 1 for c in cutoffs)
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise DataError(f"{sidecar}: cutoffs {cutoffs} give a table too large to hold")
+    return sidecar, meta, shape
 
 
 def _data_lines(path: Path):
@@ -179,16 +190,16 @@ def _parse_error(path: Path, width: int) -> str:
     return f"{path}: unreadable table"
 
 
-def _read_cells(path: Path, header: list[str] | None = None,
+def _read_cells(path: Path, header: list[str],
                 shape: tuple[int, ...] | None = None,
                 counts: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Cell indices (rows x rank, int64) and values of a ``cell..., value`` CSV.
 
-    The first line must equal ``header``; without one, any header of at
-    least two names sets the rank. Every index must be a nonnegative
-    integer below 2**53, which a double holds exactly, and below ``shape``
-    when given; every value finite, and a nonnegative integer for
-    ``counts``. A violation is a DataError naming the file and line.
+    The first line must equal ``header``, whose length sets the rank.
+    Every index must be a nonnegative integer below 2**53, which a double
+    holds exactly, and below ``shape`` when given; every value finite, and
+    a nonnegative integer for ``counts``. A violation is a DataError naming
+    the file and line.
     """
     try:
         fh = path.open()
@@ -196,10 +207,8 @@ def _read_cells(path: Path, header: list[str] | None = None,
         raise DataError(f"{path}: cannot read ({exc})") from exc
     with fh:
         names = [h.strip() for h in fh.readline().split(",")]
-        if header is not None and names != header:
+        if names != header:
             raise DataError(f"{path}:1: expected header {','.join(header)}")
-        if len(names) < 2:
-            raise DataError(f"{path}:1: expected a header of cell names and a value")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a table with no rows
             try:
@@ -278,14 +287,18 @@ def save_histogram(h: Histogram, path: str | Path,
 
 
 def load_histogram(path: str | Path) -> Histogram:
+    """A saved histogram; a sidecar that does not describe its counts is a
+    DataError naming the sidecar."""
     path = Path(path)
-    meta = _read_json(_sidecar(path), ("cutoffs", "trials", "axis_labels"))
-    shape = _table_shape(meta, path)
+    sidecar, meta, shape = _table_meta(path, ("trials",))
     cells, counts = _read_cells(path, _histogram_header(meta["axis_labels"]), shape,
                                 counts=True)
     table = np.zeros(shape, dtype=np.int64)
     np.add.at(table, tuple(cells.T), counts.astype(np.int64))
-    return Histogram(table, meta["trials"], tuple(meta["axis_labels"]))
+    try:
+        return Histogram(table, meta["trials"], tuple(meta["axis_labels"]))
+    except DataError as exc:
+        raise DataError(f"{sidecar}: {exc}") from exc
 
 
 def _distribution_header(labels) -> list[str]:
@@ -357,35 +370,23 @@ def _read_payload(path: Path, meta: dict, shape: tuple[int, ...]) -> np.ndarray 
 
 def load_distribution(path: str | Path) -> JointDistribution:
     """A saved table: its ``.npy`` payload while the sidecar's digests match,
-    else the parsed CSV."""
+    else the parsed CSV. A sidecar that does not describe the table is a
+    DataError naming the sidecar."""
     path = Path(path)
-    meta = _read_json(_sidecar(path), ("cutoffs", "axis_labels", "normalized"))
-    shape = _table_shape(meta, path)
+    sidecar, meta, shape = _table_meta(path, ("normalized",))
+    if not isinstance(meta["normalized"], bool):
+        raise DataError(f"{sidecar}: normalized must be true or false, "
+                        f"got {meta['normalized']!r}")
     values = _read_payload(path, meta, shape)
     if values is None:
         cells, vals = _read_cells(path, _distribution_header(meta["axis_labels"]), shape)
         values = np.zeros(shape)
         values[tuple(cells.T)] = vals
-    return JointDistribution(values, tuple(meta["axis_labels"]),
-                             normalized=bool(meta["normalized"]))
-
-
-def load_lattice(path: str | Path) -> np.ndarray:
-    """Dense field of a cell CSV: a saved distribution, or a lattice export
-    without table metadata (``ncd-field``) sized by its largest indices."""
-    path = Path(path)
     try:
-        meta = json.loads(_sidecar(path).read_text())
-    except (OSError, ValueError):
-        meta = None
-    if isinstance(meta, dict) and "cutoffs" in meta:
-        return load_distribution(path).values
-    cells, vals = _read_cells(path)
-    if not len(vals):
-        raise DataError(f"{path}: empty lattice file")
-    field = np.zeros(tuple(cells.max(axis=0) + 1))
-    field[tuple(cells.T)] = vals
-    return field
+        return JointDistribution(values, tuple(meta["axis_labels"]),
+                                 normalized=meta["normalized"])
+    except DataError as exc:
+        raise DataError(f"{sidecar}: {exc}") from exc
 
 
 def save_frames(samples: np.ndarray, path: str | Path) -> None:

@@ -632,38 +632,40 @@ def plane_cut(field: np.ndarray | QuasiDistribution, kind: str,
               level: int | float | None = None) -> PlaneCut:
     """Diagonal or triangular plane cut of a 3D field.
 
-    Accepts a 3D array (lattice data) or a :class:`QuasiDistribution` (grid
-    data; the triangular cut uses the nearest grid plane).
+    Accepts a 3D array (lattice data: axis coordinates 0, 1, ...; an
+    integer level inside the box) or a :class:`QuasiDistribution` (grid
+    data: coordinates at cell midpoints). The triangular cut holds, at
+    (u, v), the axis-1 cell nearest w = level - u - v, halves rounding to
+    even, while 0 <= w <= the axis-1 edge; on a lattice that cell is w.
     """
-    if isinstance(field, QuasiDistribution):
-        return _plane_cut_grid(field, kind, level)
-    arr = np.asarray(field)
+    grid = isinstance(field, QuasiDistribution)
+    arr = field.values if grid else np.asarray(field)
     if arr.ndim != 3:
         raise DataError("plane cuts need a 3-axis field")
+    check_cut(kind, level)
+    if grid:
+        (u, w_axis, v), offset, step = (field.grid(a) for a in range(3)), 0.5, field.steps[1]
+    else:
+        (u, w_axis, v), offset, step = (np.arange(n) for n in arr.shape), 0.0, 1
+        if kind == "triangular" and not 0 <= int(level) <= sum(n - 1 for n in arr.shape):
+            raise DataError(f"level {int(level)} outside the box")
     if kind == "diagonal":
         k = np.arange(min(arr.shape[0], arr.shape[1]))
-        return PlaneCut("diagonal", None, k, np.arange(arr.shape[2]), arr[k, k])
-    if kind == "triangular":
-        if level is None:
-            raise DataError("triangular cuts need a level")
-        L = int(level)
-        if not (0 <= L <= sum(s - 1 for s in arr.shape)):
-            raise DataError(f"level {L} outside the box")
-        u = np.arange(min(L, arr.shape[0] - 1) + 1)
-        v = np.arange(min(L, arr.shape[2] - 1) + 1)
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        n2 = L - uu - vv
-        on = (n2 >= 0) & (n2 < arr.shape[1])
-        vals = np.full(n2.shape, np.nan)
-        vals[on] = arr[uu[on], n2[on], vv[on]]
-        return PlaneCut("triangular", L, u, v, vals)
-    raise DataError(f"unknown cut kind {kind!r}")
+        return PlaneCut("diagonal", None, u[k], v, arr[k, k])
+    level = float(level) if grid else int(level)
+    w = level - u[:, None] - v[None, :]
+    on = (w >= 0) & (w <= w_axis[-1] + offset * step)
+    i, j = np.nonzero(on)
+    idx = np.clip(np.rint(w[on] / step - offset).astype(np.intp), 0, arr.shape[1] - 1)
+    vals = np.full(w.shape, np.nan)
+    vals[on] = arr[i, idx, j]
+    return PlaneCut("triangular", level, u, v, vals)
 
 
-def check_grid_cut(kind: str, level: float | None) -> None:
-    """Raise DataError unless ``kind`` and ``level`` name a cut of a grid field.
+def check_cut(kind: str, level: float | None) -> None:
+    """Raise DataError unless ``kind`` and ``level`` name a plane cut.
 
-    Cheap enough to run before the grid is synthesized.
+    Cheap enough to run before a grid is synthesized.
     """
     if kind not in ("diagonal", "triangular"):
         raise DataError(f"unknown cut kind {kind!r}")
@@ -672,22 +674,3 @@ def check_grid_cut(kind: str, level: float | None) -> None:
             raise DataError("triangular cuts need a level")
         if not math.isfinite(level):
             raise DataError(f"triangular cut level must be finite, got {level}")
-
-
-def _plane_cut_grid(q: QuasiDistribution, kind: str, level: float | None) -> PlaneCut:
-    arr = q.values
-    if arr.ndim != 3:
-        raise DataError("plane cuts need a 3-axis field")
-    check_grid_cut(kind, level)
-    g0, g1, g2 = (q.grid(a) for a in range(3))
-    if kind == "diagonal":
-        k = np.arange(min(arr.shape[0], arr.shape[1]))
-        return PlaneCut("diagonal", None, g0[k], g2, arr[k, k])
-    # triangular: nearest grid plane W_2 = level - W_0 - W_1 (halves round to even)
-    w2 = level - g0[:, None] - g2[None, :]
-    on = (w2 >= 0) & (w2 <= g1[-1] + 0.5 * q.steps[1])
-    i, j = np.nonzero(on)
-    idx = np.clip(np.rint(w2[on] / q.steps[1] - 0.5).astype(np.intp), 0, arr.shape[1] - 1)
-    vals = np.full(w2.shape, np.nan)
-    vals[on] = arr[i, idx, j]
-    return PlaneCut("triangular", float(level), g0, g2, vals)

@@ -364,12 +364,11 @@ def quasi_kernels(q, d: JointDistribution) -> list[np.ndarray]:
 
 
 def triangular_cut_loop(arr: np.ndarray, level: int) -> np.ndarray:
-    """The lattice plane n_i1 + n_i2 + n_i3 = level, one cell at a time."""
-    u = np.arange(min(level, arr.shape[0] - 1) + 1)
-    v = np.arange(min(level, arr.shape[2] - 1) + 1)
-    vals = np.full((u.size, v.size), np.nan)
-    for i in u:
-        for j in v:
+    """The lattice plane n_i1 + n_i2 + n_i3 = level, one cell at a time,
+    over the full (n_i1, n_i3) box."""
+    vals = np.full((arr.shape[0], arr.shape[2]), np.nan)
+    for i in range(arr.shape[0]):
+        for j in range(arr.shape[2]):
             n2 = level - i - j
             if 0 <= n2 < arr.shape[1]:
                 vals[i, j] = arr[i, n2, j]

@@ -567,9 +567,9 @@ def test_cli_ncd_field_and_cut(runner, workdir, dist3):
         "ncd-field", "--dist", str(dist3), "--criterion", "cs",
         "--box", "1,1,1", "--out", str(field_out)])
     assert res.exit_code == 0, res.output
-    lines = field_out.read_text().splitlines()
-    assert lines[0] == "n_i1,n_i2,n_i3,tau"
-    assert len(lines) == 9
+    # a classical field: every depth is zero, and zero cells are not written
+    assert field_out.read_text().splitlines() == ["n_i1,n_i2,n_i3,value"]
+    np.testing.assert_array_equal(io.load_distribution(field_out).values, np.zeros((2, 2, 2)))
     cut_out = workdir / "cut.csv"
     res = runner.invoke(main, [
         "cut", "--input", str(field_out), "--kind", "diagonal",
@@ -580,6 +580,49 @@ def test_cli_ncd_field_and_cut(runner, workdir, dist3):
         "cut", "--input", str(workdir / "dist3.csv"), "--kind", "triangular",
         "--level", "2", "--out", str(workdir / "cut2.csv")])
     assert res.exit_code == 0, res.output
+
+
+@pytest.fixture(scope="module")
+def model_ns6(workdir):
+    """A model field post-selected at n_s = 6, whose depth lattice at box
+    2,2,2 holds both zero and nonzero depths for both criteria."""
+    from tripletwb.gaussian import GaussianFieldModel
+    model = GaussianFieldModel(PAPER_TABLE_2, 16, (8, 8, 8), tail_tol=5e-2)
+    path = workdir / "model_ns6.csv"
+    io.save_distribution(condition(model.distribution(), "s", 6), path)
+    return path
+
+
+@pytest.mark.parametrize("criterion", ["cs", "matrix"])
+def test_cli_ncd_field_saves_a_table(runner, workdir, model_ns6, criterion):
+    from tripletwb import nonclassical
+    out = workdir / f"field_{criterion}.csv"
+    res = runner.invoke(main, [
+        "ncd-field", "--dist", str(model_ns6), "--criterion", criterion,
+        "--box", "2,2,2", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    want = nonclassical.ncd_field(io.load_distribution(model_ns6), criterion,
+                                  (1.0, 1.0, 1.0), (2, 2, 2))
+    assert np.count_nonzero(want.values == 0.0) >= 3
+    assert np.count_nonzero(want.values > 0.0) >= 10
+    got = io.load_distribution(out)
+    assert got.axis_labels == ("i1", "i2", "i3")
+    np.testing.assert_array_equal(bits(got.values), bits(want.values))
+    assert json.loads((workdir / f"{out.name}.meta.json").read_text())["normalized"] is False
+    settings = json.loads((workdir / f"{out.name}.manifest.json").read_text())["settings"]
+    assert settings == {"criterion_family": f"{criterion}_probability",
+                        "modes": [1.0, 1.0, 1.0], "box": [2, 2, 2],
+                        "max_tau": want.max()}
+    # the CSV route gives the same table: %.17g round-trips every depth
+    (workdir / f"{out.name}.npy").unlink()
+    np.testing.assert_array_equal(bits(io.load_distribution(out).values), bits(want.values))
+    for args in (["--kind", "diagonal"], ["--kind", "triangular", "--level", "3"]):
+        cut_out = workdir / f"field_{criterion}_cut.csv"
+        res = runner.invoke(main, ["cut", "--input", str(out), *args, "--out", str(cut_out)])
+        assert res.exit_code == 0, res.output
+        level = int(args[-1]) if len(args) > 2 else None
+        assert cut_out.read_text() == nonclassical.plane_cut(
+            want.values, args[1], level).to_csv()
 
 
 @pytest.mark.parametrize("command, option, value", [
@@ -614,8 +657,9 @@ def test_cli_quasi(runner, workdir, dist3_poisson):
     res = runner.invoke(main, [
         "quasi", "--dist", str(dist3_poisson), "--s", "0.5", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    meta = json.loads((workdir / "quasi.csv.meta.json").read_text())
-    assert meta["integral"] == pytest.approx(1.0, abs=1e-2)
+    settings = json.loads((workdir / "quasi.csv.manifest.json").read_text())["settings"]
+    assert settings["integral"] == pytest.approx(1.0, abs=1e-2)
+    assert not (workdir / "quasi.csv.meta.json").exists()
 
 
 def test_cli_quasi_nonfinite_level_exits_2(runner, workdir, dist3_poisson):
@@ -733,8 +777,12 @@ def test_cli_sweep_histogram_manifest_records_em(runner, workdir):
 
 
 def test_cli_cut_malformed_lattice_exits_2(runner, workdir):
+    # a saved table's sidecar over a hand-edited CSV: the digests no longer
+    # match, so the CSV is parsed and its bad line reported
     lattice = workdir / "bad_field.csv"
-    lattice.write_text("n_i1,n_i2,n_i3,tau\n0,0,0,0.5\n0,-1,0,0.2\n")
+    io.save_distribution(JointDistribution(np.full((2, 2, 2), 0.5), ("i1", "i2", "i3")),
+                         lattice)
+    lattice.write_text("n_i1,n_i2,n_i3,value\n0,0,0,0.5\n0,-1,0,0.2\n")
     res = runner.invoke(main, [
         "cut", "--input", str(lattice), "--kind", "diagonal",
         "--out", str(workdir / "nope6.csv")])
@@ -811,6 +859,110 @@ def test_cli_missing_sidecar_exits_2(runner, workdir, sim_hist):
         "reconstruct", "--histogram", str(bare), "--out", str(workdir / "nope4.csv")])
     assert res.exit_code == 2, res.output
     assert str(bare) in res.output
+    # cut reads saved tables only: a field CSV in the format ncd-field wrote
+    # before it saved tables has no sidecar
+    bare = workdir / "bare_field.csv"
+    bare.write_text("n_i1,n_i2,n_i3,tau\n0,0,0,0.5\n1,1,1,0.2\n")
+    res = runner.invoke(main, [
+        "cut", "--input", str(bare), "--kind", "diagonal", "--out", str(workdir / "nope4.csv")])
+    assert res.exit_code == 2, res.output
+    assert f"{bare}.meta.json: cannot read JSON" in res.output
+
+
+def copy_table(source, path, edit, payload=True):
+    """A copy of the saved table ``source`` at ``path`` whose sidecar is
+    ``edit(meta)``; with ``payload``, its ``.npy`` copy too."""
+    path.write_bytes(source.read_bytes())
+    npy = path.with_suffix(path.suffix + ".npy")
+    npy.unlink(missing_ok=True)
+    if payload and source.with_suffix(source.suffix + ".npy").exists():
+        npy.write_bytes(source.with_suffix(source.suffix + ".npy").read_bytes())
+    meta = json.loads(source.with_suffix(source.suffix + ".meta.json").read_text())
+    path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(edit(meta)))
+    return path
+
+
+@pytest.mark.parametrize("table, key, value, match", [
+    ("histogram", "axis_labels", 5, "axis_labels must be a list of names, got 5"),
+    ("histogram", "trials", "abc", "trials must be an integer >= 1, got 'abc'"),
+    ("histogram", "trials", 1, ", trials = 1"),
+    ("histogram", "cutoffs", [2**62] * 4, "give a table too large to hold"),
+    ("table", "axis_labels", 5, "axis_labels must be a list of names, got 5"),
+    ("table", "axis_labels", ["i3", "i2", "i1"], "must be ordered from"),
+    ("table", "normalized", "abc", "normalized must be true or false, got 'abc'"),
+    ("table", "cutoffs", [8, 8.5, 8], "must be one integer >= 0 per axis label"),
+    ("table", "cutoffs", [2**62] * 3, "give a table too large to hold"),
+])
+def test_cli_malformed_sidecar_exits_2_and_names_it(runner, workdir, sim_hist, dist3,
+                                                    table, key, value, match):
+    out = workdir / "bad_sidecar_out.csv"
+    if table == "histogram":
+        path = copy_table(sim_hist, workdir / "bad_sidecar_hist.csv",
+                          lambda meta: {**meta, key: value})
+        args = ["reconstruct", "--histogram", str(path), "--max-iterations", "2"]
+    else:
+        path = copy_table(dist3, workdir / "bad_sidecar_dist.csv",
+                          lambda meta: {**meta, key: value})
+        args = ["ncc", "--dist", str(path), "--criterion", "cs", "--no-ncd"]
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert f"error: {path}.meta.json: " in res.output
+    assert match in res.output
+    assert not out.exists()
+
+
+#: JSON values a hand edit might leave in a sidecar field
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers(2**62, 2**64)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5), max_leaves=8)
+
+
+@st.composite
+def mutated_sidecars(draw):
+    """A saved histogram or 3D table, the command that reads it, and an edit
+    of its sidecar: one of ``trials``, ``cutoffs``, ``axis_labels`` and
+    ``normalized`` deleted, set to any JSON value, or set to a near miss."""
+    table = draw(st.sampled_from(["histogram", "table"]))
+    rank = 4 if table == "histogram" else 3
+    key = draw(st.sampled_from(["trials", "cutoffs", "axis_labels", "normalized"]))
+    kind = draw(st.sampled_from(["missing", "any", "near"]))
+    if kind == "missing":
+        return table, lambda meta: {k: v for k, v in meta.items() if k != key}
+    if kind == "any":
+        value = draw(JSON_VALUES)
+        return table, lambda meta: {**meta, key: value}
+    if key == "trials":
+        shift = draw(st.integers(-2, 2))
+        return table, lambda meta: {**meta, key: meta.get(key, 1) + shift}
+    value = draw({
+        "cutoffs": st.lists(st.integers(-1, 12), min_size=rank - 1, max_size=rank + 1),
+        "axis_labels": st.lists(st.sampled_from([*AXIS_ORDER, "x"]),
+                                min_size=rank - 1, max_size=rank + 1),
+        "normalized": st.booleans()}[key])
+    return table, lambda meta: {**meta, key: value}
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(case=mutated_sidecars(), command=st.sampled_from(["cut", "ncc"]),
+                  payload=st.booleans())
+def test_cli_mutated_sidecar_exits_0_2_or_3(runner, workdir, sim_hist, dist3, case,
+                                            command, payload):
+    table, edit = case
+    out = workdir / "fuzzed_out.csv"
+    out.unlink(missing_ok=True)
+    if table == "histogram":
+        path = copy_table(sim_hist, workdir / "fuzzed_hist.csv", edit)
+        args = ["reconstruct", "--histogram", str(path), "--max-iterations", "2"]
+    else:
+        path = copy_table(dist3, workdir / "fuzzed_dist.csv", edit, payload)
+        args = {"cut": ["cut", "--input", str(path), "--kind", "diagonal"],
+                "ncc": ["ncc", "--dist", str(path), "--criterion", "cs", "--no-ncd"]}[command]
+    res = runner.invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code != 0:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
