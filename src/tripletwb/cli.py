@@ -77,20 +77,55 @@ def _selector_range(sel_range: str | None, top: int) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_triple(text: str, option: str, kind=float) -> tuple:
-    """Three comma-separated values of ``kind``; anything else is a DataError."""
-    try:
-        parts = tuple(kind(x) for x in text.split(","))
-    except ValueError:
-        parts = ()
-    if len(parts) != 3:
-        raise DataError(f"{option} needs three comma-separated "
-                        f"{kind.__name__} values, got {text!r}")
-    return parts
+def _triple(kind=float):
+    """Click callback: three comma-separated values of ``kind``, as a tuple;
+    anything else is a DataError."""
+    def parse(ctx, param, text):
+        try:
+            parts = tuple(kind(x) for x in text.split(","))
+        except ValueError:
+            parts = ()
+        if len(parts) != 3:
+            raise DataError(f"{param.opts[0]} needs three comma-separated "
+                            f"{kind.__name__} values, got {text!r}")
+        return parts
+    return parse
+
+
+def _photon_table(path) -> JointDistribution:
+    """A saved photon-number distribution. A table saved unnormalized, as
+    ``ncd-field`` saves its depths, is a DataError naming the file."""
+    d = io.load_distribution(path)
+    if not d.normalized:
+        raise DataError(f"{path}: not a photon-number distribution (its sidecar "
+                        "reads \"normalized\": false, as ncd-field outputs do)")
+    return d
+
+
+class _Recorded(click.Command):
+    """A command whose callback returns a dict of what it computed.
+
+    With ``--out`` set, ``<out>.manifest.json`` records every other option,
+    keyed by its first flag (``--max-iterations`` as ``max_iterations``)
+    with the value click parsed, then that dict, which wins a clash. Runs
+    that differ only in ``--out`` write the same manifest.
+    """
+
+    def invoke(self, ctx):
+        record = super().invoke(ctx) or {}
+        out = ctx.params.get("out")
+        if out:
+            options = {p.opts[0].lstrip("-").replace("-", "_"): ctx.params[p.name]
+                       for p in self.params if p.name != "out"}
+            io.write_manifest(out, ctx.info_name, {**options, **record})
+        return record
 
 
 class _Commands(click.Group):
-    """Every command runs inside :func:`handle_errors`, the one exit-code boundary."""
+    """Every command runs inside :func:`handle_errors`, the one exit-code
+    boundary, and records its manifest through :class:`_Recorded`."""
+
+    command_class = _Recorded
 
     @handle_errors
     def invoke(self, ctx):
@@ -131,11 +166,9 @@ def simulate(params_file, detector_file, frames, seed, out, frames_out,
     io.save_histogram(h, out, cfgs)
     if frames_out:
         io.save_frames(counts, frames_out)
-    io.write_manifest(Path(out), "simulate", {
-        "frames": frames, "seed": seed, "detectors": io.detector_entries(cfgs),
-        "dropped_frames": dropped, "params": params.to_dict(),
-        "signal_cutoff": signal_cutoff, "idler_cutoff": idler_cutoff})
     click.echo(f"wrote {out} ({frames - dropped} frames, {dropped} dropped)")
+    return {"detectors": io.detector_entries(cfgs), "dropped_frames": dropped,
+            "params": params.to_dict()}
 
 
 @main.command()
@@ -148,9 +181,8 @@ def ingest(frames_file, detector_file, out):
     cfgs = io.load_detectors(detector_file) if detector_file else PAPER_TABLE_1
     h = io.ingest_frames(frames_file, cfgs)
     io.save_histogram(h, out, cfgs)
-    io.write_manifest(Path(out), "ingest", {"frames": str(frames_file),
-                                            "detectors": io.detector_entries(cfgs)})
     click.echo(f"wrote {out} (trials {h.trials})")
+    return {"detectors": io.detector_entries(cfgs)}
 
 
 @main.command("fit")
@@ -165,10 +197,8 @@ def fit_cmd(hist_file, free_efficiencies, out, max_evals):
     report = fit(h, cfgs, fix_efficiencies=not free_efficiencies,
                  max_evals=max_evals)
     Path(out).write_text(report.to_json() + "\n")
-    io.write_manifest(Path(out), "fit", {
-        "histogram": str(hist_file), "detectors": io.detector_entries(cfgs),
-        "free_efficiencies": free_efficiencies, "max_evals": max_evals})
     click.echo(f"declination {report.declination:.6g}; wrote {out}")
+    return {"detectors": io.detector_entries(cfgs)}
 
 
 @main.command()
@@ -200,14 +230,10 @@ def reconstruct(hist_file, out, conditional,
     io.save_distribution(result.distribution, out, cfgs)
     if trace_out:
         Path(trace_out).write_text(result.trace_csv())
-    io.write_manifest(Path(out), "reconstruct", {
-        "histogram": str(hist_file), "detectors": io.detector_entries(cfgs),
-        "conditional": conditional, "trials": h.trials,
-        "iterations": result.iterations, "residual": result.residual,
-        "stop": result.stop, "stop_gain_nats": emrec.STOP_GAIN_NATS,
-        "last_gain_nats": result.last_gain, "converged": result.converged})
     click.echo(f"EM stopped ({result.stop}) after {result.iterations} iterations "
                f"(residual {result.residual:.3e}); wrote {out}")
+    return {"detectors": io.detector_entries(cfgs), "trials": h.trials,
+            "stop_gain_nats": emrec.STOP_GAIN_NATS, **result.record()}
 
 
 @main.command("postselect")
@@ -221,17 +247,16 @@ def postselect_cmd(dist_file, selector, value, out):
 
     A c_s selection reads the signal detector from the table's record.
     """
-    d = io.load_distribution(dist_file)
-    settings = {"selector": selector, "value": value}
-    t_s = None
+    d = _photon_table(dist_file)
+    record, t_s = {}, None
     if selector == "c_s":
         cfgs = io.recorded_detectors(dist_file)
         t_s = detection_matrix(cfgs["s"], d.values.shape[0] - 1)
-        settings["detectors"] = io.detector_entries(cfgs)
+        record["detectors"] = io.detector_entries(cfgs)
     mass, cond = postselect.conditioned_field(d, selector, value, t_s)
     io.save_distribution(cond, out)
-    io.write_manifest(Path(out), "postselect", {**settings, "slice_mass": mass})
     click.echo(f"slice mass {mass:.6g}; wrote {out}")
+    return {**record, "slice_mass": mass}
 
 
 @main.command()
@@ -249,12 +274,12 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
     """
     if source == "histogram" and selector == "n_s":
         raise DataError("histogram sweeps post-select on c_s")
-    settings = {"source": source, "selector": selector, "range": sel_range}
+    record = {}
     if selector == "c_s":
         cfgs = io.recorded_detectors(input_file)
-        settings["detectors"] = io.detector_entries(cfgs)
+        record["detectors"] = io.detector_entries(cfgs)
     if source == "dist":
-        d = io.load_distribution(input_file)
+        d = _photon_table(input_file)
         n_max = d.values.shape[0] - 1
         top, t_s = n_max, None
         if selector == "c_s":
@@ -267,10 +292,10 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
         mats = _matrices(cfgs, ("i1", "i2", "i3"), (idler_cutoff,) * 3, h.cutoffs[1:])
         result = postselect.sweep_histogram(
             h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
-        settings["stop_gain_nats"] = emrec.STOP_GAIN_NATS
+        record["stop_gain_nats"] = emrec.STOP_GAIN_NATS
     Path(out).write_text(result.to_csv())
-    io.write_manifest(Path(out), "sweep", {**settings, "em": list(result.em)})
     click.echo(f"wrote {out} ({len(result.rows)} rows, {len(result.gaps)} gaps)")
+    return {**record, "em": list(result.em)}
 
 
 @main.command()
@@ -279,7 +304,7 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
 @click.option("--criterion", type=click.Choice(["cs", "matrix"]), required=True)
 @click.option("--kind", type=click.Choice(["intensity", "probability"]),
               default="probability", show_default=True)
-@click.option("--modes", default="1,1,1", show_default=True,
+@click.option("--modes", default="1,1,1", show_default=True, callback=_triple(),
               help="Per-beam mode numbers M1,M2,M3.")
 @click.option("--with-ncd/--no-ncd", default=True, show_default=True)
 @click.option("--tail-tol", type=float, default=1e-6, show_default=True,
@@ -289,15 +314,14 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
 @click.option("--out", type=click.Path(), default=None)
 def ncc(dist_file, criterion, kind, modes, with_ncd, tail_tol, out):
     """Evaluate a nonclassicality criterion (and its depth) on a 3D field."""
-    d = io.load_distribution(dist_file)
-    m = _parse_triple(modes, "--modes")
+    d = _photon_table(dist_file)
     intensity = kind == "intensity"
     if with_ncd:
-        res = (nonclassical.intensity_ncd(d, criterion, m, tail_tol=tail_tol) if intensity
-               else nonclassical.probability_ncd(d, criterion, m))
+        res = (nonclassical.intensity_ncd(d, criterion, modes, tail_tol=tail_tol) if intensity
+               else nonclassical.probability_ncd(d, criterion, modes))
     else:
-        value = (nonclassical.intensity_criterion(d, criterion, m, tail_tol) if intensity
-                 else nonclassical.probability_criterion(d, criterion, m))(1.0)
+        value = (nonclassical.intensity_criterion(d, criterion, modes, tail_tol) if intensity
+                 else nonclassical.probability_criterion(d, criterion, modes))(1.0)
         res = nonclassical.NccResult(f"{criterion}_{kind}", value, value < 0.0)
     payload = {
         "criterion": res.criterion,
@@ -306,39 +330,35 @@ def ncc(dist_file, criterion, kind, modes, with_ncd, tail_tol, out):
         "tau": None if res.ncd is None else res.ncd.tau,
         "saturated": bool(res.ncd.saturated) if res.ncd else False,
         "ambiguous": bool(res.ncd.ambiguous) if res.ncd else False,
-        "modes": list(m),
+        "modes": list(modes),
     }
     text = json.dumps(payload, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
-        io.write_manifest(Path(out), "ncc", {**payload, "tail_tol": tail_tol})
     click.echo(text.rstrip())
+    return payload
 
 
 @main.command("ncd-field")
 @click.option("--dist", "dist_file", type=click.Path(exists=True), required=True)
 @click.option("--criterion", type=click.Choice(["cs", "matrix"]), required=True)
-@click.option("--modes", default="1,1,1", show_default=True)
-@click.option("--box", default="6,6,6", show_default=True,
+@click.option("--modes", default="1,1,1", show_default=True, callback=_triple())
+@click.option("--box", default="6,6,6", show_default=True, callback=_triple(int),
               help="Lattice box b1,b2,b3 of criterion offsets.")
 @click.option("--out", type=click.Path(), required=True)
 def ncd_field_cmd(dist_file, criterion, modes, box, out):
     """Lattice field of Lee depths of the offset probability criteria."""
-    d = io.load_distribution(dist_file)
-    m = _parse_triple(modes, "--modes")
-    b = _parse_triple(box, "--box", int)
-    field = nonclassical.ncd_field(d, criterion, m, b)
+    d = _photon_table(dist_file)
+    field = nonclassical.ncd_field(d, criterion, modes, box)
     io.save_distribution(JointDistribution(field.values, d.axis_labels), out)
-    io.write_manifest(Path(out), "ncd-field", {
-        "criterion_family": field.family, "modes": list(m), "box": list(b),
-        "max_tau": field.max()})
     click.echo(f"max tau {field.max():.4f}; wrote {out}")
+    return {"criterion_family": field.family, "max_tau": field.max()}
 
 
 @main.command()
 @click.option("--dist", "dist_file", type=click.Path(exists=True), required=True)
 @click.option("--s", "s_value", type=float, required=True)
-@click.option("--modes", default="1,1,1", show_default=True)
+@click.option("--modes", default="1,1,1", show_default=True, callback=_triple())
 @click.option("--points", type=click.IntRange(min=2), default=400, show_default=True)
 @click.option("--cut", "cut_kind", type=click.Choice(["diagonal", "triangular"]),
               default="diagonal", show_default=True)
@@ -347,18 +367,14 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
 def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
     """Quasi-distribution of integrated intensities; exports one plane cut."""
     nonclassical.check_cut(cut_kind, level)  # before the grid, not after it
-    d = io.load_distribution(dist_file)
-    m = _parse_triple(modes, "--modes")
-    q = nonclassical.quasi_distribution_W(d, s_value, m, points=points)
-    cut = nonclassical.plane_cut(q, cut_kind, level)
-    Path(out).write_text(cut.to_csv())
-    meta = {"s": s_value, "modes": list(m), "kind": cut_kind, "level": level,
-            "min_value": float(np.nanmin(q.values)),
-            "integral": q.integral(),
-            "steps": list(q.steps)}
-    io.write_manifest(Path(out), "quasi", meta)
-    click.echo(f"min value {meta['min_value']:.4g}, "
-               f"integral {meta['integral']:.6f}; wrote {out}")
+    d = _photon_table(dist_file)
+    q = nonclassical.quasi_distribution_W(d, s_value, modes, points=points)
+    Path(out).write_text(nonclassical.plane_cut(q, cut_kind, level).to_csv())
+    record = {"min_value": float(np.nanmin(q.values)), "integral": q.integral(),
+              "steps": list(q.steps)}
+    click.echo(f"min value {record['min_value']:.4g}, "
+               f"integral {record['integral']:.6f}; wrote {out}")
+    return record
 
 
 @main.command()
@@ -371,7 +387,6 @@ def cut(input_file, kind, level, out):
     """Plane cut of a saved 3D table."""
     pc = nonclassical.plane_cut(io.load_distribution(input_file).values, kind, level)
     Path(out).write_text(pc.to_csv())
-    io.write_manifest(Path(out), "cut", {"kind": kind, "level": level})
     click.echo(f"wrote {out}")
 
 

@@ -89,6 +89,11 @@ class EmResult:
     def converged(self) -> bool:
         return self.stop != "budget"
 
+    def record(self) -> dict:
+        """How the run ended, as manifests record it."""
+        return {"iterations": self.iterations, "residual": self.residual, "stop": self.stop,
+                "last_gain_nats": self.last_gain, "converged": self.converged}
+
     def trace_csv(self) -> str:
         lines = ["iteration,loglik,residual"]
         for i, (ll, r) in enumerate(zip(self.loglik_trace, self.residual_trace), start=1):

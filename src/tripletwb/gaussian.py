@@ -206,24 +206,35 @@ def _signal_shift_matrix(pair: np.ndarray, noise: np.ndarray, signal_cutoff: int
     return b.transpose(0, 2, 1).reshape(-1, signal_cutoff + 1)
 
 
+#: largest Gamma draw a component may give a frame: four components summed
+#: on the signal axis then stay below 2**63, and int64 holds the sum
+_MAX_FRAME_MEAN = 2.0**60
+
+
 def sample_photon_numbers(params: TripleTwbParams, trials: int, seed: int) -> np.ndarray:
     """Draw i.i.d. (n_s, n_i1, n_i2, n_i3) samples; deterministic per seed.
 
     Mandel-Rice variates are drawn as Gamma(M, B)-mixed Poissons, which is
     exact for non-integer M. Returns an int64 array of shape (trials, 4).
+    A component whose Gamma draw reaches 2**60 photons is a ParameterError
+    naming it.
     """
     if trials <= 0:
         raise DataError("trials must be > 0")
     rng = np.random.default_rng(seed)
 
-    def draw(comp: MandelRiceComponent) -> np.ndarray:
+    def draw(name: str) -> np.ndarray:
+        comp = getattr(params, name)
         if comp.B == 0.0:
             return np.zeros(trials, dtype=np.int64)
         lam = rng.gamma(comp.M, comp.B, size=trials)
+        if not lam.max() < _MAX_FRAME_MEAN:
+            raise ParameterError(f"{name}: M = {comp.M:g}, B = {comp.B:g} draw a frame "
+                                 f"mean of {lam.max():.3g} photons, above 2**60")
         return rng.poisson(lam).astype(np.int64)
 
-    pair_counts = [draw(p) for p in params.pairs]
-    noise = [draw(c) for c in params.noises]
+    pair_counts = [draw(k) for k in PARAM_KEYS[:3]]
+    noise = [draw(k) for k in PARAM_KEYS[3:]]
     out = np.empty((trials, 4), dtype=np.int64)
     out[:, 0] = pair_counts[0] + pair_counts[1] + pair_counts[2] + noise[0]
     for j in range(3):

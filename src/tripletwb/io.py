@@ -164,8 +164,9 @@ def _table_meta(path: Path, keys: tuple[str, ...]) -> tuple[Path, dict, tuple[in
 
 
 def _data_lines(path: Path):
-    """(line number, text) of every nonblank line after the header."""
-    with path.open() as fh:
+    """(line number, text) of every nonblank line after the header; a byte
+    that is not UTF-8 reads as U+FFFD, which no number parses."""
+    with path.open(errors="replace") as fh:
         next(fh, None)
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
@@ -198,11 +199,11 @@ def _read_cells(path: Path, header: list[str],
     The first line must equal ``header``, whose length sets the rank.
     Every index must be a nonnegative integer below 2**53, which a double
     holds exactly, and below ``shape`` when given; every value finite, and
-    a nonnegative integer for ``counts``. A violation is a DataError naming
-    the file and line.
+    for ``counts`` a nonnegative integer below 2**53 too. A violation is a
+    DataError naming the file and line.
     """
     try:
-        fh = path.open()
+        fh = path.open(errors="replace")  # as _data_lines reads it
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc})") from exc
     with fh:
@@ -228,8 +229,9 @@ def _read_cells(path: Path, header: list[str],
         checks.append((f"cell outside cutoffs {[n - 1 for n in shape]}",
                        np.any(cells >= np.asarray(shape), axis=1)))
     if counts:
-        checks.append(("count is not a nonnegative integer",
-                       (values != np.floor(values)) | (values < 0)))
+        checks += [("count is not a nonnegative integer",
+                    (values != np.floor(values)) | (values < 0)),
+                   ("count is not below 2**53", values >= 2.0**53)]
     for reason, bad in checks:
         if bad.any():
             row = int(np.argmax(bad))
@@ -361,7 +363,7 @@ def _read_payload(path: Path, meta: dict, shape: tuple[int, ...]) -> np.ndarray 
                 or _sha256(path) != record.get("csv_sha256")):
             return None
         values = np.load(BytesIO(data), allow_pickle=False)
-    except (OSError, ValueError):
+    except Exception:  # any bytes np.load cannot read, a mangled header too: use the CSV
         return None
     if values.dtype != np.float64 or values.shape != shape or not np.isfinite(values).all():
         return None

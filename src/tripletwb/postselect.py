@@ -71,8 +71,7 @@ class PostselectSweep:
     selector_kind: str  # "n_s" or "c_s"
     rows: tuple[SweepRow, ...]
     gaps: tuple[int, ...] = ()
-    #: per reconstructed slice: selector, frames, EM iterations, final
-    #: residual, stop reason, last log-likelihood gain, converged
+    #: per reconstructed slice: selector, frames and its ``EmResult.record()``
     em: tuple[dict, ...] = ()
 
     def to_csv(self) -> str:
@@ -186,7 +185,5 @@ def sweep_histogram(h: Histogram,
         # through the module, so that a wrapped emrec.em_reconstruct is the one called
         rec = emrec.em_reconstruct(h_cs, idler_matrices, SWEEP_EM)
         rows.append(_stats_row(c_s, mass, rec.distribution))
-        em.append({"selector": c_s, "frames": h_cs.trials, "iterations": rec.iterations,
-                   "residual": rec.residual, "stop": rec.stop,
-                   "last_gain_nats": rec.last_gain, "converged": rec.converged})
+        em.append({"selector": c_s, "frames": h_cs.trials, **rec.record()})
     return PostselectSweep("c_s", tuple(rows), tuple(gaps), tuple(em))

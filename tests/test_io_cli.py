@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import types
+from io import BytesIO
 
 import hypothesis
 import numpy as np
@@ -17,6 +18,7 @@ from tripletwb.detector import PAPER_TABLE_1, detection_matrix
 from tripletwb.errors import DataError
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, condition
 from tripletwb.gaussian import PAPER_TABLE_2
+from tripletwb.io import FRAME_HEADER
 
 from tests.oracles import write_cells_loop
 
@@ -610,7 +612,8 @@ def test_cli_ncd_field_saves_a_table(runner, workdir, model_ns6, criterion):
     np.testing.assert_array_equal(bits(got.values), bits(want.values))
     assert json.loads((workdir / f"{out.name}.meta.json").read_text())["normalized"] is False
     settings = json.loads((workdir / f"{out.name}.manifest.json").read_text())["settings"]
-    assert settings == {"criterion_family": f"{criterion}_probability",
+    assert settings == {"dist": str(model_ns6), "criterion": criterion,
+                        "criterion_family": f"{criterion}_probability",
                         "modes": [1.0, 1.0, 1.0], "box": [2, 2, 2],
                         "max_tau": want.max()}
     # the CSV route gives the same table: %.17g round-trips every depth
@@ -623,6 +626,113 @@ def test_cli_ncd_field_saves_a_table(runner, workdir, model_ns6, criterion):
         level = int(args[-1]) if len(args) > 2 else None
         assert cut_out.read_text() == nonclassical.plane_cut(
             want.values, args[1], level).to_csv()
+
+
+#: what each command records beyond its options: the dict it returns
+RECORDED = {
+    "simulate": {"detectors", "dropped_frames", "params"},
+    "ingest": {"detectors"},
+    "fit": {"detectors"},
+    "reconstruct": {"detectors", "trials", "stop_gain_nats", "iterations", "residual",
+                    "stop", "last_gain_nats", "converged"},
+    "postselect": {"detectors", "slice_mass"},
+    "sweep": {"detectors", "stop_gain_nats", "em"},
+    "ncc": {"criterion", "value", "nonclassical", "tau", "saturated", "ambiguous", "modes"},
+    "ncd-field": {"criterion_family", "max_tau"},
+    "quasi": {"min_value", "integral", "steps"},
+    "cut": set(),
+}
+
+
+def non_default_options(command, workdir, sim_hist, fit_hist, dist4, dist3,
+                        dist3_poisson):
+    """Every option of ``command`` but --out, each set off its default, as
+    arguments and as the manifest records them: keyed by the first flag
+    without dashes, ``-`` as ``_``, holding the value click parsed."""
+    detectors = workdir / "preset_detectors.json"
+    detectors.write_text(json.dumps(preset_detector_entries()))
+    params = workdir / "preset_params.json"
+    params.write_text(json.dumps(PAPER_TABLE_2.to_dict()))
+    options = {
+        "simulate": {"params_file": str(params), "detector_file": str(detectors),
+                     "frames": 500, "seed": 4,
+                     "frames_out": str(workdir / "manifest_frames.csv"),
+                     "signal_cutoff": 30, "idler_cutoff": 18, "tail_tol": 0.5},
+        "ingest": {"frames": str(workdir / "frames.csv"), "detector_file": str(detectors)},
+        "fit": {"histogram": str(fit_hist), "free_efficiencies": True, "max_evals": 3},
+        "reconstruct": {"histogram": str(sim_hist), "conditional": 2, "signal_cutoff": 30,
+                        "idler_cutoff": 12, "max_iterations": 50, "tol": 1e-7,
+                        "trace_out": str(workdir / "manifest_trace.csv")},
+        "postselect": {"dist": str(dist4), "selector": "c_s", "value": 1},
+        "sweep": {"source": "histogram", "input": str(sim_hist), "selector": "c_s",
+                  "range": "1:2", "idler_cutoff": 8},
+        # the returned criterion name wins over the option's value
+        "ncc": {"dist": str(dist3), "criterion": "matrix_intensity", "kind": "intensity",
+                "modes": [2.0, 1.0, 1.0], "with_ncd": False, "tail_tol": 0.5},
+        "ncd-field": {"dist": str(dist3), "criterion": "matrix", "modes": [2.0, 1.0, 1.0],
+                      "box": [1, 2, 1]},
+        "quasi": {"dist": str(dist3_poisson), "s": 0.5, "modes": [1.0, 1.0, 2.0],
+                  "points": 150, "cut": "triangular", "level": 3.0},
+        "cut": {"input": str(dist3), "kind": "triangular", "level": 2},
+    }[command]
+    args = {
+        "ncc": ["--dist", str(dist3), "--criterion", "matrix", "--kind", "intensity",
+                "--modes", "2,1,1", "--no-ncd", "--tail-tol", "0.5"],
+        "ncd-field": ["--dist", str(dist3), "--criterion", "matrix", "--modes", "2,1,1",
+                      "--box", "1,2,1"],
+        "quasi": ["--dist", str(dist3_poisson), "--s", "0.5", "--modes", "1,1,2",
+                  "--points", "150", "--cut", "triangular", "--level", "3"],
+    }.get(command)
+    if args is None:
+        args = []
+        for key, value in options.items():
+            flag = "--" + key.replace("_", "-")
+            args += [flag] if value is True else [flag, str(value)]
+    return [command, *args], options
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_cli_manifest_records_every_option(runner, workdir, sim_hist, fit_hist, dist4,
+                                           dist3, dist3_poisson, command):
+    args, options = non_default_options(command, workdir, sim_hist, fit_hist, dist4,
+                                        dist3, dist3_poisson)
+    manifests = []
+    for name in ("first", "second"):
+        out = workdir / f"manifest_{command}_{name}.csv"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        manifests.append((workdir / f"{out.name}.manifest.json").read_bytes())
+    # runs that differ only in --out record the same manifest
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    assert manifest["command"] == command
+    settings = manifest["settings"]
+    assert set(settings) == set(options) | RECORDED[command]
+    assert {k: settings[k] for k in options} == options
+    if command == "ncc":
+        assert settings == {**settings, **json.loads(out.read_text())}
+    if command == "simulate":
+        assert settings["dropped_frames"] == 500 - io.load_histogram(out).trials
+
+
+@pytest.mark.parametrize("command, options", [
+    ("ncc", ["--criterion", "cs", "--dist"]),
+    ("ncc", ["--criterion", "cs", "--kind", "intensity", "--dist"]),
+    ("quasi", ["--s", "0.5", "--dist"]),
+    ("ncd-field", ["--criterion", "cs", "--box", "1,1,1", "--dist"]),
+    ("postselect", ["--selector", "n_s", "--value", "1", "--dist"]),
+    ("sweep", ["--source", "dist", "--selector", "n_s", "--input"]),
+])
+def test_cli_depth_table_is_not_a_photon_table(runner, workdir, dist3, command, options):
+    field = workdir / "depths.csv"
+    res = runner.invoke(main, ["ncd-field", "--dist", str(dist3), "--criterion", "cs",
+                               "--box", "1,1,1", "--out", str(field)])
+    assert res.exit_code == 0, res.output
+    out = workdir / "from_depths.csv"
+    res = runner.invoke(main, [command, *options, str(field), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"error: {field}: not a photon-number distribution" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, option, value", [
@@ -832,16 +942,22 @@ def test_cli_sweep_malformed_range_exits_2(runner, workdir, dist4):
         assert not out.exists()
 
 
-def test_cli_fit_runs(runner, workdir):
-    # a tiny budget may end before the fit converges: that is a numerical
-    # error (exit 3), never an uncaught exception (exit 1)
+@pytest.fixture(scope="module")
+def fit_hist(runner, workdir):
+    """A 200 000-frame histogram of the shipped model and detectors."""
     hist = workdir / "fit_hist.csv"
     res = runner.invoke(main, [
         "simulate", "--frames", "200000", "--seed", "11", "--out", str(hist)])
     assert res.exit_code == 0, res.output
+    return hist
+
+
+def test_cli_fit_runs(runner, workdir, fit_hist):
+    # a tiny budget may end before the fit converges: that is a numerical
+    # error (exit 3), never an uncaught exception (exit 1)
     out = workdir / "fit.json"
     res = runner.invoke(main, [
-        "fit", "--histogram", str(hist), "--max-evals", "3", "--out", str(out)])
+        "fit", "--histogram", str(fit_hist), "--max-evals", "3", "--out", str(out)])
     assert res.exit_code in (0, 3), res.output
     if res.exit_code == 0:
         assert "declination" in json.loads(out.read_text())
@@ -963,6 +1079,187 @@ def test_cli_mutated_sidecar_exits_0_2_or_3(runner, workdir, sim_hist, dist3, ca
     assert "Traceback" not in res.output
     if res.exit_code != 0:
         assert not out.exists()
+
+
+#: JSON numbers for a parameter constant. The finite ones are at most 1e3 or
+#: at least 1e19: between them a frame can hold 1e9 photons, and the click
+#: sampler keeps one array entry per detected photon, gigabytes in all.
+PARAM_NUMBERS = (st.floats(max_value=1e3) | st.floats(min_value=1e19)
+                 | st.sampled_from([math.nan, math.inf, -math.inf]))
+#: text without digits: float() of a digit string would bypass PARAM_NUMBERS
+NO_DIGITS = st.text(st.characters(blacklist_categories=["Nd", "Cs"]), max_size=6)
+PARAM_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 1000) | PARAM_NUMBERS | NO_DIGITS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NO_DIGITS, inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def mutated_params(draw):
+    """The shipped parameters with one entry broken: a key or a whole
+    component missing, a component set to any JSON value, or one constant of
+    a component set to any JSON value, the other being 1."""
+    data = PAPER_TABLE_2.to_dict()
+    name = draw(st.sampled_from(PARAM_NAMES))
+    kind = draw(st.sampled_from(["missing", "component", "constant", "missing-constant"]))
+    if kind == "missing":
+        del data[name]
+    elif kind == "component":
+        data[name] = draw(PARAM_VALUES)
+    else:
+        key, other = draw(st.permutations(["M", "B"]))
+        data[name] = {other: 1.0}
+        if kind == "constant":
+            data[name][key] = draw(PARAM_VALUES)
+    return data
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=mutated_params())
+@hypothesis.example(data={**PAPER_TABLE_2.to_dict(), "noise_s": {"M": 1e20, "B": 1}})
+@hypothesis.example(data={**PAPER_TABLE_2.to_dict(), "noise_s": {"M": 1, "B": 1e20}})
+def test_cli_mutated_params_file_exits_0_2_or_3(runner, workdir, data):
+    path = workdir / "fuzzed_params.json"
+    path.write_text(json.dumps(data))
+    out = workdir / "fuzzed_params_hist.csv"
+    out.unlink(missing_ok=True)
+    res = runner.invoke(main, ["simulate", "--params-file", str(path), "--frames", "10",
+                               "--seed", "1", "--out", str(out)])
+    assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code != 0:
+        assert not out.exists()
+
+
+#: a frame CSV field: any integer, any float, or text without digits. One
+#: field changes per example, so the histogram grows on one axis at most.
+FRAME_FIELDS = (st.integers(-2**70, 2**70).map(str) | st.floats().map(repr)
+                | NO_DIGITS.filter(lambda t: "," not in t and "\n" not in t and "\r" not in t))
+
+
+@st.composite
+def mutated_frames(draw):
+    """The bytes of FRAME_TEXT with one edit: a field replaced, a field
+    dropped or added, a row repeated, the header dropped, or any one byte
+    inserted."""
+    rows = [line.split(",") for line in FRAME_TEXT.splitlines()]
+    row = draw(st.integers(1, len(rows) - 1))
+    col = draw(st.integers(0, len(FRAME_HEADER) - 1))
+    kind = draw(st.sampled_from(["field", "drop", "add", "repeat", "header", "byte"]))
+    if kind == "byte":
+        data = FRAME_TEXT.encode()
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.binary(min_size=1, max_size=1)) + data[at:]
+    if kind == "field":
+        rows[row][col] = draw(FRAME_FIELDS)
+    elif kind == "drop":
+        del rows[row][col]
+    elif kind == "add":
+        rows[row].insert(col, draw(FRAME_FIELDS))
+    elif kind == "repeat":
+        rows.append(list(rows[row]))
+    else:
+        del rows[0]
+    return ("\n".join(",".join(r) for r in rows) + "\n").encode()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=mutated_frames())
+@hypothesis.example(data=(FRAME_TEXT + "4,2,0,1,1e19\n").encode())
+@hypothesis.example(data=(FRAME_TEXT + "4,2,0,1,9.3e18\n").encode())
+@hypothesis.example(data=FRAME_TEXT.encode().replace(b"3,2", b"3,\xff"))
+def test_cli_mutated_frames_exit_0_2_or_3(runner, workdir, data):
+    path = workdir / "fuzzed_frames.csv"
+    path.write_bytes(data)
+    out = workdir / "fuzzed_ingested.csv"
+    out.unlink(missing_ok=True)
+    res = runner.invoke(main, ["ingest", "--frames", str(path), "--out", str(out)])
+    assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code == 0:
+        lines = data.decode().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert io.load_histogram(out).trials == sum(1 for l in lines[1:] if l.strip())
+    else:
+        assert not out.exists()
+
+
+@st.composite
+def mutated_payloads(draw):
+    """An edit of a ``.npy`` payload's bytes: cut short, extended, one to
+    three bytes changed (often in the 128-byte header), or the payload of
+    another table."""
+    kind = draw(st.sampled_from(["truncate", "extend", "flip", "other"]))
+    if kind == "truncate":
+        cut = draw(st.integers(1, 400))
+        return lambda data: data[:-cut]
+    if kind == "extend":
+        tail = draw(st.binary(min_size=1, max_size=16))
+        return lambda data: data + tail
+    if kind == "flip":
+        at = st.integers(0, 127) | st.integers(0, 10**6)
+        flips = draw(st.lists(st.tuples(at, st.integers(1, 255)), min_size=1, max_size=3))
+
+        def flip(data):
+            data = bytearray(data)
+            for at, mask in flips:
+                data[at % len(data)] ^= mask
+            return bytes(data)
+        return flip
+    shape = draw(st.lists(st.integers(0, 9), min_size=0, max_size=4))
+    dtype = draw(st.sampled_from(["<f8", ">f8", "<f4", "<i8", "|b1"]))
+
+    def other(data):
+        buf = BytesIO()
+        np.save(buf, np.ones(shape, dtype=dtype), allow_pickle=False)
+        return buf.getvalue()
+    return other
+
+
+PAYLOAD_READERS = {
+    "postselect": ["postselect", "--selector", "c_s", "--value", "1", "--dist"],
+    "sweep": ["sweep", "--source", "dist", "--selector", "c_s", "--range", "0:2", "--input"],
+    "ncc": ["ncc", "--criterion", "cs", "--no-ncd", "--dist"],
+    "cut": ["cut", "--kind", "diagonal", "--input"],
+}
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(edit=mutated_payloads(), command=st.sampled_from(sorted(PAYLOAD_READERS)),
+                  pinned=st.booleans())
+# a header np.load cannot tokenize
+@hypothesis.example(edit=lambda data: data.replace(b"}", b" ", 1), command="cut", pinned=True)
+def test_cli_mutated_payload_exits_0_2_or_3(runner, workdir, dist4, dist3, edit, command,
+                                            pinned):
+    """A payload whose bytes no longer match the sidecar's digest gives the
+    outputs of a deleted one; one whose digest is pinned to the new bytes
+    still exits 0, 2 or 3."""
+    source = dist4 if command in ("postselect", "sweep") else dist3
+    outputs = {}
+    for run in ("deleted", "edited"):
+        # one input path for both runs, so that their manifests may agree
+        path = copy_table(source, workdir / "fuzzed_payload.csv", lambda meta: meta)
+        npy = path.with_suffix(path.suffix + ".npy")
+        if run == "deleted":
+            npy.unlink()
+        else:
+            npy.write_bytes(edit(npy.read_bytes()))
+            if pinned:
+                side = path.with_suffix(path.suffix + ".meta.json")
+                meta = json.loads(side.read_text())
+                meta["payload"]["npy_sha256"] = io._sha256(npy)
+                side.write_text(json.dumps(meta))
+        out_dir = workdir / f"fuzzed_payload_{run}"
+        out_dir.mkdir(exist_ok=True)
+        for old in out_dir.iterdir():
+            old.unlink()
+        res = runner.invoke(main, [*PAYLOAD_READERS[command], str(path),
+                                   "--out", str(out_dir / "out.csv")])
+        assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+        assert "Traceback" not in res.output
+        outputs[run] = (res.exit_code, res.output.replace(str(out_dir), ""),
+                        {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    if not pinned:
+        assert outputs["edited"] == outputs["deleted"]
 
 
 @pytest.mark.parametrize("text", [
