@@ -197,50 +197,84 @@ def _matrices_for(labels, matrices: dict) -> list:
     return [matrices[l] for l in labels]
 
 
+#: Most pixel keys one chunk of frames holds; a frame that alone has more
+#: forms a chunk of its own.
+_KEY_CHUNK = 1 << 17
+
+
 def sample_counts(photons: np.ndarray, cfgs: dict[str, DetectorConfig],
-                  seed: int) -> np.ndarray:
+                  seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sample the clicks of each frame pixel by pixel; deterministic per seed.
 
-    ``photons`` has shape (frames, n_axes); the output matches it. ``cfgs``
-    is keyed by axis label, the columns taking the labels of ``AXIS_ORDER``.
+    ``photons`` has shape (frames, n_axes); the clicks of axis a go to
+    column a of ``out``, a new array of ``photons``' shape and dtype when
+    ``out`` is None. ``out`` may be ``photons`` itself: each photon column
+    is read in full before its click column is written, so the clicks
+    overwrite the photon table without a second frame-sized table. An
+    ``out`` that is not an int64 array of ``photons``' shape is a
+    DataError. ``cfgs`` is keyed by axis label, the columns taking the
+    labels of ``AXIS_ORDER``.
     """
     photons = np.asarray(photons)
     cfg_list = _matrices_for(fock.AXIS_ORDER[: photons.shape[1]], cfgs)
+    if out is None:
+        out = np.empty_like(photons)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64
+              and out.shape == photons.shape):
+        raise DataError(f"out must be an int64 array of shape {photons.shape}")
     rng = np.random.default_rng(seed)
-    out = np.empty_like(photons)
     for axis, cfg in enumerate(cfg_list):
-        out[:, axis] = _sample_clicks_pixelwise(photons[:, axis], cfg, rng)
+        _sample_clicks_pixelwise(photons[:, axis], cfg, rng, out[:, axis])
     return out
 
 
 def _sample_clicks_pixelwise(n: np.ndarray, cfg: DetectorConfig,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Exact per-frame click sampling for varying photon numbers.
+                             rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Exact per-frame click sampling for varying photon numbers, into ``out``.
 
     Registered photons are dropped into pixels uniformly; clicks are the
     occupied pixels plus dark pixels, counted once. The occupied-pixel
     count is formed by deduplicating the pixel draws per frame and the
     dark/photon overlap is hypergeometric.
+
+    Each kind of draw runs over all frames before the next one starts, in
+    consecutive chunks that consume the generator's stream as one draw
+    would: the Binomial thinning and the overlap in chunks of
+    ``fock.FRAME_CHUNK`` frames, the pixel keys in chunks of whole frames
+    holding at most ``_KEY_CHUNK`` keys (or one frame that alone has more),
+    the dark counts in one draw. Keys are frame-major, so deduplicating
+    them chunk by chunk is exact. ``n`` is read in full by the thinning
+    before ``out`` is written, so ``out`` may share memory with it. Beside
+    the two, the sampler holds one frame vector at a time and one chunk.
     """
     frames = n.shape[0]
     N = cfg.pixels
-    # one (frame, pixel) key per registered photon, sorted and counted once
-    # per distinct pixel; in place and freed early, so that the peak holds
-    # one key array and not a chain of photon-sized temporaries
-    keys = np.repeat(np.arange(frames, dtype=np.int64),
-                     rng.binomial(n.astype(np.int64), cfg.efficiency))
-    keys *= N
-    keys += rng.integers(0, N, size=keys.size)
-    keys.sort()
-    fresh = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    keys = keys[fresh]
-    keys //= N
-    occupied = np.bincount(keys, minlength=frames)
-    del keys, fresh
+    step = fock.FRAME_CHUNK
+    # registered photons per frame, then their running total over the frames
+    total = np.empty(frames, dtype=np.int64)
+    for lo in range(0, frames, step):
+        photons = n[lo: lo + step].astype(np.int64, copy=False)
+        total[lo: lo + step] = rng.binomial(photons, cfg.efficiency)
+    np.cumsum(total, out=total)
+    # one (frame, pixel) key per registered photon of the chunk's frames,
+    # sorted and counted once per distinct pixel
+    lo = start = 0
+    while lo < frames:
+        hi = max(lo + 1, int(np.searchsorted(total, start + _KEY_CHUNK, side="right")))
+        keys = np.repeat(np.arange(hi - lo, dtype=np.int64),
+                         np.diff(total[lo:hi], prepend=start))
+        keys *= N
+        keys += rng.integers(0, N, size=keys.size)
+        keys.sort()
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        keys //= N
+        out[lo:hi] = np.bincount(keys, minlength=hi - lo)
+        lo, start = hi, total[hi - 1]
+    del total
     dark = rng.binomial(N, cfg.dark_prob, size=frames)
-    overlap = rng.hypergeometric(dark, N - dark, occupied)
-    occupied += dark
-    occupied -= overlap
-    return occupied
-
+    for lo in range(0, frames, step):
+        occupied, d = out[lo: lo + step], dark[lo: lo + step]
+        occupied += d - rng.hypergeometric(d, N - d, occupied)
+    return out

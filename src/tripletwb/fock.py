@@ -22,6 +22,10 @@ NORM_TOL = 1e-9
 #: Mass discarded by a truncation box must stay below this unless the caller
 #: explicitly loosens it (heavy-tailed noise components need a looser box).
 TAIL_TOL = 1e-8
+#: Frames per chunk of the samplers' per-frame draws. The draws of one kind
+#: run over all frames in consecutive chunks, which consume the generator's
+#: stream as one draw would: the samples do not depend on this size.
+FRAME_CHUNK = 1 << 16
 
 
 def _check_labels(labels: Sequence[str], ndim: int) -> tuple[str, ...]:
@@ -118,11 +122,30 @@ class Histogram:
     @classmethod
     def binned(cls, clicks: np.ndarray, box: Sequence[int]) -> "Histogram":
         """Frames, one row of (c_s, c_i1, c_i2, c_i3) each, counted per cell of
-        the click box 0..box; frames outside the box are dropped."""
-        keep = np.all(clicks <= np.asarray(box), axis=1)
-        counts = np.zeros([int(c) + 1 for c in box], dtype=np.int64)
-        np.add.at(counts, tuple(clicks[keep].T), 1)
-        return cls(counts, keep.sum())
+        the click box 0..box; frames outside the box are dropped.
+
+        The table is allocated first and zeroed lazily. Each chunk of
+        ``FRAME_CHUNK`` frames forms one C-order flat cell index per frame,
+        which cannot overflow for a frame inside the allocated box, and
+        ``np.add.at`` adds its in-box frames to the table's flat view. Pages
+        no frame lands on stay untouched, so a wide sparse box costs no more
+        memory than its occupied cells, and the frames cost no more than
+        one chunk's index. The table owns its memory, and the histogram
+        takes it without a copy.
+        """
+        shape = tuple(int(c) + 1 for c in box)
+        counts = np.zeros(shape, dtype=np.int64)
+        flat, steps = counts.reshape(-1), np.asarray(counts.strides) // counts.itemsize
+        kept = 0
+        for lo in range(0, len(clicks), FRAME_CHUNK):
+            chunk = clicks[lo: lo + FRAME_CHUNK]
+            cells = (chunk @ steps)[np.all(chunk < shape, axis=1)]
+            np.add.at(flat, cells, 1)
+            kept += cells.size
+        if not kept:
+            raise DataError(f"all {len(clicks)} frames lie outside the click box "
+                            f"0..{tuple(n - 1 for n in shape)}")
+        return cls(counts, kept)
 
     def slice(self, label: str, value: int) -> "Histogram":
         """The frames at c_label = value, as a histogram over the other axes."""

@@ -210,33 +210,39 @@ def _signal_shift_matrix(pair: np.ndarray, noise: np.ndarray, signal_cutoff: int
 #: on the signal axis then stay below 2**63, and int64 holds the sum
 _MAX_FRAME_MEAN = 2.0**60
 
+#: the columns of (n_s, n_i1, n_i2, n_i3) each component adds to, in
+#: PARAM_KEYS order: a pair to the signal and its idler, a noise component
+#: to its own axis
+_COLUMNS = ((0, 1), (0, 2), (0, 3), (0,), (1,), (2,), (3,))
+
 
 def sample_photon_numbers(params: TripleTwbParams, trials: int, seed: int) -> np.ndarray:
     """Draw i.i.d. (n_s, n_i1, n_i2, n_i3) samples; deterministic per seed.
 
     Mandel-Rice variates are drawn as Gamma(M, B)-mixed Poissons, which is
-    exact for non-integer M. Returns an int64 array of shape (trials, 4).
-    A component whose Gamma draw reaches 2**60 photons is a ParameterError
-    naming it.
+    exact for non-integer M. Returns an int64 array of shape (trials, 4),
+    the one frame-sized table: each component's Gamma draw covers all
+    frames, then its Poisson draws run in chunks of ``fock.FRAME_CHUNK``
+    frames, each added straight into the component's columns. Chunks
+    consume the generator's stream as one draw would, so the samples do
+    not depend on the chunk size. A component whose Gamma draw reaches
+    2**60 photons is a ParameterError naming it.
     """
     if trials <= 0:
         raise DataError("trials must be > 0")
     rng = np.random.default_rng(seed)
-
-    def draw(name: str) -> np.ndarray:
+    out = np.zeros((trials, 4), dtype=np.int64)
+    step = fock.FRAME_CHUNK
+    for name, columns in zip(PARAM_KEYS, _COLUMNS):
         comp = getattr(params, name)
         if comp.B == 0.0:
-            return np.zeros(trials, dtype=np.int64)
+            continue
         lam = rng.gamma(comp.M, comp.B, size=trials)
         if not lam.max() < _MAX_FRAME_MEAN:
             raise ParameterError(f"{name}: M = {comp.M:g}, B = {comp.B:g} draw a frame "
                                  f"mean of {lam.max():.3g} photons, above 2**60")
-        return rng.poisson(lam).astype(np.int64)
-
-    pair_counts = [draw(k) for k in PARAM_KEYS[:3]]
-    noise = [draw(k) for k in PARAM_KEYS[3:]]
-    out = np.empty((trials, 4), dtype=np.int64)
-    out[:, 0] = pair_counts[0] + pair_counts[1] + pair_counts[2] + noise[0]
-    for j in range(3):
-        out[:, j + 1] = pair_counts[j] + noise[j + 1]
+        for lo in range(0, trials, step):
+            n = rng.poisson(lam[lo: lo + step])
+            for c in columns:
+                out[lo: lo + step, c] += n
     return out

@@ -18,7 +18,7 @@ from tripletwb.detector import (DetectionMatrix, DetectorConfig, _matrices_for,
                                 _occupancy_log_table, default_c_max)
 from tripletwb.errors import DataError, NumericalError, ParameterError
 from tripletwb.fock import AXIS_ORDER, JointDistribution, check_tail
-from tripletwb.gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF,
+from tripletwb.gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF, PARAM_KEYS,
                                 TripleTwbParams, mandel_rice_vector)
 from tripletwb.nonclassical import _laguerre_kernel, _theta
 
@@ -189,11 +189,39 @@ def compose_with_noise(paired: JointDistribution, params: TripleTwbParams,
     return JointDistribution(vals / mass, paired.axis_labels, normalized=True)
 
 
+def sample_photon_numbers_per_component(params: TripleTwbParams, trials: int,
+                                        seed: int) -> np.ndarray:
+    """``gaussian.sample_photon_numbers`` with one frame array per component.
+
+    The same draws in the same order, each over all frames at once: one
+    Gamma and one Poisson draw per component in PARAM_KEYS order, summed
+    onto the axes afterwards. The production sampler draws the Poissons in
+    chunks of frames and adds them straight into its one table.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(name: str) -> np.ndarray:
+        comp = getattr(params, name)
+        if comp.B == 0.0:
+            return np.zeros(trials, dtype=np.int64)
+        return rng.poisson(rng.gamma(comp.M, comp.B, size=trials)).astype(np.int64)
+
+    pair_counts = [draw(k) for k in PARAM_KEYS[:3]]
+    noise = [draw(k) for k in PARAM_KEYS[3:]]
+    out = np.empty((trials, 4), dtype=np.int64)
+    out[:, 0] = pair_counts[0] + pair_counts[1] + pair_counts[2] + noise[0]
+    for j in range(3):
+        out[:, j + 1] = pair_counts[j] + noise[j + 1]
+    return out
+
+
 def sample_clicks_pixelwise_copying(n: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
     """``detector._sample_clicks_pixelwise`` with a fresh array per step.
 
-    The same draws in the same order; the production sampler works on one
-    key array in place to bound its peak memory.
+    The same draws in the same order, each over all frames at once: one
+    key array of every registered photon, sorted as a whole. The
+    production sampler draws each kind in chunks of frames, with at most
+    ``detector._KEY_CHUNK`` keys per chunk unless one frame alone has more.
     """
     frames = n.shape[0]
     N = cfg.pixels
@@ -207,6 +235,18 @@ def sample_clicks_pixelwise_copying(n: np.ndarray, cfg, rng: np.random.Generator
     dark = rng.binomial(N, cfg.dark_prob, size=frames)
     overlap = rng.hypergeometric(dark, N - dark, occupied)
     return occupied + dark - overlap
+
+
+def binned_tuple_index(clicks: np.ndarray, box: Sequence[int]) -> fock.Histogram:
+    """``fock.Histogram.binned`` with one index array per axis.
+
+    ``np.add.at`` on the 4D table with the tuple of the in-box frames'
+    columns; the production route adds one flat cell index per frame.
+    """
+    keep = np.all(clicks <= np.asarray(box), axis=1)
+    counts = np.zeros([int(c) + 1 for c in box], dtype=np.int64)
+    np.add.at(counts, tuple(clicks[keep].T), 1)
+    return fock.Histogram(counts, keep.sum())
 
 
 def _binomial_log_pmf(n: int, p: float, k: np.ndarray) -> np.ndarray:

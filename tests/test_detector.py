@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2, ncx2
 
+from tripletwb import detector, fock
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 _sample_clicks_pixelwise, default_c_max, detection_matrix,
                                 forward_counts, sample_counts)
 from tripletwb.errors import DataError, ParameterError
-from tripletwb.fock import JointDistribution, contract
+from tripletwb.fock import FRAME_CHUNK, JointDistribution, contract
+from tripletwb.gaussian import PAPER_TABLE_2, sample_photon_numbers
 
 from tests.oracles import (detection_matrix_alternating, detection_matrix_loop,
                            forward_counts_then_normalized, sample_clicks_pixelwise_copying)
@@ -221,16 +223,17 @@ def test_monte_carlo_gate_rejects_biased_efficiency():
 
 
 def test_pixel_sampler_peak_memory():
-    # about one int64 key per registered photon (7.5 per frame here) and
-    # the per-frame draws: ~128 MiB. A dense (frames, max registered)
-    # pixel table does not fit under the bound.
+    # the photon and click columns, one frame vector at a time (8 MB each)
+    # and one chunk of at most 2**17 keys: ~25 MiB. One key per registered
+    # photon (7.5 per frame here) would need ~57 MiB more, and a dense
+    # (frames, max registered) pixel table far more.
     tracemalloc.start()
     try:
         sample_counts(np.full((10**6, 1), 32), {"s": PAPER_TABLE_1["s"]}, 129)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +339,47 @@ def test_sample_counts_deterministic():
     assert not np.array_equal(a, c)
 
 
+def pixelwise_pair(n, cfg, seed):
+    """The production sampler and its copying reference on the same stream."""
+    got = _sample_clicks_pixelwise(n, cfg, np.random.default_rng(seed), np.empty_like(n))
+    return got, sample_clicks_pixelwise_copying(n, cfg, np.random.default_rng(seed))
+
+
 @pytest.mark.parametrize("label", ["s", "i1"])
 def test_pixelwise_sampler_matches_copying_reference(label):
+    # three frame chunks and a remainder, several key chunks, and frames
+    # whose registered photons alone exceed one key chunk: first, last,
+    # back to back and on a frame-chunk boundary
     cfg = PAPER_TABLE_1[label]
-    n = np.random.default_rng(4).poisson(6.0, size=20_000)
-    got = _sample_clicks_pixelwise(n, cfg, np.random.default_rng(5))
-    want = sample_clicks_pixelwise_copying(n, cfg, np.random.default_rng(5))
+    n = np.random.default_rng(4).poisson(6.0, size=3 * FRAME_CHUNK + 4321)
+    assert (n * cfg.efficiency).sum() > 2 * detector._KEY_CHUNK
+    n[[0, 7, 8, FRAME_CHUNK, n.size - 1]] = 4 * detector._KEY_CHUNK
+    got, want = pixelwise_pair(n, cfg, 5)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("frame_chunk, key_chunk", [(1, 1), (7, 13), (64, 3), (1000, 5000)])
+def test_pixelwise_sampler_is_independent_of_the_chunk_sizes(monkeypatch, frame_chunk,
+                                                              key_chunk):
+    monkeypatch.setattr(fock, "FRAME_CHUNK", frame_chunk)
+    monkeypatch.setattr(detector, "_KEY_CHUNK", key_chunk)
+    n = np.random.default_rng(6).poisson(9.0, size=997)
+    n[[3, 500]] = 200
+    got, want = pixelwise_pair(n, PAPER_TABLE_1["i2"], 8)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sample_counts_writes_over_the_photon_table():
+    photons = sample_photon_numbers(PAPER_TABLE_2, 3 * FRAME_CHUNK + 999, 3)
+    want = sample_counts(photons.copy(), PAPER_TABLE_1, 4)
+    got = sample_counts(photons, PAPER_TABLE_1, 4, out=photons)
+    assert got is photons
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((10, 4), dtype=np.int32), np.zeros((10, 3), dtype=np.int64),
+    np.zeros((10, 4)), [[0] * 4] * 10])
+def test_sample_counts_rejects_a_bad_out(out):
+    with pytest.raises(DataError, match="out must be an int64 array of shape"):
+        sample_counts(np.ones((10, 4), dtype=np.int64), PAPER_TABLE_1, 1, out=out)

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletwb.errors import DataError
-from tripletwb.fock import (AXIS_ORDER, Histogram, JointDistribution,
+from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, Histogram, JointDistribution,
                             apply_matrix, condition, contract, falling_factorial,
                             marginalize, normalize)
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
 from tripletwb.nonclassical import intensity_moments
+
+from tests.oracles import binned_tuple_index
 
 
 def table(values, labels, normalized=True):
@@ -83,6 +85,24 @@ def test_binned_counts_frames_inside_the_box():
     assert h.counts.shape == (3, 2, 1, 2)
     assert h.trials == 3  # the frame with c_s = 3 lies outside the box
     assert h.counts[0, 1, 0, 0] == 2 and h.counts[2, 1, 0, 1] == 1
+
+
+def test_binned_matches_tuple_index_reference():
+    # three frame chunks and a remainder; about a third of the frames lie
+    # outside the box, on one axis or several
+    clicks = np.random.default_rng(2).poisson((8.0, 3.0, 3.0, 3.0),
+                                              size=(3 * FRAME_CHUNK + 777, 4))
+    box = (9, 4, 5, 3)
+    got, want = Histogram.binned(clicks, box), binned_tuple_index(clicks, box)
+    assert got.trials == want.trials < 0.8 * len(clicks)
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert got.counts.base is None  # the table is the one binned filled
+
+
+def test_binned_with_every_frame_outside_the_box_names_it():
+    clicks = np.array([[5, 0, 0, 0], [0, 0, 0, 9]])
+    with pytest.raises(DataError, match=r"all 2 frames lie outside the click box 0..\(4, 1, 1, 1\)"):
+        Histogram.binned(clicks, (4, 1, 1, 1))
 
 
 def sliced_histogram():

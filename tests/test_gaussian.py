@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from tripletwb import io
+from tripletwb import fock, io
 from tripletwb.errors import CutoffError, DataError, ParameterError
-from tripletwb.fock import AXIS_ORDER, JointDistribution, contract, marginalize
+from tripletwb.fock import AXIS_ORDER, FRAME_CHUNK, JointDistribution, contract, marginalize
 from tripletwb.gaussian import (PAPER_TABLE_2, GaussianFieldModel,
                                 MandelRiceComponent, TripleTwbParams,
                                 mandel_rice_pmf, mandel_rice_vector,
                                 sample_photon_numbers)
 
-from tests.oracles import compose_with_noise, model_moments, paired_part
+from tests.oracles import (compose_with_noise, model_moments, paired_part,
+                           sample_photon_numbers_per_component)
 
 
 def zero(M=1.0):
@@ -211,6 +212,21 @@ def test_sampling_chi_square_against_composed_table(model4):
         keep = exp >= 5.0
         stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
         assert stat < chi2.ppf(0.99, keep.sum() - 1)
+
+
+@pytest.mark.parametrize("trials", [1, FRAME_CHUNK, 3 * FRAME_CHUNK + 4321])
+def test_sampler_matches_per_component_reference(trials):
+    np.testing.assert_array_equal(sample_photon_numbers(PAPER_TABLE_2, trials, 19),
+                                  sample_photon_numbers_per_component(PAPER_TABLE_2, trials, 19))
+
+
+@pytest.mark.parametrize("frame_chunk", [1, 7, 1000])
+def test_sampler_is_independent_of_the_chunk_size(monkeypatch, frame_chunk):
+    # a B = 0 component draws nothing, on either route
+    params = dataclasses.replace(PAPER_TABLE_2, noise_i2=zero())
+    want = sample_photon_numbers_per_component(params, 2345, 23)
+    monkeypatch.setattr(fock, "FRAME_CHUNK", frame_chunk)
+    np.testing.assert_array_equal(sample_photon_numbers(params, 2345, 23), want)
 
 
 def test_sampling_rejects_empty_request():

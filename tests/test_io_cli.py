@@ -1,7 +1,10 @@
 """File formats and the command-line pipelines."""
 import csv
+import hashlib
 import json
 import math
+import re
+import tracemalloc
 import types
 from io import BytesIO
 
@@ -409,6 +412,52 @@ def test_cli_ingest(runner, workdir, sim_hist):
     shared = tuple(slice(0, min(a, b)) for a, b in zip(sim.shape, h.counts.shape))
     assert sim[shared].sum() == sim.sum()
     np.testing.assert_array_equal(h.counts[shared], sim[shared])
+
+
+def test_cli_simulate_keeps_its_stream(runner, tmp_path):
+    # digests of the files this command wrote before the samplers drew in
+    # chunks and wrote the clicks over the photon table
+    res = runner.invoke(main, [
+        "simulate", "--frames", "20000", "--seed", "7", "--out", str(tmp_path / "hist.csv"),
+        "--frames-out", str(tmp_path / "frames.csv")])
+    assert res.exit_code == 0, res.output
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("hist.csv", "frames.csv")}
+    assert digests == {
+        "hist.csv": "dcdbb870d86a88e161c61d38995a4d5a0793ec31abe2152d682bcec3dea76ef8",
+        "frames.csv": "8d63c9951700df427f1f216e80428a29695f4247eb760f046fac43847fecd9a4"}
+
+
+def test_cli_simulate_peak_memory(runner, tmp_path):
+    # one (frames x 4) int64 table of 32 MB, written over by the clicks,
+    # plus frame vectors and chunks; the per-component draws and a separate
+    # click table needed about 97 MB
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["simulate", "--frames", "1000000", "--seed", "7",
+                                   "--out", str(tmp_path / "hist.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert peak <= 60e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("tail_tol, match", [
+    (None, r"10 of 10 simulated frames beyond the click box 0..\(42, 30, 30, 30\)"),
+    ("1", r"all 10 frames lie outside the click box 0..\(42, 30, 30, 30\)")])
+def test_cli_simulate_with_every_frame_outside_the_box_names_it(runner, tmp_path,
+                                                                 tail_tol, match):
+    params = PAPER_TABLE_2.to_dict()
+    params["noise_s"] = {"M": 1, "B": 1e7}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    res = runner.invoke(main, ["simulate", "--params-file", str(path), "--frames", "10",
+                               "--seed", "1", "--out", str(tmp_path / "hist.csv")]
+                        + (["--tail-tol", tail_tol] if tail_tol else []))
+    assert res.exit_code == 2, res.output
+    assert re.search(match, res.output), res.output
+    assert "empty histogram" not in res.output and not (tmp_path / "hist.csv").exists()
 
 
 def test_cli_ingest_duplicate_frames_exits_2(runner, workdir):
