@@ -11,10 +11,10 @@ matrix
              * sum_{l=0}^{c} C(c,l) (-1)^l (1-d)^(-l) [1 + l eta/(N(1-eta))]^n.
 
 The alternating sum loses precision for large c, so the matrix is built
-from the equivalent positive-term occupancy decomposition (Binomial
-thinning -> occupancy of distinct pixels -> Binomial dark counts), which is
-stable to machine precision. The tests evaluate the alternating form
-directly as a cross-check (``tests/oracles.py``).
+from the equivalent positive-term occupancy decomposition T = D R: a
+Markov chain over the distinct pixels hit (R), then the Binomial dark
+counts of the idle pixels (D). The tests evaluate the alternating form,
+and T = D R in exact arithmetic, as cross-checks (``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .errors import DataError, NumericalError, ParameterError
@@ -98,65 +97,32 @@ class DetectionMatrix:
         return self.entries.shape[1] - 1
 
 
-def _occupancy_log_table(k_max: int, pixels: int) -> np.ndarray:
-    """log P(j distinct occupied pixels | k registered photons), shape (k+1, k+1).
-
-    P(j|k) = C(N,j) S2(k,j) j! / N^k with S2 the Stirling numbers of the
-    second kind (occupancy distribution of k balls in N boxes).
-    """
-    # log-space Stirling recurrence S2(k,j) = j S2(k-1,j) + S2(k-1,j-1)
-    log_s2 = np.full((k_max + 1, k_max + 1), -np.inf)
-    log_s2[0, 0] = 0.0
-    for k in range(1, k_max + 1):
-        j = np.arange(1, k + 1)
-        log_s2[k, 1: k + 1] = np.logaddexp(
-            np.log(j) + log_s2[k - 1, 1: k + 1], log_s2[k - 1, 0: k])
-    logp = np.full((k_max + 1, k_max + 1), -np.inf)
-    logp[0, 0] = 0.0
-    logN = math.log(pixels)
-    for k in range(1, k_max + 1):
-        j = np.arange(1, min(k, pixels) + 1)
-        logp[k, j] = (gammaln(pixels + 1) - gammaln(pixels - j + 1)
-                      - k * logN + log_s2[k, j])
-    return logp
-
-
-def _binomial_pmf(n: np.ndarray, p: float, k: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) pmf at k, broadcast over n and k; zero where k > n."""
-    n, k = np.broadcast_arrays(np.asarray(n, dtype=np.float64), np.asarray(k, dtype=np.float64))
-    inside = (k >= 0) & (k <= n)
-    if p == 0.0:
-        return np.where(inside & (k == 0), 1.0, 0.0)
-    if p == 1.0:
-        return np.where(inside & (k == n), 1.0, 0.0)
-    nn, kk = np.where(inside, n, 0.0), np.where(inside, k, 0.0)
-    logp = (gammaln(nn + 1) - gammaln(kk + 1) - gammaln(nn - kk + 1)
-            + kk * math.log(p) + (nn - kk) * math.log1p(-p))
-    return np.where(inside, np.exp(logp), 0.0)
-
-
 def detection_matrix(cfg: DetectorConfig, n_max: int,
                      c_max: int | None = None) -> DetectionMatrix:
     """Build T(c|n) for n <= n_max, c <= c_max (defaults to `default_c_max`).
 
-    T = D O B, three column-stochastic stages: B[k, n] is the Binomial(n, eta)
-    thinning to k registered photons, O[j, k] the occupancy of j distinct
-    pixels by k photons, and D[c, j] = Binomial(N - j, d)(c - j) adds the
-    dark counts of the N - j idle pixels on the rows c >= j. Occupancies
-    j > c_max have no row and lose their mass, which the column check
-    reports.
+    T = D R, two column-stochastic stages of positive terms. R[j, n] is the
+    law of the number j of distinct pixels hit by n arriving photons, a
+    Markov chain in which each photon moves j to j + 1 with probability
+    eta (N - j)/N (registered, on a fresh pixel). D[c, j] =
+    Binomial(N - j, d)(c - j) adds the dark counts of the N - j idle pixels.
+    Occupancies j > c_max have no row and lose their mass, which the
+    column check reports.
     """
     if c_max is None:
         c_max = default_c_max(cfg, n_max)
     if c_max > cfg.pixels:
         raise ParameterError(f"c_max {c_max} exceeds pixel count {cfg.pixels}")
     N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
-    ks = np.arange(n_max + 1)
-    thin = _binomial_pmf(ks[None, :], eta, ks[:, None])
-    occupancy = np.exp(_occupancy_log_table(n_max, N)).T
-    cs = np.arange(c_max + 1)
-    dark = _binomial_pmf(N - ks[None, :], d, cs[:, None] - ks[None, :])
-    T = dark @ (occupancy @ thin)
+    js = np.arange(n_max + 1)
+    fresh = eta * np.maximum(N - js, 0) / N
+    stay = (1.0 - eta) + eta * np.minimum(js, N) / N
+    occupancy = np.eye(n_max + 1)  # column 0 is j = 0; the chain writes the others
+    for n in range(n_max):
+        occupancy[:, n + 1] = stay * occupancy[:, n]
+        occupancy[1:, n + 1] += fresh[:-1] * occupancy[:-1, n]
+    dark = fock.binomial_table(c_max + 1, np.maximum(N - js, 0), d, 1.0 - d)
+    T = fock.shifted_columns(dark, c_max + 1) @ occupancy
     deficit = np.abs(T.sum(axis=0) - 1.0).max()
     if deficit > COLUMN_TOL:
         raise NumericalError(

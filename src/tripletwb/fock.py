@@ -8,6 +8,7 @@ live in :mod:`tripletwb.nonclassical`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,6 +27,8 @@ TAIL_TOL = 1e-8
 #: run over all frames in consecutive chunks, which consume the generator's
 #: stream as one draw would: the samples do not depend on this size.
 FRAME_CHUNK = 1 << 16
+#: Most cells a binned histogram may hold: 2**28 int64 counts, 2 GiB.
+MAX_CELLS = 1 << 28
 
 
 def _check_labels(labels: Sequence[str], ndim: int) -> tuple[str, ...]:
@@ -131,9 +134,13 @@ class Histogram:
         no frame lands on stay untouched, so a wide sparse box costs no more
         memory than its occupied cells, and the frames cost no more than
         one chunk's index. The table owns its memory, and the histogram
-        takes it without a copy.
+        takes it without a copy. A box of more than ``MAX_CELLS`` cells is
+        a DataError, raised before any allocation.
         """
         shape = tuple(int(c) + 1 for c in box)
+        if math.prod(shape) > MAX_CELLS:
+            raise DataError(f"click box 0..{tuple(n - 1 for n in shape)} has {math.prod(shape)} "
+                            f"cells, above the {MAX_CELLS} a histogram may hold")
         counts = np.zeros(shape, dtype=np.int64)
         flat, steps = counts.reshape(-1), np.asarray(counts.strides) // counts.itemsize
         kept = 0
@@ -233,6 +240,45 @@ def _read_moments(mixed: np.ndarray, labels) -> dict:
     cov = {(la, lb): moment(a, b) - means[la] * means[lb]
            for a, la in enumerate(labels) for b, lb in enumerate(labels)}
     return {"mean": means, "cov": cov}
+
+
+def law_table(start: np.ndarray, log_start: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """Columns of pmfs t[k, i] = start[i] prod_{l < k} ratios[l, i], k <= len(ratios).
+
+    One ``np.cumprod`` of positive factors down the rows of [start; ratios].
+    A column whose start is below the smallest normal float (a heavy dark
+    rate's (1 - d)^N, say) is summed as exp(log_start + cumsum(log ratios))
+    instead, good to about |log_start| units in the last place.
+    """
+    table = np.cumprod(np.vstack([start, ratios]), axis=0)
+    lost = start < np.finfo(np.float64).tiny
+    if lost.any():
+        with np.errstate(divide="ignore"):
+            logs = np.vstack([log_start[lost], np.log(ratios[:, lost])])
+        table[:, lost] = np.exp(np.cumsum(logs, axis=0))
+    return table
+
+
+def binomial_table(rows: int, n, p: float, q: float) -> np.ndarray:
+    """B[k, i] = Binomial(n[i], p)(k) for k < rows, one column per trial count n[i].
+
+    The caller passes ``q`` = 1 - p (> 0), so neither is formed here by a
+    subtraction. Each column starts at q^n, taken from the smaller of p
+    and q, and runs by the term ratios (n - k) p / ((k + 1) q).
+    """
+    n = np.asarray(n, dtype=np.float64)
+    k = np.arange(rows - 1, dtype=np.float64)[:, None]
+    log_start = n * (math.log(q) if q <= p else math.log1p(-p))
+    return law_table(q ** n if q <= p else np.exp(log_start), log_start,
+                     np.maximum(n - k, 0.0) * p / ((k + 1.0) * q))
+
+
+def shifted_columns(table: np.ndarray, rows: int) -> np.ndarray:
+    """X[r, j] = table[r - j, j] for r >= j, else 0: column j moved down j rows."""
+    lag = np.arange(rows)[:, None] - np.arange(table.shape[1])
+    out = table[np.maximum(lag, 0), np.arange(table.shape[1])]
+    out[lag < 0] = 0.0
+    return out
 
 
 def falling_factorial(n: np.ndarray, k: int) -> np.ndarray:

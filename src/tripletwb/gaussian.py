@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .errors import DataError, ParameterError
@@ -111,23 +110,29 @@ PAPER_TABLE_2 = TripleTwbParams(
 PAPER_TABLE_2_MEANS = (2.62, 2.71, 2.70, 0.070, 0.089, 0.00025, 0.024)
 
 
-def mandel_rice_pmf(n, component: MandelRiceComponent) -> np.ndarray | float:
-    """Mandel-Rice pmf Gamma(n+M)/(n! Gamma(M)) B^n / (1+B)^(n+M), in log space."""
-    c = component
-    narr = np.asarray(n, dtype=np.float64)
-    if np.any(narr < 0):
-        raise ParameterError("occupation number must be >= 0")
-    if c.B == 0.0:
-        out = np.where(narr == 0, 1.0, 0.0)
-        return float(out) if np.isscalar(n) else out
-    logp = (gammaln(narr + c.M) - gammaln(narr + 1.0) - gammaln(c.M)
-            + narr * np.log(c.B) - (narr + c.M) * np.log1p(c.B))
-    out = np.exp(logp)
-    return float(out) if np.isscalar(n) else out
+def mandel_rice_table(rows: int, M, B: float) -> np.ndarray:
+    """T[k, i] = MR(M[i], B)(k) = Gamma(k+M)/(k! Gamma(M)) B^k / (1+B)^(k+M), k < rows.
+
+    Each column starts at (1+B)^-M and runs by the term ratios
+    (k+M) B / ((k+1)(1+B)) (``fock.law_table``).
+    """
+    M = np.atleast_1d(np.asarray(M, dtype=np.float64))
+    k = np.arange(rows - 1, dtype=np.float64)[:, None]
+    log_start = -M * math.log1p(B)
+    return fock.law_table(np.exp(log_start), log_start, (k + M) * B / ((k + 1.0) * (1.0 + B)))
 
 
 def mandel_rice_vector(n_max: int, component: MandelRiceComponent) -> np.ndarray:
-    return mandel_rice_pmf(np.arange(n_max + 1), component)
+    return mandel_rice_table(n_max + 1, component.M, component.B)[:, 0]
+
+
+def mandel_rice_pmf(n, component: MandelRiceComponent) -> np.ndarray | float:
+    """Mandel-Rice pmf Gamma(n+M)/(n! Gamma(M)) B^n / (1+B)^(n+M) at integers n >= 0."""
+    k = np.asarray(n).astype(np.int64)
+    if np.any(k < 0) or np.any(k != np.asarray(n)):
+        raise ParameterError("occupation number must be an integer >= 0")
+    out = mandel_rice_vector(int(k.max(initial=0)), component)[k]
+    return float(out) if np.isscalar(n) else out
 
 
 @dataclass(frozen=True)
@@ -191,18 +196,12 @@ def _signal_shift_matrix(pair: np.ndarray, noise: np.ndarray, signal_cutoff: int
     the signal axis u with the pairs of k photons (k <= t - u) and spreads
     each over the idler values m >= k with the idler noise.
     """
-    size = pair.size
-    k = np.arange(size)
-    lag = k[None, :] - k[:, None]  # m - k
-    a = np.where(lag >= 0, noise[np.clip(lag, 0, size - 1)], 0.0) * pair[:, None]
-    # pairs of k > s photons cannot fit under the signal cutoff; the zero
-    # row s + 1 serves every t < u
-    padded = np.zeros((signal_cutoff + 2, size))
-    rows = min(size, signal_cutoff + 1)
-    padded[:rows] = a[:rows]
+    # a[k, m] = A(k, m); rows k > s are never read (pairs that cannot fit
+    # under the signal cutoff), and the zero last row serves every t < u
+    a = np.zeros((max(pair.size, signal_cutoff + 1) + 1, pair.size))
+    a[:pair.size] = fock.shifted_columns(noise[:, None] * pair, pair.size).T
     t = np.arange(signal_cutoff + 1)
-    shift = t[:, None] - t[None, :]
-    b = padded[np.where(shift >= 0, shift, signal_cutoff + 1)]  # [t, u, m]
+    b = a[np.where(t[:, None] >= t, t[:, None] - t, -1)]  # [t, u, m]
     return b.transpose(0, 2, 1).reshape(-1, signal_cutoff + 1)
 
 

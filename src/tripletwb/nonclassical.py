@@ -14,10 +14,12 @@ formula gives the s-ordered probabilities
 
     p_s(n) = sum_k (-1)^|k| <W^(n+k)>_s / (prod_j n_j! k_j!),
 
-an alternating multivariate series whose exact partial resummation is a
-per-beam convolution with the Mandel-Rice pmf of (M_j, theta): adding Gamma
-intensity noise adds thermal counts. Both evaluations are provided; the
-resummed form is the default because the raw series degrades near s = -1.
+an alternating multivariate series whose exact resummation is, per beam,
+a stochastic matrix: a Binomial(m, 1/(1+theta)) thinning of m photons to
+j, then an NB shift by the Mandel-Rice counts of (M_j + j, theta). Both
+evaluations are provided; the resummed form is the default because the
+raw series degrades near s = -1. Its tables, like the ordering matrix and
+the kernel coefficients, are running products of positive factors.
 
 Both criterion families are one moment-matrix determinant, taken on the
 s-ordered intensity moments or on the weighted quasi-probabilities
@@ -32,11 +34,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import fock
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fock import JointDistribution, falling_factorial
+from .gaussian import mandel_rice_table
 
 S_MIN = -0.999  # lowest ordering the depth search tries: tau = 1 below it
 S_TOL = 1e-3  # the bisection stops at this width in s
@@ -179,13 +181,10 @@ def _ordering_matrix(k_max: int, s: float, M: float) -> np.ndarray:
     photons per mode, which is the defining property of the s-ordered
     smoothing of each mode by a Gaussian of variance theta.
     """
-    th = _theta(s)
-    S = np.zeros((k_max + 1, k_max + 1))
-    for k in range(k_max + 1):
-        for l in range(k + 1):
-            S[k, l] = (math.comb(k, l) * th ** (k - l)
-                       * math.exp(gammaln(M + k) - gammaln(M + l)))
-    return S
+    k = np.arange(k_max + 1)
+    rising = np.cumprod(np.append(1.0, M + k[:-1]))  # Gamma(M + k)/Gamma(M)
+    comb = np.array([[math.comb(a, b) for b in k] for a in k], dtype=np.float64)  # 0 for l > k
+    return comb * _theta(s) ** np.maximum(k[:, None] - k, 0) * rising[:, None] / rising
 
 
 def s_transform_moments(m: IntensityMoments, s_target: float,
@@ -207,6 +206,8 @@ def _series_smoothing_matrix(n_max: int, m_max: int, s: float, M: float) -> np.n
     ``_SERIES_TAIL_TOL``; no convergence by ``_SERIES_K_CAP`` terms raises
     NumericalError (use the resummed route instead).
     """
+    from scipy.special import gammaln, logsumexp  # here: the package starts without it
+
     th = _theta(s)
     if th == 0.0:
         eye = np.eye(n_max + 1, m_max + 1)
@@ -260,31 +261,20 @@ def _resummed_smoothing_matrix(n_max: int, m_max: int, s: float, M: float) -> np
     """Exact sum of the series, written as a nonnegative stochastic matrix.
 
     Smoothing an M-mode field to ordering s adds theta mean noise photons
-    per mode, so the column for occupation m is the photocount law of a
-    coherent signal superposed with M-mode thermal noise, expanded in the
-    Poisson basis:
+    per mode. The column for occupation m is a Binomial thinning of the m
+    photons to j, then an NB shift by the Mandel-Rice counts of M + j modes:
 
-        A[n, m] = theta^n / (1+theta)^(n+M) * Gamma(n+M) * m!
-                  * sum_j c2^j a^(m-j) / (Gamma(M+j) (n-j)! j! (m-j)!)
+        A[n, m] = sum_j Binomial(m, 1/(1+theta))(j) MR(M + j, theta)(n - j).
 
-    with a = theta/(1+theta), c2 = 1/(theta (1+theta)). It maps any
-    Mandel-Rice law (M, B) exactly to (M, B + theta).
+    It maps any Mandel-Rice law (M, B) exactly to (M, B + theta).
     """
     th = _theta(s)
     if th == 0.0:
         return np.eye(n_max + 1, m_max + 1)
-    log_a = math.log(th) - math.log1p(th)
-    log_c2 = -math.log(th) - math.log1p(th)
-    n = np.arange(n_max + 1, dtype=np.float64)[:, None, None]
-    m = np.arange(m_max + 1, dtype=np.float64)[None, :, None]
-    j = np.arange(min(n_max, m_max) + 1, dtype=np.float64)[None, None, :]
-    # log-terms over (n, m, j); the sum runs over j <= min(n, m) only
-    logs = (n * math.log(th) - (n + M) * math.log1p(th) + gammaln(n + M)
-            + gammaln(m + 1.0) + j * log_c2 + (m - j) * log_a
-            - gammaln(M + j) - gammaln(np.maximum(n - j, 0.0) + 1.0)
-            - gammaln(j + 1.0) - gammaln(np.maximum(m - j, 0.0) + 1.0))
-    logs = np.where((j <= n) & (j <= m), logs, -np.inf)
-    return np.exp(logsumexp(logs, axis=-1))
+    j_max = min(n_max, m_max)
+    thin = fock.binomial_table(j_max + 1, np.arange(m_max + 1), 1.0 / (1.0 + th), th / (1.0 + th))
+    noise = mandel_rice_table(n_max + 1, M + np.arange(j_max + 1), th)
+    return fock.shifted_columns(noise, n_max + 1) @ thin
 
 
 def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
@@ -305,12 +295,8 @@ def quasi_probabilities(d: JointDistribution, s: float, modes: Sequence[float],
     vals = d.values
     if method == "resummed":
         # axes that share (box, size, M) share one matrix, built once per call
-        built = {}
-        mats = []
-        for nb, size, M in zip(boxes, vals.shape, modes):
-            if (nb, size, M) not in built:
-                built[nb, size, M] = _resummed_smoothing_matrix(nb, size - 1, s, M)
-            mats.append(built[nb, size, M])
+        build = functools.cache(lambda nb, size, M: _resummed_smoothing_matrix(nb, size - 1, s, M))
+        mats = [build(nb, size, M) for nb, size, M in zip(boxes, vals.shape, modes)]
         return QuasiProbabilityTable(fock.contract(vals, mats), s, modes)
     if method != "series":
         raise DataError(f"unknown method {method!r}")
@@ -492,7 +478,7 @@ _LAGUERRE_GUARD = 1e250
 def _laguerre_kernel(w: np.ndarray, n_max: int, s: float, M: float) -> np.ndarray:
     """Kernel table K_{s,M}(W, n), shape (w.size, n_max + 1).
 
-    K_{s,M}(W, n) = 2/(1-s) (2W/(1-s))^(M-1) exp(-2W/(1-s))
+    K_{s,M}(W, n) = 2/(1-s) (2W/(1-s))^(M-1) exp(-2W/(1-s)) / Gamma(M)
                     n! Gamma(M) / Gamma(n+M) ((s+1)/(s-1))^n L_n^(M-1)(4W/(1-s^2)),
 
     evaluated by the upward three-term recurrence in n,
@@ -502,17 +488,19 @@ def _laguerre_kernel(w: np.ndarray, n_max: int, s: float, M: float) -> np.ndarra
     w = np.asarray(w, dtype=np.float64)
     y = 2.0 * w / (1.0 - s)
     x = 4.0 * w / (1.0 - s * s)
-    pref = (2.0 / (1.0 - s)) * np.exp((M - 1.0) * np.log(np.maximum(y, 1e-300)) - y)
+    # the Gamma(M) density in one exponent: past M = 171 its factors overflow alone
+    pref = 2.0 / (1.0 - s) * np.exp((M - 1.0) * np.log(np.maximum(y, 1e-300)) - y - math.lgamma(M))
     ratio = (s + 1.0) / (s - 1.0)
     out = np.empty((w.size, n_max + 1), dtype=np.float64)
     lm1 = np.zeros_like(w)
     l0 = np.ones_like(w)
     a = M - 1.0
+    cn = 1.0  # n! Gamma(M)/Gamma(n+M) ratio^n, a running product in n
     for n in range(n_max + 1):
-        cn = np.exp(gammaln(n + 1.0) - gammaln(n + M)) * ratio**n
         out[:, n] = pref * cn * l0
         lnext = ((2 * n + 1 + a - x) * l0 - (n + a) * lm1) / (n + 1.0)
         lm1, l0 = l0, lnext
+        cn *= (n + 1.0) / (n + M) * ratio
         if np.max(np.abs(l0)) > _LAGUERRE_GUARD:
             raise NumericalError(f"Laguerre recurrence overflow at n = {n + 1}")
     return out

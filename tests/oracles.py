@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import csv
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 from typing import Sequence
 
@@ -14,8 +17,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from tripletwb import emrec, fock
-from tripletwb.detector import (DetectionMatrix, DetectorConfig, _matrices_for,
-                                _occupancy_log_table, default_c_max)
+from tripletwb.detector import DetectionMatrix, DetectorConfig, _matrices_for, default_c_max
 from tripletwb.errors import DataError, NumericalError, ParameterError
 from tripletwb.fock import AXIS_ORDER, JointDistribution, check_tail
 from tripletwb.gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF, PARAM_KEYS,
@@ -249,42 +251,50 @@ def binned_tuple_index(clicks: np.ndarray, box: Sequence[int]) -> fock.Histogram
     return fock.Histogram(counts, keep.sum())
 
 
-def _binomial_log_pmf(n: int, p: float, k: np.ndarray) -> np.ndarray:
-    if p == 0.0:
-        return np.where(k == 0, 0.0, -np.inf)
-    if p == 1.0:
-        return np.where(k == n, 0.0, -np.inf)
-    return (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            + k * math.log(p) + (n - k) * math.log1p(-p))
+def _binomial_terms(n: int, p: Decimal, q: Decimal, k_max: int) -> list[Decimal]:
+    """Binomial(n, p)(k) for k <= k_max, each term C(n, k) p^k q^(n-k) on its own."""
+    def power(x, e):
+        return Decimal(1) if e == 0 else x ** e  # Decimal refuses 0 ** 0
+    return [comb(n, k) * power(p, k) * power(q, n - k) if k <= n else Decimal(0)
+            for k in range(k_max + 1)]
 
 
 def detection_matrix_loop(cfg: DetectorConfig, n_max: int, c_max: int) -> np.ndarray:
-    """The occupancy route of ``detector.detection_matrix``, one column term at a time.
+    """T(c|n) by the occupancy decomposition in exact and 40-digit arithmetic.
 
-    For each n, k registered photons and j occupied pixels it adds
-    B(k|n) O(j|k) times the Binomial(N - j, d) dark-count pmf on rows c >= j.
-    Unnormalized and unchecked: the raw T(c|n) before the column check.
+    T(c|n) = sum_k Bin(n, eta)(k) sum_j O(j|k) Bin(N - j, d)(c - j), with
+    O(j|k) = C(N, j) S2(k, j) j! / N^k the law of the number j of distinct
+    pixels hit by k registered photons. The Stirling numbers S2 and O are
+    exact Python integers and fractions; the Binomial terms and the sums
+    are ``decimal`` at 40 digits, from the exact binary values of eta and
+    d. Shares no helper with ``tripletwb.detector``. Unnormalized and
+    unchecked: the raw T(c|n) before the column check, rounded once to
+    float.
     """
-    N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
-    ks = np.arange(n_max + 1)
-    occ_log = _occupancy_log_table(n_max, N)
-    T = np.zeros((c_max + 1, n_max + 1))
-    dark_log = {}  # per distinct-count j: Binomial(N - j, d) pmf over c - j
-    for n in range(n_max + 1):
-        pk = np.exp(_binomial_log_pmf(n, eta, ks[: n + 1]))  # registered photons
-        col = np.zeros(c_max + 1)
-        for k in range(n + 1):
-            if pk[k] == 0.0:
-                continue
-            pj = np.exp(occ_log[k, : k + 1])
-            for j in range(min(k, c_max) + 1):
-                if pj[j] == 0.0:
-                    continue
-                if j not in dark_log:
-                    m = np.arange(c_max + 1 - j)
-                    dark_log[j] = np.exp(_binomial_log_pmf(N - j, d, m))
-                col[j:] += pk[k] * pj[j] * dark_log[j]
-        T[:, n] = col
+    N = cfg.pixels
+    # S2(k, j) = j S2(k-1, j) + S2(k-1, j-1), S2(0, 0) = 1
+    s2 = [[1] + [0] * n_max]
+    for k in range(1, n_max + 1):
+        s2.append([0] + [j * s2[k - 1][j] + s2[k - 1][j - 1] for j in range(1, n_max + 1)])
+    with localcontext() as ctx:
+        ctx.prec = 40
+        eta, d = Decimal(cfg.efficiency), Decimal(cfg.dark_prob)
+        occupancy = [[Fraction(comb(N, j) * s2[k][j] * math.factorial(j), N ** k)
+                      for j in range(n_max + 1)] for k in range(n_max + 1)]
+        # Q[n][j]: probability of j distinct pixels hit after n arriving photons
+        Q = []
+        for n in range(n_max + 1):
+            thin = _binomial_terms(n, eta, 1 - eta, n)
+            Q.append([sum(thin[k] * Decimal(o.numerator) / Decimal(o.denominator)
+                          for k, o in enumerate(col[j] for col in occupancy[: n + 1]))
+                      for j in range(n_max + 1)])
+        dark = [_binomial_terms(max(N - j, 0), d, 1 - d, c_max - j)
+                for j in range(min(n_max, c_max) + 1)]
+        T = np.zeros((c_max + 1, n_max + 1))
+        for n in range(n_max + 1):
+            for c in range(c_max + 1):
+                T[c, n] = float(sum(dark[j][c - j] * Q[n][j]
+                                    for j in range(min(c, n_max) + 1)))
     return T
 
 

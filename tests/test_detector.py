@@ -150,6 +150,20 @@ def test_matrix_product_matches_the_term_loop(cfg, n_max):
     assert np.max(np.abs(got[nonzero] - want[nonzero]) / want[nonzero]) <= 1e-14
 
 
+@pytest.mark.parametrize("dark_rate", [800.0, 1400.0])
+def test_heavy_dark_counts_keep_their_columns(dark_rate):
+    # the dark-count columns start at (1 - d)^(N - j), which underflows to
+    # 0.0 here; they must still hold the Binomial law, not zeros. The
+    # log-space route of earlier versions was within 2.7e-12 of the same
+    # exact matrix
+    cfg = DetectorConfig(pixels=1512, efficiency=0.2, dark_rate=dark_rate)
+    assert (1.0 - cfg.dark_prob) ** (cfg.pixels - 4) == 0.0
+    got = detection_matrix(cfg, 4).entries
+    np.testing.assert_allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    raw = detection_matrix_loop(cfg, 4, default_c_max(cfg, 4))
+    np.testing.assert_allclose(got, raw / raw.sum(axis=0), rtol=1e-10, atol=1e-300)
+
+
 def test_too_few_click_rows_fail_the_column_check():
     from tripletwb.errors import NumericalError
     cfg = DetectorConfig(pixels=100, efficiency=0.9, dark_rate=0.0)

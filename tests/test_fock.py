@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletwb.errors import DataError
-from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, Histogram, JointDistribution,
-                            apply_matrix, condition, contract, falling_factorial,
-                            marginalize, normalize)
+from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, MAX_CELLS, Histogram, JointDistribution,
+                            apply_matrix, binomial_table, condition, contract,
+                            falling_factorial, marginalize, normalize)
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
 from tripletwb.nonclassical import intensity_moments
 
@@ -103,6 +103,37 @@ def test_binned_with_every_frame_outside_the_box_names_it():
     clicks = np.array([[5, 0, 0, 0], [0, 0, 0, 9]])
     with pytest.raises(DataError, match=r"all 2 frames lie outside the click box 0..\(4, 1, 1, 1\)"):
         Histogram.binned(clicks, (4, 1, 1, 1))
+
+
+@pytest.mark.parametrize("p", [0.0, 3e-5, 0.3, 0.5, 0.9, 0.999])
+def test_binomial_table_matches_scipy(p):
+    from scipy.stats import binom
+    # 1500 trials at p = 0.5, 0.9 and 0.999 start below the smallest float
+    n = np.array([0, 1, 7, 40, 1500])
+    got = binomial_table(1600, n, p, 1.0 - p)
+    want = binom.pmf(np.arange(1600)[:, None], n, p)
+    assert got.shape == (1600, 5) and np.all(got[n[None, :] < np.arange(1600)[:, None]] == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-300)
+    # a column summed in log space is good to about |log q^n| ulps
+    np.testing.assert_allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-10)
+
+
+def test_binned_refuses_a_box_beyond_the_cell_bound():
+    # counts near the 1512-pixel limit on every idler ask for a 4 x 1513^3
+    # int64 table, about 110 GB; the box is refused before any allocation
+    clicks = np.array([[3, 1512, 1512, 1512]])
+    cells = 4 * 1513**3
+    assert cells > MAX_CELLS
+    with pytest.raises(DataError, match=rf"click box 0..\(3, 1512, 1512, 1512\) has {cells} cells"):
+        Histogram.binned(clicks, clicks.max(axis=0))
+
+
+def test_binned_takes_a_sparse_box_below_the_cell_bound():
+    # one frame sizes a 2 x 301^3 box, 5.4e7 cells, below the bound
+    clicks = np.array([[1, 300, 300, 300], [0, 2, 0, 1]])
+    h = Histogram.binned(clicks, clicks.max(axis=0))
+    assert h.counts.size == 2 * 301**3 <= MAX_CELLS
+    assert h.trials == 2 and h.counts[1, 300, 300, 300] == 1 and h.counts[0, 2, 0, 1] == 1
 
 
 def sliced_histogram():

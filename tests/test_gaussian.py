@@ -12,7 +12,7 @@ from tripletwb.errors import CutoffError, DataError, ParameterError
 from tripletwb.fock import AXIS_ORDER, FRAME_CHUNK, JointDistribution, contract, marginalize
 from tripletwb.gaussian import (PAPER_TABLE_2, GaussianFieldModel,
                                 MandelRiceComponent, TripleTwbParams,
-                                mandel_rice_pmf, mandel_rice_vector,
+                                mandel_rice_pmf, mandel_rice_table, mandel_rice_vector,
                                 sample_photon_numbers)
 
 from tests.oracles import (compose_with_noise, model_moments, paired_part,
@@ -44,6 +44,25 @@ def test_pmf_single_mode_thermal_is_geometric():
     n = np.arange(20)
     np.testing.assert_allclose(mandel_rice_pmf(n, c), 2.0 ** (-(n + 1.0)),
                                rtol=1e-12)
+
+
+def test_mandel_rice_table_is_the_negative_binomial():
+    from scipy.stats import nbinom
+    # M = 1000, B = 10 starts at 11^-1000, below the smallest float
+    M, B = np.array([6.33e-5, 0.3, 1.0, 552.0, 1000.0]), 10.0
+    got = mandel_rice_table(30000, M, B)
+    want = nbinom.pmf(np.arange(30000)[:, None], M, 1.0 / (1.0 + B))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-300)
+    one = mandel_rice_vector(29999, MandelRiceComponent(552.0, B))
+    np.testing.assert_array_equal(got[:, 3], one)
+
+
+def test_pmf_takes_integer_occupations_only():
+    c = MandelRiceComponent(M=2.0, B=0.5)
+    assert mandel_rice_pmf(np.int64(3), c) == mandel_rice_pmf(3.0, c) == mandel_rice_vector(3, c)[3]
+    for bad in (-1, 2.5, [1, -2]):
+        with pytest.raises(ParameterError, match="integer >= 0"):
+            mandel_rice_pmf(bad, c)
 
 
 def test_pmf_pair1_mean():

@@ -468,6 +468,26 @@ def test_cli_ingest_duplicate_frames_exits_2(runner, workdir):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args, code, message", [
+    # one frame near the 1512-pixel limit on every idler: a 4 x 1513^3 box
+    (["ingest", "--frames", "{frames}"], 2,
+     r"click box 0..\(3, 1512, 1512, 1512\) has 13854050788 cells"),
+    (["simulate", "--frames", "10", "--seed", "1", "--signal-cutoff", "5000",
+      "--idler-cutoff", "2000"], 2, r"click box 0..\(4536, 1512, 1512, 1512\) has"),
+    # the 2 x 301^3 box of one frame 1,1,300,300,300 stays accepted
+    (["ingest", "--frames", "{small}"], 0, r"trials 2"),
+], ids=["ingest-refused", "simulate-refused", "ingest-accepted"])
+def test_cli_bounds_the_histogram_box(runner, tmp_path, args, code, message):
+    header = FRAME_TEXT.splitlines()[0]
+    paths = {"frames": tmp_path / "frames.csv", "small": tmp_path / "small.csv"}
+    paths["frames"].write_text(f"{header}\n0,3,1512,1512,1512\n")
+    paths["small"].write_text(f"{header}\n0,0,0,0,0\n1,1,300,300,300\n")
+    res = runner.invoke(main, [a.format(**paths) for a in args]
+                        + ["--out", str(tmp_path / "hist.csv")])
+    assert res.exit_code == code, res.output
+    assert re.search(message, res.output), res.output
+
+
 def test_cli_reconstruct_conditional(runner, workdir, sim_hist):
     out = workdir / "rec3.csv"
     res = runner.invoke(main, [
@@ -1626,16 +1646,18 @@ def test_one_version_string():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # a fresh interpreter, since other tests load scipy.optimize into this one;
-    # only fit.fit imports it, so the other commands start without it
+    # a fresh interpreter, since other tests load both into this one; only
+    # fit.fit imports scipy.optimize and only the series route scipy.special,
+    # so the other commands start without them
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(tripletwb.__file__).resolve().parents[1])
-    code = "import sys, tripletwb, tripletwb.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, tripletwb, tripletwb.cli; "
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

@@ -417,6 +417,17 @@ def test_thermal_quasi_distribution_nonnegative_at_s_zero():
     assert abs(q.integral() - 1.0) < 1e-3
 
 
+def test_quasi_distribution_takes_a_large_mode_number():
+    # past M = 171, 1/Gamma(M) underflows and (2W/(1-s))^(M-1) overflows;
+    # the kernel takes both in one exponent, so the pair-1 mode number 552
+    # passes the grid checks (the grid integrated to NaN)
+    pmf = mandel_rice_vector(60, MandelRiceComponent(552.0, 0.00475))
+    d = JointDistribution(pmf / pmf.sum(), ("i1",), normalized=True)
+    q = quasi_distribution_W(d, 0.0, (552.0,))
+    assert q.values.min() > -1e-12
+    assert abs(q.integral() - 1.0) < 1e-3
+
+
 def test_quasi_distribution_validates_grid_moments():
     # the constructor itself cross-checks grid moments against the moment
     # transform; a too-coarse grid must be rejected
