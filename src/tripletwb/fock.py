@@ -247,15 +247,23 @@ def law_table(start: np.ndarray, log_start: np.ndarray, ratios: np.ndarray) -> n
 
     One ``np.cumprod`` of positive factors down the rows of [start; ratios].
     A column whose start is below the smallest normal float (a heavy dark
-    rate's (1 - d)^N, say) is summed as exp(log_start + cumsum(log ratios))
-    instead, good to about |log_start| units in the last place.
+    rate's (1 - d)^N, say) starts instead at its largest row, whose log is
+    the exact sum (``math.fsum``) of log_start and the log ratios before it,
+    and runs by the same products outward both ways. It is then good to
+    about |log_start| 2^-53 relative, the rounding of log_start: 1.2e-13
+    for Binomial(1500, 0.9), where a cumulative sum of the logs read
+    1.7e-12. The shipped detectors and fields never take this path.
     """
     table = np.cumprod(np.vstack([start, ratios]), axis=0)
-    lost = start < np.finfo(np.float64).tiny
-    if lost.any():
+    for i in np.flatnonzero(start < np.finfo(np.float64).tiny):
+        r = ratios[:, i]
         with np.errstate(divide="ignore"):
-            logs = np.vstack([log_start[lost], np.log(ratios[:, lost])])
-        table[:, lost] = np.exp(np.cumsum(logs, axis=0))
+            logs = np.log(r)
+        mode = int(np.argmax(np.cumsum(np.concatenate([[0.0], logs]))))
+        top = math.exp(math.fsum([log_start[i], *logs[:mode].tolist()]))
+        table[mode, i] = top
+        table[mode + 1:, i] = top * np.cumprod(r[mode:])
+        table[:mode, i] = (top * np.cumprod(1.0 / r[:mode][::-1]))[::-1]
     return table
 
 

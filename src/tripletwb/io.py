@@ -15,16 +15,24 @@ and its sidecar records the SHA-256 of the CSV and of the copy. The loader
 reads the copy, skipping the CSV parse, only while both digests match the
 files; otherwise (a hand-edited CSV, a missing or stale copy) it parses the
 CSV. The CSV is the canonical artifact, and deleting a ``.npy`` is safe.
+
+Every CSV row is the ``%d`` text of its integer fields and the ``%.17g``
+text of its value, with ``\r\n`` line ends: the bytes the ``csv`` module
+writes row by row, whose 17 digits read back to the same double. One
+numpy renderer makes them for histograms, tables and frame streams, in
+blocks of 2**15 rows, and hashes each block as it is written.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
 import math
 import warnings
-from io import BytesIO
+from fractions import Fraction
+from io import BytesIO, StringIO
 from pathlib import Path
 
 import numpy as np
@@ -240,33 +248,191 @@ def _read_cells(path: Path, header: list[str],
     return cells.astype(np.int64), values
 
 
-#: rows formatted per write: bounds the strings held at once
-_WRITE_ROWS = 1 << 12
+#: rows rendered and written at once: bounds the byte arrays of a block
+_BLOCK_ROWS = 1 << 15
+#: the pad byte of the fixed row layouts: no CSV line holds a NUL, and the
+#: renderer drops every pad before a block is written
+_PAD = b"\0"
+#: bytes of a rendered float: sign, "0.000" prefix, 17 digits with a dot
+#: slot after each of the first 16, "e+308" suffix
+_FLOAT_BYTES = 1 + 5 + 33 + 5
 
 
-def _write_rows(path: Path, header: list[str], columns: list[np.ndarray],
-                line: str) -> None:
-    """Write ``header``, then ``line % row`` for each row of ``columns``.
+@functools.cache
+def _digit_quads() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as one uint32 of memory,
+    zero-filled and with its leading zeros as pads (the last digit kept)."""
+    v = np.arange(10_000)
+    digits = (v[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    padded = np.where(v[:, None] < np.array([1000, 100, 10, 0]), 0, digits).astype(np.uint8)
+    return digits.view(np.uint32).ravel(), padded.view(np.uint32).ravel()
 
-    The columns are equal-length arrays, formatted in blocks of rows;
-    ``line`` ends in ``\r\n`` as the ``csv`` module writes lines.
+
+@functools.cache
+def _power10(p: int) -> tuple[float, float]:
+    """10**p as a double-double hi + lo: hi the nearest double, lo the
+    nearest double to the rest, from the exact rational. Cached: the fast
+    route asks for at most the 542 exponents of |v| in [1e-270, 1e270]."""
+    exact = Fraction(10) ** p
+    hi = float(exact)
+    return hi, float(exact - Fraction(hi))
+
+
+def _exponent_text(k: int) -> bytes:
+    """What follows the digits of a ``%.17g`` number of decimal exponent k:
+    nothing in fixed form (-4 <= k < 17), else ``e`` and a signed exponent
+    of at least two digits, padded to five bytes."""
+    return (b"" if -4 <= k < 17 else b"e%+03d" % k).ljust(5, _PAD)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into high and low halves whose pairwise
+    products are exact."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _int_text(out: np.ndarray, column: np.ndarray) -> None:
+    """Write ``'%d' % v`` of each v of the int64 ``column`` down the columns
+    of ``out`` (width x rows bytes), right-aligned after pad bytes."""
+    width, rows = out.shape
+    quads, padded = _digit_quads()
+    negative = column < 0
+    rest = np.where(negative, -column, column).view(np.uint64)  # -(-2**63) wraps to 2**63
+    for end in range(width, 0, -4):
+        group = rest % 10_000
+        rest = rest // 10_000
+        # the value's leading group has pads for its leading zeros; a group
+        # left of it is all pads
+        lead = padded[group] if end == width else np.where(group > 0, padded[group], 0)
+        text = np.where(rest > 0, quads[group], lead).view(np.uint8).reshape(rows, 4).T
+        out[max(end - 4, 0): end] = text[max(4 - end, 0):]
+    if negative.any():
+        cols = np.flatnonzero(negative)
+        out[np.argmax(out[:, cols] != 0, axis=0) - 1, cols] = ord("-")
+
+
+def _float_text(out: np.ndarray, x: np.ndarray) -> None:
+    """Write ``'%.17g' % v`` of each v of the float64 ``x`` down the columns
+    of ``out`` (_FLOAT_BYTES x rows bytes), with pad bytes among them.
+
+    With k = floor(log10|v|), m = |v| 10^(16 - k) is summed as Dekker's exact
+    product of |v| and a double-double 10^(16 - k), good to ~1e-14, and
+    rounded half-even to the 17 digits of |v|. Where that rounding is in
+    doubt (a fraction within 1e-9 of one half), where k was one off (m
+    outside [10^16, 10^17), before or after rounding), beyond |v| in
+    [1e-270, 1e270], whose powers of ten would leave the normal doubles,
+    and for zeros, infinities and nans, the value is formatted by
+    ``'%.17g'`` itself. The digits then take the layout of Python's ``g``
+    rules: fixed form for -4 <= k < 17, else ``d.ddde+XX``, trailing zeros
+    and a bare dot dropped.
     """
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), _WRITE_ROWS):
-            block = [c[start: start + _WRITE_ROWS].tolist() for c in columns]
-            fh.write("".join(map(line.__mod__, zip(*block))))
+    rows = len(x)
+    ax = np.abs(x)
+    fast = (ax >= 1e-270) & (ax <= 1e270)
+    ax[~fast] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    lo = int(k.min())
+    hi, low = np.array([_power10(16 - e) for e in range(lo, int(k.max()) + 1)]).T[:, k - lo]
+    prod = ax * hi
+    ah, al = _split(ax)
+    bh, bl = _split(hi)
+    # ax * 10^(16-k) = prod + rest, prod an integer (it is above 2**53) and
+    # rest the exact error of prod plus the rounded ax * low
+    rest = (((ah * bh - prod) + ah * bl + al * bh) + al * bl) + ax * low
+    whole = np.floor(rest)
+    frac = rest - whole
+    m = prod.astype(np.int64) + whole.astype(np.int64)
+    up = frac > 0.5
+    fast &= (m >= 10**16) & (m + up < 10**17) & (np.abs(frac - 0.5) > 1e-9)
+    m += up
+    # the 17 ASCII digits: one, then four groups of four
+    quads, _ = _digit_quads()
+    digits = np.empty((rows, 20), np.uint8)
+    words = digits.view(np.uint32)
+    left = m % 10**16
+    for g in range(4, 0, -1):
+        words[:, g] = quads[left % 10_000]
+        left //= 10_000
+    digits[:, 3] = m // 10**16 + ord("0")
+    digits = digits[:, 3:]
+    # digits left of the dot: k + 1 in fixed form (none below 1), one in e form
+    fixed = (k >= -4) & (k < 17)
+    whole_digits = np.where(fixed, np.maximum(k + 1, 0), 1)
+    significant = np.full(rows, 17)
+    zeros = np.flatnonzero(digits[:, 16] == ord("0"))
+    significant[zeros] = 17 - np.argmax(digits[zeros, ::-1] != ord("0"), axis=1)
+    digits[zeros] *= np.arange(17) < np.maximum(significant, whole_digits)[zeros, None]
+    out[0] = np.where(np.signbit(x), ord("-"), 0)
+    prefix = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0" b"0.000",
+                           np.uint8).reshape(5, 5)
+    out[1:6] = prefix[np.where(fixed & (k < 0), -k, 0)].T
+    out[6:39:2] = digits.T
+    out[7:38:2] = 0
+    dotted = np.flatnonzero((significant > whole_digits) & (whole_digits > 0))
+    out[5 + 2 * whole_digits[dotted], dotted] = ord(".")
+    suffix = np.frombuffer(b"".join(map(_exponent_text, range(lo, int(k.max()) + 1))),
+                           np.uint8).reshape(-1, 5)
+    out[39:44] = suffix[k - lo].T
+    for i in np.flatnonzero(~fast).tolist():
+        text = b"%.17g" % x[i]
+        out[:, i] = 0
+        out[: len(text), i] = np.frombuffer(text, np.uint8)
 
 
-def _write_cells(path: Path, header: list[str], table: np.ndarray,
-                 keep: np.ndarray, value_format: str) -> None:
-    """A ``cell..., value`` CSV with one row per kept cell, in C order.
+def _render_rows(ints: list[np.ndarray], values: np.ndarray | None) -> bytes:
+    """The CSV lines ``%d,...,%d`` or ``%d,...,%d,%.17g`` of a block of rows,
+    each ending in ``\r\n`` as the ``csv`` module writes lines."""
+    rows = len(ints[0])
+    widths = [max(len(str(int(c.min()))), len(str(int(c.max())))) for c in ints]
+    lines = np.empty((sum(widths) + len(ints) + (_FLOAT_BYTES + 1) * (values is not None) + 1,
+                      rows), np.uint8)
+    at = 0
+    for column, width in zip(ints, widths):
+        _int_text(lines[at: at + width], column)
+        lines[at + width] = ord(",")
+        at += width + 1
+    if values is not None:
+        _float_text(lines[at: at + _FLOAT_BYTES], values)
+        at += _FLOAT_BYTES + 1
+    lines[at - 1] = ord("\r")
+    lines[at] = ord("\n")
+    return lines.T.tobytes().translate(None, _PAD)
 
-    Indices are written with ``%d`` and values with ``value_format``.
+
+def _write_rows(path: Path, header: list[str], ints: list[np.ndarray],
+                values: np.ndarray | None = None) -> str:
+    """Write ``header``, then one line per row: the int64 columns ``ints``
+    with ``%d`` and the float64 column ``values``, when given, with ``%.17g``.
+
+    The bytes are those of the ``%``-formatted lines, rendered and written
+    in blocks of rows; returns the SHA-256 of the file, fed as it is written.
     """
+    head = StringIO()
+    csv.writer(head).writerow(header)
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        def write(block: bytes) -> None:
+            fh.write(block)
+            digest.update(block)
+        write(head.getvalue().encode())
+        for start in range(0, len(ints[0]), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            write(_render_rows([np.asarray(c[start:stop], dtype=np.int64) for c in ints],
+                               None if values is None else values[start:stop]))
+    return digest.hexdigest()
+
+
+def _write_cells(path: Path, header: list[str], table: np.ndarray, keep: np.ndarray) -> str:
+    """A ``cell..., value`` CSV with one row per kept cell, in C order;
+    returns its SHA-256. Values of an integer table are written with ``%d``,
+    others as float64 with ``%.17g``."""
     cells = np.nonzero(keep)
-    line = ",".join(["%d"] * len(cells) + [value_format]) + "\r\n"
-    _write_rows(path, header, [*cells, table[cells]], line)
+    kept = table[cells]
+    if kept.dtype.kind in "iu":
+        return _write_rows(path, header, [*cells, kept])
+    return _write_rows(path, header, list(cells), np.asarray(kept, dtype=np.float64))
 
 
 def _histogram_header(labels) -> list[str]:
@@ -278,7 +444,7 @@ def save_histogram(h: Histogram, path: str | Path,
     """The counts as a ``cell..., count`` CSV, then the sidecar with the
     detectors that produced them."""
     path = Path(path)
-    _write_cells(path, _histogram_header(h.axis_labels), h.counts, h.counts > 0, "%d")
+    _write_cells(path, _histogram_header(h.axis_labels), h.counts, h.counts > 0)
     meta = {
         "trials": h.trials,
         "cutoffs": list(h.cutoffs),
@@ -332,8 +498,8 @@ def save_distribution(d: JointDistribution, path: str | Path,
     it also records them, as a histogram's sidecar does.
     """
     path = Path(path)
-    _write_cells(path, _distribution_header(d.axis_labels), d.values,
-                 np.abs(d.values) > 0, "%.17g")
+    csv_sha256 = _write_cells(path, _distribution_header(d.axis_labels), d.values,
+                              np.abs(d.values) > 0)
     buf = BytesIO()
     # + 0.0 turns -0.0 into +0.0: the CSV skips zero cells, which load as +0.0
     np.save(buf, d.values + 0.0, allow_pickle=False)
@@ -343,7 +509,7 @@ def save_distribution(d: JointDistribution, path: str | Path,
         "cutoffs": list(d.cutoffs),
         "axis_labels": list(d.axis_labels),
         "normalized": d.normalized,
-        "payload": {"csv_sha256": _sha256(path),
+        "payload": {"csv_sha256": csv_sha256,
                     "npy_sha256": hashlib.sha256(payload).hexdigest()},
     }
     if detectors is not None:
@@ -393,8 +559,7 @@ def load_distribution(path: str | Path) -> JointDistribution:
 
 def save_frames(samples: np.ndarray, path: str | Path) -> None:
     """One ``frame_id, c_s, c_i1, c_i2, c_i3`` row per frame, numbered from 0."""
-    _write_rows(Path(path), FRAME_HEADER, [np.arange(len(samples)), *samples.T],
-                ",".join(["%d"] * len(FRAME_HEADER)) + "\r\n")
+    _write_rows(Path(path), FRAME_HEADER, [np.arange(len(samples)), *samples.T])
 
 
 def write_manifest(out_path: str | Path, command: str, settings: dict) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from tripletwb import emrec, fock
 from tripletwb.detector import DetectionMatrix, DetectorConfig, _matrices_for, default_c_max
@@ -26,29 +26,32 @@ from tripletwb.nonclassical import _laguerre_kernel, _theta
 
 
 def resummed_smoothing_matrix_loop(n_max: int, m_max: int, s: float, M: float) -> np.ndarray:
-    """The resummed smoothing matrix, one scalar ``logsumexp`` per entry.
+    """The resummed smoothing matrix, summed term by term at 50 digits.
 
-    The same closed form as ``nonclassical._resummed_smoothing_matrix``,
-    summed entry by entry over j <= min(n, m).
+    A[n, m] = sum_{j <= min(n, m)} Binomial(m, p)(j) MR(M + j, theta)(n - j)
+    with p = 1/(1+theta) and MR(M', theta)(k) = (M')_k / k! (theta p)^k p^M',
+    the closed form ``nonclassical._resummed_smoothing_matrix`` builds from
+    its tables. Every term is positive, so ``decimal`` sums from the exact
+    binary values of theta and M are good to far below a double's last
+    place; each entry is rounded once to float.
     """
     th = _theta(s)
     if th == 0.0:
         return np.eye(n_max + 1, m_max + 1)
-    log_a = math.log(th) - math.log1p(th)
-    log_c2 = -math.log(th) - math.log1p(th)
     A = np.zeros((n_max + 1, m_max + 1))
-    js = np.arange(min(n_max, m_max) + 1, dtype=np.float64)
-    for n in range(n_max + 1):
-        pref = (n * math.log(th) - (n + M) * math.log1p(th)
-                + gammaln(n + M))
-        j = js[: min(n, m_max) + 1]
-        for m in range(m_max + 1):
-            jj = j[: min(n, m) + 1]
-            logs = (pref + gammaln(m + 1.0)
-                    + jj * log_c2 + (m - jj) * log_a
-                    - gammaln(M + jj) - gammaln(n - jj + 1.0)
-                    - gammaln(jj + 1.0) - gammaln(m - jj + 1.0))
-            A[n, m] = np.exp(logsumexp(logs))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        th, M = Decimal(th), Decimal(M)
+        p = 1 / (1 + th)
+        q = th * p
+
+        def mr(modes: Decimal, k: int) -> Decimal:
+            rising = math.prod((modes + i for i in range(k)), start=Decimal(1))
+            return rising / math.factorial(k) * q ** k * p ** modes
+        for n in range(n_max + 1):
+            for m in range(m_max + 1):
+                A[n, m] = float(sum(comb(m, j) * p ** j * q ** (m - j) * mr(M + j, n - j)
+                                    for j in range(min(n, m) + 1)))
     return A
 
 

@@ -114,8 +114,11 @@ def test_binomial_table_matches_scipy(p):
     want = binom.pmf(np.arange(1600)[:, None], n, p)
     assert got.shape == (1600, 5) and np.all(got[n[None, :] < np.arange(1600)[:, None]] == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-300)
-    # a column summed in log space is good to about |log q^n| ulps
-    np.testing.assert_allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-10)
+    # a column started at its mode is good to about |log q^n| 2^-53:
+    # 2.7e-13 at p = 0.999 (1.6e-12 at p = 0.9 when summed in log space)
+    bulk = want > 1e-10
+    np.testing.assert_allclose(got[bulk], want[bulk], rtol=5e-13)
+    np.testing.assert_allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=5e-13)
 
 
 def test_binned_refuses_a_box_beyond_the_cell_bound():

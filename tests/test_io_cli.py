@@ -285,6 +285,49 @@ def test_table_writers_match_csv_module_loop(tmp_path):
     assert (tmp_path / "frames.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
+#: doubles at and beside every power of ten, whose 17 digits are all nines
+#: or carry into the exponent (10.0**-243 is below 1e-243 and prints so)
+POWERS_OF_TEN = [float(x) for k in range(-323, 309)
+                 for x in (10.0**k, np.nextafter(10.0**k, 0.0), np.nextafter(10.0**k, np.inf))]
+#: exact ties and near-ties of the 17th digit, which the renderer hands to
+#: '%.17g' (a fraction within its margin of one half), and neighbours of them
+NEAR_TIES = [1.78813934326171875e-07, 1234567890123456.25, 182880069120204.62,
+             85372427961856.44, 0.5**60, 3 * 0.5**60, 9.9999999999999995e-05,
+             *np.nextafter(1.78813934326171875e-07, [0.0, 1.0]).tolist()]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(values=st.lists(st.floats(), min_size=1, max_size=64))
+@hypothesis.example(values=POWERS_OF_TEN)
+@hypothesis.example(values=[s * 2.0**k for k in range(-1074, 1024) for s in (1.0, -1.0)])
+@hypothesis.example(values=NEAR_TIES)
+@hypothesis.example(values=[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, -2.2250738585072014e-308,
+                            1.7976931348623157e308, 1e-270, 1e270, 1e16, 1e17, 0.0001, 1e-05])
+def test_rendered_values_are_their_17g_text(values):
+    rows = io._render_rows([np.arange(len(values))], np.array(values))
+    assert rows == "".join("%d,%.17g\r\n" % row for row in enumerate(values)).encode()
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(columns=st.lists(st.lists(st.integers(-2**63, 2**63 - 1), min_size=3, max_size=3),
+                                   min_size=1, max_size=64))
+@hypothesis.example(columns=[[0, 10**12, 2**63 - 1], [-2**63, -1, 9], [10, 9999, 10_000],
+                             [-10_000, 99_999_999, 100_000_000]])
+def test_rendered_integers_are_their_d_text(columns):
+    rows = io._render_rows([np.array(c, dtype=np.int64) for c in zip(*columns)], None)
+    assert rows == "".join("%d,%d,%d\r\n" % tuple(c) for c in columns).encode()
+
+
+def test_frame_writer_spans_row_blocks(tmp_path):
+    # two whole blocks and a part, fields of 1 to 13 digits
+    rng = np.random.default_rng(9)
+    frames = rng.integers(0, 10 ** rng.integers(1, 14, size=(2 * io._BLOCK_ROWS + 5, 4)))
+    io.save_frames(frames, tmp_path / "frames.csv")
+    want = "".join("%d,%d,%d,%d,%d\r\n" % (i, *row) for i, row in enumerate(frames.tolist()))
+    assert (tmp_path / "frames.csv").read_bytes() == ("frame_id,c_s,c_i1,c_i2,c_i3\r\n" + want).encode()
+
+
 TABLE_FORMATS = {
     "distribution": (io.load_distribution, "n_s,n_i1,n_i2,n_i3,value",
                      {"cutoffs": [2, 2, 2, 2], "axis_labels": list(AXIS_ORDER),
@@ -1249,6 +1292,68 @@ def test_cli_mutated_frames_exit_0_2_or_3(runner, workdir, data):
         lines = data.decode().replace("\r\n", "\n").replace("\r", "\n").split("\n")
         assert io.load_histogram(out).trials == sum(1 for l in lines[1:] if l.strip())
     else:
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_hist(runner, workdir):
+    out = workdir / "small_hist.csv"
+    res = runner.invoke(main, ["simulate", "--frames", "300", "--seed", "3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return out
+
+
+@st.composite
+def histogram_edits(draw):
+    """An edit of a saved histogram CSV: a field replaced, a field dropped or
+    added, a row repeated, the header dropped, or any one byte inserted."""
+    kind = draw(st.sampled_from(["field", "drop", "add", "repeat", "header", "byte"]))
+    row, col, at = draw(st.integers(0, 10**6)), draw(st.integers(0, 4)), draw(st.integers(0, 10**6))
+    field, byte = draw(FRAME_FIELDS), draw(st.binary(min_size=1, max_size=1))
+
+    def edit(data):
+        if kind == "byte":
+            return data[: at % (len(data) + 1)] + byte + data[at % (len(data) + 1):]
+        rows = [line.split(",") for line in data.decode().splitlines()]
+        r = 1 + row % (len(rows) - 1)
+        if kind == "field":
+            rows[r][col] = field
+        elif kind == "drop":
+            del rows[r][col]
+        elif kind == "add":
+            rows[r].insert(col, field)
+        elif kind == "repeat":
+            rows.append(list(rows[r]))
+        else:
+            del rows[0]
+        return ("\r\n".join(",".join(x) for x in rows) + "\r\n").encode()
+    return edit
+
+
+HISTOGRAM_READERS = {
+    "reconstruct": ["reconstruct", "--signal-cutoff", "6", "--idler-cutoff", "4",
+                    "--max-iterations", "2", "--histogram"],
+    "sweep": ["sweep", "--source", "histogram", "--selector", "c_s", "--idler-cutoff", "4",
+              "--input"],
+}
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(edit=histogram_edits(), command=st.sampled_from(sorted(HISTOGRAM_READERS)))
+# a float count, a cell beyond the sidecar's cutoffs, a count of 2**53 + 1
+@hypothesis.example(edit=lambda data: data.replace(b",1\r\n", b",1.5\r\n", 1), command="sweep")
+@hypothesis.example(edit=lambda data: data + b"99,0,0,0,1\r\n", command="reconstruct")
+@hypothesis.example(edit=lambda data: data.replace(b",1\r\n", b",9007199254740993\r\n", 1),
+                    command="reconstruct")
+def test_cli_mutated_histogram_exits_0_2_or_3(runner, workdir, small_hist, edit, command):
+    path = copy_table(small_hist, workdir / "fuzzed_hist.csv", lambda meta: meta)
+    path.write_bytes(edit(path.read_bytes()))
+    out = workdir / "fuzzed_hist_out.csv"
+    out.unlink(missing_ok=True)
+    res = runner.invoke(main, [*HISTOGRAM_READERS[command], str(path), "--out", str(out)])
+    assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code != 0:
         assert not out.exists()
 
 

@@ -228,7 +228,7 @@ def test_resummed_matrix_matches_loop_oracle(n_max, m_max):
             got = nonclassical._resummed_smoothing_matrix(n_max, m_max, s, M)
             want = resummed_smoothing_matrix_loop(n_max, m_max, s, M)
             assert got.shape == want.shape == (n_max + 1, m_max + 1)
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("modes, box, builds", [((1.0, 1.0, 1.0), 3, 1),
