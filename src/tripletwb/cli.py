@@ -233,7 +233,7 @@ def reconstruct(hist_file, out, conditional,
     result = emrec.em_reconstruct(h, mats, settings)
     io.save_distribution(result.distribution, out, cfgs)
     if trace_out:
-        Path(trace_out).write_text(result.trace_csv())
+        io.save_columns(result.trace_columns(), trace_out)
     click.echo(f"EM stopped ({result.stop}) after {result.iterations} iterations "
                f"(residual {result.residual:.3e}); wrote {out}")
     return {"detectors": io.detector_entries(cfgs), "trials": h.trials,
@@ -297,7 +297,7 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
         result = postselect.sweep_histogram(
             h, mats, _selector_range(sel_range, h.counts.shape[0] - 1))
         record["stop_gain_nats"] = emrec.STOP_GAIN_NATS
-    Path(out).write_text(result.to_csv())
+    io.save_columns(result.columns(), out)
     click.echo(f"wrote {out} ({len(result.rows)} rows, {len(result.gaps)} gaps)")
     return {**record, "em": list(result.em)}
 
@@ -373,7 +373,7 @@ def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
     nonclassical.check_cut(cut_kind, level)  # before the grid, not after it
     d = _photon_table(dist_file)
     q = nonclassical.quasi_distribution_W(d, s_value, modes, points=points)
-    Path(out).write_text(nonclassical.plane_cut(q, cut_kind, level).to_csv())
+    io.save_columns(nonclassical.plane_cut(q, cut_kind, level).columns(), out)
     record = {"min_value": float(np.nanmin(q.values)), "integral": q.integral(),
               "steps": list(q.steps)}
     click.echo(f"min value {record['min_value']:.4g}, "
@@ -390,7 +390,7 @@ def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
 def cut(input_file, kind, level, out):
     """Plane cut of a saved 3D table."""
     pc = nonclassical.plane_cut(io.load_distribution(input_file).values, kind, level)
-    Path(out).write_text(pc.to_csv())
+    io.save_columns(pc.columns(), out)
     click.echo(f"wrote {out}")
 
 

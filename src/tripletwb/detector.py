@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import DataError, NumericalError, ParameterError
+from .errors import CutoffError, DataError, NumericalError, ParameterError
 # apply_matrix stays importable here: the benchmark's tracer (perfbench/workload.py)
 # wraps it under this module's name
 from .fock import JointDistribution, apply_matrix, contract  # noqa: F401
@@ -106,8 +106,8 @@ def detection_matrix(cfg: DetectorConfig, n_max: int,
     Markov chain in which each photon moves j to j + 1 with probability
     eta (N - j)/N (registered, on a fresh pixel). D[c, j] =
     Binomial(N - j, d)(c - j) adds the dark counts of the N - j idle pixels.
-    Occupancies j > c_max have no row and lose their mass, which the
-    column check reports.
+    Occupancies j > c_max have no row and lose their mass; a column loss
+    beyond ``COLUMN_TOL`` is a CutoffError naming n_max and the click range.
     """
     if c_max is None:
         c_max = default_c_max(cfg, n_max)
@@ -125,9 +125,10 @@ def detection_matrix(cfg: DetectorConfig, n_max: int,
     T = fock.shifted_columns(dark, c_max + 1) @ occupancy
     deficit = np.abs(T.sum(axis=0) - 1.0).max()
     if deficit > COLUMN_TOL:
-        raise NumericalError(
-            f"detection matrix columns off stochastic by {deficit:.2e}; "
-            "increase c_max")
+        raise CutoffError(
+            f"click range 0..{c_max} is too narrow for the photon cutoff n_max = {n_max}: "
+            f"the detection matrix loses {deficit:.2e} of a column beyond it; "
+            "lower the photon cutoff or widen the click range")
     T /= T.sum(axis=0, keepdims=True)
     return DetectionMatrix(T, cfg)
 

@@ -94,11 +94,11 @@ class EmResult:
         return {"iterations": self.iterations, "residual": self.residual, "stop": self.stop,
                 "last_gain_nats": self.last_gain, "converged": self.converged}
 
-    def trace_csv(self) -> str:
-        lines = ["iteration,loglik,residual"]
-        for i, (ll, r) in enumerate(zip(self.loglik_trace, self.residual_trace), start=1):
-            lines.append(f"{i},{ll:.12g},{r:.6g}")
-        return "\n".join(lines) + "\n"
+    def trace_columns(self) -> dict[str, np.ndarray]:
+        """Log-likelihood and residual of every map, numbered from 1: the
+        columns of ``reconstruct --trace-out``."""
+        return {"iteration": np.arange(1, self.iterations + 1), "loglik": self.loglik_trace,
+                "residual": self.residual_trace}
 
 
 def em_reconstruct(data: Histogram | JointDistribution,

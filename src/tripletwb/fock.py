@@ -321,27 +321,14 @@ def slice_mass(d: JointDistribution, axis: str, value: int) -> float:
 
 
 def apply_matrix(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``mat[c, n]`` against occupation axis ``axis`` of ``values``.
-
-    On axis 0 this is :func:`contract`'s first step, one GEMM written
-    through ``out=`` into a fresh array, so :class:`JointDistribution`
-    takes the result without a copy.
-    """
-    if axis == 0:
-        return _leading_axis(np.asarray(values), mat)
-    out = np.tensordot(mat, values, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+    """Contract ``mat[c, n]`` against occupation axis ``axis`` of ``values``:
+    :func:`contract` with ``mat`` on that axis and None on the others."""
+    return contract(values, [mat if a == axis else None for a in range(np.ndim(values))])
 
 
-def _leading_axis(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``mat`` against axis 0 of ``x``: one GEMM into a fresh C-ordered array."""
-    out = np.empty((mat.shape[0],) + x.shape[1:], dtype=np.result_type(x, mat))
-    np.matmul(mat, x.reshape(x.shape[0], -1), out=out.reshape(mat.shape[0], -1))
-    return out
-
-
-def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract ``mats[a][c, n]`` against axis ``a`` of ``values``, for every axis.
+def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Contract ``mats[a][c, n]`` against axis ``a`` of ``values``, for every
+    axis whose entry is a matrix; a None entry leaves its axis as it is.
 
     Step order: the leading axis first, then the trailing axes from the
     last one inwards, so the signal axis of a 4D table is still contracted
@@ -354,6 +341,9 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
       new axis goes in front of the axes not yet contracted, so every step
       writes rows of all of them, and after axis 1 the axes are back in
       their original order.
+    - A None entry skips its step. A None trailing axis among contracted
+      ones is moved in front as its step would move it, by a copy: no
+      value is rounded on an axis left as it is.
 
     Orientation: every step writes long output rows (hundreds to thousands
     of cells), not the short new axis (10-43 cells) that the cyclic
@@ -375,16 +365,28 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     A C-contiguous input is read in place. Each step writes through
     ``out=`` into a fresh array of its own shape, so the result is
     C-contiguous, owns its memory and :class:`JointDistribution` takes it
-    without a copy.
+    without a copy. With None on every axis, ``values`` comes back as it is.
     """
     x = np.asarray(values)
     if len(mats) != x.ndim:
         raise DataError(f"{len(mats)} matrices for a {x.ndim}-d table")
-    out = _leading_axis(x, mats[0])
-    for mat in reversed(mats[1:]):
+    lead, trailing = mats[0], mats[1:]
+    if lead is not None:
+        out = np.empty((lead.shape[0],) + x.shape[1:], dtype=np.result_type(x, lead))
+        np.matmul(lead, x.reshape(x.shape[0], -1), out=out.reshape(lead.shape[0], -1))
         x = out
+    if all(mat is None for mat in trailing):
+        return x
+    for mat in reversed(trailing):
         c0, n = x.shape[0], x.shape[-1]
-        out = np.empty((c0, mat.shape[0]) + x.shape[1:-1], dtype=np.result_type(x, mat))
-        np.matmul(np.asfortranarray(mat), x.reshape(c0, -1, n).transpose(0, 2, 1),
-                  out=out.reshape(c0, mat.shape[0], -1))
-    return out
+        # bound before the new array, so no older table outlives this step
+        columns = x.reshape(c0, -1, n).transpose(0, 2, 1)
+        rows = n if mat is None else mat.shape[0]
+        out = np.empty((c0, rows) + x.shape[1:-1],
+                       dtype=x.dtype if mat is None else np.result_type(x, mat))
+        if mat is None:
+            np.copyto(out.reshape(c0, n, -1), columns)
+        else:
+            np.matmul(np.asfortranarray(mat), columns, out=out.reshape(c0, rows, -1))
+        x = out
+    return x

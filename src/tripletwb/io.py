@@ -17,10 +17,11 @@ files; otherwise (a hand-edited CSV, a missing or stale copy) it parses the
 CSV. The CSV is the canonical artifact, and deleting a ``.npy`` is safe.
 
 Every CSV row is the ``%d`` text of its integer fields and the ``%.17g``
-text of its value, with ``\r\n`` line ends: the bytes the ``csv`` module
-writes row by row, whose 17 digits read back to the same double. One
-numpy renderer makes them for histograms, tables and frame streams, in
-blocks of 2**15 rows, and hashes each block as it is written.
+text of its other fields, with ``\r\n`` line ends: the bytes the ``csv``
+module writes row by row, whose 17 digits read back to the same double.
+One numpy renderer, :func:`save_columns`, makes them for histograms,
+tables, frame streams, sweeps, plane cuts and EM traces, in blocks of
+2**15 rows, and hashes each block as it is written.
 """
 from __future__ import annotations
 
@@ -381,58 +382,49 @@ def _float_text(out: np.ndarray, x: np.ndarray) -> None:
         out[: len(text), i] = np.frombuffer(text, np.uint8)
 
 
-def _render_rows(ints: list[np.ndarray], values: np.ndarray | None) -> bytes:
-    """The CSV lines ``%d,...,%d`` or ``%d,...,%d,%.17g`` of a block of rows,
-    each ending in ``\r\n`` as the ``csv`` module writes lines."""
-    rows = len(ints[0])
-    widths = [max(len(str(int(c.min()))), len(str(int(c.max())))) for c in ints]
-    lines = np.empty((sum(widths) + len(ints) + (_FLOAT_BYTES + 1) * (values is not None) + 1,
-                      rows), np.uint8)
+def _render_rows(columns: list[np.ndarray]) -> bytes:
+    """The CSV lines of a block of rows, ``%d`` fields of the int64 columns
+    and ``%.17g`` ones of the float64 columns, each line ending in ``\r\n``."""
+    widths = [_FLOAT_BYTES if c.dtype.kind == "f"
+              else max(len(str(int(c.min()))), len(str(int(c.max())))) for c in columns]
+    lines = np.empty((sum(widths) + len(columns) + 1, len(columns[0])), np.uint8)
     at = 0
-    for column, width in zip(ints, widths):
-        _int_text(lines[at: at + width], column)
+    for column, width in zip(columns, widths):
+        (_float_text if column.dtype.kind == "f" else _int_text)(lines[at: at + width], column)
         lines[at + width] = ord(",")
         at += width + 1
-    if values is not None:
-        _float_text(lines[at: at + _FLOAT_BYTES], values)
-        at += _FLOAT_BYTES + 1
     lines[at - 1] = ord("\r")
     lines[at] = ord("\n")
     return lines.T.tobytes().translate(None, _PAD)
 
 
-def _write_rows(path: Path, header: list[str], ints: list[np.ndarray],
-                values: np.ndarray | None = None) -> str:
-    """Write ``header``, then one line per row: the int64 columns ``ints``
-    with ``%d`` and the float64 column ``values``, when given, with ``%.17g``.
-
-    The bytes are those of the ``%``-formatted lines, rendered and written
-    in blocks of rows; returns the SHA-256 of the file, fed as it is written.
-    """
+def save_columns(columns: dict[str, np.ndarray], path: str | Path) -> str:
+    """Every CSV of the package: a header of the column names, then one line
+    per row, an integer column's fields with ``%d``, any other's as float64
+    with ``%.17g``. The bytes of the ``%``-formatted lines are rendered and
+    written in blocks of rows; returns the SHA-256 of the file, fed as it
+    is written."""
     head = StringIO()
-    csv.writer(head).writerow(header)
+    csv.writer(head).writerow(columns)
+    # in place for the int64 and float64 columns the package writes
+    cols = [np.asarray(c, np.int64 if np.asarray(c).dtype.kind in "iu" else np.float64)
+            for c in columns.values()]
     digest = hashlib.sha256()
-    with path.open("wb") as fh:
+    with Path(path).open("wb") as fh:
         def write(block: bytes) -> None:
             fh.write(block)
             digest.update(block)
         write(head.getvalue().encode())
-        for start in range(0, len(ints[0]), _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            write(_render_rows([np.asarray(c[start:stop], dtype=np.int64) for c in ints],
-                               None if values is None else values[start:stop]))
+        for start in range(0, len(cols[0]), _BLOCK_ROWS):
+            write(_render_rows([c[start: start + _BLOCK_ROWS] for c in cols]))
     return digest.hexdigest()
 
 
 def _write_cells(path: Path, header: list[str], table: np.ndarray, keep: np.ndarray) -> str:
     """A ``cell..., value`` CSV with one row per kept cell, in C order;
-    returns its SHA-256. Values of an integer table are written with ``%d``,
-    others as float64 with ``%.17g``."""
+    returns its SHA-256."""
     cells = np.nonzero(keep)
-    kept = table[cells]
-    if kept.dtype.kind in "iu":
-        return _write_rows(path, header, [*cells, kept])
-    return _write_rows(path, header, list(cells), np.asarray(kept, dtype=np.float64))
+    return save_columns(dict(zip(header, [*cells, table[cells]])), path)
 
 
 def _histogram_header(labels) -> list[str]:
@@ -559,7 +551,7 @@ def load_distribution(path: str | Path) -> JointDistribution:
 
 def save_frames(samples: np.ndarray, path: str | Path) -> None:
     """One ``frame_id, c_s, c_i1, c_i2, c_i3`` row per frame, numbered from 0."""
-    _write_rows(Path(path), FRAME_HEADER, [np.arange(len(samples)), *samples.T])
+    save_columns(dict(zip(FRAME_HEADER, [np.arange(len(samples)), *samples.T])), path)
 
 
 def write_manifest(out_path: str | Path, command: str, settings: dict) -> None:

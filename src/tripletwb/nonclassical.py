@@ -46,6 +46,9 @@ NCD_BISECTIONS = 40  # ... or after this many halvings
 SCAN_POINTS = 17  # orderings of the coarse sign scan over [S_MIN, 1]
 _SERIES_TAIL_TOL = 1e-12  # the series route sums its tail to a term below this
 _SERIES_K_CAP = 4000  # ... within this many terms
+#: largest mode number a beam may have: the criteria hold products of up to
+#: six factors of M, which overflow a double past M ~ 1e51
+MAX_MODES = 1e6
 
 
 def _theta(s: float) -> float:
@@ -55,12 +58,14 @@ def _theta(s: float) -> float:
 
 
 def _check_modes(modes: Sequence[float], ndim: int) -> tuple[float, ...]:
-    """One finite, positive mode number per beam, as floats."""
+    """One finite, positive mode number up to ``MAX_MODES`` per beam, as floats."""
     modes = tuple(float(x) for x in modes)
     if len(modes) != ndim:
         raise DataError("need one mode number per beam")
-    if not all(math.isfinite(M) and M > 0 for M in modes):
-        raise ParameterError(f"mode numbers must be finite and > 0, got {modes}")
+    # written so that NaN fails
+    if not all(0.0 < M <= MAX_MODES for M in modes):
+        raise ParameterError(f"mode numbers must be finite and > 0, at most {MAX_MODES:g}; "
+                             f"got {modes}")
     return modes
 
 
@@ -483,7 +488,8 @@ def _laguerre_kernel(w: np.ndarray, n_max: int, s: float, M: float) -> np.ndarra
 
     evaluated by the upward three-term recurrence in n,
     (n+1) L_{n+1}^a(x) = (2n+1+a-x) L_n^a(x) - (n+a) L_{n-1}^a(x).
-    A recurrence value beyond the guard raises NumericalError.
+    A recurrence value or coefficient (1/M near M = 0) beyond the guard
+    raises NumericalError.
     """
     w = np.asarray(w, dtype=np.float64)
     y = 2.0 * w / (1.0 - s)
@@ -501,7 +507,8 @@ def _laguerre_kernel(w: np.ndarray, n_max: int, s: float, M: float) -> np.ndarra
         lnext = ((2 * n + 1 + a - x) * l0 - (n + a) * lm1) / (n + 1.0)
         lm1, l0 = l0, lnext
         cn *= (n + 1.0) / (n + M) * ratio
-        if np.max(np.abs(l0)) > _LAGUERRE_GUARD:
+        # written so that an infinite or NaN coefficient fails too
+        if np.max(np.abs(l0)) > _LAGUERRE_GUARD or not abs(cn) <= _LAGUERRE_GUARD:
             raise NumericalError(f"Laguerre recurrence overflow at n = {n + 1}")
     return out
 
@@ -518,11 +525,12 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
     sums the grid's moments per axis, from the kernels and the table, and
     reads no grid.
 
-    GEMM orientation: axes 1..d-1 go through :func:`fock.contract` first,
-    giving Y of shape (n_0 + 1, points^(d-1)); one GEMM ``K_0 @ Y`` then
-    writes the C-ordered grid in rows of points^(d-1). With an inner
-    dimension of ~20, BLAS writes long output rows about 1.8x faster than
-    the rows of ``points`` that ``contract``'s own last step would write.
+    GEMM orientation: :func:`fock.contract` with None on axis 0 gives Y of
+    shape (n_0 + 1, points^(d-1)); a second, with None on the other axes,
+    is one GEMM ``K_0 @ Y`` writing the C-ordered grid in rows of
+    points^(d-1). With an inner dimension of ~20, BLAS writes those long
+    rows about 1.8x faster than the rows of ``points`` that one
+    contraction of every axis would write in its last step.
     """
     if not d.normalized:
         raise DataError("quasi-distribution needs a normalized distribution")
@@ -543,11 +551,9 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
         w = (np.arange(points) + 0.5) * step
         steps.append(step)
         kernels.append(_laguerre_kernel(w, vals.shape[axis] - 1, s, M))
-    # the identity keeps axis 0 in place while contract sweeps the others
-    y = fock.contract(vals, [np.eye(vals.shape[0])] + kernels[1:])
-    grid = np.empty((points,) * vals.ndim)
-    np.matmul(kernels[0], y.reshape(vals.shape[0], -1), out=grid.reshape(points, -1))
-    del y  # 27 MB at 400 points: not held through the check
+    # Y (27 MB at 400 points) is freed before the check
+    grid = fock.contract(fock.contract(vals, [None, *kernels[1:]]),
+                         [kernels[0], *[None] * (vals.ndim - 1)])
     out = QuasiDistribution(grid, s, modes, tuple(steps))
     _validate_quasi(out, d, kernels)
     return out
@@ -602,18 +608,11 @@ class PlaneCut:
     v: np.ndarray
     values: np.ndarray
 
-    def to_csv(self) -> str:
-        """``u,v,value`` rows in (u, v) order, NaN cells skipped.
-
-        Every number is written as ``%.10g``; each u and v is formatted
-        once, and all rows are %-formatted in one block.
-        """
-        us = ["%.10g" % x for x in self.u.tolist()]
-        vs = ["%.10g" % x for x in self.v.tolist()]
+    def columns(self) -> dict[str, np.ndarray]:
+        """``u``, ``v`` and ``value`` of every cell in (u, v) order, NaN cells
+        skipped: the cut's CSV columns."""
         i, j = np.nonzero(~np.isnan(self.values))
-        rows = zip(map(us.__getitem__, i.tolist()), map(vs.__getitem__, j.tolist()),
-                   self.values[i, j].tolist())
-        return "u,v,value\n" + "".join(map("%s,%s,%.10g\n".__mod__, rows))
+        return {"u": self.u[i], "v": self.v[j], "value": self.values[i, j]}
 
 
 def plane_cut(field: np.ndarray | QuasiDistribution, kind: str,

@@ -20,6 +20,10 @@ from .fock import Histogram, JointDistribution, condition, slice_mass, table_mom
 #: gaps; they carry only sampling noise.
 MASS_FLOOR = 1e-6
 
+#: the sweep statistics, as its CSV names them after the selector column
+SWEEP_STATS = ("mean_i1", "mean_i2", "mean_i3", "fano_i1", "fano_i2", "fano_i3",
+               "corr_12", "corr_13", "corr_23", "slice_mass")
+
 #: EM budget of each c_s slice a histogram sweep inverts
 SWEEP_EM = EmSettings(max_iterations=2000)
 
@@ -74,16 +78,12 @@ class PostselectSweep:
     #: per reconstructed slice: selector, frames and its ``EmResult.record()``
     em: tuple[dict, ...] = ()
 
-    def to_csv(self) -> str:
-        header = ("selector,mean_i1,mean_i2,mean_i3,fano_i1,fano_i2,fano_i3,"
-                  "corr_12,corr_13,corr_23,slice_mass")
-        lines = [header]
-        for r in self.rows:
-            cells = [str(r.selector), *(f"{v:.10g}" for v in r.mean),
-                     *(f"{v:.10g}" for v in r.fano), *(f"{v:.10g}" for v in r.corr),
-                     f"{r.mass:.10g}"]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+    def columns(self) -> dict[str, np.ndarray]:
+        """The sweep's CSV columns, ``selector`` then ``SWEEP_STATS``, with a
+        row per selector value that is not a gap."""
+        stats = np.array([[*r.mean, *r.fano, *r.corr, r.mass] for r in self.rows])
+        return {"selector": np.array([r.selector for r in self.rows], dtype=np.int64),
+                **dict(zip(SWEEP_STATS, stats.reshape(-1, len(SWEEP_STATS)).T))}
 
 
 def _stats_row(selector: int, mass: float, d3: JointDistribution) -> SweepRow:

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from io import StringIO
 from math import comb
 from pathlib import Path
 from typing import Sequence
@@ -55,6 +57,13 @@ def resummed_smoothing_matrix_loop(n_max: int, m_max: int, s: float, M: float) -
     return A
 
 
+def axis_contraction(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """``mat[c, n]`` against axis ``axis`` of ``values`` by ``np.tensordot``,
+    the new axis moved back to its place: the per-axis route
+    ``fock.contract`` is checked against."""
+    return np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
+
+
 def kernel_route_probabilities(d: JointDistribution, s: float,
                                modes: Sequence[float], n_box: int,
                                points: int = 20000) -> np.ndarray:
@@ -76,12 +85,12 @@ def kernel_route_probabilities(d: JointDistribution, s: float,
         ns = np.arange(n_box + 1, dtype=np.float64)
         logpois = ns[:, None] * np.log(w)[None, :] - w[None, :] - gammaln(ns + 1.0)[:, None]
         Q = (np.exp(logpois) @ k) * step  # (n_box+1, m_max+1)
-        vals = fock.apply_matrix(vals, Q, axis)
+        vals = axis_contraction(vals, Q, axis)
     return vals
 
 
 def em_reconstruct_full_box(f: JointDistribution, matrices, settings, trials=None):
-    """EM on the whole click box, one ``apply_matrix`` per axis and direction.
+    """EM on the whole click box, one ``axis_contraction`` per axis and direction.
 
     The map ``emrec.em_reconstruct`` ran before it moved to the observed
     click box and ``fock.contract``, with the same three stops. Returns
@@ -101,12 +110,12 @@ def em_reconstruct_full_box(f: JointDistribution, matrices, settings, trials=Non
 
     def forward(values):
         for axis in order:
-            values = fock.apply_matrix(values, mats[axis], axis)
+            values = axis_contraction(values, mats[axis], axis)
         return values
 
     def backward(values):
         for axis in order:
-            values = fock.apply_matrix(values, mats[axis].T, axis)
+            values = axis_contraction(values, mats[axis].T, axis)
         return values
 
     fv = f.values
@@ -444,16 +453,34 @@ def grid_triangular_cut_loop(q, level: float) -> np.ndarray:
     return vals
 
 
-def plane_cut_csv_loop(pc) -> str:
-    """``PlaneCut.to_csv`` one f-string per cell, NaN cells skipped."""
-    lines = ["u,v,value"]
-    for i, uu in enumerate(pc.u):
-        for j, vv in enumerate(pc.v):
-            val = pc.values[i, j]
-            if np.isnan(val):
-                continue
-            lines.append(f"{uu:.10g},{vv:.10g},{val:.10g}")
-    return "\n".join(lines) + "\n"
+def csv_text_loop(header: list[str], rows) -> bytes:
+    """``header`` and ``rows`` written one by one through the ``csv`` module,
+    an integer field with ``%d`` and any other with ``'{:.17g}'``: the bytes
+    ``io.save_columns`` writes in blocks."""
+    out = StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%d" % x if isinstance(x, (int, np.integer)) else "{:.17g}".format(x)
+                         for x in row])
+    return out.getvalue().encode()
+
+
+def rewrite_csv_loop(src, dst) -> None:
+    """The CSV at ``src`` parsed field by field, integer text as an int and
+    any other as a float, and written again to ``dst`` by ``csv_text_loop``."""
+    with Path(src).open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    parsed = [[int(x) if re.fullmatch(r"-?[0-9]+", x) else float(x) for x in row]
+              for row in rows]
+    Path(dst).write_bytes(csv_text_loop(header, parsed))
+
+
+def plane_cut_csv_loop(pc) -> bytes:
+    """A plane cut's ``u,v,value`` CSV one cell at a time, NaN cells skipped."""
+    rows = [(uu, vv, pc.values[i, j]) for i, uu in enumerate(pc.u)
+            for j, vv in enumerate(pc.v) if not np.isnan(pc.values[i, j])]
+    return csv_text_loop(["u", "v", "value"], rows)
 
 
 def model_moments(params: TripleTwbParams) -> dict:

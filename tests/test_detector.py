@@ -165,11 +165,14 @@ def test_heavy_dark_counts_keep_their_columns(dark_rate):
 
 
 def test_too_few_click_rows_fail_the_column_check():
-    from tripletwb.errors import NumericalError
+    # a truncation, not a loss of precision: exit 2 at the CLI, with the
+    # cutoff and the click range named
+    from tripletwb.errors import CutoffError
     cfg = DetectorConfig(pixels=100, efficiency=0.9, dark_rate=0.0)
     raw = detection_matrix_loop(cfg, 12, 4)
     assert np.abs(raw.sum(axis=0) - 1.0).max() > 1e-9
-    with pytest.raises(NumericalError, match="increase c_max"):
+    with pytest.raises(CutoffError, match=r"click range 0\.\.4 is too narrow for the "
+                                          r"photon cutoff n_max = 12"):
         detection_matrix(cfg, 12, c_max=4)
 
 

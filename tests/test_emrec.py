@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tripletwb import io
 from tripletwb.detector import (PAPER_TABLE_1, DetectionMatrix, DetectorConfig,
                                 detection_matrix, forward_counts, sample_counts)
 from tripletwb.emrec import STOP_GAIN_NATS, EmSettings, em_reconstruct
@@ -93,14 +94,20 @@ def test_unsupported_outcome_errors():
                                            stop_tolerance=1e-9))
 
 
-def test_trace_csv_header():
+def test_trace_csv_header(tmp_path):
     d = small_model(shape=(4, 4))
     mats = {"s": identity_matrix(3), "i1": identity_matrix(3)}
     res = em_reconstruct(d, mats, EmSettings(max_iterations=3,
                                              stop_tolerance=1e-15))
-    lines = res.trace_csv().strip().splitlines()
-    assert lines[0] == "iteration,loglik,residual"
-    assert len(lines) == res.iterations + 1
+    io.save_columns(res.trace_columns(), tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"iteration,loglik,residual"
+    assert len(lines) == res.iterations + 2 and lines[-1] == b""
+    # every field reads back to the exact double of the run
+    table = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(table[:, 0], np.arange(1, res.iterations + 1))
+    np.testing.assert_array_equal(table[:, 1], res.loglik_trace)
+    np.testing.assert_array_equal(table[:, 2], res.residual_trace)
 
 
 # ---------------------------------------------------------------------------

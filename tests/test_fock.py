@@ -11,7 +11,7 @@ from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, MAX_CELLS, Histogram, Joint
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
 from tripletwb.nonclassical import intensity_moments
 
-from tests.oracles import binned_tuple_index
+from tests.oracles import axis_contraction, binned_tuple_index
 
 
 def table(values, labels, normalized=True):
@@ -385,7 +385,8 @@ def test_condition_then_marginalize_commutes(v):
 
 def loop_contraction(values, mats):
     for axis, mat in enumerate(mats):
-        values = apply_matrix(values, mat, axis)
+        if mat is not None:
+            values = axis_contraction(values, mat, axis)
     return values
 
 
@@ -409,6 +410,48 @@ def test_contract_matches_apply_matrix_loop(shape, rows):
     assert got.flags.c_contiguous
     assert got.flags.owndata  # a distribution built on it needs no copy
     np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 3), (4, 6, 3), (6, 2, 5, 3)])
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+def test_none_entries_leave_their_axes(shape, layout):
+    # every subset of axes contracted, the others left as they are
+    rng = np.random.default_rng(len(shape) + 20)
+    values = rng.random(shape)
+    mats = rectangular_mats(rng, shape, "mixed")
+    for keep in np.ndindex((2,) * len(shape)):
+        picked = [m if k else None for m, k in zip(mats, keep)]
+        want = loop_contraction(values, picked)
+        got = contract(values if layout == "c" else laid_out(values, layout), picked)
+        assert got.shape == want.shape
+        if any(keep):
+            assert got.flags.c_contiguous and got.flags.owndata
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_untouched_axes_keep_their_bits():
+    # None moves values, it rounds none: one matrix on axis 0 is the bare
+    # GEMM, and identity rows on the other axes would give the same bits
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((5, 4, 6))
+    mat = rng.standard_normal((3, 5))
+    gemm = (mat @ values.reshape(5, -1)).reshape(3, 4, 6)
+    np.testing.assert_array_equal(contract(values, [mat, None, None]), gemm)
+    kernels = [rng.standard_normal((7, 4)), rng.standard_normal((2, 6))]
+    np.testing.assert_array_equal(contract(values, [None, *kernels]),
+                                  contract(values, [np.eye(5), *kernels]))
+    assert contract(values, [None, None, None]) is values
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, 3])
+def test_apply_matrix_is_contract_on_one_axis(axis):
+    rng = np.random.default_rng(axis)
+    values = rng.random((6, 2, 5, 3))
+    mat = rng.random((4, values.shape[axis]))
+    got = apply_matrix(values, mat, axis)
+    np.testing.assert_array_equal(got, contract(values, [mat if a == axis else None
+                                                         for a in range(4)]))
+    np.testing.assert_allclose(got, axis_contraction(values, mat, axis), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import strategies as st
 
 import tripletwb
-from tripletwb import emrec, io, postselect
+from tripletwb import emrec, io, nonclassical, postselect
 from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1, detection_matrix
 from tripletwb.errors import DataError
@@ -23,7 +23,7 @@ from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, condition
 from tripletwb.gaussian import PAPER_TABLE_2
 from tripletwb.io import FRAME_HEADER
 
-from tests.oracles import write_cells_loop
+from tests.oracles import csv_text_loop, plane_cut_csv_loop, write_cells_loop
 
 FRAME_TEXT = """frame_id,c_s,c_i1,c_i2,c_i3
 0,2,1,0,1
@@ -305,7 +305,7 @@ NEAR_TIES = [1.78813934326171875e-07, 1234567890123456.25, 182880069120204.62,
                             2.2250738585072014e-308, -2.2250738585072014e-308,
                             1.7976931348623157e308, 1e-270, 1e270, 1e16, 1e17, 0.0001, 1e-05])
 def test_rendered_values_are_their_17g_text(values):
-    rows = io._render_rows([np.arange(len(values))], np.array(values))
+    rows = io._render_rows([np.arange(len(values)), np.array(values)])
     assert rows == "".join("%d,%.17g\r\n" % row for row in enumerate(values)).encode()
 
 
@@ -315,7 +315,7 @@ def test_rendered_values_are_their_17g_text(values):
 @hypothesis.example(columns=[[0, 10**12, 2**63 - 1], [-2**63, -1, 9], [10, 9999, 10_000],
                              [-10_000, 99_999_999, 100_000_000]])
 def test_rendered_integers_are_their_d_text(columns):
-    rows = io._render_rows([np.array(c, dtype=np.int64) for c in zip(*columns)], None)
+    rows = io._render_rows([np.array(c, dtype=np.int64) for c in zip(*columns)])
     assert rows == "".join("%d,%d,%d\r\n" % tuple(c) for c in columns).encode()
 
 
@@ -709,7 +709,6 @@ def model_ns6(workdir):
 
 @pytest.mark.parametrize("criterion", ["cs", "matrix"])
 def test_cli_ncd_field_saves_a_table(runner, workdir, model_ns6, criterion):
-    from tripletwb import nonclassical
     out = workdir / f"field_{criterion}.csv"
     res = runner.invoke(main, [
         "ncd-field", "--dist", str(model_ns6), "--criterion", criterion,
@@ -736,8 +735,8 @@ def test_cli_ncd_field_saves_a_table(runner, workdir, model_ns6, criterion):
         res = runner.invoke(main, ["cut", "--input", str(out), *args, "--out", str(cut_out)])
         assert res.exit_code == 0, res.output
         level = int(args[-1]) if len(args) > 2 else None
-        assert cut_out.read_text() == nonclassical.plane_cut(
-            want.values, args[1], level).to_csv()
+        assert cut_out.read_bytes() == plane_cut_csv_loop(
+            nonclassical.plane_cut(want.values, args[1], level))
 
 
 #: what each command records beyond its options: the dict it returns
@@ -862,7 +861,7 @@ def test_cli_malformed_triple_exits_2(runner, workdir, dist3, command, option, v
 
 
 @pytest.mark.parametrize("kind", ["probability", "intensity"])
-@pytest.mark.parametrize("modes", ["nan,1,1", "0,1,1", "-1,1,1"])
+@pytest.mark.parametrize("modes", ["nan,1,1", "0,1,1", "-1,1,1", "1,1,1.3e154"])
 def test_cli_ncc_invalid_modes_exit_2(runner, workdir, dist3_poisson, modes, kind):
     out = workdir / f"ncc_modes_{kind}_{modes}.json"
     res = runner.invoke(main, [
@@ -1615,9 +1614,10 @@ def test_cli_c_s_postselection_uses_the_detectors_of_its_histogram(runner, workd
     def sweep_rows(detectors):
         mats = {l: detection_matrix(detectors[l], 6, c_max)
                 for l, c_max in zip(AXIS_ORDER[1:], h.cutoffs[1:])}
-        return postselect.sweep_histogram(h, mats, range(4, 6)).to_csv()
-    assert out.read_text() == sweep_rows(cfgs)
-    assert out.read_text() != sweep_rows(PAPER_TABLE_1)
+        sw = postselect.sweep_histogram(h, mats, range(4, 6))
+        return csv_text_loop(list(sw.columns()), zip(*sw.columns().values()))
+    assert out.read_bytes() == sweep_rows(cfgs)
+    assert out.read_bytes() != sweep_rows(PAPER_TABLE_1)
     settings = json.loads((workdir / "s60_sweep.csv.manifest.json").read_text())["settings"]
     assert settings["detectors"] == record
 
@@ -1766,3 +1766,154 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[False, False]"
+
+
+@pytest.fixture(scope="module")
+def narrow_hist(workdir):
+    """40 frames with every count <= 2: a click box narrower than the
+    detection matrices of the default photon cutoffs need."""
+    path = workdir / "narrow_hist.csv"
+    clicks = np.random.default_rng(0).integers(0, 3, (40, 4))
+    io.save_histogram(Histogram.binned(clicks, (2, 2, 2, 2)), path, PAPER_TABLE_1)
+    return path
+
+
+@pytest.mark.parametrize("args, n_max, lost", [
+    (["reconstruct", "--signal-cutoff", "6", "--idler-cutoff", "4", "--histogram"], 6,
+     "2.07e-01"),
+    (["sweep", "--source", "histogram", "--selector", "c_s", "--idler-cutoff", "4",
+      "--input"], 4, "5.23e-02"),
+    (["fit", "--histogram"], 32, "9.90e-01"),
+])
+def test_cli_narrow_click_range_exits_2(runner, workdir, narrow_hist, args, n_max, lost):
+    # a truncation of the detection matrices, named by its cutoff and click
+    # range: a data error, not a numerical one
+    out = workdir / f"narrow_{args[0]}.csv"
+    res = runner.invoke(main, [*args, str(narrow_hist), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output == (f"error: click range 0..2 is too narrow for the photon cutoff "
+                          f"n_max = {n_max}: the detection matrix loses {lost} of a column "
+                          "beyond it; lower the photon cutoff or widen the click range\n")
+    assert not out.exists()
+
+
+def read_columns(path):
+    """The header and the parsed float columns of a CSV."""
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=np.float64).reshape(-1, len(header)).T
+
+
+def test_cli_tables_read_back_to_the_library_doubles(runner, workdir, sim_hist, dist4,
+                                                     dist3_poisson):
+    # the sweep, trace and cut CSVs: their headers, and every field the
+    # exact double the library computed
+    trace = workdir / "exact_trace.csv"
+    res = runner.invoke(main, [
+        "reconstruct", "--histogram", str(sim_hist), "--max-iterations", "7",
+        "--out", str(workdir / "exact_photons.csv"), "--trace-out", str(trace)])
+    assert res.exit_code == 0, res.output
+    h = io.load_histogram(sim_hist)
+    mats = {l: detection_matrix(PAPER_TABLE_1[l], 32 if l == "s" else 20, c)
+            for l, c in zip(AXIS_ORDER, h.cutoffs)}
+    want = emrec.em_reconstruct(h, mats, emrec.EmSettings(max_iterations=7)).trace_columns()
+    sweep = workdir / "exact_sweep.csv"
+    res = runner.invoke(main, ["sweep", "--source", "dist", "--input", str(dist4),
+                               "--selector", "c_s", "--out", str(sweep)])
+    assert res.exit_code == 0, res.output
+    t_s = detection_matrix(PAPER_TABLE_1["s"], 8)
+    sw = postselect.sweep_distribution(io.load_distribution(dist4), "c_s",
+                                       range(t_s.c_max + 1), t_s)
+    assert len(sw.rows) > 3
+    cut = workdir / "exact_cut.csv"
+    res = runner.invoke(main, ["quasi", "--dist", str(dist3_poisson), "--s", "0.5",
+                               "--modes", "1,1,2", "--points", "150", "--cut", "triangular",
+                               "--level", "3", "--out", str(cut)])
+    assert res.exit_code == 0, res.output
+    q = nonclassical.quasi_distribution_W(io.load_distribution(dist3_poisson), 0.5,
+                                          (1.0, 1.0, 2.0), points=150)
+    for path, columns in ((trace, want), (sweep, sw.columns()),
+                          (cut, nonclassical.plane_cut(q, "triangular", 3.0).columns())):
+        header, got = read_columns(path)
+        assert header == list(columns)
+        for name, column in zip(header, got):
+            np.testing.assert_array_equal(column, columns[name], err_msg=f"{path.name} {name}")
+
+
+def int_text(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+#: any float option value: nan, infinities, negatives, zeros, subnormals
+FLOAT_TEXT = (st.floats() | st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e300])).map(str)
+TRIPLE_TEXT = st.tuples(FLOAT_TEXT, FLOAT_TEXT, FLOAT_TEXT).map(",".join) | st.text(max_size=10)
+RANGE_TEXT = st.tuples(int_text(-3, 60), int_text(-3, 60)).map(":".join) | st.text(max_size=8)
+#: each command's options, with the values drawn for them. The sizes are
+#: bounded so that no example asks for more than ~100 MB: --frames <= 2000,
+#: a simulated click box of at most 61 x 41^3 int64 cells (34 MB), photon
+#: tables of at most 41 x 26^3 doubles (5.6 MB), --points <= 48 (a 0.9 MB
+#: grid) and a --box of at most 9 per axis on a table of 9^3 cells. Sizes
+#: that would ask for gigabytes are left to the refusals tested above.
+OPTION_VALUES = {
+    "simulate": {"--frames": int_text(-2, 2000), "--seed": int_text(-2, 2**70),
+                 "--signal-cutoff": int_text(-2, 50), "--idler-cutoff": int_text(-2, 30),
+                 "--tail-tol": FLOAT_TEXT},
+    "fit": {"--max-evals": int_text(-2, 3), "--free-efficiencies": st.just(None)},
+    "reconstruct": {"--conditional": int_text(-2, 50), "--signal-cutoff": int_text(-2, 40),
+                    "--idler-cutoff": int_text(-2, 25), "--max-iterations": int_text(-2, 5),
+                    "--tol": FLOAT_TEXT},
+    "postselect": {"--selector": st.sampled_from(["n_s", "c_s"]), "--value": int_text(-5, 50)},
+    "sweep": {"--source": st.sampled_from(["dist", "histogram"]),
+              "--selector": st.sampled_from(["n_s", "c_s"]), "--range": RANGE_TEXT,
+              "--idler-cutoff": int_text(-2, 12)},
+    "ncc": {"--criterion": st.sampled_from(["cs", "matrix"]),
+            "--kind": st.sampled_from(["intensity", "probability"]), "--modes": TRIPLE_TEXT,
+            "--no-ncd": st.just(None), "--tail-tol": FLOAT_TEXT},
+    "ncd-field": {"--criterion": st.sampled_from(["cs", "matrix"]), "--modes": TRIPLE_TEXT,
+                  "--box": (st.tuples(*[int_text(-2, 9)] * 3).map(",".join)
+                            | st.text(max_size=8))},
+    "quasi": {"--s": FLOAT_TEXT, "--modes": TRIPLE_TEXT, "--points": int_text(-1, 48),
+              "--cut": st.sampled_from(["diagonal", "triangular"]), "--level": FLOAT_TEXT},
+    "cut": {"--kind": st.sampled_from(["diagonal", "triangular"]),
+            "--level": int_text(-5, 40)},
+}
+#: options a command cannot run without, and their values when an example omits them
+REQUIRED = {"simulate": {"--frames": "50", "--seed": "1"},
+            "postselect": {"--selector": "n_s", "--value": "1"},
+            "sweep": {"--source": "dist", "--selector": "c_s"}, "ncc": {"--criterion": "cs"},
+            "ncd-field": {"--criterion": "cs"}, "quasi": {"--s": "0.5"},
+            "cut": {"--kind": "diagonal"}}
+
+
+@st.composite
+def option_values(draw, command):
+    """Arguments for ``command``: each of its options left out or given a
+    drawn value (a flag given or not), the required ones filled in."""
+    args = []
+    for option, values in OPTION_VALUES[command].items():
+        if draw(st.booleans()):
+            value = draw(values)
+            args += [option] if value is None else [option, value]
+        elif option in REQUIRED.get(command, {}):
+            args += [option, REQUIRED[command][option]]
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_VALUES))
+@hypothesis.settings(max_examples=15, deadline=None)
+@hypothesis.given(data=st.data())
+def test_cli_option_values_exit_0_2_or_3(runner, workdir, small_hist, fit_hist, dist4, dist3,
+                                        dist3_poisson, command, data):
+    args = data.draw(option_values(command))
+    source = dist4 if "dist" in args else small_hist
+    inputs = {"simulate": [], "fit": ["--histogram", str(fit_hist)],
+              "reconstruct": ["--histogram", str(small_hist), "--trace-out",
+                              str(workdir / "fuzzed_trace.csv")],
+              "postselect": ["--dist", str(dist4)], "sweep": ["--input", str(source)],
+              "ncc": ["--dist", str(dist3)], "ncd-field": ["--dist", str(dist3)],
+              "quasi": ["--dist", str(dist3_poisson)], "cut": ["--input", str(dist3)]}[command]
+    out = workdir / "fuzzed_option_out.csv"
+    out.unlink(missing_ok=True)
+    res = runner.invoke(main, [command, *inputs, *args, "--out", str(out)])
+    assert res.exit_code in (0, 2, 3), (args, res.output, res.exception)
+    assert "Traceback" not in res.output

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import poisson
 
-from tripletwb import fock, nonclassical
+from tripletwb import fock, io, nonclassical
 from tripletwb.errors import CutoffError, DataError, NumericalError, ParameterError
 from tripletwb.fock import JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, MandelRiceComponent,
@@ -126,7 +126,7 @@ def test_s_transform_requires_valid_range():
         s_transform_moments(m, 1.5, (1.0, 1.0, 1.0))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, 2e6])
 @pytest.mark.parametrize("route", ["s_transform", "resummed", "series", "grid"])
 def test_invalid_mode_numbers_raise_parameter_error(route, bad):
     d = poisson_product((0.5, 0.5, 0.5))
@@ -437,6 +437,15 @@ def test_quasi_distribution_validates_grid_moments():
         quasi_distribution_W(d, 0.0, (1.0,), points=4)
 
 
+def test_quasi_distribution_mode_number_near_zero_is_numerical_error():
+    # the coefficient n! Gamma(M) / Gamma(n + M) takes 1/M at n = 1, which
+    # overflows at the smallest subnormal M (a NaN grid before)
+    pmf = mandel_rice_vector(20, MandelRiceComponent(1.0, 0.5))
+    d = JointDistribution(pmf / pmf.sum(), ("i1",), normalized=True)
+    with pytest.raises(NumericalError, match="Laguerre recurrence overflow at n = 1"):
+        quasi_distribution_W(d, 0.5, (5e-324,), points=40)
+
+
 def test_quasi_distribution_laguerre_overflow_is_numerical_error():
     # at s = -0.999 the Laguerre argument 4W/(1 - s^2) is 2000 W: on the
     # default grid of a uniform 101-cell table the recurrence passes its
@@ -663,7 +672,7 @@ def test_diagonal_cuts_take_the_diagonal():
     np.testing.assert_array_equal(pc.u, q.grid(0)[:20])
 
 
-def test_cut_csv_matches_cell_loop():
+def test_cut_csv_matches_cell_loop(tmp_path):
     vals = np.array([[1.0, np.nan, -2.5e-7, np.inf],
                      [-np.inf, 5e-324, -0.0, 123456789012.5],
                      [np.nan, np.nan, np.nan, np.nan],
@@ -678,13 +687,20 @@ def test_cut_csv_matches_cell_loop():
         plane_cut(np.arange(60).reshape(3, 4, 5), "diagonal"),
         plane_cut(rectangular_grid(), "triangular", 4.0),
     ]
-    for pc in cuts:
-        assert pc.to_csv() == plane_cut_csv_loop(pc)
+    for k, pc in enumerate(cuts):
+        path = tmp_path / f"cut{k}.csv"
+        io.save_columns(pc.columns(), path)
+        assert path.read_bytes() == plane_cut_csv_loop(pc)
 
 
-def test_cut_csv_format():
+def test_cut_csv_format(tmp_path):
     pc = plane_cut(np.arange(27, dtype=float).reshape(3, 3, 3), "diagonal")
-    lines = pc.to_csv().strip().splitlines()
-    assert lines[0] == "u,v,value"
-    assert len(lines) == 1 + 9
+    io.save_columns(pc.columns(), tmp_path / "cut.csv")
+    lines = (tmp_path / "cut.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"u,v,value"
+    assert len(lines) == 1 + 9 + 1 and lines[-1] == b""
+    # every field reads back to the double the cut holds
+    cells = np.loadtxt(tmp_path / "cut.csv", delimiter=",", skiprows=1)
+    for name, column in zip(("u", "v", "value"), cells.T):
+        np.testing.assert_array_equal(column, pc.columns()[name])
 

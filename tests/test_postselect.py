@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from tripletwb import io
 from tripletwb.detector import (DetectionMatrix, DetectorConfig, detection_matrix,
                                 forward_counts)
 from tripletwb.emrec import EmSettings, em_reconstruct
 from tripletwb.errors import DataError
 from tripletwb.fock import JointDistribution, condition, marginalize
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
-from tripletwb.postselect import (conditioned_field, corr_fluct, fano,
+from tripletwb.postselect import (SWEEP_STATS, conditioned_field, corr_fluct, fano,
                                   sweep_distribution, sweep_histogram)
 
 from tests.oracles import stats_row_marginals
@@ -238,14 +239,27 @@ def test_sweep_records_gaps_for_starved_slices():
     assert all(r.selector <= 6 for r in sw.rows)
 
 
-def test_sweep_csv_header():
+def test_sweep_csv_header(tmp_path):
     p4 = equal_split_pure_pair(6)
     sw = sweep_distribution(p4, "n_s", range(2, 5))
-    lines = sw.to_csv().strip().splitlines()
-    assert lines[0] == ("selector,mean_i1,mean_i2,mean_i3,"
-                        "fano_i1,fano_i2,fano_i3,"
-                        "corr_12,corr_13,corr_23,slice_mass")
-    assert len(lines) == 4
+    io.save_columns(sw.columns(), tmp_path / "sweep.csv")
+    lines = (tmp_path / "sweep.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == (b"selector,mean_i1,mean_i2,mean_i3,"
+                        b"fano_i1,fano_i2,fano_i3,"
+                        b"corr_12,corr_13,corr_23,slice_mass")
+    assert len(lines) == 5 and lines[-1] == b""
+    # every field reads back to the exact double of its row
+    table = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    for row, r in zip(table, sw.rows):
+        assert row.tolist() == [r.selector, *r.mean, *r.fano, *r.corr, r.mass]
+
+
+def test_sweep_without_rows_writes_its_header(tmp_path):
+    sw = sweep_distribution(equal_split_pure_pair(6), "n_s", range(30, 32))
+    assert sw.rows == () and sw.gaps == (30, 31)
+    io.save_columns(sw.columns(), tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        ",".join(("selector",) + SWEEP_STATS) + "\r\n").encode()
 
 
 def test_sweep_histogram_matches_distribution_for_ideal_idlers():
