@@ -32,7 +32,7 @@ import numpy as np
 from .detector import DetectionMatrix, DetectorConfig, detection_matrix, forward_counts
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fock import (AXIS_ORDER, Histogram, JointDistribution, _power_rows, _read_moments,
-                   contract, table_moments)
+                   contract, split_work, table_moments)
 from .gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF, GaussianFieldModel,
                        MandelRiceComponent, TripleTwbParams)
 
@@ -91,8 +91,12 @@ def declination(h: Histogram, f_model: JointDistribution) -> float:
     sum_c (r - f)^2 / max(f, eps) with r = counts / trials. Unobserved
     cells (r = 0) contribute f^2 / max(f, eps) = f min(f, eps) / eps. That
     sum is taken over every cell in blocks of ``DECLINATION_BLOCK`` cells
-    (256 KB), each clipped into one reused buffer while it is still in
+    (256 KB), each clipped into a reused buffer while it is still in
     cache, so the table is read once and no table-sized temporary is made.
+    A table of at least ``fock.SPLIT_CELLS`` cells shares its blocks out
+    among the workers of :func:`fock.split_work`, a buffer each; the block
+    sums are then added in block order, so the result has the same bits
+    for any worker count.
     The observed cells are then corrected by r (r - 2 f) / max(f, eps) on
     the histogram's support.
     """
@@ -101,12 +105,19 @@ def declination(h: Histogram, f_model: JointDistribution) -> float:
         raise DataError("histogram and model cutoffs do not match")
     cells, rel = h.support
     flat = f.reshape(-1)
-    buf = np.empty(min(DECLINATION_BLOCK, flat.size))
+    starts = range(0, flat.size, DECLINATION_BLOCK)
+    dots = np.empty(len(starts))
+
+    def fold(lo: int, hi: int) -> None:
+        buf = np.empty(min(DECLINATION_BLOCK, flat.size))
+        for b in range(lo, hi):
+            block = flat[starts[b]: starts[b] + DECLINATION_BLOCK]
+            dots[b] = np.dot(block, np.minimum(block, DECLINATION_EPS, out=buf[: block.size]))
+
+    split_work(fold, len(starts), flat.size)
     dense = 0.0
-    for start in range(0, flat.size, DECLINATION_BLOCK):
-        block = flat[start: start + DECLINATION_BLOCK]
-        clipped = np.minimum(block, DECLINATION_EPS, out=buf[: block.size])
-        dense += float(np.dot(block, clipped))
+    for dot in dots.tolist():
+        dense += dot
     dense /= DECLINATION_EPS
     fs = flat[cells]
     return dense + float(np.sum(rel * (rel - 2.0 * fs) / np.maximum(fs, DECLINATION_EPS)))

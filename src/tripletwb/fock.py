@@ -9,13 +9,18 @@ live in :mod:`tripletwb.nonclassical`.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CutoffError, DataError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 AXIS_ORDER = ("s", "i1", "i2", "i3")
 
@@ -29,6 +34,15 @@ TAIL_TOL = 1e-8
 FRAME_CHUNK = 1 << 16
 #: Most cells a binned histogram may hold: 2**28 int64 counts, 2 GiB.
 MAX_CELLS = 1 << 28
+#: Fewest cells a batched step of :func:`contract` must write before
+#: :func:`split_work` shares it out among threads: 4 MiB of float64. The
+#: 4D EM's steps on a sampled histogram's observed click box (up to ~3e5
+#: cells) stay below it and serial, where the hand-off would cost a large
+#: share of a step.
+SPLIT_CELLS = 1 << 19
+#: The variables that pin the BLAS library's thread count, as the
+#: libraries read them (OpenBLAS, OpenMP, MKL)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _check_labels(labels: Sequence[str], ndim: int) -> tuple[str, ...]:
@@ -135,7 +149,9 @@ class Histogram:
         memory than its occupied cells, and the frames cost no more than
         one chunk's index. The table owns its memory, and the histogram
         takes it without a copy. A box of more than ``MAX_CELLS`` cells is
-        a DataError, raised before any allocation.
+        a DataError, raised before any allocation; so is a frame with a
+        negative click, which the flat index would count in a wrapped-around
+        cell.
         """
         shape = tuple(int(c) + 1 for c in box)
         if math.prod(shape) > MAX_CELLS:
@@ -146,6 +162,11 @@ class Histogram:
         kept = 0
         for lo in range(0, len(clicks), FRAME_CHUNK):
             chunk = clicks[lo: lo + FRAME_CHUNK]
+            negative = np.any(chunk < 0, axis=1)
+            if negative.any():
+                row = int(np.argmax(negative))
+                raise DataError(f"frame {lo + row} has a negative click count "
+                                f"({','.join(map(str, chunk[row].tolist()))})")
             cells = (chunk @ steps)[np.all(chunk < shape, axis=1)]
             np.add.at(flat, cells, 1)
             kept += cells.size
@@ -326,6 +347,86 @@ def apply_matrix(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return contract(values, [mat if a == axis else None for a in range(np.ndim(values))])
 
 
+# Threads that share a split step, the calling thread included: None until
+# the first split reads it from the environment (see _worker_count).
+_workers: int | None = None
+# (pool threads, executor), made on the first split and replaced in a
+# fork-started child, whose copy has no threads
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on over the BLAS threads pinned in
+    ``BLAS_THREAD_VARS``, at least 1.
+
+    With no variable set, or one that is not a positive integer, BLAS may
+    already run a thread per CPU and the count is 1: every step runs
+    serially, in the calling thread.
+    """
+    global _workers
+    if _workers is None:
+        values = [os.environ[v].strip() for v in BLAS_THREAD_VARS if v in os.environ]
+        if values and all(v.isdigit() and int(v) >= 1 for v in values):
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _workers = max(1, cpus // max(int(v) for v in values))
+        else:
+            _workers = 1
+    return _workers
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The shared pool, with at least ``threads`` threads."""
+    # imported here, so that a process that never splits a step does not
+    # load concurrent.futures and the logging it imports
+    from concurrent.futures import ThreadPoolExecutor
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="tripletwb-split"))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def split_work(work: Callable[[int, int], object], count: int, cells: int) -> None:
+    """Call ``work(lo, hi)`` on contiguous shares lo:hi that cover 0:count.
+
+    ``work`` must write disjoint memory for disjoint shares. When ``cells``
+    (the cells the work writes) is below ``SPLIT_CELLS``, or the process
+    has one worker, this is the one call ``work(0, count)``. Otherwise the
+    shares, one per worker, go to a persistent thread pool, all but the
+    first, which the calling thread runs. The caller then runs every share
+    no pool thread has started, so a call from a pool thread finishes
+    without waiting on a busy pool. A fork-started child makes a pool of
+    its own. A share that raises raises here.
+    """
+    workers = min(_worker_count(), count) if cells >= SPLIT_CELLS else 1
+    if workers <= 1:
+        work(0, count)
+        return
+    bounds = [count * k // workers for k in range(workers + 1)]
+    shares = list(zip(bounds[:-1], bounds[1:]))
+    pool = _executor(workers - 1)
+    futures = [pool.submit(work, lo, hi) for lo, hi in shares[1:]]
+    work(*shares[0])
+    for (lo, hi), future in zip(shares[1:], futures):
+        if future.cancel():
+            work(lo, hi)
+        else:
+            future.result()
+
+
 def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
     """Contract ``mats[a][c, n]`` against axis ``a`` of ``values``, for every
     axis whose entry is a matrix; a None entry leaves its axis as it is.
@@ -362,6 +463,18 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
     - 3D EM (10^3 clicks, 21^3 photons): forward 0.015 -> 0.018 ms,
       backward 0.017 -> 0.019 ms, the batching overhead of small tables.
 
+    Threads: a batched step that writes at least ``SPLIT_CELLS`` cells
+    hands its c_0 slices to :func:`split_work`, which shares them out among
+    the calling thread and a persistent pool, one share per worker. The
+    workers are the CPUs over the BLAS threads the environment pins; with
+    BLAS not pinned there is one, and every step runs as one call. Each
+    slice is still the one BLAS call it was, with the same operands at the
+    same addresses, so the result has the same bits for any worker count.
+    The leading GEMM stays one call: cut into row blocks, it moved bits by
+    up to 8e-16 relative, depending on where the cut fell. The EM's steps
+    on the observed click box stay below the floor; the fit's forward map
+    of the full 43x31^3 box splits its three batched steps.
+
     A C-contiguous input is read in place. Each step writes through
     ``out=`` into a fresh array of its own shape, so the result is
     C-contiguous, owns its memory and :class:`JointDistribution` takes it
@@ -384,9 +497,17 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
         rows = n if mat is None else mat.shape[0]
         out = np.empty((c0, rows) + x.shape[1:-1],
                        dtype=x.dtype if mat is None else np.result_type(x, mat))
-        if mat is None:
-            np.copyto(out.reshape(c0, n, -1), columns)
-        else:
-            np.matmul(np.asfortranarray(mat), columns, out=out.reshape(c0, rows, -1))
+        if mat is not None:
+            mat = np.asfortranarray(mat)
+        split_work(partial(_slices_step, mat, columns, out.reshape(c0, rows, -1)), c0, out.size)
         x = out
     return x
+
+
+def _slices_step(mat: np.ndarray | None, columns: np.ndarray, out: np.ndarray,
+                 lo: int, hi: int) -> None:
+    """One batched step of :func:`contract` on the c_0 slices lo:hi."""
+    if mat is None:
+        np.copyto(out[lo:hi], columns[lo:hi])
+    else:
+        np.matmul(mat, columns[lo:hi], out=out[lo:hi])

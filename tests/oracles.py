@@ -405,6 +405,27 @@ def declination_dense(h: fock.Histogram, f_model: JointDistribution,
     return float(np.sum((rel - f) ** 2 / np.maximum(f, eps)))
 
 
+def declination_serial_fold(h: fock.Histogram, f_model: JointDistribution) -> float:
+    """``fit.declination`` as one thread folds it: the dense term block by
+    block into one running sum, then the correction on the observed cells.
+
+    The reference for the bits of a declination whose blocks were shared
+    out among threads.
+    """
+    from tripletwb.fit import DECLINATION_BLOCK, DECLINATION_EPS
+    cells, rel = h.support
+    flat = f_model.values.reshape(-1)
+    buf = np.empty(min(DECLINATION_BLOCK, flat.size))
+    dense = 0.0
+    for start in range(0, flat.size, DECLINATION_BLOCK):
+        block = flat[start: start + DECLINATION_BLOCK]
+        clipped = np.minimum(block, DECLINATION_EPS, out=buf[: block.size])
+        dense += float(np.dot(block, clipped))
+    dense /= DECLINATION_EPS
+    fs = flat[cells]
+    return dense + float(np.sum(rel * (rel - 2.0 * fs) / np.maximum(fs, DECLINATION_EPS)))
+
+
 def grid_moments(q, k_max: int) -> np.ndarray:
     """Grid moments sum_W prod_j W_j^k_j P_s(W) dW for every k_j <= k_max.
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tripletwb.fit
+from tripletwb import fock
 from tripletwb.detector import PAPER_TABLE_1, detection_matrix, forward_counts, sample_counts
 from tripletwb.errors import CutoffError, DataError, NumericalError
 from tripletwb.fit import (MOMENT_KEYS, TAIL_TOL, click_moments, declination, fit,
@@ -15,7 +16,8 @@ from tripletwb.fit import (MOMENT_KEYS, TAIL_TOL, click_moments, declination, fi
                            table_moments)
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution
 from tripletwb.gaussian import GaussianFieldModel, PAPER_TABLE_2, sample_photon_numbers
-from tests.oracles import declination_dense, model_moments, table_moments_reductions
+from tests.oracles import (declination_dense, declination_serial_fold, model_moments,
+                           table_moments_reductions)
 
 PHOTON_SEED = 20240817
 CLICK_SEED = 20240818
@@ -181,6 +183,19 @@ def test_declination_matches_dense_sum_on_sampled_histogram(f_model):
     h = clicks_to_histogram(clicks, (42, 30, 30, 30))
     want = declination_dense(h, f_model)
     assert abs(declination(h, f_model) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_declination_has_the_serial_fold_bits_for_any_worker_count(monkeypatch, f_model,
+                                                                     workers):
+    # the full click box is above the split floor: with two or three
+    # workers its blocks are shared out, and the sums still add in block order
+    assert f_model.values.size >= fock.SPLIT_CELLS
+    rng = np.random.default_rng(workers)
+    counts = rng.poisson(1e4 * f_model.values)
+    h = Histogram(counts, int(counts.sum()))
+    monkeypatch.setattr(fock, "_workers", workers)
+    assert declination(h, f_model) == declination_serial_fold(h, f_model)
 
 
 def test_declination_makes_no_table_sized_temporary(f_model):

@@ -1,13 +1,21 @@
 """Distribution/histogram algebra: normalization, marginals, moments."""
+import math
+import multiprocessing
+import os
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripletwb import fock
 from tripletwb.errors import DataError
-from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, MAX_CELLS, Histogram, JointDistribution,
-                            apply_matrix, binomial_table, condition, contract,
-                            falling_factorial, marginalize, normalize)
+from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, MAX_CELLS, SPLIT_CELLS, Histogram,
+                            JointDistribution, apply_matrix, binomial_table, condition,
+                            contract, falling_factorial, marginalize, normalize)
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
 from tripletwb.nonclassical import intensity_moments
 
@@ -97,6 +105,15 @@ def test_binned_matches_tuple_index_reference():
     assert got.trials == want.trials < 0.8 * len(clicks)
     np.testing.assert_array_equal(got.counts, want.counts)
     assert got.counts.base is None  # the table is the one binned filled
+
+
+@pytest.mark.parametrize("row", [0, FRAME_CHUNK + 5])
+def test_binned_refuses_a_frame_with_a_negative_click(row):
+    # its flat cell index would wrap around: (0, 0, 0, -1) lands on (2, 2, 2, 2)
+    clicks = np.zeros((FRAME_CHUNK + 10, 4), dtype=np.int64)
+    clicks[row, 3] = -1
+    with pytest.raises(DataError, match=rf"frame {row} has a negative click count \(0,0,0,-1\)"):
+        Histogram.binned(clicks, (2, 2, 2, 2))
 
 
 def test_binned_with_every_frame_outside_the_box_names_it():
@@ -491,6 +508,141 @@ def test_contract_reads_any_layout_with_either_matrix_order(shape, rows, layout)
         got = contract(laid_out(values, layout), ms)
         assert got.flags.c_contiguous and got.flags.owndata
         np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
+
+
+# (table shape, rows of each axis's matrix): the batched steps write cells
+# on both sides of SPLIT_CELLS, a trailing None step (a copy) included
+SPLIT_CASES = [((10, 90), (6000, 100)), ((10, 90), (6000, 80)),
+               ((40, 120, 110), (40, 100, 120)), ((20, 30, 30, 30), (20, 25, 30, 32))]
+
+
+def split_case(case, seed):
+    shape, rows = case
+    rng = np.random.default_rng(seed)
+    return rng.random(shape), [rng.random((r, n)) for r, n in zip(rows, shape)]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+@pytest.mark.parametrize("layout", ["c", "fortran"])
+def test_contract_has_the_same_bits_for_any_worker_count(monkeypatch, case, layout):
+    values, mats = split_case(case, len(case[0]))
+    if layout == "fortran":
+        values = np.asfortranarray(values)
+    steps = []
+    step = fock._slices_step
+
+    def spy(mat, columns, out, lo, hi):
+        steps.append((out.size, out.shape[0], hi - lo))
+        step(mat, columns, out, lo, hi)
+
+    monkeypatch.setattr(fock, "_slices_step", spy)
+    for picked in (mats, [None, *mats[1:]], [*mats[:-1], None]):
+        got = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fock, "_workers", workers)
+            steps.clear()
+            got[workers] = contract(values, picked)
+            for cells, c0, share in steps:
+                if workers > 1 and cells >= SPLIT_CELLS:
+                    assert share in (c0 // workers, -(-c0 // workers))
+                else:
+                    assert share == c0
+        np.testing.assert_array_equal(got[2], got[1])
+        np.testing.assert_array_equal(got[3], got[1])
+        np.testing.assert_allclose(got[1], loop_contraction(values, picked),
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_split_cases_write_steps_on_both_sides_of_the_floor():
+    sizes = set()
+    for shape, rows in SPLIT_CASES:
+        c0, rest = rows[0], list(shape[1:])
+        for a in reversed(range(1, len(shape))):
+            rest[a - 1] = rows[a]
+            sizes.add(c0 * math.prod(rest) >= SPLIT_CELLS)
+    assert sizes == {False, True}
+
+
+def test_the_leading_gemm_stays_one_call_above_the_floor(monkeypatch):
+    # cut into row blocks, this GEMM reads other bits: one-row blocks take
+    # another BLAS kernel
+    rng = np.random.default_rng(30)
+    values, mat = rng.random((4, 300, 900)), rng.random((2, 4))
+    gemm = (mat @ values.reshape(4, -1)).reshape(2, 300, 900)
+    assert gemm.size >= SPLIT_CELLS
+    for workers in (2, 3):
+        monkeypatch.setattr(fock, "_workers", workers)
+        np.testing.assert_array_equal(contract(values, [mat, None, None]), gemm)
+
+
+def test_contract_returns_inside_every_pool_thread(monkeypatch):
+    # each pool thread's own split finds no idle thread: it runs its shares itself
+    monkeypatch.setattr(fock, "_workers", 3)
+    values, mats = split_case(SPLIT_CASES[-1], 4)
+    want = contract(values, mats)
+    pool = fock._executor(2)
+    futures = [pool.submit(contract, values, mats) for _ in range(2)]
+    for future in futures:
+        np.testing.assert_array_equal(future.result(timeout=60), want)
+
+
+def test_concurrent_contracts_share_the_pool(monkeypatch):
+    # more calling threads than CPUs, switching often: every one gets the bits
+    monkeypatch.setattr(fock, "_workers", 3)
+    values, mats = split_case(SPLIT_CASES[-1], 4)
+    want = contract(values, mats)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            futures = [callers.submit(contract, values, mats) for _ in range(8)]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for g in got:
+        np.testing.assert_array_equal(g, want)
+
+
+def _exit_on_bits(values, mats, want):
+    raise SystemExit(0 if np.array_equal(contract(values, mats), want) else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_contract_returns_in_a_fork_started_child(monkeypatch):
+    monkeypatch.setattr(fock, "_workers", 2)
+    values, mats = split_case(SPLIT_CASES[-1], 4)
+    want = contract(values, mats)  # the pool and its thread exist at the fork
+    child = multiprocessing.get_context("fork").Process(target=_exit_on_bits,
+                                                        args=(values, mats, want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, Python >= 3.12
+        child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and child.exitcode == 0
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 4),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OMP_NUM_THREADS": "4,2"}, 1),
+])
+def test_workers_are_the_cpus_over_the_pinned_blas_threads(monkeypatch, env, workers):
+    for var in fock.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(fock, "_workers", None)
+    assert fock._worker_count() == workers
 
 
 def test_contract_reads_strided_input_and_checks_rank():
