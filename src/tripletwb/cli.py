@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 data/parameter/cutoff error or out of memory,
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import sys
@@ -57,6 +58,11 @@ def _finite_positive(ctx, param, value):
     if not (math.isfinite(value) and value > 0):
         raise click.UsageError(f"{param.opts[0]} must be finite and > 0, got {value}", ctx)
     return value
+
+
+def _default(fn, name: str):
+    """The library's default of ``fn``'s parameter ``name``, for the option that sets it."""
+    return inspect.signature(fn).parameters[name].default
 
 
 #: integer option types; click exits 2 on a value outside the range
@@ -193,7 +199,7 @@ def ingest(frames_file, detector_file, out):
 @click.option("--histogram", "hist_file", type=click.Path(exists=True), required=True)
 @click.option("--free-efficiencies", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--max-evals", type=POSITIVE, default=200, show_default=True)
+@click.option("--max-evals", type=POSITIVE, default=_default(fit, "max_evals"), show_default=True)
 def fit_cmd(hist_file, free_efficiencies, out, max_evals):
     """Fit the 14 field parameters to a photocount histogram."""
     cfgs = io.recorded_detectors(hist_file)
@@ -212,9 +218,9 @@ def fit_cmd(hist_file, free_efficiencies, out, max_evals):
               help="Reconstruct only the 3D idler field at this c_s slice.")
 @click.option("--signal-cutoff", type=NONNEGATIVE, default=DEFAULT_SIGNAL_CUTOFF, show_default=True)
 @click.option("--idler-cutoff", type=NONNEGATIVE, default=DEFAULT_IDLER_CUTOFF, show_default=True)
-@click.option("--max-iterations", type=POSITIVE, default=100_000, show_default=True,
-              help="EM budget: a run that reaches it has not converged.")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--max-iterations", type=POSITIVE, default=emrec.EmSettings.max_iterations,
+              show_default=True, help="EM budget: a run that reaches it has not converged.")
+@click.option("--tol", type=float, default=emrec.EmSettings.stop_tolerance, show_default=True,
               callback=_finite_positive,
               help="Stop once no cell changes by more than this in one EM map. "
                    "EM also stops once a map gains less than "
@@ -311,7 +317,8 @@ def sweep(source, input_file, selector, sel_range, idler_cutoff, out):
 @click.option("--modes", default="1,1,1", show_default=True, callback=_triple(),
               help="Per-beam mode numbers M1,M2,M3.")
 @click.option("--with-ncd/--no-ncd", default=True, show_default=True)
-@click.option("--tail-tol", type=float, default=1e-6, show_default=True,
+@click.option("--tail-tol", type=float,
+              default=_default(nonclassical.intensity_ncd, "tail_tol"), show_default=True,
               callback=_finite_positive,
               help="Largest share of the order-2 intensity moment the outer "
                    "occupation shell may carry (--kind intensity).")
@@ -363,7 +370,8 @@ def ncd_field_cmd(dist_file, criterion, modes, box, out):
 @click.option("--dist", "dist_file", type=click.Path(exists=True), required=True)
 @click.option("--s", "s_value", type=float, required=True)
 @click.option("--modes", default="1,1,1", show_default=True, callback=_triple())
-@click.option("--points", type=click.IntRange(min=2), default=400, show_default=True)
+@click.option("--points", type=click.IntRange(min=2),
+              default=_default(nonclassical.quasi_distribution_W, "points"), show_default=True)
 @click.option("--cut", "cut_kind", type=click.Choice(["diagonal", "triangular"]),
               default="diagonal", show_default=True)
 @click.option("--level", type=float, default=None)

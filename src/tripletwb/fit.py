@@ -18,6 +18,7 @@ click means and covariances without the click table. It then maps the
 last of those tables forward to the click table, which comes out of the
 contraction already normalized, and scores it: one read of every cell, in
 cache-sized blocks, plus a correction on the histogram's observed cells.
+Only the forward map's ``fock.contract`` steps may run on several threads.
 Parameters, declination and moments of one evaluation all belong to that
 one table, so the best evaluation is the report and nothing is rebuilt.
 """
@@ -32,7 +33,7 @@ import numpy as np
 from .detector import DetectionMatrix, DetectorConfig, detection_matrix, forward_counts
 from .errors import CutoffError, DataError, NumericalError, ParameterError
 from .fock import (AXIS_ORDER, Histogram, JointDistribution, _power_rows, _read_moments,
-                   contract, split_work, table_moments)
+                   contract, table_moments)
 from .gaussian import (DEFAULT_IDLER_CUTOFF, DEFAULT_SIGNAL_CUTOFF, GaussianFieldModel,
                        MandelRiceComponent, TripleTwbParams)
 
@@ -91,33 +92,24 @@ def declination(h: Histogram, f_model: JointDistribution) -> float:
     sum_c (r - f)^2 / max(f, eps) with r = counts / trials. Unobserved
     cells (r = 0) contribute f^2 / max(f, eps) = f min(f, eps) / eps. That
     sum is taken over every cell in blocks of ``DECLINATION_BLOCK`` cells
-    (256 KB), each clipped into a reused buffer while it is still in
+    (256 KB), each clipped into one reused buffer while it is still in
     cache, so the table is read once and no table-sized temporary is made.
-    A table of at least ``fock.SPLIT_CELLS`` cells shares its blocks out
-    among the workers of :func:`fock.split_work`, a buffer each; the block
-    sums are then added in block order, so the result has the same bits
-    for any worker count.
-    The observed cells are then corrected by r (r - 2 f) / max(f, eps) on
-    the histogram's support.
+    One thread folds the blocks in order: the pass is bound by memory, and
+    no fit run's wall time showed a gain when two threads shared it. The
+    observed cells are then corrected by r (r - 2 f) / max(f, eps) on the
+    histogram's support.
     """
     f = f_model.values
     if h.counts.shape != f.shape:
         raise DataError("histogram and model cutoffs do not match")
     cells, rel = h.support
     flat = f.reshape(-1)
-    starts = range(0, flat.size, DECLINATION_BLOCK)
-    dots = np.empty(len(starts))
-
-    def fold(lo: int, hi: int) -> None:
-        buf = np.empty(min(DECLINATION_BLOCK, flat.size))
-        for b in range(lo, hi):
-            block = flat[starts[b]: starts[b] + DECLINATION_BLOCK]
-            dots[b] = np.dot(block, np.minimum(block, DECLINATION_EPS, out=buf[: block.size]))
-
-    split_work(fold, len(starts), flat.size)
+    buf = np.empty(min(DECLINATION_BLOCK, flat.size))
     dense = 0.0
-    for dot in dots.tolist():
-        dense += dot
+    for start in range(0, flat.size, DECLINATION_BLOCK):
+        block = flat[start: start + DECLINATION_BLOCK]
+        clipped = np.minimum(block, DECLINATION_EPS, out=buf[: block.size])
+        dense += float(np.dot(block, clipped))
     dense /= DECLINATION_EPS
     fs = flat[cells]
     return dense + float(np.sum(rel * (rel - 2.0 * fs) / np.maximum(fs, DECLINATION_EPS)))

@@ -12,15 +12,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CutoffError, DataError
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 AXIS_ORDER = ("s", "i1", "i2", "i3")
 
@@ -34,11 +31,11 @@ TAIL_TOL = 1e-8
 FRAME_CHUNK = 1 << 16
 #: Most cells a binned histogram may hold: 2**28 int64 counts, 2 GiB.
 MAX_CELLS = 1 << 28
-#: Fewest cells a batched step of :func:`contract` must write before
-#: :func:`split_work` shares it out among threads: 4 MiB of float64. The
-#: 4D EM's steps on a sampled histogram's observed click box (up to ~3e5
-#: cells) stay below it and serial, where the hand-off would cost a large
-#: share of a step.
+#: Fewest cells a batched step of :func:`contract` must write before it is
+#: shared out among threads: 4 MiB of float64. The full 43x31^3 click box's
+#: forward map and a 400-point W synthesis reach it; the 4D EM's steps on an
+#: observed click box (up to ~3e5 cells) stay below it and serial, where the
+#: hand-off would cost a large share of a step.
 SPLIT_CELLS = 1 << 19
 #: The variables that pin the BLAS library's thread count, as the
 #: libraries read them (OpenBLAS, OpenMP, MKL)
@@ -350,9 +347,9 @@ def apply_matrix(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
 # Threads that share a split step, the calling thread included: None until
 # the first split reads it from the environment (see _worker_count).
 _workers: int | None = None
-# (pool threads, executor), made on the first split and replaced in a
-# fork-started child, whose copy has no threads
-_pool: tuple[int, ThreadPoolExecutor] | None = None
+# the ThreadPoolExecutor of _worker_count() - 1 threads, made on the first
+# split and dropped in a fork-started child, whose copy has no threads
+_pool = None
 _pool_lock = threading.Lock()
 
 
@@ -376,18 +373,16 @@ def _worker_count() -> int:
     return _workers
 
 
-def _executor(threads: int) -> ThreadPoolExecutor:
-    """The shared pool, with at least ``threads`` threads."""
+def _executor():
+    """The shared pool of ``_worker_count() - 1`` threads, made once."""
     # imported here, so that a process that never splits a step does not
     # load concurrent.futures and the logging it imports
     from concurrent.futures import ThreadPoolExecutor
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] < threads:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="tripletwb-split"))
-        return _pool[1]
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_worker_count() - 1, thread_name_prefix="tripletwb-split")
+        return _pool
 
 
 def _forget_pool() -> None:
@@ -397,34 +392,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-def split_work(work: Callable[[int, int], object], count: int, cells: int) -> None:
-    """Call ``work(lo, hi)`` on contiguous shares lo:hi that cover 0:count.
-
-    ``work`` must write disjoint memory for disjoint shares. When ``cells``
-    (the cells the work writes) is below ``SPLIT_CELLS``, or the process
-    has one worker, this is the one call ``work(0, count)``. Otherwise the
-    shares, one per worker, go to a persistent thread pool, all but the
-    first, which the calling thread runs. The caller then runs every share
-    no pool thread has started, so a call from a pool thread finishes
-    without waiting on a busy pool. A fork-started child makes a pool of
-    its own. A share that raises raises here.
-    """
-    workers = min(_worker_count(), count) if cells >= SPLIT_CELLS else 1
-    if workers <= 1:
-        work(0, count)
-        return
-    bounds = [count * k // workers for k in range(workers + 1)]
-    shares = list(zip(bounds[:-1], bounds[1:]))
-    pool = _executor(workers - 1)
-    futures = [pool.submit(work, lo, hi) for lo, hi in shares[1:]]
-    work(*shares[0])
-    for (lo, hi), future in zip(shares[1:], futures):
-        if future.cancel():
-            work(lo, hi)
-        else:
-            future.result()
 
 
 def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
@@ -463,17 +430,14 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
     - 3D EM (10^3 clicks, 21^3 photons): forward 0.015 -> 0.018 ms,
       backward 0.017 -> 0.019 ms, the batching overhead of small tables.
 
-    Threads: a batched step that writes at least ``SPLIT_CELLS`` cells
-    hands its c_0 slices to :func:`split_work`, which shares them out among
-    the calling thread and a persistent pool, one share per worker. The
-    workers are the CPUs over the BLAS threads the environment pins; with
-    BLAS not pinned there is one, and every step runs as one call. Each
-    slice is still the one BLAS call it was, with the same operands at the
-    same addresses, so the result has the same bits for any worker count.
-    The leading GEMM stays one call: cut into row blocks, it moved bits by
-    up to 8e-16 relative, depending on where the cut fell. The EM's steps
-    on the observed click box stay below the floor; the fit's forward map
-    of the full 43x31^3 box splits its three batched steps.
+    Threads, the package's only ones: a batched step that writes at least
+    ``SPLIT_CELLS`` cells shares its c_0 slices out among the calling
+    thread and a persistent pool (:func:`_split_step`). The workers are the
+    CPUs over the BLAS threads the environment pins; with BLAS not pinned
+    there is one. Each slice is still the one BLAS call it was, with the
+    same operands at the same addresses, so the result has the same bits
+    for any worker count. The leading GEMM stays one call: cut into row
+    blocks, it moved bits by up to 8e-16 relative, depending on the cut.
 
     A C-contiguous input is read in place. Each step writes through
     ``out=`` into a fresh array of its own shape, so the result is
@@ -499,9 +463,29 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
                        dtype=x.dtype if mat is None else np.result_type(x, mat))
         if mat is not None:
             mat = np.asfortranarray(mat)
-        split_work(partial(_slices_step, mat, columns, out.reshape(c0, rows, -1)), c0, out.size)
+        _split_step(mat, columns, out.reshape(c0, rows, -1))
         x = out
     return x
+
+
+def _split_step(mat: np.ndarray | None, columns: np.ndarray, out: np.ndarray) -> None:
+    """One batched step of :func:`contract`, as one call on all c_0 slices
+    below ``SPLIT_CELLS`` cells or with one worker, else in contiguous
+    shares, one per worker. The pool gets all but the first, which the
+    calling thread runs; it then runs every share no pool thread has
+    started, so a call from a pool thread never waits on a busy pool. A
+    share that raises raises here."""
+    c0 = out.shape[0]
+    workers = min(_worker_count(), c0) if out.size >= SPLIT_CELLS else 1
+    shares = [(c0 * k // workers, c0 * (k + 1) // workers) for k in range(workers)]
+    futures = [_executor().submit(_slices_step, mat, columns, out, lo, hi)
+               for lo, hi in shares[1:]]
+    _slices_step(mat, columns, out, *shares[0])
+    for (lo, hi), future in zip(shares[1:], futures):
+        if future.cancel():
+            _slices_step(mat, columns, out, lo, hi)
+        else:
+            future.result()
 
 
 def _slices_step(mat: np.ndarray | None, columns: np.ndarray, out: np.ndarray,

@@ -138,8 +138,7 @@ def ingest_frames(path: str | Path, cfgs: dict[str, DetectorConfig]) -> Histogra
         raise DataError(f"{path}: no frames")
     frame_ids = cells[:, 0]
     clicks = np.column_stack([cells[:, 1:], last.astype(np.int64)])
-    repeat = np.ones(len(frame_ids), dtype=bool)
-    repeat[np.unique(frame_ids, return_index=True)[1]] = False
+    repeat = _repeats(frame_ids)
     if repeat.any():
         row = int(np.argmax(repeat))
         raise DataError(f"{path}:{_line_of(path, row)}: duplicate frame_id {frame_ids[row]}")
@@ -200,6 +199,13 @@ def _parse_error(path: Path, width: int) -> str:
     return f"{path}: unreadable table"
 
 
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """True at each key that an earlier row already holds."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
 def _read_cells(path: Path, header: list[str],
                 shape: tuple[int, ...] | None = None,
                 counts: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -207,9 +213,9 @@ def _read_cells(path: Path, header: list[str],
 
     The first line must equal ``header``, whose length sets the rank.
     Every index must be a nonnegative integer below 2**53, which a double
-    holds exactly, and below ``shape`` when given; every value finite, and
-    for ``counts`` a nonnegative integer below 2**53 too. A violation is a
-    DataError naming the file and line.
+    holds exactly, and below ``shape`` when given, where no cell may come
+    twice; every value finite, and for ``counts`` a nonnegative integer
+    below 2**53 too. A violation is a DataError naming the file and line.
     """
     try:
         fh = path.open(errors="replace")  # as _data_lines reads it
@@ -241,6 +247,10 @@ def _read_cells(path: Path, header: list[str],
         checks += [("count is not a nonnegative integer",
                     (values != np.floor(values)) | (values < 0)),
                    ("count is not below 2**53", values >= 2.0**53)]
+    if shape is not None and not any(bad.any() for _, bad in checks):
+        # a histogram would add the rows of a repeated cell, a table keep the last
+        flat = np.ravel_multi_index(tuple(cells.T.astype(np.int64)), shape)
+        checks.append(("repeated cell", _repeats(flat)))
     for reason, bad in checks:
         if bad.any():
             row = int(np.argmax(bad))
@@ -454,7 +464,7 @@ def load_histogram(path: str | Path) -> Histogram:
     cells, counts = _read_cells(path, _histogram_header(meta["axis_labels"]), shape,
                                 counts=True)
     table = np.zeros(shape, dtype=np.int64)
-    np.add.at(table, tuple(cells.T), counts.astype(np.int64))
+    table[tuple(cells.T)] = counts
     try:
         return Histogram(table, meta["trials"], tuple(meta["axis_labels"]))
     except DataError as exc:

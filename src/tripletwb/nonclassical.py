@@ -46,6 +46,7 @@ NCD_BISECTIONS = 40  # ... or after this many halvings
 SCAN_POINTS = 17  # orderings of the coarse sign scan over [S_MIN, 1]
 _SERIES_TAIL_TOL = 1e-12  # the series route sums its tail to a term below this
 _SERIES_K_CAP = 4000  # ... within this many terms
+_SHELL_TOL = 1e-6  # default share of the top-order moment the outer shell may carry
 #: largest mode number a beam may have: the criteria hold products of up to
 #: six factors of M, which overflow a double past M ~ 1e51
 MAX_MODES = 1e6
@@ -149,7 +150,7 @@ class QuasiDistribution:
 # ---------------------------------------------------------------------------
 
 def intensity_moments(d: JointDistribution, k_max: int,
-                      tail_tol: float = 1e-6) -> IntensityMoments:
+                      tail_tol: float = _SHELL_TOL) -> IntensityMoments:
     """Normal-ordered intensity moments = factorial moments of the table.
 
     The outermost occupation shell must contribute less than ``tail_tol``
@@ -364,7 +365,7 @@ def _factorial_weighted(p: np.ndarray, offset: tuple[int, int, int]) -> np.ndarr
 
 
 def intensity_criterion(d: JointDistribution, criterion: str, modes: Sequence[float],
-                        tail_tol: float = 1e-6) -> Callable[[float], float]:
+                        tail_tol: float = _SHELL_TOL) -> Callable[[float], float]:
     """The intensity criterion of a 3D field as a function of the ordering s."""
     base = intensity_moments(d, 2, tail_tol=tail_tol)
     return lambda s: moment_criterion(s_transform_moments(base, s, modes).tensor, criterion)
@@ -427,7 +428,7 @@ def _scored(name: str, evaluator: Callable[[float], float]) -> NccResult:
 
 
 def intensity_ncd(d: JointDistribution, criterion: str, modes: Sequence[float],
-                  tail_tol: float = 1e-6) -> NccResult:
+                  tail_tol: float = _SHELL_TOL) -> NccResult:
     """NCD of an intensity criterion ("cs" or "matrix") for a 3D field."""
     return _scored(f"{criterion}_intensity", intensity_criterion(d, criterion, modes, tail_tol))
 

@@ -409,8 +409,8 @@ def declination_serial_fold(h: fock.Histogram, f_model: JointDistribution) -> fl
     """``fit.declination`` as one thread folds it: the dense term block by
     block into one running sum, then the correction on the observed cells.
 
-    The reference for the bits of a declination whose blocks were shared
-    out among threads.
+    The reference for its bits: a fold that adds the block sums in another
+    order, or in another grouping, reads other bits.
     """
     from tripletwb.fit import DECLINATION_BLOCK, DECLINATION_EPS
     cells, rel = h.support

@@ -188,11 +188,9 @@ def test_declination_matches_dense_sum_on_sampled_histogram(f_model):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_declination_has_the_serial_fold_bits_for_any_worker_count(monkeypatch, f_model,
                                                                      workers):
-    # the full click box is above the split floor: with two or three
-    # workers its blocks are shared out, and the sums still add in block order
-    assert f_model.values.size >= fock.SPLIT_CELLS
-    rng = np.random.default_rng(workers)
-    counts = rng.poisson(1e4 * f_model.values)
+    # the dense blocks add into one running sum, in block order, whatever
+    # the worker count: the fold never splits
+    counts = np.random.default_rng(workers).poisson(1e4 * f_model.values)
     h = Histogram(counts, int(counts.sum()))
     monkeypatch.setattr(fock, "_workers", workers)
     assert declination(h, f_model) == declination_serial_fold(h, f_model)

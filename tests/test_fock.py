@@ -522,9 +522,28 @@ def split_case(case, seed):
     return rng.random(shape), [rng.random((r, n)) for r, n in zip(rows, shape)]
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` forces the worker count to n and drops the pool, so the
+    next split makes one of n - 1 threads. The pools made in the test are
+    shut down after it, and the process's own count and pool come back."""
+    def drop_pool():
+        if fock._pool is not None:
+            fock._pool.shutdown()
+        fock._pool = None
+
+    def force(count):
+        drop_pool()
+        monkeypatch.setattr(fock, "_workers", count)
+
+    monkeypatch.setattr(fock, "_pool", None)
+    yield force
+    drop_pool()
+
+
 @pytest.mark.parametrize("case", SPLIT_CASES)
 @pytest.mark.parametrize("layout", ["c", "fortran"])
-def test_contract_has_the_same_bits_for_any_worker_count(monkeypatch, case, layout):
+def test_contract_has_the_same_bits_for_any_worker_count(monkeypatch, workers, case, layout):
     values, mats = split_case(case, len(case[0]))
     if layout == "fortran":
         values = np.asfortranarray(values)
@@ -538,13 +557,13 @@ def test_contract_has_the_same_bits_for_any_worker_count(monkeypatch, case, layo
     monkeypatch.setattr(fock, "_slices_step", spy)
     for picked in (mats, [None, *mats[1:]], [*mats[:-1], None]):
         got = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(fock, "_workers", workers)
+        for count in (1, 2, 3):
+            workers(count)
             steps.clear()
-            got[workers] = contract(values, picked)
+            got[count] = contract(values, picked)
             for cells, c0, share in steps:
-                if workers > 1 and cells >= SPLIT_CELLS:
-                    assert share in (c0 // workers, -(-c0 // workers))
+                if count > 1 and cells >= SPLIT_CELLS:
+                    assert share in (c0 // count, -(-c0 // count))
                 else:
                     assert share == c0
         np.testing.assert_array_equal(got[2], got[1])
@@ -563,32 +582,45 @@ def test_split_cases_write_steps_on_both_sides_of_the_floor():
     assert sizes == {False, True}
 
 
-def test_the_leading_gemm_stays_one_call_above_the_floor(monkeypatch):
+def test_the_leading_gemm_stays_one_call_above_the_floor(workers):
     # cut into row blocks, this GEMM reads other bits: one-row blocks take
     # another BLAS kernel
     rng = np.random.default_rng(30)
     values, mat = rng.random((4, 300, 900)), rng.random((2, 4))
     gemm = (mat @ values.reshape(4, -1)).reshape(2, 300, 900)
     assert gemm.size >= SPLIT_CELLS
-    for workers in (2, 3):
-        monkeypatch.setattr(fock, "_workers", workers)
+    for count in (2, 3):
+        workers(count)
         np.testing.assert_array_equal(contract(values, [mat, None, None]), gemm)
 
 
-def test_contract_returns_inside_every_pool_thread(monkeypatch):
+def test_contract_returns_inside_every_pool_thread(workers):
     # each pool thread's own split finds no idle thread: it runs its shares itself
-    monkeypatch.setattr(fock, "_workers", 3)
+    workers(3)
     values, mats = split_case(SPLIT_CASES[-1], 4)
     want = contract(values, mats)
-    pool = fock._executor(2)
+    pool = fock._executor()
     futures = [pool.submit(contract, values, mats) for _ in range(2)]
     for future in futures:
         np.testing.assert_array_equal(future.result(timeout=60), want)
 
 
-def test_concurrent_contracts_share_the_pool(monkeypatch):
+def test_the_pool_is_made_once_with_a_thread_per_other_worker(workers):
+    # the first split has two c_0 slices, so two shares; a later one has 20
+    # and takes three: the pool the first made serves both
+    workers(3)
+    rng = np.random.default_rng(31)
+    values = rng.random((20, 30, 30, 30))
+    contract(values, [rng.random((2, 20)), None, None, rng.random((300, 30))])
+    pool = fock._pool
+    assert pool._max_workers == 2
+    contract(*split_case(SPLIT_CASES[-1], 4))
+    assert fock._pool is pool
+
+
+def test_concurrent_contracts_share_the_pool(workers):
     # more calling threads than CPUs, switching often: every one gets the bits
-    monkeypatch.setattr(fock, "_workers", 3)
+    workers(3)
     values, mats = split_case(SPLIT_CASES[-1], 4)
     want = contract(values, mats)
     interval = sys.getswitchinterval()
@@ -608,8 +640,8 @@ def _exit_on_bits(values, mats, want):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_contract_returns_in_a_fork_started_child(monkeypatch):
-    monkeypatch.setattr(fock, "_workers", 2)
+def test_contract_returns_in_a_fork_started_child(workers):
+    workers(2)
     values, mats = split_case(SPLIT_CASES[-1], 4)
     want = contract(values, mats)  # the pool and its thread exist at the fork
     child = multiprocessing.get_context("fork").Process(target=_exit_on_bits,
@@ -625,7 +657,7 @@ def test_contract_returns_in_a_fork_started_child(monkeypatch):
     assert not alive and child.exitcode == 0
 
 
-@pytest.mark.parametrize("env, workers", [
+@pytest.mark.parametrize("env, count", [
     ({}, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 4),
     ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 4),
@@ -635,14 +667,14 @@ def test_contract_returns_in_a_fork_started_child(monkeypatch):
     ({"OPENBLAS_NUM_THREADS": "0"}, 1),
     ({"OMP_NUM_THREADS": "4,2"}, 1),
 ])
-def test_workers_are_the_cpus_over_the_pinned_blas_threads(monkeypatch, env, workers):
+def test_workers_are_the_cpus_over_the_pinned_blas_threads(monkeypatch, workers, env, count):
     for var in fock.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(fock, "_workers", None)
-    assert fock._worker_count() == workers
+    workers(None)
+    assert fock._worker_count() == count
 
 
 def test_contract_reads_strided_input_and_checks_rank():

@@ -1,6 +1,7 @@
 """File formats and the command-line pipelines."""
 import csv
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from tripletwb import emrec, io, nonclassical, postselect
 from tripletwb.cli import main
 from tripletwb.detector import PAPER_TABLE_1, detection_matrix
 from tripletwb.errors import DataError
+from tripletwb.fit import fit
 from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, condition
 from tripletwb.gaussian import PAPER_TABLE_2
 from tripletwb.io import FRAME_HEADER
@@ -346,6 +348,9 @@ TABLE_FORMATS = {
     (None, ["0,0,x,0,1"], r":3: could not convert string to float: 'x'"),
     (None, ["0,0.5,0,0,1"], r":3: cell index is not an integer"),
     ("a,b,c,d,e", ["1,1,1,1,1"], r":1: expected header"),
+    # a loader that kept the last row (a table) or added both (a histogram)
+    # would pass either sum check on this file
+    (None, ["1,0,0,0,0", "0,0,0,0,1"], r":4: repeated cell \(0,0,0,0,1\)"),
 ])
 def test_table_loaders_reject_malformed_rows(tmp_path, kind, header, rows, match):
     loader, good_header, meta = TABLE_FORMATS[kind]
@@ -1751,21 +1756,42 @@ def test_one_version_string():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # a fresh interpreter, since other tests load both into this one; only
-    # fit.fit imports scipy.optimize and only the series route scipy.special,
-    # so the other commands start without them
+    # a fresh interpreter, since other tests load them all into this one;
+    # only fit.fit imports scipy.optimize, only the series route
+    # scipy.special, and only a split contraction step concurrent.futures
+    # (and the logging it imports), so the other commands start without them
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(tripletwb.__file__).resolve().parents[1])
+    modules = ("scipy.optimize", "scipy.special", "concurrent.futures", "logging")
     code = ("import sys, tripletwb, tripletwb.cli; "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[]"
+
+
+def _signature_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+@pytest.mark.parametrize("command, option, library", [
+    ("reconstruct", "max_iterations", emrec.EmSettings().max_iterations),
+    ("reconstruct", "tol", emrec.EmSettings().stop_tolerance),
+    ("fit", "max_evals", _signature_default(fit, "max_evals")),
+    ("quasi", "points", _signature_default(nonclassical.quasi_distribution_W, "points")),
+    *[("ncc", "tail_tol", _signature_default(fn, "tail_tol"))
+      for fn in (nonclassical.intensity_moments, nonclassical.intensity_criterion,
+                 nonclassical.intensity_ncd)],
+], ids=["max_iterations", "tol", "max_evals", "points", "tail_tol-intensity_moments",
+        "tail_tol-intensity_criterion", "tail_tol-intensity_ncd"])
+def test_cli_defaults_are_the_library_defaults(command, option, library):
+    default = next(p.default for p in main.commands[command].params if p.name == option)
+    assert default == library and type(default) is type(library)
 
 
 @pytest.fixture(scope="module")
