@@ -528,10 +528,16 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
 
     GEMM orientation: :func:`fock.contract` with None on axis 0 gives Y of
     shape (n_0 + 1, points^(d-1)); a second, with None on the other axes,
-    is one GEMM ``K_0 @ Y`` writing the C-ordered grid in rows of
+    is the GEMM ``K_0 @ Y`` writing the C-ordered grid in rows of
     points^(d-1). With an inner dimension of ~20, BLAS writes those long
     rows about 1.8x faster than the rows of ``points`` that one
-    contraction of every axis would write in its last step.
+    contraction of every axis would write in its last step. Its ``points``
+    rows of ``K_0`` go in blocks of ``fock.LEAD_ROWS``, shared out among
+    the workers: the 3D grid at 400 points (512 MB) took 0.15-0.18 s in
+    one call and ~0.10 s on two workers, one BLAS thread each (OpenBLAS
+    0.3.31, Haswell kernel, shared 2-CPU host). The grid has
+    one call's bits at 300, 400 and 500 points; at 399 and 401, 8-11
+    cells move, by at most 3.5e-40 of the grid's largest.
     """
     if not d.normalized:
         raise DataError("quasi-distribution needs a normalized distribution")

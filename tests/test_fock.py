@@ -1,4 +1,5 @@
 """Distribution/histogram algebra: normalization, marginals, moments."""
+import hashlib
 import math
 import multiprocessing
 import os
@@ -13,13 +14,13 @@ from hypothesis import strategies as st
 
 from tripletwb import fock
 from tripletwb.errors import DataError
-from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, MAX_CELLS, SPLIT_CELLS, Histogram,
-                            JointDistribution, apply_matrix, binomial_table, condition,
-                            contract, falling_factorial, marginalize, normalize)
+from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, LEAD_ROWS, MAX_CELLS, SPLIT_CELLS,
+                            Histogram, JointDistribution, apply_matrix, binomial_table,
+                            condition, contract, falling_factorial, marginalize, normalize)
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
-from tripletwb.nonclassical import intensity_moments
+from tripletwb.nonclassical import intensity_moments, quasi_distribution_W
 
-from tests.oracles import axis_contraction, binned_tuple_index
+from tests.oracles import axis_contraction, binned_tuple_index, quasi_kernels
 
 
 def table(values, labels, normalized=True):
@@ -582,9 +583,52 @@ def test_split_cases_write_steps_on_both_sides_of_the_floor():
     assert sizes == {False, True}
 
 
+@pytest.mark.parametrize("rows", [65, 130, 401])
+@pytest.mark.parametrize("layout", ["c", "fortran"])
+def test_leading_gemm_blocks_have_the_same_bits_for_any_worker_count(workers, rows, layout):
+    rng = np.random.default_rng(rows)
+    values, mat = rng.random((21, 90, 90)), rng.random((rows, 21))
+    if layout == "fortran":
+        values, mat = np.asfortranarray(values), np.asfortranarray(mat)
+    mats = [mat, None, None]
+    assert rows * 90 * 90 >= SPLIT_CELLS
+    got = {}
+    for count in (1, 2, 3):
+        workers(count)
+        got[count] = contract(values, mats)
+    np.testing.assert_array_equal(got[2], got[1])
+    np.testing.assert_array_equal(got[3], got[1])
+    np.testing.assert_allclose(got[1], loop_contraction(values, mats), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("rows, cuts", [(401, list(range(0, 401, LEAD_ROWS)) + [401]),
+                                        (130, [0, 64, 128, 130]), (LEAD_ROWS, [0, LEAD_ROWS])])
+def test_the_leading_gemm_is_cut_only_at_multiples_of_lead_rows(monkeypatch, workers, rows, cuts):
+    # one np.matmul per block: the rows each call writes, read from its out=
+    rng = np.random.default_rng(32)
+    values, mat = rng.random((21, 100, 100)), rng.random((rows, 21))
+    assert rows * 100 * 100 >= SPLIT_CELLS
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, out):
+        calls.append((out.ctypes.data, out.shape[0]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for count in (1, 2, 3):
+        workers(count)
+        calls.clear()
+        got = contract(values, [mat, None, None])
+        row_bytes = got[0].nbytes
+        blocks = sorted(((data - got.ctypes.data) // row_bytes, n) for data, n in calls)
+        assert [lo for lo, _ in blocks] + [rows] == cuts
+        assert all(lo + n == hi for (lo, n), hi in zip(blocks, cuts[1:]))
+
+
 def test_the_leading_gemm_stays_one_call_above_the_floor(workers):
-    # cut into row blocks, this GEMM reads other bits: one-row blocks take
-    # another BLAS kernel
+    # its 2-row matrix is under LEAD_ROWS, so the GEMM is one call; cut into
+    # row blocks, it would read other bits: one-row blocks take another
+    # BLAS kernel
     rng = np.random.default_rng(30)
     values, mat = rng.random((4, 300, 900)), rng.random((2, 4))
     gemm = (mat @ values.reshape(4, -1)).reshape(2, 300, 900)
@@ -592,6 +636,21 @@ def test_the_leading_gemm_stays_one_call_above_the_floor(workers):
     for count in (2, 3):
         workers(count)
         np.testing.assert_array_equal(contract(values, [mat, None, None]), gemm)
+
+
+def test_the_400_point_w_grid_has_the_bits_of_one_gemm(model4):
+    # the W synthesis's lead (400 rows) runs in LEAD_ROWS blocks; at 400
+    # points they read the bits of one np.matmul(K_0, Y). The grids are
+    # compared by digest, so that two 512 MB grids never coexist
+    d = condition(model4, "s", 10)
+    q = quasi_distribution_W(d, 0.0, (1.0, 1.0, 1.0))
+    assert q.values.shape == (400, 400, 400)
+    kernels = quasi_kernels(q, d)
+    digest = hashlib.sha256(q.values.data).digest()
+    del q
+    y = contract(d.values, [None, *kernels[1:]])
+    one = np.matmul(kernels[0], y.reshape(y.shape[0], -1))
+    assert hashlib.sha256(one.data).digest() == digest
 
 
 def test_contract_returns_inside_every_pool_thread(workers):
@@ -657,6 +716,20 @@ def test_contract_returns_in_a_fork_started_child(workers):
     assert not alive and child.exitcode == 0
 
 
+def pinned_worker_count(monkeypatch, workers, blas, env):
+    """_worker_count on 4 CPUs, with numpy's build record naming ``blas``
+    (None: no BLAS entry) and only ``env`` of the BLAS variables set."""
+    record = {} if blas is None else {"blas": {"name": blas}}
+    monkeypatch.setattr(np.__config__, "CONFIG", {"Build Dependencies": record})
+    for var in fock.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    workers(None)
+    return fock._worker_count()
+
+
 @pytest.mark.parametrize("env, count", [
     ({}, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 4),
@@ -666,15 +739,23 @@ def test_contract_returns_in_a_fork_started_child(workers):
     ({"OPENBLAS_NUM_THREADS": "8"}, 1),
     ({"OPENBLAS_NUM_THREADS": "0"}, 1),
     ({"OMP_NUM_THREADS": "4,2"}, 1),
+    ({"MKL_NUM_THREADS": "1"}, 1),  # OpenBLAS does not read it
 ])
 def test_workers_are_the_cpus_over_the_pinned_blas_threads(monkeypatch, workers, env, count):
-    for var in fock.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    workers(None)
-    assert fock._worker_count() == count
+    assert pinned_worker_count(monkeypatch, workers, "scipy-openblas", env) == count
+
+
+@pytest.mark.parametrize("blas, env, count", [
+    ("mkl-sdl", {"MKL_NUM_THREADS": "1"}, 4),
+    ("mkl-sdl", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ("mkl-sdl", {"OMP_NUM_THREADS": "2"}, 2),
+    # a BLAS the rule does not know, or none recorded: any variable pins it
+    ("blis", {"MKL_NUM_THREADS": "1"}, 4),
+    (None, {"MKL_NUM_THREADS": "2"}, 2),
+])
+def test_blas_counts_as_pinned_by_the_variables_its_vendor_reads(monkeypatch, workers,
+                                                                 blas, env, count):
+    assert pinned_worker_count(monkeypatch, workers, blas, env) == count
 
 
 def test_contract_reads_strided_input_and_checks_rank():
