@@ -12,7 +12,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,15 +31,12 @@ TAIL_TOL = 1e-8
 FRAME_CHUNK = 1 << 16
 #: Most cells a binned histogram may hold: 2**28 int64 counts, 2 GiB.
 MAX_CELLS = 1 << 28
-#: Fewest cells a step of :func:`contract` must write before it is shared
-#: out among threads: 4 MiB of float64. The full 43x31^3 click box's forward
-#: map and a 400-point W synthesis reach it; the 4D EM's steps on an
+#: Fewest cells a batched step of :func:`contract` must write before it is
+#: shared out among threads: 4 MiB of float64. The full 43x31^3 click box's
+#: forward map and a 400-point W synthesis reach it; the 4D EM's steps on an
 #: observed click box (up to ~3e5 cells) stay below it and serial, where the
 #: hand-off would cost a large share of a step.
 SPLIT_CELLS = 1 << 19
-#: Rows of the leading matrix per GEMM call of :func:`contract`'s leading
-#: step at or above ``SPLIT_CELLS`` cells; a matrix of no more rows is one call
-LEAD_ROWS = 64
 #: The variables that pin the BLAS library's thread count, as the
 #: libraries read them (OpenBLAS, OpenMP, MKL)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -425,8 +422,8 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
     first (the EM's forward map shrinks it before the idler axes grow).
 
     - Axis 0 is one GEMM ``mat_0 @ x`` with ``x`` viewed as (n_0, everything
-      else), in row blocks of ``mat_0`` above the floor (see Threads). It
-      writes (c_0, n_1, ...) in rows of n_1 ... n_{d-1}.
+      else), whatever its size. It writes (c_0, n_1, ...) in rows of
+      n_1 ... n_{d-1}.
     - Axes d-1, ..., 1 are each one batched ``matmul`` over the c_0 slices,
       ``mat_a @ x_i.T`` with ``x_i`` viewed as (everything else, n_a). The
       new axis goes in front of the axes not yet contracted, so every step
@@ -437,40 +434,20 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
       value is rounded on an axis left as it is.
 
     Orientation: every step writes long output rows (hundreds to thousands
-    of cells), not the short new axis (10-43 cells) that the cyclic
-    ``rest.T @ mat.T`` (leading axis contracted, new axis appended last)
-    wrote. With an inner dimension of ~20, OpenBLAS writes long rows
-    faster. The batched steps take their matrix in Fortran order, which
-    OpenBLAS runs 1.2-1.5x faster there; a Fortran-ordered matrix (such as
-    a transposed view) is used as it is. Medians with one BLAS thread
-    (OpenBLAS 0.3.31, Haswell kernel, shared 2-vCPU host), cyclic -> this:
+    of cells) rather than the short new axis (10-43 cells): with an inner
+    dimension of ~20, OpenBLAS writes long rows faster. The batched steps
+    take their matrix in Fortran order, which OpenBLAS runs 1.2-1.5x faster
+    there; a Fortran-ordered matrix (such as a transposed view) is used as
+    it is.
 
-    - fit forward map 33x21^3 -> 43x31^3: 11.4 -> 7.6 ms;
-    - the model's 4D Toeplitz sweep: 2.3 -> 1.4 ms;
-    - click moments of the 43x31^3 table: 1.03 -> 0.82 ms;
-    - 4D observed-box EM (20x13x31x17 clicks): forward 1.21 -> 0.87 ms,
-      backward 1.91 -> 1.35 ms;
-    - 3D EM (10^3 clicks, 21^3 photons): forward 0.015 -> 0.018 ms,
-      backward 0.017 -> 0.019 ms, the batching overhead of small tables.
-
-    Threads, the package's only ones: a step that writes at least
-    ``SPLIT_CELLS`` cells is shared out among the calling thread and a
-    persistent pool (:func:`_share`). The workers are the CPUs over the
-    BLAS threads the environment pins; with BLAS not pinned there is one.
-    No BLAS call depends on the worker count, so neither do the bits:
-
-    - a batched step shares its c_0 slices, each still the one BLAS call
-      it was, with the same operands at the same addresses;
-    - the leading GEMM of a matrix of more than ``LEAD_ROWS`` rows runs,
-      at or above the floor, in fixed blocks of ``LEAD_ROWS`` rows of the
-      matrix, one call each, with one worker too; the workers take
-      contiguous runs of blocks. Cuts that followed the worker count
-      would move bits with it (one-row blocks take another BLAS kernel).
-      The blocks can read other bits than one call: up to 8.5e-16
-      relative, on 253 of 300 random shapes (OpenBLAS 0.3.31, Haswell
-      kernel, one BLAS thread). A matrix of no more rows, or a GEMM below
-      the floor, is one call, as in the fit's forward map, the EM and
-      the moments.
+    Threads, the package's only ones: a batched step that writes at least
+    ``SPLIT_CELLS`` cells shares its c_0 slices out among the calling
+    thread and a persistent pool (:func:`_share`). The workers are the
+    CPUs over the BLAS threads the environment pins; with BLAS not pinned
+    there is one. Each slice is still the one BLAS call it was, with the
+    same operands at the same addresses, so the result has the same bits
+    for any worker count. The leading GEMM is never cut: row blocks would
+    read other bits than one call (up to 8.5e-16 relative, OpenBLAS 0.3.31).
 
     A C-contiguous input is read in place. Each step writes through
     ``out=`` into a fresh array of its own shape, so the result is
@@ -482,11 +459,8 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
         raise DataError(f"{len(mats)} matrices for a {x.ndim}-d table")
     lead, trailing = mats[0], mats[1:]
     if lead is not None:
-        rows = lead.shape[0]
-        out = np.empty((rows,) + x.shape[1:], dtype=np.result_type(x, lead))
-        block = LEAD_ROWS if out.size >= SPLIT_CELLS else max(rows, 1)
-        _share(-(-rows // block), out.size, partial(
-            _lead_blocks, lead, x.reshape(x.shape[0], -1), out.reshape(rows, -1), block))
+        out = np.empty((lead.shape[0],) + x.shape[1:], dtype=np.result_type(x, lead))
+        np.matmul(lead, x.reshape(x.shape[0], -1), out=out.reshape(lead.shape[0], -1))
         x = out
     if all(mat is None for mat in trailing):
         return x
@@ -499,35 +473,29 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
                        dtype=x.dtype if mat is None else np.result_type(x, mat))
         if mat is not None:
             mat = np.asfortranarray(mat)
-        _share(c0, out.size, partial(_slices_step, mat, columns, out.reshape(c0, rows, -1)))
+        _share(mat, columns, out.reshape(c0, rows, -1))
         x = out
     return x
 
 
-def _share(units: int, cells: int, run) -> None:
-    """``run(lo, hi)`` over the units 0..units of a step of :func:`contract`
-    that writes ``cells`` cells: as one call below ``SPLIT_CELLS`` cells or
-    with one worker, else in contiguous shares, one per worker. The pool
-    gets all but the first, which the calling thread runs; it then runs
-    every share no pool thread has started, so a call from a pool thread
-    never waits on a busy pool. A share that raises raises here."""
-    workers = min(_worker_count(), units) if cells >= SPLIT_CELLS else 1
-    shares = [(units * k // workers, units * (k + 1) // workers) for k in range(workers)]
-    futures = [_executor().submit(run, lo, hi) for lo, hi in shares[1:]]
-    run(*shares[0])
+def _share(mat: np.ndarray | None, columns: np.ndarray, out: np.ndarray) -> None:
+    """One batched step of :func:`contract`, as one call on all c_0 slices
+    below ``SPLIT_CELLS`` cells or with one worker, else in contiguous
+    shares, one per worker. The pool gets all but the first, which the
+    calling thread runs; it then runs every share no pool thread has
+    started, so a call from a pool thread never waits on a busy pool. A
+    share that raises raises here."""
+    c0 = out.shape[0]
+    workers = min(_worker_count(), c0) if out.size >= SPLIT_CELLS else 1
+    shares = [(c0 * k // workers, c0 * (k + 1) // workers) for k in range(workers)]
+    futures = [_executor().submit(_slices_step, mat, columns, out, lo, hi)
+               for lo, hi in shares[1:]]
+    _slices_step(mat, columns, out, *shares[0])
     for (lo, hi), future in zip(shares[1:], futures):
         if future.cancel():
-            run(lo, hi)
+            _slices_step(mat, columns, out, lo, hi)
         else:
             future.result()
-
-
-def _lead_blocks(lead: np.ndarray, x: np.ndarray, out: np.ndarray, block: int,
-                 lo: int, hi: int) -> None:
-    """The leading GEMM of :func:`contract` on its row blocks lo:hi of
-    ``block`` rows of ``lead``, one call each."""
-    for start in range(lo * block, min(hi * block, lead.shape[0]), block):
-        np.matmul(lead[start:start + block], x, out=out[start:start + block])
 
 
 def _slices_step(mat: np.ndarray | None, columns: np.ndarray, out: np.ndarray,

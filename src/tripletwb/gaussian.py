@@ -19,6 +19,7 @@ one Toeplitz convolution per axis (``compose_with_noise``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,20 @@ class TripleTwbParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TripleTwbParams":
+        """Parameters from ``{key: {"M": number, "B": number}}``; a bool, a
+        string or another non-number is a ParameterError naming its entry."""
         missing = [k for k in PARAM_KEYS if k not in data]
         if missing:
             raise DataError(f"parameter file missing keys {missing}")
-        comps = {k: MandelRiceComponent(float(data[k]["M"]), float(data[k]["B"]))
-                 for k in PARAM_KEYS}
-        return cls(**comps)
+
+        def number(key: str, name: str) -> float:
+            value = data[key][name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{key}: {name} must be a number, got {value!r}")
+            return float(value)
+
+        return cls(**{k: MandelRiceComponent(number(k, "M"), number(k, "B"))
+                      for k in PARAM_KEYS})
 
 
 #: Fitted field parameters shipped as the "paper-table-2" preset.

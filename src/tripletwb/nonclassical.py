@@ -525,19 +525,6 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
     integral against 1 (1e-3); a failure raises NumericalError. The check
     sums the grid's moments per axis, from the kernels and the table, and
     reads no grid.
-
-    GEMM orientation: :func:`fock.contract` with None on axis 0 gives Y of
-    shape (n_0 + 1, points^(d-1)); a second, with None on the other axes,
-    is the GEMM ``K_0 @ Y`` writing the C-ordered grid in rows of
-    points^(d-1). With an inner dimension of ~20, BLAS writes those long
-    rows about 1.8x faster than the rows of ``points`` that one
-    contraction of every axis would write in its last step. Its ``points``
-    rows of ``K_0`` go in blocks of ``fock.LEAD_ROWS``, shared out among
-    the workers: the 3D grid at 400 points (512 MB) took 0.15-0.18 s in
-    one call and ~0.10 s on two workers, one BLAS thread each (OpenBLAS
-    0.3.31, Haswell kernel, shared 2-CPU host). The grid has
-    one call's bits at 300, 400 and 500 points; at 399 and 401, 8-11
-    cells move, by at most 3.5e-40 of the grid's largest.
     """
     if not d.normalized:
         raise DataError("quasi-distribution needs a normalized distribution")
@@ -558,10 +545,7 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
         w = (np.arange(points) + 0.5) * step
         steps.append(step)
         kernels.append(_laguerre_kernel(w, vals.shape[axis] - 1, s, M))
-    # Y (27 MB at 400 points) is freed before the check
-    grid = fock.contract(fock.contract(vals, [None, *kernels[1:]]),
-                         [kernels[0], *[None] * (vals.ndim - 1)])
-    out = QuasiDistribution(grid, s, modes, tuple(steps))
+    out = QuasiDistribution(fock.contract(vals, kernels), s, modes, tuple(steps))
     _validate_quasi(out, d, kernels)
     return out
 
@@ -641,6 +625,8 @@ def plane_cut(field: np.ndarray | QuasiDistribution, kind: str,
         (u, w_axis, v), offset, step = (field.grid(a) for a in range(3)), 0.5, field.steps[1]
     else:
         (u, w_axis, v), offset, step = (np.arange(n) for n in arr.shape), 0.0, 1
+        if kind == "triangular" and level != int(level):
+            raise DataError(f"a lattice cut needs an integer level, got {level}")
         if kind == "triangular" and not 0 <= int(level) <= sum(n - 1 for n in arr.shape):
             raise DataError(f"level {int(level)} outside the box")
     if kind == "diagonal":

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tripletwb import fock
 from tripletwb.errors import DataError
-from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, LEAD_ROWS, MAX_CELLS, SPLIT_CELLS,
+from tripletwb.fock import (AXIS_ORDER, FRAME_CHUNK, MAX_CELLS, SPLIT_CELLS,
                             Histogram, JointDistribution, apply_matrix, binomial_table,
                             condition, contract, falling_factorial, marginalize, normalize)
 from tripletwb.gaussian import MandelRiceComponent, mandel_rice_vector
@@ -586,71 +586,66 @@ def test_split_cases_write_steps_on_both_sides_of_the_floor():
 @pytest.mark.parametrize("rows", [65, 130, 401])
 @pytest.mark.parametrize("layout", ["c", "fortran"])
 def test_leading_gemm_blocks_have_the_same_bits_for_any_worker_count(workers, rows, layout):
+    # a long lead is one call; the c_0 slices it writes are then shared out
+    # in blocks, one per worker, by the trailing step
     rng = np.random.default_rng(rows)
     values, mat = rng.random((21, 90, 90)), rng.random((rows, 21))
+    trailing = rng.random((100, 90))
     if layout == "fortran":
         values, mat = np.asfortranarray(values), np.asfortranarray(mat)
-    mats = [mat, None, None]
     assert rows * 90 * 90 >= SPLIT_CELLS
-    got = {}
-    for count in (1, 2, 3):
-        workers(count)
-        got[count] = contract(values, mats)
-    np.testing.assert_array_equal(got[2], got[1])
-    np.testing.assert_array_equal(got[3], got[1])
-    np.testing.assert_allclose(got[1], loop_contraction(values, mats), rtol=1e-14, atol=0.0)
+    for mats in ([mat, None, None], [mat, None, trailing]):
+        got = {}
+        for count in (1, 2, 3):
+            workers(count)
+            got[count] = contract(values, mats)
+        np.testing.assert_array_equal(got[2], got[1])
+        np.testing.assert_array_equal(got[3], got[1])
+        np.testing.assert_allclose(got[1], loop_contraction(values, mats),
+                                   rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("rows, cuts", [(401, list(range(0, 401, LEAD_ROWS)) + [401]),
-                                        (130, [0, 64, 128, 130]), (LEAD_ROWS, [0, LEAD_ROWS])])
-def test_the_leading_gemm_is_cut_only_at_multiples_of_lead_rows(monkeypatch, workers, rows, cuts):
-    # one np.matmul per block: the rows each call writes, read from its out=
-    rng = np.random.default_rng(32)
-    values, mat = rng.random((21, 100, 100)), rng.random((rows, 21))
-    assert rows * 100 * 100 >= SPLIT_CELLS
+def test_the_leading_gemm_stays_one_call_above_the_floor(monkeypatch, workers):
+    # leads of 2 to 401 rows: one np.matmul on all rows, read from its out=,
+    # with the bits of the bare GEMM. Cut into row blocks, a lead would read
+    # other bits: one-row blocks take another BLAS kernel
+    rng = np.random.default_rng(30)
     calls, matmul = [], np.matmul
 
     def spy(a, b, out):
-        calls.append((out.ctypes.data, out.shape[0]))
+        calls.append(out.shape)
         return matmul(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
+    for rows, shape in ((2, (4, 300, 900)), (65, (21, 100, 100)), (130, (21, 100, 100)),
+                        (401, (21, 100, 100))):
+        values, mat = rng.random(shape), rng.random((rows, shape[0]))
+        gemm = (mat @ values.reshape(shape[0], -1)).reshape(rows, *shape[1:])
+        assert gemm.size >= SPLIT_CELLS
+        for count in (1, 2, 3):
+            workers(count)
+            calls.clear()
+            got = contract(values, [mat, None, None])
+            assert calls == [(rows, math.prod(shape[1:]))]
+            np.testing.assert_array_equal(got, gemm)
+
+
+def test_the_400_point_w_grid_has_the_bits_of_one_gemm(model4, workers):
+    # the W synthesis is one contraction of the table with its kernels; its
+    # last step writes the 512 MB grid in c_0 slices, shared among the
+    # workers. Grids are compared by digest and dropped before the next is
+    # made, so that two never coexist
+    d = condition(model4, "s", 10)
+    digests = {}
     for count in (1, 2, 3):
         workers(count)
-        calls.clear()
-        got = contract(values, [mat, None, None])
-        row_bytes = got[0].nbytes
-        blocks = sorted(((data - got.ctypes.data) // row_bytes, n) for data, n in calls)
-        assert [lo for lo, _ in blocks] + [rows] == cuts
-        assert all(lo + n == hi for (lo, n), hi in zip(blocks, cuts[1:]))
-
-
-def test_the_leading_gemm_stays_one_call_above_the_floor(workers):
-    # its 2-row matrix is under LEAD_ROWS, so the GEMM is one call; cut into
-    # row blocks, it would read other bits: one-row blocks take another
-    # BLAS kernel
-    rng = np.random.default_rng(30)
-    values, mat = rng.random((4, 300, 900)), rng.random((2, 4))
-    gemm = (mat @ values.reshape(4, -1)).reshape(2, 300, 900)
-    assert gemm.size >= SPLIT_CELLS
-    for count in (2, 3):
-        workers(count)
-        np.testing.assert_array_equal(contract(values, [mat, None, None]), gemm)
-
-
-def test_the_400_point_w_grid_has_the_bits_of_one_gemm(model4):
-    # the W synthesis's lead (400 rows) runs in LEAD_ROWS blocks; at 400
-    # points they read the bits of one np.matmul(K_0, Y). The grids are
-    # compared by digest, so that two 512 MB grids never coexist
-    d = condition(model4, "s", 10)
-    q = quasi_distribution_W(d, 0.0, (1.0, 1.0, 1.0))
-    assert q.values.shape == (400, 400, 400)
-    kernels = quasi_kernels(q, d)
-    digest = hashlib.sha256(q.values.data).digest()
-    del q
-    y = contract(d.values, [None, *kernels[1:]])
-    one = np.matmul(kernels[0], y.reshape(y.shape[0], -1))
-    assert hashlib.sha256(one.data).digest() == digest
+        q = quasi_distribution_W(d, 0.0, (1.0, 1.0, 1.0))
+        assert q.values.shape == (400, 400, 400)
+        kernels = quasi_kernels(q, d)
+        digests[count] = hashlib.sha256(q.values.data).digest()
+        del q
+    grid = contract(d.values, kernels)
+    assert digests == dict.fromkeys((1, 2, 3), hashlib.sha256(grid.data).digest())
 
 
 def test_contract_returns_inside_every_pool_thread(workers):

@@ -1234,6 +1234,8 @@ def mutated_params(draw):
 @hypothesis.given(data=mutated_params())
 @hypothesis.example(data={**PAPER_TABLE_2.to_dict(), "noise_s": {"M": 1e20, "B": 1}})
 @hypothesis.example(data={**PAPER_TABLE_2.to_dict(), "noise_s": {"M": 1, "B": 1e20}})
+@hypothesis.example(data={**PAPER_TABLE_2.to_dict(), "noise_i3": {"M": True, "B": 1.0}})
+@hypothesis.example(data={**PAPER_TABLE_2.to_dict(), "pair_1": {"M": 552.0, "B": "0.00475"}})
 def test_cli_mutated_params_file_exits_0_2_or_3(runner, workdir, data):
     path = workdir / "fuzzed_params.json"
     path.write_text(json.dumps(data))
@@ -1242,6 +1244,10 @@ def test_cli_mutated_params_file_exits_0_2_or_3(runner, workdir, data):
     res = runner.invoke(main, ["simulate", "--params-file", str(path), "--frames", "10",
                                "--seed", "1", "--out", str(out)])
     assert res.exit_code in (0, 2, 3), (res.output, res.exception)
+    # a bool or a string is no number, whatever float() makes of it
+    if any(isinstance(entry.get(key), (bool, str)) for entry in data.values()
+           if isinstance(entry, dict) for key in ("M", "B")):
+        assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     if res.exit_code != 0:
         assert not out.exists()
@@ -1493,6 +1499,25 @@ def test_cli_malformed_params_file_exits_2(runner, workdir, text):
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert str(path) in res.output
+
+
+@pytest.mark.parametrize("entry, key, value", [
+    ("noise_i3", "M", True), ("noise_i3", "M", False), ("pair_1", "B", "0.00475")],
+    ids=["M-true", "M-false", "B-numeric-string"])
+def test_cli_params_file_refuses_a_bool_or_a_string_constant(runner, workdir, entry, key, value):
+    # float() takes both: true ran as M = 1.0, and the manifest recorded it
+    data = PAPER_TABLE_2.to_dict()
+    data[entry][key] = value
+    path = workdir / "params_not_numbers.json"
+    path.write_text(json.dumps(data))
+    out = workdir / "nope_not_numbers.csv"
+    res = runner.invoke(main, [
+        "simulate", "--params-file", str(path), "--frames", "10", "--seed", "1",
+        "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert f"{path}: {entry}: {key} must be a number" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option, entry, key, value", [

@@ -633,6 +633,16 @@ def test_cut_level_must_be_in_box():
         plane_cut(np.zeros((4, 4, 4)), "triangular", 30)
 
 
+def test_lattice_cut_level_must_be_an_integer():
+    # 2.5 read as the level-2 cut, labelled 2; an integral float is that integer
+    arr = np.random.default_rng(5).standard_normal((4, 4, 4))
+    with pytest.raises(DataError, match="integer level"):
+        plane_cut(arr, "triangular", 2.5)
+    pc = plane_cut(arr, "triangular", 3.0)
+    assert pc.level == 3 and isinstance(pc.level, int)
+    np.testing.assert_array_equal(pc.values, triangular_cut_loop(arr, 3))
+
+
 def test_lattice_triangular_cut_matches_loop():
     arr = np.random.default_rng(4).standard_normal((5, 7, 6))
     for level in range(sum(n - 1 for n in arr.shape) + 1):
