@@ -31,12 +31,15 @@ TAIL_TOL = 1e-8
 FRAME_CHUNK = 1 << 16
 #: Most cells a binned histogram may hold: 2**28 int64 counts, 2 GiB.
 MAX_CELLS = 1 << 28
-#: Fewest cells a batched step of :func:`contract` must write before it is
-#: shared out among threads: 4 MiB of float64. The full 43x31^3 click box's
-#: forward map and a 400-point W synthesis reach it; the 4D EM's steps on an
-#: observed click box (up to ~3e5 cells) stay below it and serial, where the
-#: hand-off would cost a large share of a step.
+#: Fewest cells the largest trailing step of a :func:`contract` call must
+#: write before its c_0 slices are shared out among threads: 4 MiB of float64.
+#: The full 43x31^3 click box's forward map and a 400-point W synthesis reach
+#: it; the 4D EM's steps on an observed click box (up to ~3e5 cells) stay
+#: below it and serial, where starting a thread would cost a large share.
 SPLIT_CELLS = 1 << 19
+# Most cells a step of one chunk of contract's trailing chain writes (or one
+# c_0 slice, if more): 2 MiB of float64, whatever the result's size
+_CHUNK_CELLS = 1 << 18
 #: The variables that pin the BLAS library's thread count, as the
 #: libraries read them (OpenBLAS, OpenMP, MKL)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -348,13 +351,9 @@ def apply_matrix(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return contract(values, [mat if a == axis else None for a in range(np.ndim(values))])
 
 
-# Threads that share a split step, the calling thread included: None until
+# Threads that share a split call, the calling thread included: None until
 # the first split reads it from the environment (see _worker_count).
 _workers: int | None = None
-# the ThreadPoolExecutor of _worker_count() - 1 threads, made on the first
-# split and dropped in a fork-started child, whose copy has no threads
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _blas_pin_vars() -> tuple[str, ...]:
@@ -392,27 +391,6 @@ def _worker_count() -> int:
     return _workers
 
 
-def _executor():
-    """The shared pool of ``_worker_count() - 1`` threads, made once."""
-    # imported here, so that a process that never splits a step does not
-    # load concurrent.futures and the logging it imports
-    from concurrent.futures import ThreadPoolExecutor
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_worker_count() - 1, thread_name_prefix="tripletwb-split")
-        return _pool
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarray:
     """Contract ``mats[a][c, n]`` against axis ``a`` of ``values``, for every
     axis whose entry is a matrix; a None entry leaves its axis as it is.
@@ -424,7 +402,7 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
     - Axis 0 is one GEMM ``mat_0 @ x`` with ``x`` viewed as (n_0, everything
       else), whatever its size. It writes (c_0, n_1, ...) in rows of
       n_1 ... n_{d-1}.
-    - Axes d-1, ..., 1 are each one batched ``matmul`` over the c_0 slices,
+    - Axes d-1, ..., 1 are each one batched ``matmul`` over c_0 slices,
       ``mat_a @ x_i.T`` with ``x_i`` viewed as (everything else, n_a). The
       new axis goes in front of the axes not yet contracted, so every step
       writes rows of all of them, and after axis 1 the axes are back in
@@ -433,6 +411,11 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
       ones is moved in front as its step would move it, by a copy: no
       value is rounded on an axis left as it is.
 
+    The trailing steps run as one chain over chunks of c_0 slices, each
+    chunk as many as its largest step may write in ``_CHUNK_CELLS`` cells
+    (:func:`_chain`). A chunk's last step writes straight into the result,
+    allocated first, so no whole intermediate table is ever held.
+
     Orientation: every step writes long output rows (hundreds to thousands
     of cells) rather than the short new axis (10-43 cells): with an inner
     dimension of ~20, OpenBLAS writes long rows faster. The batched steps
@@ -440,19 +423,20 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
     there; a Fortran-ordered matrix (such as a transposed view) is used as
     it is.
 
-    Threads, the package's only ones: a batched step that writes at least
-    ``SPLIT_CELLS`` cells shares its c_0 slices out among the calling
-    thread and a persistent pool (:func:`_share`). The workers are the
-    CPUs over the BLAS threads the environment pins; with BLAS not pinned
-    there is one. Each slice is still the one BLAS call it was, with the
-    same operands at the same addresses, so the result has the same bits
-    for any worker count. The leading GEMM is never cut: row blocks would
-    read other bits than one call (up to 8.5e-16 relative, OpenBLAS 0.3.31).
+    Threads, the package's only ones: when the largest trailing step writes
+    at least ``SPLIT_CELLS`` cells, the c_0 slices are cut into contiguous
+    shares, one per worker. The calling thread runs the first share's chain
+    and threads started and joined inside the call run the others; a share
+    that raises raises here, after every thread has joined. The workers are
+    the CPUs over the BLAS threads the environment pins (one if BLAS is not
+    pinned). Each slice is still the one BLAS call it was, on the same
+    operands, so the bits do not depend on the worker count or the chunks.
+    The leading GEMM is never cut: row blocks would read other bits than
+    one call (up to 8.5e-16 relative, OpenBLAS 0.3.31).
 
-    A C-contiguous input is read in place. Each step writes through
-    ``out=`` into a fresh array of its own shape, so the result is
-    C-contiguous, owns its memory and :class:`JointDistribution` takes it
-    without a copy. With None on every axis, ``values`` comes back as it is.
+    A C-contiguous input is read in place. The result is C-contiguous and
+    owns its memory, so :class:`JointDistribution` takes it without a copy.
+    With None on every axis, ``values`` comes back as it is.
     """
     x = np.asarray(values)
     if len(mats) != x.ndim:
@@ -464,44 +448,57 @@ def contract(values: np.ndarray, mats: Sequence[np.ndarray | None]) -> np.ndarra
         x = out
     if all(mat is None for mat in trailing):
         return x
-    for mat in reversed(trailing):
-        c0, n = x.shape[0], x.shape[-1]
-        # bound before the new array, so no older table outlives this step
-        columns = x.reshape(c0, -1, n).transpose(0, 2, 1)
-        rows = n if mat is None else mat.shape[0]
-        out = np.empty((c0, rows) + x.shape[1:-1],
-                       dtype=x.dtype if mat is None else np.result_type(x, mat))
-        if mat is not None:
-            mat = np.asfortranarray(mat)
-        _share(mat, columns, out.reshape(c0, rows, -1))
-        x = out
-    return x
+    steps = [None if mat is None else np.asfortranarray(mat) for mat in reversed(trailing)]
+    # the shape of a c_0 slice after each step, and the cells it writes
+    shape, dtype, cells = x.shape[1:], x.dtype, []
+    for mat in steps:
+        shape = (shape[-1] if mat is None else mat.shape[0],) + shape[:-1]
+        dtype = dtype if mat is None else np.result_type(dtype, mat)
+        cells.append(math.prod(shape))
+    c0 = x.shape[0]
+    out = np.empty((c0,) + shape, dtype=dtype)
+    chunk = max(1, _CHUNK_CELLS // max(1, *cells))
+    workers = min(_worker_count(), c0) if c0 * max(cells) >= SPLIT_CELLS else 1
+    bounds = [c0 * k // workers for k in range(workers + 1)]
+    failed = []
+
+    def share(lo: int, hi: int) -> None:
+        try:
+            _chain(x, steps, out, lo, hi, chunk)
+        except BaseException as exc:  # raised again below, in the calling thread
+            failed.append(exc)
+
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=share, args=bounds[k:k + 2])
+            thread.start()
+            started.append(thread)
+        share(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
-def _share(mat: np.ndarray | None, columns: np.ndarray, out: np.ndarray) -> None:
-    """One batched step of :func:`contract`, as one call on all c_0 slices
-    below ``SPLIT_CELLS`` cells or with one worker, else in contiguous
-    shares, one per worker. The pool gets all but the first, which the
-    calling thread runs; it then runs every share no pool thread has
-    started, so a call from a pool thread never waits on a busy pool. A
-    share that raises raises here."""
-    c0 = out.shape[0]
-    workers = min(_worker_count(), c0) if out.size >= SPLIT_CELLS else 1
-    shares = [(c0 * k // workers, c0 * (k + 1) // workers) for k in range(workers)]
-    futures = [_executor().submit(_slices_step, mat, columns, out, lo, hi)
-               for lo, hi in shares[1:]]
-    _slices_step(mat, columns, out, *shares[0])
-    for (lo, hi), future in zip(shares[1:], futures):
-        if future.cancel():
-            _slices_step(mat, columns, out, lo, hi)
-        else:
-            future.result()
-
-
-def _slices_step(mat: np.ndarray | None, columns: np.ndarray, out: np.ndarray,
-                 lo: int, hi: int) -> None:
-    """One batched step of :func:`contract` on the c_0 slices lo:hi."""
-    if mat is None:
-        np.copyto(out[lo:hi], columns[lo:hi])
-    else:
-        np.matmul(mat, columns[lo:hi], out=out[lo:hi])
+def _chain(x: np.ndarray, steps: list, out: np.ndarray, lo: int, hi: int,
+           chunk: int) -> None:
+    """The trailing ``steps`` of :func:`contract` on the c_0 slices lo:hi of
+    ``x``, ``chunk`` slices at a time; each chunk's last step writes into
+    ``out``. A step holds its input and its output, no older table."""
+    for a in range(lo, hi, chunk):
+        y = x[a:min(a + chunk, hi)]
+        for k, mat in enumerate(steps):
+            slices, n = y.shape[0], y.shape[-1]
+            # bound before the new array, so no older table outlives this step
+            columns = y.reshape(slices, -1, n).transpose(0, 2, 1)
+            rows = n if mat is None else mat.shape[0]
+            y = (out[a:a + slices] if k == len(steps) - 1 else
+                 np.empty((slices, rows) + y.shape[1:-1],
+                          dtype=y.dtype if mat is None else np.result_type(y, mat)))
+            if mat is None:
+                np.copyto(y.reshape(slices, rows, -1), columns)
+            else:
+                np.matmul(mat, columns, out=y.reshape(slices, rows, -1))

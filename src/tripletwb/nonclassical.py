@@ -649,6 +649,8 @@ def check_cut(kind: str, level: float | None) -> None:
     """
     if kind not in ("diagonal", "triangular"):
         raise DataError(f"unknown cut kind {kind!r}")
+    if kind == "diagonal" and level is not None:
+        raise DataError(f"a diagonal cut takes no level, got {level}")
     if kind == "triangular":
         if level is None:
             raise DataError("triangular cuts need a level")

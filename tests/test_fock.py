@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -523,23 +525,29 @@ def split_case(case, seed):
     return rng.random(shape), [rng.random((r, n)) for r, n in zip(rows, shape)]
 
 
+def largest_step(shape, mats):
+    """Cells the largest trailing step of ``contract(values, mats)`` writes,
+    for a table of ``shape``: the step that decides whether the call splits;
+    0 when every trailing entry is None, so the call has no trailing step."""
+    if all(mat is None for mat in mats[1:]):
+        return 0
+    c0 = shape[0] if mats[0] is None else mats[0].shape[0]
+    rest, largest = list(shape[1:]), 0
+    for a in reversed(range(1, len(shape))):
+        if mats[a] is not None:
+            rest[a - 1] = mats[a].shape[0]
+        largest = max(largest, c0 * math.prod(rest))
+    return largest
+
+
 @pytest.fixture
 def workers(monkeypatch):
-    """``workers(n)`` forces the worker count to n and drops the pool, so the
-    next split makes one of n - 1 threads. The pools made in the test are
-    shut down after it, and the process's own count and pool come back."""
-    def drop_pool():
-        if fock._pool is not None:
-            fock._pool.shutdown()
-        fock._pool = None
-
+    """``workers(n)`` forces the worker count to n; the process's own count
+    comes back after the test."""
     def force(count):
-        drop_pool()
         monkeypatch.setattr(fock, "_workers", count)
 
-    monkeypatch.setattr(fock, "_pool", None)
-    yield force
-    drop_pool()
+    return force
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
@@ -548,25 +556,29 @@ def test_contract_has_the_same_bits_for_any_worker_count(monkeypatch, workers, c
     values, mats = split_case(case, len(case[0]))
     if layout == "fortran":
         values = np.asfortranarray(values)
-    steps = []
-    step = fock._slices_step
+    shares, chain, chunk_cells = [], fock._chain, fock._CHUNK_CELLS
 
-    def spy(mat, columns, out, lo, hi):
-        steps.append((out.size, out.shape[0], hi - lo))
-        step(mat, columns, out, lo, hi)
+    def spy(x, steps, out, lo, hi, chunk):
+        shares.append((out.shape[0], hi - lo))
+        chain(x, steps, out, lo, hi, chunk)
 
-    monkeypatch.setattr(fock, "_slices_step", spy)
+    monkeypatch.setattr(fock, "_chain", spy)
     for picked in (mats, [None, *mats[1:]], [*mats[:-1], None]):
+        largest = largest_step(values.shape, picked)
+        split = largest >= SPLIT_CELLS
         got = {}
         for count in (1, 2, 3):
             workers(count)
-            steps.clear()
+            shares.clear()
             got[count] = contract(values, picked)
-            for cells, c0, share in steps:
-                if count > 1 and cells >= SPLIT_CELLS:
-                    assert share in (c0 // count, -(-c0 // count))
-                else:
-                    assert share == c0
+            c0 = got[count].shape[0]
+            want = (c0 // count, -(-c0 // count)) if count > 1 and split else (c0,)
+            assert len(shares) == (count if split else 1 if largest else 0)
+            assert all(share in want for _, share in shares)
+        # one slice a chunk, against the default chunks
+        monkeypatch.setattr(fock, "_CHUNK_CELLS", 1)
+        np.testing.assert_array_equal(contract(values, picked), got[1])
+        monkeypatch.setattr(fock, "_CHUNK_CELLS", chunk_cells)
         np.testing.assert_array_equal(got[2], got[1])
         np.testing.assert_array_equal(got[3], got[1])
         np.testing.assert_allclose(got[1], loop_contraction(values, picked),
@@ -575,11 +587,9 @@ def test_contract_has_the_same_bits_for_any_worker_count(monkeypatch, workers, c
 
 def test_split_cases_write_steps_on_both_sides_of_the_floor():
     sizes = set()
-    for shape, rows in SPLIT_CASES:
-        c0, rest = rows[0], list(shape[1:])
-        for a in reversed(range(1, len(shape))):
-            rest[a - 1] = rows[a]
-            sizes.add(c0 * math.prod(rest) >= SPLIT_CELLS)
+    for case in SPLIT_CASES:
+        values, mats = split_case(case, 0)
+        sizes.add(largest_step(values.shape, mats) >= SPLIT_CELLS)
     assert sizes == {False, True}
 
 
@@ -587,7 +597,7 @@ def test_split_cases_write_steps_on_both_sides_of_the_floor():
 @pytest.mark.parametrize("layout", ["c", "fortran"])
 def test_leading_gemm_blocks_have_the_same_bits_for_any_worker_count(workers, rows, layout):
     # a long lead is one call; the c_0 slices it writes are then shared out
-    # in blocks, one per worker, by the trailing step
+    # in blocks, one per worker, by the trailing chain
     rng = np.random.default_rng(rows)
     values, mat = rng.random((21, 90, 90)), rng.random((rows, 21))
     trailing = rng.random((100, 90))
@@ -648,32 +658,51 @@ def test_the_400_point_w_grid_has_the_bits_of_one_gemm(model4, workers):
     assert digests == dict.fromkeys((1, 2, 3), hashlib.sha256(grid.data).digest())
 
 
-def test_contract_returns_inside_every_pool_thread(workers):
-    # each pool thread's own split finds no idle thread: it runs its shares itself
-    workers(3)
+class ShareFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising", ["calling thread", "worker"])
+def test_a_share_that_raises_raises_in_the_caller(monkeypatch, workers, raising):
+    # the other share runs to its end, and no thread outlives the call
+    workers(2)
     values, mats = split_case(SPLIT_CASES[-1], 4)
-    want = contract(values, mats)
-    pool = fock._executor()
-    futures = [pool.submit(contract, values, mats) for _ in range(2)]
-    for future in futures:
-        np.testing.assert_array_equal(future.result(timeout=60), want)
+    chain, ran = fock._chain, []
+
+    def failing(x, steps, out, lo, hi, chunk):
+        if (lo == 0) == (raising == "calling thread"):
+            raise ShareFailed(lo)
+        chain(x, steps, out, lo, hi, chunk)
+        ran.append(lo)
+
+    monkeypatch.setattr(fock, "_chain", failing)
+    threads = threading.active_count()
+    with pytest.raises(ShareFailed):
+        contract(values, mats)
+    assert len(ran) == 1
+    assert threading.active_count() == threads
 
 
-def test_the_pool_is_made_once_with_a_thread_per_other_worker(workers):
-    # the first split has two c_0 slices, so two shares; a later one has 20
-    # and takes three: the pool the first made serves both
-    workers(3)
-    rng = np.random.default_rng(31)
-    values = rng.random((20, 30, 30, 30))
-    contract(values, [rng.random((2, 20)), None, None, rng.random((300, 30))])
-    pool = fock._pool
-    assert pool._max_workers == 2
-    contract(*split_case(SPLIT_CASES[-1], 4))
-    assert fock._pool is pool
+def test_contract_holds_no_whole_intermediate_table(workers):
+    # a 200-point W synthesis in miniature: the chain holds a few chunks of
+    # the 200 x 200 x 21 intermediate, never all of it (6.7 MB, 10.5% of the
+    # 64 MB result)
+    workers(2)
+    rng = np.random.default_rng(32)
+    values, kernels = rng.random((21, 21, 21)), [rng.random((200, 21)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        grid = contract(values, kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (200, 200, 200)
+    assert peak < 1.05 * grid.nbytes
 
 
-def test_concurrent_contracts_share_the_pool(workers):
-    # more calling threads than CPUs, switching often: every one gets the bits
+def test_concurrent_contracts_have_the_same_bits(workers):
+    # more calling threads than CPUs, each starting its own share threads,
+    # switching often: every one gets the bits
     workers(3)
     values, mats = split_case(SPLIT_CASES[-1], 4)
     want = contract(values, mats)
@@ -697,7 +726,7 @@ def _exit_on_bits(values, mats, want):
 def test_contract_returns_in_a_fork_started_child(workers):
     workers(2)
     values, mats = split_case(SPLIT_CASES[-1], 4)
-    want = contract(values, mats)  # the pool and its thread exist at the fork
+    want = contract(values, mats)  # a split call ran before the fork
     child = multiprocessing.get_context("fork").Process(target=_exit_on_bits,
                                                         args=(values, mats, want))
     with warnings.catch_warnings():

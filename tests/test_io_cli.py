@@ -917,6 +917,26 @@ def test_cli_quasi_checks_the_cut_before_the_grid(runner, workdir, dist3_poisson
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["quasi", "cut"])
+def test_cli_diagonal_cut_with_a_level_exits_2(runner, workdir, dist3_poisson, monkeypatch,
+                                               command):
+    # the level was dropped, yet the manifest recorded it
+    from tripletwb import nonclassical
+    calls = []
+    synthesize = nonclassical.quasi_distribution_W
+    monkeypatch.setattr(nonclassical, "quasi_distribution_W",
+                        lambda *a, **k: calls.append(1) or synthesize(*a, **k))
+    out = workdir / f"diagonal_level_{command}.csv"
+    args = {"quasi": ["--dist", str(dist3_poisson), "--s", "0.5", "--cut", "diagonal"],
+            "cut": ["--input", str(dist3_poisson), "--kind", "diagonal"]}[command]
+    res = runner.invoke(main, [command, *args, "--level", "3", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "a diagonal cut takes no level" in res.output
+    assert calls == []
+    assert not out.exists()
+    assert not (workdir / f"{out.name}.manifest.json").exists()
+
+
 def test_cli_quasi_numerical_error_exits_3(runner, workdir, dist3_poisson):
     res = runner.invoke(main, [
         "quasi", "--dist", str(dist3_poisson), "--s", "0.5", "--points", "3",
@@ -1782,9 +1802,10 @@ def test_one_version_string():
 
 def test_import_leaves_scipy_optimize_unloaded():
     # a fresh interpreter, since other tests load them all into this one;
-    # only fit.fit imports scipy.optimize, only the series route
-    # scipy.special, and only a split contraction step concurrent.futures
-    # (and the logging it imports), so the other commands start without them
+    # only fit.fit imports scipy.optimize and only the series route
+    # scipy.special, so the other commands start without them. A split
+    # contraction, run here on two workers, starts bare threads: it loads
+    # neither concurrent.futures nor the logging that would come with it
     import os
     import subprocess
     import sys
@@ -1792,7 +1813,9 @@ def test_import_leaves_scipy_optimize_unloaded():
 
     src = str(Path(tripletwb.__file__).resolve().parents[1])
     modules = ("scipy.optimize", "scipy.special", "concurrent.futures", "logging")
-    code = ("import sys, tripletwb, tripletwb.cli; "
+    code = ("import sys, numpy as np, tripletwb, tripletwb.cli; from tripletwb import fock; "
+            "fock._workers = 2; "
+            "fock.contract(np.ones((20, 30, 30, 30)), [None, None, None, np.ones((32, 30))]); "
             f"print([m for m in {modules!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -11,7 +11,7 @@ from tripletwb.errors import CutoffError, DataError, NumericalError, ParameterEr
 from tripletwb.fock import JointDistribution
 from tripletwb.gaussian import (PAPER_TABLE_2, MandelRiceComponent,
                                 mandel_rice_vector)
-from tripletwb.nonclassical import (_factorial_weighted, intensity_moments,
+from tripletwb.nonclassical import (_factorial_weighted, check_cut, intensity_moments,
                                     intensity_ncd, moment_criterion, ncd,
                                     ncd_field, plane_cut, probability_ncd,
                                     quasi_distribution_W, quasi_probabilities,
@@ -641,6 +641,17 @@ def test_lattice_cut_level_must_be_an_integer():
     pc = plane_cut(arr, "triangular", 3.0)
     assert pc.level == 3 and isinstance(pc.level, int)
     np.testing.assert_array_equal(pc.values, triangular_cut_loop(arr, 3))
+
+
+def test_a_diagonal_cut_takes_no_level():
+    # a level was ignored: the cut came back as the diagonal without it
+    arr = np.random.default_rng(6).standard_normal((4, 4, 4))
+    for field in (arr, rectangular_grid()):
+        with pytest.raises(DataError, match="a diagonal cut takes no level"):
+            plane_cut(field, "diagonal", 3)
+    with pytest.raises(DataError, match="a diagonal cut takes no level"):
+        check_cut("diagonal", 0.0)
+    check_cut("diagonal", None)
 
 
 def test_lattice_triangular_cut_matches_loop():
