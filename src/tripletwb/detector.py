@@ -168,6 +168,10 @@ def _matrices_for(labels, matrices: dict) -> list:
 #: forms a chunk of its own.
 _KEY_CHUNK = 1 << 17
 
+#: Most pixels a sampled detector may have: numpy's hypergeometric draw of
+#: the dark/photon overlap takes fewer than 10**9 dark and idle pixels.
+_MAX_PIXELS = 10**9 - 1
+
 
 def sample_counts(photons: np.ndarray, cfgs: dict[str, DetectorConfig],
                   seed: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -178,17 +182,30 @@ def sample_counts(photons: np.ndarray, cfgs: dict[str, DetectorConfig],
     ``out`` is None. ``out`` may be ``photons`` itself: each photon column
     is read in full before its click column is written, so the clicks
     overwrite the photon table without a second frame-sized table. An
-    ``out`` that is not an int64 array of ``photons``' shape is a
-    DataError. ``cfgs`` is keyed by axis label, the columns taking the
-    labels of ``AXIS_ORDER``.
+    ``out`` that is not an array of ``photons``' dtype and shape is a
+    DataError, so the int32 table of ``gaussian.sample_photon_numbers``
+    gets int32 clicks and an int64 caller keeps int64. A frame has at most
+    as many clicks as pixels, so a detector with more pixels than an
+    integer ``out`` can hold, or than ``_MAX_PIXELS``, is a ParameterError,
+    raised before any draw. ``cfgs`` is keyed by axis label, the columns
+    taking the labels of ``AXIS_ORDER``.
     """
     photons = np.asarray(photons)
-    cfg_list = _matrices_for(fock.AXIS_ORDER[: photons.shape[1]], cfgs)
+    labels = fock.AXIS_ORDER[: photons.shape[1]]
+    cfg_list = _matrices_for(labels, cfgs)
     if out is None:
         out = np.empty_like(photons)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.int64
+    elif not (isinstance(out, np.ndarray) and out.dtype == photons.dtype
               and out.shape == photons.shape):
-        raise DataError(f"out must be an int64 array of shape {photons.shape}")
+        raise DataError(f"out must be an array of photons' dtype {photons.dtype} "
+                        f"and shape {photons.shape}")
+    most = _MAX_PIXELS
+    if out.dtype.kind in "iu":
+        most = min(most, int(np.iinfo(out.dtype).max))
+    for label, cfg in zip(labels, cfg_list):
+        if cfg.pixels > most:
+            raise ParameterError(f"{label}: {cfg.pixels} pixels, above the {most} the "
+                                 f"click sampler takes for {out.dtype} clicks")
     rng = np.random.default_rng(seed)
     for axis, cfg in enumerate(cfg_list):
         _sample_clicks_pixelwise(photons[:, axis], cfg, rng, out[:, axis])

@@ -214,9 +214,13 @@ def _signal_shift_matrix(pair: np.ndarray, noise: np.ndarray, signal_cutoff: int
     return b.transpose(0, 2, 1).reshape(-1, signal_cutoff + 1)
 
 
-#: largest Gamma draw a component may give a frame: four components summed
-#: on the signal axis then stay below 2**63, and int64 holds the sum
-_MAX_FRAME_MEAN = 2.0**60
+#: bound on a component's Gamma draw, the mean photon number it gives a
+#: frame. The frame table is int32: the signal column sums four Poisson
+#: draws (three pairs and the signal noise), and a draw of mean below 2**28
+#: reaches 2**29 only 2**14 standard deviations above its mean, so the sum
+#: stays below 2**31. A bound of the table's dtype, not of the memory the
+#: click sampler needs per photon.
+_MAX_FRAME_MEAN = 2.0**28
 
 #: the columns of (n_s, n_i1, n_i2, n_i3) each component adds to, in
 #: PARAM_KEYS order: a pair to the signal and its idler, a noise component
@@ -228,18 +232,20 @@ def sample_photon_numbers(params: TripleTwbParams, trials: int, seed: int) -> np
     """Draw i.i.d. (n_s, n_i1, n_i2, n_i3) samples; deterministic per seed.
 
     Mandel-Rice variates are drawn as Gamma(M, B)-mixed Poissons, which is
-    exact for non-integer M. Returns an int64 array of shape (trials, 4),
-    the one frame-sized table: each component's Gamma draw covers all
-    frames, then its Poisson draws run in chunks of ``fock.FRAME_CHUNK``
-    frames, each added straight into the component's columns. Chunks
-    consume the generator's stream as one draw would, so the samples do
-    not depend on the chunk size. A component whose Gamma draw reaches
-    2**60 photons is a ParameterError naming it.
+    exact for non-integer M. Returns an int32 array of shape (trials, 4),
+    the one frame-sized table, 16 bytes a frame: each component's Gamma
+    draw covers all frames, then its Poisson draws run in chunks of
+    ``fock.FRAME_CHUNK`` frames, each added straight into the component's
+    int32 columns. Chunks consume the generator's stream as one draw
+    would, so the samples do not depend on the chunk size, and they are
+    the values an int64 table of the same draws holds. A component whose
+    Gamma draw reaches 2**28 photons (``_MAX_FRAME_MEAN``) is a
+    ParameterError naming it, raised before its Poisson draws.
     """
     if trials <= 0:
         raise DataError("trials must be > 0")
     rng = np.random.default_rng(seed)
-    out = np.zeros((trials, 4), dtype=np.int64)
+    out = np.zeros((trials, 4), dtype=np.int32)
     step = fock.FRAME_CHUNK
     for name, columns in zip(PARAM_KEYS, _COLUMNS):
         comp = getattr(params, name)
@@ -248,9 +254,11 @@ def sample_photon_numbers(params: TripleTwbParams, trials: int, seed: int) -> np
         lam = rng.gamma(comp.M, comp.B, size=trials)
         if not lam.max() < _MAX_FRAME_MEAN:
             raise ParameterError(f"{name}: M = {comp.M:g}, B = {comp.B:g} draw a frame "
-                                 f"mean of {lam.max():.3g} photons, above 2**60")
+                                 f"mean of {lam.max():.3g} photons, above 2**28")
         for lo in range(0, trials, step):
             n = rng.poisson(lam[lo: lo + step])
             for c in columns:
                 out[lo: lo + step, c] += n
+        # freed before the next component's Gamma draw is allocated
+        del lam
     return out

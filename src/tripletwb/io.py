@@ -408,17 +408,17 @@ def _render_rows(columns: list[np.ndarray]) -> bytes:
     return lines.T.tobytes().translate(None, _PAD)
 
 
-def save_columns(columns: dict[str, np.ndarray], path: str | Path) -> str:
+def save_columns(columns: dict[str, np.ndarray | range], path: str | Path) -> str:
     """Every CSV of the package: a header of the column names, then one line
     per row, an integer column's fields with ``%d``, any other's as float64
     with ``%.17g``. The bytes of the ``%``-formatted lines are rendered and
     written in blocks of rows; returns the SHA-256 of the file, fed as it
-    is written."""
+    is written. A column is an array or a ``range``; each is converted to
+    int64 or float64 one block at a time, so an int32 column or a range of
+    row numbers costs one block's copy, not a whole column's."""
     head = StringIO()
     csv.writer(head).writerow(columns)
-    # in place for the int64 and float64 columns the package writes
-    cols = [np.asarray(c, np.int64 if np.asarray(c).dtype.kind in "iu" else np.float64)
-            for c in columns.values()]
+    cols = list(columns.values())
     digest = hashlib.sha256()
     with Path(path).open("wb") as fh:
         def write(block: bytes) -> None:
@@ -426,8 +426,18 @@ def save_columns(columns: dict[str, np.ndarray], path: str | Path) -> str:
             digest.update(block)
         write(head.getvalue().encode())
         for start in range(0, len(cols[0]), _BLOCK_ROWS):
-            write(_render_rows([c[start: start + _BLOCK_ROWS] for c in cols]))
+            write(_render_rows([_block(c, start) for c in cols]))
     return digest.hexdigest()
+
+
+def _block(column: np.ndarray | range, start: int) -> np.ndarray:
+    """Rows ``start`` to ``start + _BLOCK_ROWS`` of a column as the int64 or
+    float64 the renderer takes: a view of an int64 or float64 column, a
+    copy of any other, and a range numbered by ``np.arange``."""
+    part = column[start: start + _BLOCK_ROWS]
+    if isinstance(part, range):
+        return np.arange(part.start, part.stop, part.step, dtype=np.int64)
+    return np.asarray(part, np.int64 if part.dtype.kind in "iu" else np.float64)
 
 
 def _write_cells(path: Path, header: list[str], table: np.ndarray, keep: np.ndarray) -> str:
@@ -561,7 +571,7 @@ def load_distribution(path: str | Path) -> JointDistribution:
 
 def save_frames(samples: np.ndarray, path: str | Path) -> None:
     """One ``frame_id, c_s, c_i1, c_i2, c_i3`` row per frame, numbered from 0."""
-    save_columns(dict(zip(FRAME_HEADER, [np.arange(len(samples)), *samples.T])), path)
+    save_columns(dict(zip(FRAME_HEADER, [range(len(samples)), *samples.T])), path)
 
 
 def write_manifest(out_path: str | Path, command: str, settings: dict) -> None:

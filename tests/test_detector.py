@@ -398,5 +398,38 @@ def test_sample_counts_writes_over_the_photon_table():
     np.zeros((10, 4), dtype=np.int32), np.zeros((10, 3), dtype=np.int64),
     np.zeros((10, 4)), [[0] * 4] * 10])
 def test_sample_counts_rejects_a_bad_out(out):
-    with pytest.raises(DataError, match="out must be an int64 array of shape"):
+    with pytest.raises(DataError, match=r"out must be an array of photons' dtype int64 "
+                                        r"and shape \(10, 4\)"):
         sample_counts(np.ones((10, 4), dtype=np.int64), PAPER_TABLE_1, 1, out=out)
+
+
+def test_sample_counts_keeps_the_dtype_of_photons():
+    # the same draws into an int32 and an int64 table, each written over
+    # its photons; an out of the other dtype is refused
+    photons = sample_photon_numbers(PAPER_TABLE_2, FRAME_CHUNK + 999, 3)
+    wide = photons.astype(np.int64)
+    want = sample_counts(wide, PAPER_TABLE_1, 4, out=wide)
+    got = sample_counts(photons, PAPER_TABLE_1, 4, out=photons)
+    assert got.dtype == np.int32 and want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert sample_counts(photons[:10], PAPER_TABLE_1, 4).dtype == np.int32
+    with pytest.raises(DataError, match="dtype int32"):
+        sample_counts(photons[:10], PAPER_TABLE_1, 4, out=wide[:10])
+
+
+@pytest.mark.parametrize("dtype, pixels, most", [
+    (np.int32, 2**31, 10**9 - 1), (np.int16, 2**15, 2**15 - 1), (np.int64, 10**9, 10**9 - 1),
+    (np.int16, 2**15 - 1, None), (np.int64, 10**9 - 1, None)])
+def test_sample_counts_bounds_the_pixel_count(dtype, pixels, most):
+    # on the last axis: above the table's dtype or numpy's hypergeometric
+    # bound the sampler refuses before any click is drawn, so the photons
+    # it was to write over are untouched; at the bound it draws
+    cfgs = {**PAPER_TABLE_1, "i3": DetectorConfig(pixels=pixels, efficiency=0.5, dark_rate=0.0)}
+    photons = np.full((10, 4), 5, dtype=dtype)
+    if most is None:
+        clicks = sample_counts(photons, cfgs, 1, out=photons)
+        assert clicks.dtype == dtype and np.all(clicks <= 5)
+        return
+    with pytest.raises(ParameterError, match=f"i3: {pixels} pixels, above the {most} "):
+        sample_counts(photons, cfgs, 1, out=photons)
+    assert np.all(photons == 5)

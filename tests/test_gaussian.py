@@ -248,6 +248,28 @@ def test_sampler_is_independent_of_the_chunk_size(monkeypatch, frame_chunk):
     np.testing.assert_array_equal(sample_photon_numbers(params, 2345, 23), want)
 
 
+@pytest.mark.parametrize("seed", [19, 20, 21])
+def test_sampler_returns_int32_with_the_values_of_an_int64_reference(seed):
+    got = sample_photon_numbers(PAPER_TABLE_2, FRAME_CHUNK + 4321, seed)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(
+        got, sample_photon_numbers_per_component(PAPER_TABLE_2, FRAME_CHUNK + 4321, seed))
+
+
+def test_sampler_bounds_each_frame_mean_below_2_28():
+    # every component just below the bound: the signal column sums four
+    # draws near 2**28, and the int32 table holds them exactly
+    near = MandelRiceComponent(M=1e6, B=0.99 * 2**28 / 1e6)
+    params = TripleTwbParams(*[near] * 7)
+    got = sample_photon_numbers(params, 10, 1)
+    np.testing.assert_array_equal(got, sample_photon_numbers_per_component(params, 10, 1))
+    assert got[:, 0].min() > 3.9 * 2**28
+    # a component whose Gamma draw reaches 2**28 is named
+    over = dataclasses.replace(PAPER_TABLE_2, noise_i1=MandelRiceComponent(M=1.0, B=2.0**32))
+    with pytest.raises(ParameterError, match=r"noise_i1: M = 1, B = 4\.29497e\+09 .* above 2\*\*28"):
+        sample_photon_numbers(over, 10, 1)
+
+
 def test_sampling_rejects_empty_request():
     with pytest.raises(DataError):
         sample_photon_numbers(PAPER_TABLE_2, 0, seed=1)

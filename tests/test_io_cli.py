@@ -330,6 +330,21 @@ def test_frame_writer_spans_row_blocks(tmp_path):
     assert (tmp_path / "frames.csv").read_bytes() == ("frame_id,c_s,c_i1,c_i2,c_i3\r\n" + want).encode()
 
 
+def test_int32_columns_are_written_as_their_int64_values(tmp_path):
+    # two whole blocks and a part, the int32 extremes and zero among them
+    rng = np.random.default_rng(10)
+    frames = rng.integers(-2**31, 2**31, size=(2 * io._BLOCK_ROWS + 5, 4), dtype=np.int32)
+    frames[[0, io._BLOCK_ROWS, -1]] = np.array([[-2**31], [0], [2**31 - 1]])
+    for name, table in [("narrow", frames), ("wide", frames.astype(np.int64))]:
+        io.save_columns({"n": table[:, 0]}, tmp_path / f"{name}_column.csv")
+        io.save_frames(table, tmp_path / f"{name}_frames.csv")
+    for kind in ("column", "frames"):
+        narrow = (tmp_path / f"narrow_{kind}.csv").read_bytes()
+        assert narrow == (tmp_path / f"wide_{kind}.csv").read_bytes()
+    assert narrow.split(b"\r\n")[1] == b"0,-2147483648,-2147483648,-2147483648,-2147483648"
+    assert narrow.split(b"\r\n")[-2].endswith(b",2147483647,2147483647,2147483647,2147483647")
+
+
 TABLE_FORMATS = {
     "distribution": (io.load_distribution, "n_s,n_i1,n_i2,n_i3,value",
                      {"cutoffs": [2, 2, 2, 2], "axis_labels": list(AXIS_ORDER),
@@ -476,19 +491,23 @@ def test_cli_simulate_keeps_its_stream(runner, tmp_path):
         "frames.csv": "8d63c9951700df427f1f216e80428a29695f4247eb760f046fac43847fecd9a4"}
 
 
-def test_cli_simulate_peak_memory(runner, tmp_path):
-    # one (frames x 4) int64 table of 32 MB, written over by the clicks,
-    # plus frame vectors and chunks; the per-component draws and a separate
-    # click table needed about 97 MB
+@pytest.mark.parametrize("frames_out", [False, True], ids=["histogram", "frames-out"])
+def test_cli_simulate_peak_memory(runner, tmp_path, frames_out):
+    # one (frames x 4) int32 table of 16 MB, written over by the clicks,
+    # plus frame vectors and chunks; the frames CSV converts its columns to
+    # int64 one block of rows at a time. An int64 table read 48.9 MB, and
+    # 52.3 MB with --frames-out; converting each whole column first read
+    # 68-74 MB with --frames-out
     tracemalloc.start()
     try:
         res = runner.invoke(main, ["simulate", "--frames", "1000000", "--seed", "7",
-                                   "--out", str(tmp_path / "hist.csv")])
+                                   "--out", str(tmp_path / "hist.csv")]
+                            + (["--frames-out", str(tmp_path / "frames.csv")] if frames_out else []))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.exit_code == 0, res.output
-    assert peak <= 60e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("tail_tol, match", [
@@ -1480,6 +1499,20 @@ def test_cli_malformed_detector_file_exits_2(runner, workdir, text):
         "--out", str(workdir / "nope5.csv")])
     assert res.exit_code == 2, res.output
     assert str(path) in res.output
+
+
+def test_cli_detector_with_too_many_pixels_to_sample_exits_2(runner, workdir):
+    # a valid detector whose 2e9 pixels numpy's hypergeometric draw refuses
+    path = workdir / "detectors_many_pixels.json"
+    cfgs = preset_detector_entries()
+    cfgs["i3"]["pixels"] = 2 * 10**9
+    path.write_text(json.dumps(cfgs))
+    out = workdir / "nope_many_pixels.csv"
+    res = runner.invoke(main, ["simulate", "--frames", "10", "--seed", "1",
+                               "--detector-file", str(path), "--out", str(out)])
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert "i3: 2000000000 pixels, above the 999999999" in res.output
+    assert not out.exists()
 
 
 def preset_detector_entries() -> dict:
