@@ -380,6 +380,10 @@ def quasi(dist_file, s_value, modes, points, cut_kind, level, out):
     """Quasi-distribution of integrated intensities; exports one plane cut."""
     nonclassical.check_cut(cut_kind, level)  # before the grid, not after it
     d = _photon_table(dist_file)
+    try:
+        nonclassical.check_grid(d.values.shape, points)
+    except DataError as exc:
+        raise DataError(f"--points {points}: {exc}") from None
     q = nonclassical.quasi_distribution_W(d, s_value, modes, points=points)
     io.save_columns(nonclassical.plane_cut(q, cut_kind, level).columns(), out)
     record = {"min_value": float(np.nanmin(q.values)), "integral": q.integral(),

@@ -150,8 +150,11 @@ def em_reconstruct(data: Histogram | JointDistribution,
         p_new /= p_new.sum()
         # cells below the smallest normal double weigh nothing, but a GEMM
         # that reads subnormal operands runs several times slower; long
-        # conditional runs fill up to a fifth of the table with them
-        p_new[p_new < _TINY] = 0.0
+        # conditional runs fill up to a fifth of the table with them. The
+        # iterate is nonnegative, so the one read of min() finds whether any
+        # cell needs the flush (a NaN skips both)
+        if p_new.min() < _TINY:
+            p_new[p_new < _TINY] = 0.0
         diff = np.subtract(p_new, p, out=p)  # the old iterate is not read again
         residual = float(np.abs(diff, out=diff).max())
         residuals.append(residual)

@@ -29,7 +29,8 @@ TAIL_TOL = 1e-8
 #: run over all frames in consecutive chunks, which consume the generator's
 #: stream as one draw would: the samples do not depend on this size.
 FRAME_CHUNK = 1 << 16
-#: Most cells a binned histogram may hold: 2**28 int64 counts, 2 GiB.
+#: Most cells a binned histogram, a W grid or one of its kernels may hold:
+#: 2**28 int64 counts or float64 values, 2 GiB.
 MAX_CELLS = 1 << 28
 #: Fewest cells the largest trailing step of a :func:`contract` call must
 #: write before its c_0 slices are shared out among threads: 4 MiB of float64.

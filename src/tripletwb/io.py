@@ -132,12 +132,12 @@ def ingest_frames(path: str | Path, cfgs: dict[str, DetectorConfig]) -> Histogra
     malformed row is reported with its line number.
     """
     path = Path(path)
-    # read as cells (frame_id, c_s, c_i1, c_i2) with the value c_i3
-    cells, last = _read_cells(path, FRAME_HEADER, counts=True)
-    if not len(last):
+    # read as cells (frame_id, c_s, c_i1, c_i2) with the value c_i3; the
+    # clicks are a view of the one int64 table
+    rows = _read_cells(path, FRAME_HEADER, counts=True)
+    if not len(rows):
         raise DataError(f"{path}: no frames")
-    frame_ids = cells[:, 0]
-    clicks = np.column_stack([cells[:, 1:], last.astype(np.int64)])
+    frame_ids, clicks = rows[:, 0], rows[:, 1:]
     repeat = _repeats(frame_ids)
     if repeat.any():
         row = int(np.argmax(repeat))
@@ -208,14 +208,16 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
 
 def _read_cells(path: Path, header: list[str],
                 shape: tuple[int, ...] | None = None,
-                counts: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Cell indices (rows x rank, int64) and values of a ``cell..., value`` CSV.
+                counts: bool = False) -> np.ndarray:
+    """The rows (cell index..., value) of a CSV table, one column per field:
+    float64, or int64 for ``counts``.
 
     The first line must equal ``header``, whose length sets the rank.
     Every index must be a nonnegative integer below 2**53, which a double
     holds exactly, and below ``shape`` when given, where no cell may come
     twice; every value finite, and for ``counts`` a nonnegative integer
     below 2**53 too. A violation is a DataError naming the file and line.
+    The parsed float64 rows are dropped once ``counts`` has converted them.
     """
     try:
         fh = path.open(errors="replace")  # as _data_lines reads it
@@ -256,7 +258,7 @@ def _read_cells(path: Path, header: list[str],
             row = int(np.argmax(bad))
             cell = ",".join(f"{x:g}" for x in data[row])
             raise DataError(f"{path}:{_line_of(path, row)}: {reason} ({cell})")
-    return cells.astype(np.int64), values
+    return data.astype(np.int64) if counts else data
 
 
 #: rows rendered and written at once: bounds the byte arrays of a block
@@ -471,10 +473,9 @@ def load_histogram(path: str | Path) -> Histogram:
     DataError naming the sidecar."""
     path = Path(path)
     sidecar, meta, shape = _table_meta(path, ("trials",))
-    cells, counts = _read_cells(path, _histogram_header(meta["axis_labels"]), shape,
-                                counts=True)
+    rows = _read_cells(path, _histogram_header(meta["axis_labels"]), shape, counts=True)
     table = np.zeros(shape, dtype=np.int64)
-    table[tuple(cells.T)] = counts
+    table[tuple(rows[:, :-1].T)] = rows[:, -1]
     try:
         return Histogram(table, meta["trials"], tuple(meta["axis_labels"]))
     except DataError as exc:
@@ -559,9 +560,9 @@ def load_distribution(path: str | Path) -> JointDistribution:
                         f"got {meta['normalized']!r}")
     values = _read_payload(path, meta, shape)
     if values is None:
-        cells, vals = _read_cells(path, _distribution_header(meta["axis_labels"]), shape)
+        rows = _read_cells(path, _distribution_header(meta["axis_labels"]), shape)
         values = np.zeros(shape)
-        values[tuple(cells.T)] = vals
+        values[tuple(rows[:, :-1].T.astype(np.int64))] = rows[:, -1]
     try:
         return JointDistribution(values, tuple(meta["axis_labels"]),
                                  normalized=meta["normalized"])

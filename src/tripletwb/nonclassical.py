@@ -524,15 +524,15 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
     checked against the moment transform (relative 1e-4) and the grid
     integral against 1 (1e-3); a failure raises NumericalError. The check
     sums the grid's moments per axis, from the kernels and the table, and
-    reads no grid.
+    reads no grid. A grid or kernel too large to hold (:func:`check_grid`)
+    is a DataError, raised before any allocation.
     """
     if not d.normalized:
         raise DataError("quasi-distribution needs a normalized distribution")
     if not (-1.0 < s < 1.0):
         raise ParameterError("quasi-distribution synthesis needs s in (-1, 1)")
     modes = _check_modes(modes, d.values.ndim)
-    if points < 2:
-        raise DataError("grid needs at least 2 points")
+    check_grid(d.values.shape, points)
     steps = []
     kernels = []
     vals = d.values
@@ -548,6 +548,22 @@ def quasi_distribution_W(d: JointDistribution, s: float, modes: Sequence[float],
     out = QuasiDistribution(fock.contract(vals, kernels), s, modes, tuple(steps))
     _validate_quasi(out, d, kernels)
     return out
+
+
+def check_grid(shape: Sequence[int], points: int) -> None:
+    """Raise DataError unless a grid of ``points`` per axis over a table of
+    ``shape`` can be synthesized: at least 2 points, and neither the grid
+    (points^ndim cells) nor a kernel (points x n_a cells) above
+    ``fock.MAX_CELLS``.
+
+    Cheap enough to run before a grid is synthesized.
+    """
+    if points < 2:
+        raise DataError("grid needs at least 2 points")
+    grid, kernel = points ** len(shape), points * max(shape)
+    if max(grid, kernel) > fock.MAX_CELLS:
+        raise DataError(f"{points} points per axis make a grid of {grid} cells and kernels "
+                        f"of up to {kernel}, above the {fock.MAX_CELLS} cells a grid may hold")
 
 
 def _kernel_moments(q: QuasiDistribution, d: JointDistribution,

@@ -61,6 +61,24 @@ def test_ingest_frames(tmp_path):
     assert h.counts[3, 1, 1, 1] == 1
 
 
+def test_ingest_frames_peaks_near_two_copies_of_the_rows(tmp_path):
+    # the parsed float64 rows and their int64 conversion at most: the float
+    # rows are not kept past the checks, and the clicks are no second copy
+    samples = np.random.default_rng(38).integers(0, 10, (200_000, 4), dtype=np.int32)
+    p = tmp_path / "frames.csv"
+    io.save_frames(samples, p)
+    tracemalloc.start()
+    try:
+        h = io.ingest_frames(p, PAPER_TABLE_1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = Histogram.binned(samples, samples.max(axis=0))
+    np.testing.assert_array_equal(h.counts, want.counts)
+    assert h.trials == want.trials == len(samples)
+    assert peak < 2.5 * samples.shape[0] * len(FRAME_HEADER) * 8
+
+
 def test_ingest_frames_rejects_duplicates(tmp_path):
     p = tmp_path / "frames.csv"
     p.write_text(FRAME_TEXT + "2,1,1,1,1\n")
@@ -975,6 +993,26 @@ def test_cli_quasi_out_of_memory_exits_2(runner, workdir):
     assert res.exit_code == 2, res.output
     assert "--points" in res.output
     assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_cli_quasi_with_a_billion_points_exits_2_before_any_grid(runner, workdir,
+                                                                  dist3_poisson, monkeypatch):
+    # the kernels alone (10^9 x n cells) would exhaust memory: the bound is
+    # checked before any synthesis
+    from tripletwb import nonclassical
+    calls = []
+    synthesize = nonclassical.quasi_distribution_W
+    monkeypatch.setattr(nonclassical, "quasi_distribution_W",
+                        lambda *a, **k: calls.append(1) or synthesize(*a, **k))
+    out = workdir / "billion_quasi.csv"
+    res = runner.invoke(main, [
+        "quasi", "--dist", str(dist3_poisson), "--s", "0.0", "--points", "1000000000",
+        "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "--points 1000000000" in res.output and "cells a grid may hold" in res.output
+    assert "out of memory" not in res.output and "Traceback" not in res.output
+    assert calls == []
     assert not out.exists()
 
 

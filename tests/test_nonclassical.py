@@ -591,6 +591,23 @@ def test_grid_moments_in_one_and_two_dimensions(shape):
                                    rtol=1e-12, atol=1e-12 * np.max(np.abs(got)))
 
 
+def test_quasi_distribution_rejects_a_grid_too_large_to_hold(monkeypatch):
+    # 10^9 points: the grid (10^27 cells on three axes) and each kernel
+    # (2.1e10 cells) are above fock.MAX_CELLS; nothing is synthesized first
+    monkeypatch.setattr(nonclassical, "_laguerre_kernel", None)  # never reached
+    for ndim in (3, 1):
+        d = JointDistribution(np.full((21,) * ndim, 21.0 ** -ndim),
+                              ("i1", "i2", "i3")[:ndim], normalized=True)
+        with pytest.raises(DataError, match="above the 268435456 cells a grid may hold"):
+            quasi_distribution_W(d, 0.0, (1.0,) * ndim, points=10**9)
+    # on three axes the grid reaches the bound first: 645^3 <= 2^28 < 646^3
+    nonclassical.check_grid((21, 21, 21), 645)
+    with pytest.raises(DataError):
+        nonclassical.check_grid((21, 21, 21), 646)
+    with pytest.raises(DataError, match="at least 2 points"):
+        nonclassical.check_grid((21,), 1)
+
+
 def test_quasi_distribution_requires_open_interval():
     pmf = mandel_rice_vector(30, MandelRiceComponent(1.0, 0.3))
     d = JointDistribution(pmf / pmf.sum(), ("i1",), normalized=True)
