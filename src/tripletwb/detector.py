@@ -106,22 +106,23 @@ def detection_matrix(cfg: DetectorConfig, n_max: int,
     Markov chain in which each photon moves j to j + 1 with probability
     eta (N - j)/N (registered, on a fresh pixel). D[c, j] =
     Binomial(N - j, d)(c - j) adds the dark counts of the N - j idle pixels.
-    Occupancies j > c_max have no row and lose their mass; a column loss
-    beyond ``COLUMN_TOL`` is a CutoffError naming n_max and the click range.
+    Occupancies j > c_max have no click row and are not formed, so R is
+    (min(n_max, c_max) + 1) x (n_max + 1); a column loss beyond
+    ``COLUMN_TOL`` is a CutoffError naming n_max and the click range.
     """
     if c_max is None:
         c_max = default_c_max(cfg, n_max)
     if c_max > cfg.pixels:
         raise ParameterError(f"c_max {c_max} exceeds pixel count {cfg.pixels}")
     N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
-    js = np.arange(n_max + 1)
-    fresh = eta * np.maximum(N - js, 0) / N
-    stay = (1.0 - eta) + eta * np.minimum(js, N) / N
-    occupancy = np.eye(n_max + 1)  # column 0 is j = 0; the chain writes the others
+    js = np.arange(min(n_max, c_max) + 1)  # j <= c_max <= N
+    fresh = eta * (N - js) / N
+    stay = (1.0 - eta) + eta * js / N
+    occupancy = np.eye(js.size, n_max + 1)  # column 0 is j = 0; the chain writes the others
     for n in range(n_max):
         occupancy[:, n + 1] = stay * occupancy[:, n]
         occupancy[1:, n + 1] += fresh[:-1] * occupancy[:-1, n]
-    dark = fock.binomial_table(c_max + 1, np.maximum(N - js, 0), d, 1.0 - d)
+    dark = fock.binomial_table(c_max + 1, N - js, d, 1.0 - d)
     T = fock.shifted_columns(dark, c_max + 1) @ occupancy
     deficit = np.abs(T.sum(axis=0) - 1.0).max()
     if deficit > COLUMN_TOL:

@@ -127,6 +127,8 @@ def em_reconstruct(data: Histogram | JointDistribution,
     mats = [np.asfortranarray(mat.entries[rows]) for mat, rows in zip(mat_objs, used)]
     mats_T = [np.asfortranarray(m.T) for m in mats]
     support = np.flatnonzero(fbox)
+    if support.size == fbox.size:  # an exact table: a view and a slice, same cells and order
+        support = slice(None)
     fs = fbox.ravel()[support]
     ratio = np.zeros(fbox.shape)
 

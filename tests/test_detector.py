@@ -141,7 +141,20 @@ def test_occupancy_and_alternating_routes_agree():
     (DetectorConfig(pixels=40, efficiency=0.0, dark_rate=2.0), 8),
 ])
 def test_matrix_product_matches_the_term_loop(cfg, n_max):
-    c_max = default_c_max(cfg, n_max)
+    assert_matches_the_term_loop(cfg, n_max, default_c_max(cfg, n_max))
+
+
+@pytest.mark.parametrize("cfg, n_max, c_max", [
+    # occupancies beyond the click range carry less than COLUMN_TOL
+    (PAPER_TABLE_1["i1"], 45, 30),
+    (DetectorConfig(pixels=8, efficiency=0.6, dark_rate=0.4), 32, 8),  # n_max > pixels
+    (DetectorConfig(pixels=5, efficiency=1e-11, dark_rate=1e-11), 6, 0),
+], ids=["n_max-above-c_max", "n_max-above-pixels", "c_max-0"])
+def test_matrix_product_matches_the_term_loop_below_the_photon_cutoff(cfg, n_max, c_max):
+    assert_matches_the_term_loop(cfg, n_max, c_max)
+
+
+def assert_matches_the_term_loop(cfg, n_max, c_max):
     got = detection_matrix(cfg, n_max, c_max).entries
     raw = detection_matrix_loop(cfg, n_max, c_max)
     want = raw / raw.sum(axis=0, keepdims=True)
@@ -174,6 +187,21 @@ def test_too_few_click_rows_fail_the_column_check():
     with pytest.raises(CutoffError, match=r"click range 0\.\.4 is too narrow for the "
                                           r"photon cutoff n_max = 12"):
         detection_matrix(cfg, 12, c_max=4)
+
+
+def test_a_photon_cutoff_far_above_the_click_range_fails_in_a_few_megabytes():
+    # only the occupancies a click can reach are formed: 31 x 3001 doubles
+    # here, where an (n_max + 1)^2 chain would hold 72 MB
+    from tripletwb.errors import CutoffError
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match=r"click range 0\.\.30 is too narrow for the "
+                                              r"photon cutoff n_max = 3000"):
+            detection_matrix(PAPER_TABLE_1["i1"], 3000, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_nan_entry_fails_the_column_check():

@@ -1942,6 +1942,20 @@ def test_cli_narrow_click_range_exits_2(runner, workdir, narrow_hist, args, n_ma
     assert not out.exists()
 
 
+def test_cli_photon_cutoff_far_above_the_click_range_exits_2(runner, workdir, small_hist):
+    # the detection matrices hold only the occupancies a click can reach, so
+    # the column check refuses this cutoff at once; an (n_max + 1)^2
+    # occupancy table would have asked for 7.2 GB first
+    out = workdir / "big_cutoff.csv"
+    res = runner.invoke(main, ["reconstruct", "--histogram", str(small_hist),
+                               "--idler-cutoff", "30000", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: click range 0..30 is too narrow for the photon "
+                                 "cutoff n_max = 30000: "), res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 def read_columns(path):
     """The header and the parsed float columns of a CSV."""
     with path.open(newline="") as fh:
