@@ -110,8 +110,12 @@ def detection_matrix(cfg: DetectorConfig, n_max: int,
     (min(n_max, c_max) + 1) x (n_max + 1); a column loss beyond
     ``COLUMN_TOL`` is a CutoffError naming n_max and the click range.
     """
+    if n_max < 0:
+        raise ParameterError(f"photon cutoff n_max must be >= 0, got {n_max}")
     if c_max is None:
         c_max = default_c_max(cfg, n_max)
+    if c_max < 0:
+        raise ParameterError(f"click cutoff c_max must be >= 0, got {c_max}")
     if c_max > cfg.pixels:
         raise ParameterError(f"c_max {c_max} exceeds pixel count {cfg.pixels}")
     N, eta, d = cfg.pixels, cfg.efficiency, cfg.dark_prob
@@ -189,7 +193,10 @@ def sample_counts(photons: np.ndarray, cfgs: dict[str, DetectorConfig],
     as many clicks as pixels, so a detector with more pixels than an
     integer ``out`` can hold, or than ``_MAX_PIXELS``, is a ParameterError,
     raised before any draw. ``cfgs`` is keyed by axis label, the columns
-    taking the labels of ``AXIS_ORDER``.
+    taking the labels of ``AXIS_ORDER``. Beside the two tables the sampler
+    holds one axis's dark counts, in the smallest unsigned dtype that holds
+    its pixel count, and chunks: a frame of any photon number draws its
+    pixels in pieces of at most ``_KEY_CHUNK`` keys.
     """
     photons = np.asarray(photons)
     labels = fock.AXIS_ORDER[: photons.shape[1]]
@@ -219,47 +226,63 @@ def _sample_clicks_pixelwise(n: np.ndarray, cfg: DetectorConfig,
 
     Registered photons are dropped into pixels uniformly; clicks are the
     occupied pixels plus dark pixels, counted once. The occupied-pixel
-    count is formed by deduplicating the pixel draws per frame and the
-    dark/photon overlap is hypergeometric.
+    count is the registered count less the repeated (frame, pixel) keys,
+    and the dark/photon overlap is hypergeometric.
 
     Each kind of draw runs over all frames before the next one starts, in
     consecutive chunks that consume the generator's stream as one draw
-    would: the Binomial thinning and the overlap in chunks of
-    ``fock.FRAME_CHUNK`` frames, the pixel keys in chunks of whole frames
-    holding at most ``_KEY_CHUNK`` keys (or one frame that alone has more),
-    the dark counts in one draw. Keys are frame-major, so deduplicating
-    them chunk by chunk is exact. ``n`` is read in full by the thinning
-    before ``out`` is written, so ``out`` may share memory with it. Beside
-    the two, the sampler holds one frame vector at a time and one chunk.
+    would: the Binomial thinning, the dark counts and the overlap in
+    chunks of ``fock.FRAME_CHUNK`` frames, the pixel keys in chunks of
+    whole frames holding at most ``_KEY_CHUNK`` keys. A frame that alone
+    has more draws its pixels in ``_KEY_CHUNK`` pieces and keeps only its
+    distinct pixels, at most N. Keys are frame-major, so counting repeats
+    chunk by chunk is exact. The overlap is drawn only for frames whose
+    draw reads the stream: numpy's sampler reads nothing, and returns 0,
+    for no occupied pixel, or for no dark pixel and fewer than 10 occupied.
+
+    The registered counts are written over ``out``, each chunk of ``n``
+    read before its chunk of ``out`` is written, so ``out`` may share
+    memory with ``n``. Beside the two, the sampler holds the dark counts
+    in the smallest unsigned dtype that holds N, and one chunk.
     """
     frames = n.shape[0]
     N = cfg.pixels
     step = fock.FRAME_CHUNK
-    # registered photons per frame, then their running total over the frames
-    total = np.empty(frames, dtype=np.int64)
     for lo in range(0, frames, step):
-        photons = n[lo: lo + step].astype(np.int64, copy=False)
-        total[lo: lo + step] = rng.binomial(photons, cfg.efficiency)
-    np.cumsum(total, out=total)
-    # one (frame, pixel) key per registered photon of the chunk's frames,
-    # sorted and counted once per distinct pixel
-    lo = start = 0
-    while lo < frames:
-        hi = max(lo + 1, int(np.searchsorted(total, start + _KEY_CHUNK, side="right")))
-        keys = np.repeat(np.arange(hi - lo, dtype=np.int64),
-                         np.diff(total[lo:hi], prepend=start))
-        keys *= N
-        keys += rng.integers(0, N, size=keys.size)
-        keys.sort()
-        fresh = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        keys = keys[fresh]
-        keys //= N
-        out[lo:hi] = np.bincount(keys, minlength=hi - lo)
-        lo, start = hi, total[hi - 1]
-    del total
-    dark = rng.binomial(N, cfg.dark_prob, size=frames)
+        out[lo: lo + step] = rng.binomial(n[lo: lo + step].astype(np.int64, copy=False),
+                                          cfg.efficiency)
+    for lo in range(0, frames, step):
+        _count_occupied(out[lo: lo + step], N, rng)
+    dark = np.empty(frames, np.min_scalar_type(N))
+    for lo in range(0, frames, step):
+        dark[lo: lo + step] = rng.binomial(N, cfg.dark_prob, size=dark[lo: lo + step].size)
     for lo in range(0, frames, step):
         occupied, d = out[lo: lo + step], dark[lo: lo + step]
-        occupied += d - rng.hypergeometric(d, N - d, occupied)
+        draw = np.flatnonzero((occupied > 0) & ((d > 0) | (occupied >= 10)))
+        gain = d.astype(np.int64)
+        gain[draw] -= rng.hypergeometric(d[draw], N - d[draw], occupied[draw])
+        occupied += gain
     return out
+
+
+def _count_occupied(hits: np.ndarray, N: int, rng: np.random.Generator) -> None:
+    """Write over each frame's registered photon count ``hits`` the number of
+    distinct pixels its photons land on, drawing one key per photon."""
+    ends = np.cumsum(hits, dtype=np.int64)
+    lo = start = 0
+    while lo < hits.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _KEY_CHUNK, side="right")))
+        if hits[lo] > _KEY_CHUNK:  # one frame, drawn in pieces
+            seen = np.empty(0, np.int64)
+            for done in range(0, int(hits[lo]), _KEY_CHUNK):
+                piece = rng.integers(0, N, size=min(_KEY_CHUNK, int(hits[lo]) - done))
+                seen = np.union1d(seen, piece)
+            hits[lo] = seen.size
+        else:
+            keys = np.repeat(np.arange(hi - lo, dtype=np.int64), hits[lo:hi])
+            keys *= N
+            keys += rng.integers(0, N, size=keys.size)
+            keys.sort()
+            repeats = keys[1:][keys[1:] == keys[:-1]]
+            hits[lo:hi] -= np.bincount(repeats // N, minlength=hi - lo)
+        lo, start = hi, ends[hi - 1]

@@ -51,7 +51,7 @@ from .detector import DetectionMatrix, _matrices_for
 from .errors import DataError
 # apply_matrix stays importable here: the benchmark's tracer (perfbench/workload.py)
 # wraps it under this module's name
-from .fock import Histogram, JointDistribution, apply_matrix, contract, normalize  # noqa: F401
+from .fock import Histogram, JointDistribution, apply_matrix, contract  # noqa: F401
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -110,18 +110,29 @@ def em_reconstruct(data: Histogram | JointDistribution,
     starts from the uniform table on it. A :class:`Histogram` brings its
     frame count N, which turns on the likelihood stop; an exact table, a
     normalized :class:`JointDistribution`, stops on the residual or the budget.
+    A histogram's observed box is read from its counts and divided by N,
+    with no dense ``normalize(h)`` table; each cell gets that table's
+    division, so the run equals one on ``normalize(h)`` bit for bit, up
+    to the likelihood stop that only N turns on.
     """
-    trials, f = (data.trials, normalize(data)) if isinstance(data, Histogram) else (None, data)
-    if not f.normalized:
+    if isinstance(data, Histogram):
+        trials, table = data.trials, data.counts
+    elif data.normalized:
+        trials, table = None, data.values
+    else:
         raise DataError("EM needs a histogram or a normalized photocount distribution")
-    mat_objs = _matrices_for(f.axis_labels, matrices)
-    for mat, cdim in zip(mat_objs, f.values.shape):
+    mat_objs = _matrices_for(data.axis_labels, matrices)
+    for mat, cdim in zip(mat_objs, table.shape):
         if cdim > mat.entries.shape[0]:
             raise DataError("photocount table exceeds matrix click range")
 
-    # the observed click box: click values that occur on each axis
-    used = [np.unique(idx) for idx in np.nonzero(f.values)]
-    fbox = f.values[np.ix_(*used)]
+    # the observed click box: click values that occur on each axis. A
+    # histogram's box is divided by N there, the division ``normalize``
+    # makes of each cell, so no dense frequency table is formed
+    used = [np.unique(idx) for idx in np.nonzero(table)]
+    fbox = table[np.ix_(*used)]
+    if trials is not None:
+        fbox = fbox / float(trials)
     # Fortran order in both directions: ``contract``'s batched steps take
     # their matrix in that layout, so no map copies one
     mats = [np.asfortranarray(mat.entries[rows]) for mat, rows in zip(mat_objs, used)]
@@ -169,6 +180,6 @@ def em_reconstruct(data: Histogram | JointDistribution,
         if gain is not None and gain < STOP_GAIN_NATS:
             stop = "likelihood"
             break
-    dist = JointDistribution(p, f.axis_labels, normalized=True)
+    dist = JointDistribution(p, data.axis_labels, normalized=True)
     return EmResult(dist, it, residuals[-1], np.asarray(logliks),
                     np.asarray(residuals), stop, gain)

@@ -146,7 +146,9 @@ class Histogram:
         """Frames, one row of (c_s, c_i1, c_i2, c_i3) each, counted per cell of
         the click box 0..box; frames outside the box are dropped.
 
-        The table is allocated first and zeroed lazily. Each chunk of
+        The counts are int32 when every count fits, which is any frame count
+        below 2**31, and int64 otherwise. The table is allocated first and
+        zeroed lazily. Each chunk of
         ``FRAME_CHUNK`` frames forms one C-order flat cell index per frame,
         which cannot overflow for a frame inside the allocated box, and
         ``np.add.at`` adds its in-box frames to the table's flat view. Pages
@@ -162,7 +164,7 @@ class Histogram:
         if math.prod(shape) > MAX_CELLS:
             raise DataError(f"click box 0..{tuple(n - 1 for n in shape)} has {math.prod(shape)} "
                             f"cells, above the {MAX_CELLS} a histogram may hold")
-        counts = np.zeros(shape, dtype=np.int64)
+        counts = np.zeros(shape, dtype=np.int32 if len(clicks) < 2**31 else np.int64)
         flat, steps = counts.reshape(-1), np.asarray(counts.strides) // counts.itemsize
         kept = 0
         for lo in range(0, len(clicks), FRAME_CHUNK):

@@ -395,8 +395,10 @@ def _float_text(out: np.ndarray, x: np.ndarray) -> None:
 
 
 def _render_rows(columns: list[np.ndarray]) -> bytes:
-    """The CSV lines of a block of rows, ``%d`` fields of the int64 columns
-    and ``%.17g`` ones of the float64 columns, each line ending in ``\r\n``."""
+    """The CSV lines of a block of rows, ``%d`` fields of the integer columns
+    and ``%.17g`` ones of the others, each line ending in ``\r\n``. Each
+    column is taken as int64 or float64: itself if it is one, else a copy."""
+    columns = [np.asarray(c, np.int64 if c.dtype.kind in "iu" else np.float64) for c in columns]
     widths = [_FLOAT_BYTES if c.dtype.kind == "f"
               else max(len(str(int(c.min()))), len(str(int(c.max())))) for c in columns]
     lines = np.empty((sum(widths) + len(columns) + 1, len(columns[0])), np.uint8)
@@ -418,35 +420,62 @@ def save_columns(columns: dict[str, np.ndarray | range], path: str | Path) -> st
     is written. A column is an array or a ``range``; each is converted to
     int64 or float64 one block at a time, so an int32 column or a range of
     row numbers costs one block's copy, not a whole column's."""
-    head = StringIO()
-    csv.writer(head).writerow(columns)
     cols = list(columns.values())
-    digest = hashlib.sha256()
-    with Path(path).open("wb") as fh:
-        def write(block: bytes) -> None:
-            fh.write(block)
-            digest.update(block)
-        write(head.getvalue().encode())
-        for start in range(0, len(cols[0]), _BLOCK_ROWS):
-            write(_render_rows([_block(c, start) for c in cols]))
-    return digest.hexdigest()
+    blocks = ([_block(c, start) for c in cols] for start in range(0, len(cols[0]), _BLOCK_ROWS))
+    return _save_blocks(list(columns), blocks, path)
+
+
+def _save_blocks(header: list[str], blocks, path: str | Path) -> str:
+    """The CSV of ``header`` and the rows of each block of columns, as
+    :func:`save_columns` writes it; returns its SHA-256."""
+    head = StringIO()
+    csv.writer(head).writerow(header)
+    with _HashingWriter(path) as out:
+        out.write(head.getvalue().encode())
+        for columns in blocks:
+            out.write(_render_rows(columns))
+    return out.digest.hexdigest()
+
+
+class _HashingWriter:
+    """A binary file open for writing that feeds the SHA-256 of every byte
+    written to ``digest``."""
+
+    def __init__(self, path: str | Path):
+        self.digest = hashlib.sha256()
+        self._fh = Path(path).open("wb")
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self._fh.write(data)
+
+    def __enter__(self) -> "_HashingWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
 
 
 def _block(column: np.ndarray | range, start: int) -> np.ndarray:
-    """Rows ``start`` to ``start + _BLOCK_ROWS`` of a column as the int64 or
-    float64 the renderer takes: a view of an int64 or float64 column, a
-    copy of any other, and a range numbered by ``np.arange``."""
+    """Rows ``start`` to ``start + _BLOCK_ROWS`` of a column: a view of an
+    array, and a range numbered by ``np.arange``."""
     part = column[start: start + _BLOCK_ROWS]
     if isinstance(part, range):
         return np.arange(part.start, part.stop, part.step, dtype=np.int64)
-    return np.asarray(part, np.int64 if part.dtype.kind in "iu" else np.float64)
+    return part
 
 
 def _write_cells(path: Path, header: list[str], table: np.ndarray, keep: np.ndarray) -> str:
     """A ``cell..., value`` CSV with one row per kept cell, in C order;
-    returns its SHA-256."""
-    cells = np.nonzero(keep)
-    return save_columns(dict(zip(header, [*cells, table[cells]])), path)
+    returns its SHA-256. The kept cells are one flat index, unravelled into
+    cell indices one block of rows at a time."""
+    flat, values = np.flatnonzero(keep), table.reshape(-1)
+
+    def blocks():
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            part = flat[start: start + _BLOCK_ROWS]
+            yield [*np.unravel_index(part, table.shape), values[part]]
+    return _save_blocks(header, blocks(), path)
 
 
 def _histogram_header(labels) -> list[str]:
@@ -469,12 +498,14 @@ def save_histogram(h: Histogram, path: str | Path,
 
 
 def load_histogram(path: str | Path) -> Histogram:
-    """A saved histogram; a sidecar that does not describe its counts is a
-    DataError naming the sidecar."""
+    """A saved histogram, its counts int32 when every count fits, as
+    ``Histogram.binned`` makes them; a sidecar that does not describe its
+    counts is a DataError naming the sidecar."""
     path = Path(path)
     sidecar, meta, shape = _table_meta(path, ("trials",))
     rows = _read_cells(path, _histogram_header(meta["axis_labels"]), shape, counts=True)
-    table = np.zeros(shape, dtype=np.int64)
+    wide = len(rows) and rows[:, -1].max() >= 2**31
+    table = np.zeros(shape, dtype=np.int64 if wide else np.int32)
     table[tuple(rows[:, :-1].T)] = rows[:, -1]
     try:
         return Histogram(table, meta["trials"], tuple(meta["axis_labels"]))
@@ -513,17 +544,14 @@ def save_distribution(d: JointDistribution, path: str | Path,
     path = Path(path)
     csv_sha256 = _write_cells(path, _distribution_header(d.axis_labels), d.values,
                               np.abs(d.values) > 0)
-    buf = BytesIO()
-    # + 0.0 turns -0.0 into +0.0: the CSV skips zero cells, which load as +0.0
-    np.save(buf, d.values + 0.0, allow_pickle=False)
-    payload = buf.getvalue()
-    _payload(path).write_bytes(payload)
+    with _HashingWriter(_payload(path)) as npy:
+        # + 0.0 turns -0.0 into +0.0: the CSV skips zero cells, which load as +0.0
+        np.save(npy, d.values + 0.0, allow_pickle=False)
     meta = {
         "cutoffs": list(d.cutoffs),
         "axis_labels": list(d.axis_labels),
         "normalized": d.normalized,
-        "payload": {"csv_sha256": csv_sha256,
-                    "npy_sha256": hashlib.sha256(payload).hexdigest()},
+        "payload": {"csv_sha256": csv_sha256, "npy_sha256": npy.digest.hexdigest()},
     }
     if detectors is not None:
         meta["detectors"] = detector_entries(detectors)

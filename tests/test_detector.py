@@ -177,6 +177,16 @@ def test_heavy_dark_counts_keep_their_columns(dark_rate):
     np.testing.assert_allclose(got, raw / raw.sum(axis=0), rtol=1e-10, atol=1e-300)
 
 
+def test_a_negative_photon_cutoff_is_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"photon cutoff n_max must be >= 0, got -1"):
+        detection_matrix(PAPER_TABLE_1["i1"], -1)
+
+
+def test_a_negative_click_cutoff_is_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"click cutoff c_max must be >= 0, got -1"):
+        detection_matrix(PAPER_TABLE_1["i1"], 10, c_max=-1)
+
+
 def test_too_few_click_rows_fail_the_column_check():
     # a truncation, not a loss of precision: exit 2 at the CLI, with the
     # cutoff and the click range named
@@ -412,6 +422,32 @@ def test_pixelwise_sampler_is_independent_of_the_chunk_sizes(monkeypatch, frame_
     n[[3, 500]] = 200
     got, want = pixelwise_pair(n, PAPER_TABLE_1["i2"], 8)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("pixels", [3, 1512])
+def test_pixelwise_sampler_draws_a_frame_above_one_key_chunk_in_pieces(pixels):
+    # frames whose registered photons alone exceed one key chunk, at the
+    # first, middle and last place, among frames that share chunks
+    cfg = DetectorConfig(pixels=pixels, efficiency=0.6, dark_rate=0.5)
+    n = np.random.default_rng(3).poisson(4.0, size=2000)
+    n[[0, 999, 1999]] = [3 * detector._KEY_CHUNK, 2 * detector._KEY_CHUNK + 17,
+                         5 * detector._KEY_CHUNK]
+    got, want = pixelwise_pair(n, cfg, 11)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_huge_frames_draw_their_pixels_in_a_few_megabytes():
+    # about 2.3e6 registered photons a frame; the keys of one frame would
+    # take 19 MB, twice over while they are drawn
+    photons = np.full((3, 1), 10**7)
+    tracemalloc.start()
+    try:
+        clicks = sample_counts(photons, PAPER_TABLE_1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(clicks == PAPER_TABLE_1["s"].pixels)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_sample_counts_writes_over_the_photon_table():

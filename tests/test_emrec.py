@@ -1,5 +1,6 @@
 """Expectation-maximization inversion of photocount tables."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,40 @@ def test_observed_box_matches_full_box_on_sampled_histogram(matrices):
     assert np.count_nonzero(f.values) < 0.01 * f.values.size
     assert_matches_full_box(f, matrices, EmSettings(max_iterations=15,
                                                     stop_tolerance=1e-9))
+
+
+@pytest.fixture(scope="module")
+def sampled4(matrices):
+    """A sampled 10^5-frame histogram over the full 43 x 31^3 click box of
+    ``matrices``, binned as ``simulate`` bins it."""
+    photons = sample_photon_numbers(PAPER_TABLE_2, 100_000, 43)
+    clicks = sample_counts(photons, PAPER_TABLE_1, 44, out=photons)
+    return Histogram.binned(clicks, [m.c_max for m in matrices.values()])
+
+
+def test_em_on_a_histogram_forms_no_dense_frequency_table(sampled4, matrices):
+    # the observed box is divided by N; a dense counts / N table would add
+    # 10.2 MB of the 43 x 31^3 box
+    assert sampled4.counts.shape == (43, 31, 31, 31)
+    tracemalloc.start()
+    try:
+        em_reconstruct(sampled4, matrices, EmSettings(max_iterations=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_em_on_a_histogram_and_on_its_frequency_table_agree_bit_for_bit(sampled4, matrices):
+    # the same cells divided by the same N: equal iterates and traces at a
+    # budget the likelihood stop does not cut short
+    settings = EmSettings(max_iterations=6)
+    got = em_reconstruct(sampled4, matrices, settings)
+    want = em_reconstruct(normalize(sampled4), matrices, settings)
+    assert got.stop == want.stop == "budget"
+    np.testing.assert_array_equal(got.distribution.values, want.distribution.values)
+    np.testing.assert_array_equal(got.loglik_trace, want.loglik_trace)
+    np.testing.assert_array_equal(got.residual_trace, want.residual_trace)
 
 
 SAMPLED_FRAMES = 4000

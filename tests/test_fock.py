@@ -106,6 +106,7 @@ def test_binned_matches_tuple_index_reference():
     box = (9, 4, 5, 3)
     got, want = Histogram.binned(clicks, box), binned_tuple_index(clicks, box)
     assert got.trials == want.trials < 0.8 * len(clicks)
+    assert got.counts.dtype == np.int32
     np.testing.assert_array_equal(got.counts, want.counts)
     assert got.counts.base is None  # the table is the one binned filled
 

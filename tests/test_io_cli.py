@@ -25,7 +25,8 @@ from tripletwb.fock import AXIS_ORDER, Histogram, JointDistribution, condition
 from tripletwb.gaussian import PAPER_TABLE_2
 from tripletwb.io import FRAME_HEADER
 
-from tests.oracles import csv_text_loop, plane_cut_csv_loop, write_cells_loop
+from tests.oracles import (binned_tuple_index, csv_text_loop, plane_cut_csv_loop,
+                           write_cells_loop)
 
 FRAME_TEXT = """frame_id,c_s,c_i1,c_i2,c_i3
 0,2,1,0,1
@@ -141,10 +142,58 @@ def test_histogram_round_trip(tmp_path):
     path = tmp_path / "hist.csv"
     io.save_histogram(h, path, PAPER_TABLE_1)
     back = io.load_histogram(path)
-    assert back.trials == 7
+    assert back.trials == 7 and back.counts.dtype == np.int32
     assert back.axis_labels == h.axis_labels
     np.testing.assert_array_equal(back.counts, counts)
     assert io.recorded_detectors(path) == PAPER_TABLE_1
+
+
+def test_binned_histograms_save_and_load_as_int32_counts(tmp_path):
+    # int32 counts, equal to the tuple-index reference's int64 ones and
+    # saved to the same bytes
+    clicks = np.random.default_rng(40).poisson((6.0, 2.0, 2.0, 2.0), size=(50_000, 4))
+    box = (12, 6, 6, 6)
+    h, want = Histogram.binned(clicks, box), binned_tuple_index(clicks, box)
+    assert h.counts.dtype == np.int32 and want.counts.dtype == np.int64
+    io.save_histogram(h, tmp_path / "hist.csv", PAPER_TABLE_1)
+    io.save_histogram(want, tmp_path / "wide.csv", PAPER_TABLE_1)
+    assert (tmp_path / "hist.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
+    back = io.load_histogram(tmp_path / "hist.csv")
+    assert back.counts.dtype == np.int32 and back.trials == want.trials
+    np.testing.assert_array_equal(back.counts, want.counts)
+
+
+def test_a_count_beyond_int32_loads_as_int64(tmp_path):
+    counts = np.zeros((2, 2, 1, 1), dtype=np.int64)
+    counts[1, 0, 0, 0] = 2**31
+    counts[0, 1, 0, 0] = 3
+    io.save_histogram(Histogram(counts, 2**31 + 3), tmp_path / "hist.csv", PAPER_TABLE_1)
+    back = io.load_histogram(tmp_path / "hist.csv")
+    assert back.counts.dtype == np.int64
+    np.testing.assert_array_equal(back.counts, counts)
+
+
+def test_save_distribution_holds_no_index_array_per_axis(tmp_path):
+    # a 33 x 21^3 table, every cell kept: one flat index of the kept cells,
+    # unravelled a block of rows at a time, and a payload hashed as it is
+    # written; four int64 cell indices would add 9.8 MB and the in-memory
+    # payload two copies of 2.4 MB
+    rng = np.random.default_rng(41)
+    values = rng.random((33, 21, 21, 21))
+    d = JointDistribution(values / values.sum(), AXIS_ORDER, normalized=True)
+    tracemalloc.start()
+    try:
+        io.save_distribution(d, tmp_path / "photons.csv", PAPER_TABLE_1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    back = io.load_distribution(tmp_path / "photons.csv")
+    np.testing.assert_array_equal(back.values, d.values)
+    meta = json.loads((tmp_path / "photons.csv.meta.json").read_text())
+    payload = (tmp_path / "photons.csv.npy").read_bytes()
+    assert meta["payload"]["npy_sha256"] == hashlib.sha256(payload).hexdigest()
+    assert np.array_equal(np.load(BytesIO(payload)), d.values)
 
 
 def test_distribution_round_trip(tmp_path):
